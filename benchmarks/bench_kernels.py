@@ -1,78 +1,50 @@
-"""Benchmark: compiled kernels vs the pure-numpy fallback.
+"""Benchmark: the convex-roof kernels and one full minimization.
 
-Times the three hot kernels on representative inputs, then a full
-convex-roof minimization in each backend (the backend is chosen at import
-time, so the full-roof comparison runs in subprocesses with
-RTANGLE_BACKEND set).
+Times the three hot kernels on one start (a (4, 8) decomposition) and on
+a stack of 50 starts, as the lock-step search calls them, then one
+default-options ``roof_minimize`` of the paper's mixture at p = 0.8.
 
 Run:  python benchmarks/bench_kernels.py
 """
-import os
-import subprocess
-import sys
 import time
 import timeit
 
 import numpy as np
 
-from rtangle import _kernels_py
-
-try:
-    from rtangle import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-ROOF_SNIPPET = """
-import time
-import numpy as np
 import rtangle as rt
+from rtangle import kernels
 
-mix = rt.GhzWMixture(a=2 ** -0.5, b=2 ** -0.5, c=3 ** -0.5, d=3 ** -0.5, f=3 ** -0.5, p=0.8)
-rho = mix.density()
-t0 = time.perf_counter()
-res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=25))
-dt = time.perf_counter() - t0
-print(f"{rt.BACKEND} backend: value={res.value:.9f} in {dt:.2f}s")
-"""
+STACK = 50
 
 
-def bench_micro(name, fn, *args, repeat=5, number=2000):
+def bench_micro(name, fn, *args, per=1, repeat=5, number=400):
     best = min(timeit.repeat(lambda: fn(*args), repeat=repeat, number=number))
     per_call = best / number * 1e6
-    print(f"  {name:<24} {per_call:9.2f} us/call")
+    print(f"  {name:<24} {per_call:9.2f} us/call  {per_call / per:7.2f} us/start")
     return per_call
 
 
 def main():
     rng = np.random.default_rng(0)
-    W = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-    A = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    W = rng.standard_normal((STACK, 4, 8)) + 1j * rng.standard_normal((STACK, 4, 8))
+    A = rng.standard_normal((STACK, 4, 2)) + 1j * rng.standard_normal((STACK, 4, 2))
+    eps = np.full(STACK, 1e-6)
 
-    backends = [("python", _kernels_py)]
-    if _kernels_c is not None:
-        backends.append(("compiled", _kernels_c))
-    else:
-        print("compiled extension not built; benchmarking the fallback only")
+    print("one start:")
+    bench_micro("hyperdet_rows", kernels.hyperdet_rows, W[0])
+    bench_micro("roof_value_grad", kernels.roof_value_grad, W[0], True, 1e-6)
+    bench_micro("polar_retract", kernels.polar_retract, A[0])
+    print(f"stack of {STACK} starts:")
+    bench_micro("hyperdet_rows", kernels.hyperdet_rows, W, per=STACK)
+    bench_micro("roof_value_grad", kernels.roof_value_grad, W, True, eps, per=STACK)
+    bench_micro("polar_retract", kernels.polar_retract, A, per=STACK)
 
-    results = {}
-    for label, impl in backends:
-        print(f"{label} backend:")
-        results[label, "hyperdet_rows"] = bench_micro("hyperdet_rows", impl.hyperdet_rows, W)
-        results[label, "roof_value_grad"] = bench_micro(
-            "roof_value_grad", impl.roof_value_grad, W, True, 1e-6)
-        results[label, "polar_retract"] = bench_micro("polar_retract", impl.polar_retract, A)
-
-    if _kernels_c is not None:
-        print("speedup (python / compiled):")
-        for kernel in ("hyperdet_rows", "roof_value_grad", "polar_retract"):
-            ratio = results["python", kernel] / results["compiled", kernel]
-            print(f"  {kernel:<24} {ratio:8.1f}x")
-
-    print("\nfull roof_minimize (25 restarts, subprocess per backend):")
-    sys.stdout.flush()
-    for backend in ("python", "compiled") if _kernels_c is not None else ("python",):
-        env = dict(os.environ, RTANGLE_BACKEND=backend)
-        subprocess.run([sys.executable, "-c", ROOF_SNIPPET], env=env, check=True)
+    mix = rt.GhzWMixture(a=2 ** -0.5, b=2 ** -0.5, c=3 ** -0.5, d=3 ** -0.5, f=3 ** -0.5, p=0.8)
+    t0 = time.perf_counter()
+    res = rt.roof_minimize(mix.density(), "sqrt_tau")
+    dt = time.perf_counter() - t0
+    print(f"\nfull roof_minimize (default options, {res.restarts_used} restarts): "
+          f"value={res.value:.9f} in {dt:.2f}s")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .ghzw import (
     optimal_objective,
 )
 from .invariants import InvariantBreakdown, alpha, invariants, sqrt_tau, sqrt_tau_homogeneous, tau
-from .kernels import BACKEND
 from .roof import RoofOptions, RoofResult, objective_at, roof_minimize
 from .slocc import (
     MeasurementOutcome,
@@ -50,7 +49,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ConcavityReport",
     "DensityMatrix",
     "GhzWMixture",

@@ -9,9 +9,9 @@ Subcommands:
 * ``verify``   self-contained check of the built-in counterexample pipeline
 * ``sweep``    CSV of closed-form vs numerical values over p in [0, 1]
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input file,
-3 normalization violation, 4 ensemble size below rank, 5 incomplete Kraus
-set, 6 unwritable output path.
+Exit codes: 0 success, 1 verification failure, 2 malformed input file or
+out-of-range option, 3 normalization violation, 4 ensemble size below
+rank, 5 incomplete Kraus set, 6 unwritable output path.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import io as stateio
 from .ghzw import GhzWMixture, analyze, as_mixture
 from .invariants import invariants
-from .roof import RoofOptions, roof_minimize
+from .roof import OptionsError, RoofOptions, roof_minimize
 from .slocc import counterexample_fixture, measure, verify_tangle_noncovariance
 from .states import ValidationError, WeightedEnsemble, ensemble_to_density
 
@@ -75,8 +75,8 @@ def cmd_pure(args) -> int:
         psi = stateio.parse_pure(doc, renormalize=args.renormalize)
     except stateio.StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a well-formed file whose state is merely not normalized
-        return EXIT_NORMALIZATION if "norm" in str(exc) else EXIT_PARSE
+        normalization = isinstance(exc, stateio.StateNormalizationError)
+        return EXIT_NORMALIZATION if normalization else EXIT_PARSE
     inv = invariants(psi)
     print(f"d1       = {_fmtc(inv.d1)}")
     print(f"d2       = {_fmtc(inv.d2)}")
@@ -87,6 +87,9 @@ def cmd_pure(args) -> int:
 
 
 def cmd_mixture(args) -> int:
+    opts = None
+    if args.numeric:
+        opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
     try:
         mix = _mixture_from_args(args)
     except ValidationError as exc:
@@ -101,7 +104,6 @@ def cmd_mixture(args) -> int:
         print(f"limit     = {ana.limit_case}")
     print(f"rtangle   = {_fmt(ana.rtangle)}")
     if args.numeric:
-        opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
         result = roof_minimize(mix.density(), "sqrt_tau", opts)
         print(f"numeric   = {_fmt(result.value)}")
         print(f"gap       = {_fmt(result.value - ana.rtangle)}")
@@ -185,7 +187,7 @@ def cmd_slocc(args) -> int:
     return EXIT_OK
 
 
-def _verify_rows(restarts: int, seed: int, tol_override: float | None):
+def _verify_rows(opts: RoofOptions, tol_override: float | None):
     """All expected-vs-computed rows of the built-in verification."""
     fx = counterexample_fixture()
     outcomes = measure(fx.ensemble, fx.measurement)
@@ -235,7 +237,6 @@ def _verify_rows(restarts: int, seed: int, tol_override: float | None):
         tau_out_pure / tau_in_pure, tol(1e-10))
 
     # numerical roof reproduces both tangle constants
-    opts = RoofOptions(restarts=restarts, seed=seed)
     rho_in = ensemble_to_density(fx.ensemble)
     roof_in = roof_minimize(rho_in, "tau", opts)
     add("numeric roof tau(rho)", fx.tau_input, roof_in.value, tol(5e-3),
@@ -247,7 +248,8 @@ def _verify_rows(restarts: int, seed: int, tol_override: float | None):
 
 
 def cmd_verify(args) -> int:
-    rows = _verify_rows(args.restarts, _default_seed(args.seed), args.tol)
+    opts = RoofOptions(restarts=args.restarts, seed=_default_seed(args.seed))
+    rows = _verify_rows(opts, args.tol)
     width = max(len(r[0]) for r in rows)
     failures = 0
     for name, expected, computed, t, ok, note in rows:
@@ -274,14 +276,13 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         print("error: --steps must be >= 2", file=sys.stderr)
         return EXIT_PARSE
-    seed = _default_seed(args.seed)
+    opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
     rows = []
     for k in range(args.steps + 1):
         p = k / args.steps
         mix = GhzWMixture(a=mix0.a, b=mix0.b, c=mix0.c, d=mix0.d, f=mix0.f, p=p)
         ana = analyze(mix)
-        result = roof_minimize(mix.density(), "sqrt_tau",
-                               RoofOptions(seed=seed, restarts=args.restarts))
+        result = roof_minimize(mix.density(), "sqrt_tau", opts)
         rows.append({"p": p, "rtangle_analytic": ana.rtangle,
                      "rtangle_numeric": result.value, "p0": ana.p0,
                      "branch": ana.branch})
@@ -363,7 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OptionsError as exc:  # an out-of-range search flag
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -9,11 +9,13 @@ doubles round-trip losslessly.  Four document shapes are understood:
 * Kraus set:   ``{"target": "A"|"B"|"C", "operators": [[[...], [...]], ...]}``
 
 Parse failures raise :class:`StateFileError` carrying the JSON path of the
-offending field.
+offending field; a well-formed pure state that is not normalized raises its
+subclass :class:`StateNormalizationError`.
 """
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -31,10 +33,15 @@ class StateFileError(ValueError):
     """A state file could not be parsed; the message is field-addressed."""
 
 
+class StateNormalizationError(StateFileError):
+    """A well-formed pure-state file whose state is not normalized."""
+
+
 def _complex_at(node, path: str) -> complex:
     if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)):
-        raise StateFileError(f"{path}: expected a [re, im] pair, got {node!r}")
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and math.isfinite(x) for x in node)):
+        raise StateFileError(f"{path}: expected a [re, im] pair of finite numbers, got {node!r}")
     return complex(node[0], node[1])
 
 
@@ -50,8 +57,8 @@ def parse_pure(doc, renormalize: bool = False) -> PureState:
     amp = _amplitudes_at(doc["amplitudes"], "amplitudes")
     try:
         return PureState.from_amplitudes(amp, renormalize=renormalize)
-    except ValidationError as exc:
-        raise StateFileError(f"amplitudes: {exc}") from exc
+    except ValidationError as exc:  # shape and finiteness are checked above
+        raise StateNormalizationError(f"amplitudes: {exc}") from exc
 
 
 def parse_ensemble(doc) -> WeightedEnsemble:

@@ -16,8 +16,13 @@ parameter toward zero.  Two local searches are provided:
 
 * ``gradient`` (default): projected Wirtinger-gradient descent on the
   column-orthonormal manifold with polar retraction and backtracking.
+  Every start of a solve (algebraic seeds and random restarts) advances
+  in lock step as one stacked ``(S, m, r)`` batch, one batched kernel
+  call per trial step; each start keeps its own smoothing ladder, step
+  size and budget, and ends bit for bit where it would if run alone.
 * ``simplex``: derivative-free block-coordinate descent, running a small
-  2-D Nelder-Mead over each plane-rotation angle pair in turn.
+  2-D Nelder-Mead over each plane-rotation angle pair in turn, one start
+  after another.
 
 For rank-2 inputs the search is additionally seeded algebraically: the
 tangle-free directions inside the range of rho are the roots of a quartic
@@ -59,6 +64,10 @@ _WEIGHT_FLOOR = 1e-14
 _MIX_TOL = 1e-8
 
 
+class OptionsError(ValidationError):
+    """A :class:`RoofOptions` field is out of range."""
+
+
 @dataclass(frozen=True)
 class RoofOptions:
     """Search-budget knobs for :func:`roof_minimize`.
@@ -77,13 +86,13 @@ class RoofOptions:
 
     def __post_init__(self):
         if self.ensemble_size < 1 or self.ensemble_size > 8:
-            raise ValidationError("RoofOptions: ensemble_size must be in 1..8")
+            raise OptionsError("RoofOptions: ensemble_size must be in 1..8")
         if self.restarts < 1:
-            raise ValidationError("RoofOptions: restarts must be >= 1")
+            raise OptionsError("RoofOptions: restarts must be >= 1")
         if self.max_iterations < 1:
-            raise ValidationError("RoofOptions: max_iterations must be >= 1")
+            raise OptionsError("RoofOptions: max_iterations must be >= 1")
         if self.method not in ("gradient", "simplex"):
-            raise ValidationError(f"RoofOptions: unknown method {self.method!r}")
+            raise OptionsError(f"RoofOptions: unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -214,66 +223,143 @@ def _seed_starts(B: np.ndarray, m: int):
 
 
 # --------------------------------------------------------------------------
-# projected-gradient local search
+# projected-gradient local search, every start of a solve in lock step
 
-def _grad_stage(U, B, use_sqrt, eps, max_steps, tolerance):
-    """Backtracking descent at one smoothing level.
+_ETA0, _ETA_MAX, _ETA_MIN = 0.2, 2.0, 1e-15
+_ARMIJO = 1e-4
+_GRAD_FLOOR = 1e-26
 
-    Returns (U, steps_used, stalled): ``stalled`` means the stage ended on
-    its own (tiny gradient, tiny improvement, or an exhausted line search)
-    rather than by running out of steps.
-    """
-    eta = 0.2
-    steps = 0
-    f, P = kernels.roof_value_grad(U @ B, use_sqrt, eps)
-    while steps < max_steps:
-        E = 2.0 * np.conj(P @ B.T)
-        A = U.conj().T @ E
-        G = E - U @ ((A + A.conj().T) / 2.0)
-        gn2 = float(np.sum(G.real ** 2 + G.imag ** 2))
-        if not np.isfinite(gn2):
-            return U, steps, True
-        if gn2 < 1e-26:
-            return U, steps, True
-        moved = False
-        while eta > 1e-15:
+
+def _herm(A: np.ndarray) -> np.ndarray:
+    return A.conj().swapaxes(-1, -2)
+
+
+def _retract(Y: np.ndarray):
+    """Polar retraction of each start; returns (trial, ok).  A start whose
+    SVD fails is flagged in ``ok`` instead of failing the whole batch."""
+    try:
+        return kernels.polar_retract(Y), np.ones(len(Y), dtype=bool)
+    except np.linalg.LinAlgError:
+        out, ok = np.zeros_like(Y), np.ones(len(Y), dtype=bool)
+        for i, y in enumerate(Y):
             try:
-                U2 = kernels.polar_retract(U - eta * G)
+                out[i] = kernels.polar_retract(y)
             except np.linalg.LinAlgError:
-                eta *= 0.5
-                continue
-            f2, P2 = kernels.roof_value_grad(U2 @ B, use_sqrt, eps)
-            if f2 < f - 1e-4 * eta * gn2:
-                improvement = f - f2
-                U, f, P = U2, f2, P2
-                eta = min(eta * 1.4, 2.0)
-                moved = True
-                steps += 1
-                if improvement < tolerance:
-                    return U, steps, True
-                break
-            eta *= 0.5
-        if not moved:
-            return U, steps, True
-    return U, steps, False
+                ok[i] = False
+        return out, ok
 
 
-def _gradient_search(U0, B, use_sqrt, opts: RoofOptions, schedule=_COARSE_SCHEDULE):
-    """Annealed descent; keeps the best exact-objective point seen at any
-    stage boundary, so a smoothing stage can never lose an already-good
-    iterate."""
-    per_stage = max(opts.max_iterations // len(schedule), 10)
-    U = U0
-    best_W = U0 @ B
-    best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
-    stalled = False
-    for eps in schedule:
-        stage_tol = opts.tolerance if eps == 0.0 else max(opts.tolerance, 1e-10)
-        U, _, stalled = _grad_stage(U, B, use_sqrt, eps, per_stage, stage_tol)
-        value = kernels.roof_value(U @ B, use_sqrt, 0.0)
-        if value < best_value:
-            best_value, best_W = value, U @ B
-    return best_W, best_value, stalled
+class _LockStep:
+    """Annealed projected-gradient descent of S starts, advanced together.
+
+    Each start anneals through its own smoothing ladder.  At each level it
+    takes backtracking steps on the column-orthonormal manifold: step size
+    ``eta`` from 0.2, Armijo test, ``eta`` x1.4 on acceptance (at most 2)
+    and /2 on rejection or a failed retraction, polar retraction.  A
+    level ends *stalled* on a tiny or non-finite gradient, an improvement
+    below the level's tolerance, or an exhausted line search, and not
+    stalled when its step budget runs out.  The best exact (eps = 0)
+    objective seen at any level boundary is kept, so a smoothing level can
+    never lose an already-good iterate.
+
+    One tick makes one trial step for every start in a line search: one
+    batched retraction and one batched ``roof_value_grad``.  Starts share
+    no arithmetic, so each one ends exactly where it would alone.
+    """
+
+    def __init__(self, U0: np.ndarray, schedules, B: np.ndarray, use_sqrt: bool,
+                 opts: RoofOptions):
+        S = len(schedules)
+        depth = max(len(s) for s in schedules)
+        self.B, self.use_sqrt, self.tolerance = B, use_sqrt, opts.tolerance
+        self.ladder = np.array([s + (np.nan,) * (depth - len(s)) for s in schedules])
+        self.n_stages = np.array([len(s) for s in schedules])
+        self.budget = np.array([max(opts.max_iterations // len(s), 10) for s in schedules])
+        self.U = np.array(U0, dtype=np.complex128)
+        self.best_W = self.U @ B
+        self.best_value = kernels.roof_value(self.best_W, use_sqrt, 0.0)
+        self.stage = np.zeros(S, dtype=np.int64)
+        self.eps = self.ladder[:, 0].copy()
+        self.steps = np.zeros(S, dtype=np.int64)
+        self.eta = np.full(S, _ETA0)
+        self.f = np.zeros(S)
+        self.P = np.zeros((S, self.U.shape[1], 8), dtype=np.complex128)
+        self.G = np.zeros_like(self.U)
+        self.gn2 = np.zeros(S)
+        self.searching = np.zeros(S, dtype=bool)  # in a line search
+        self.stalled = np.zeros(S, dtype=bool)    # how the last level ended
+
+    def run(self):
+        """Returns per start (best W, best exact value, last level stalled)."""
+        self._begin(np.arange(len(self.U)))
+        while self.searching.any():
+            self._tick()
+        return self.best_W, self.best_value, self.stalled
+
+    def _begin(self, idx):
+        """Open the current smoothing level: fresh step size and gradient."""
+        if idx.size == 0:
+            return
+        self.eta[idx] = _ETA0
+        self.steps[idx] = 0
+        self.f[idx], self.P[idx] = kernels.roof_value_grad(
+            self.U[idx] @ self.B, self.use_sqrt, self.eps[idx])
+        self._project(idx)
+
+    def _project(self, idx):
+        """Riemannian gradient at U; a vanishing or non-finite one ends the level."""
+        if idx.size == 0:
+            return
+        U = self.U[idx]
+        E = 2.0 * np.conj(self.P[idx] @ self.B.T)
+        A = _herm(U) @ E
+        G = E - U @ ((A + _herm(A)) / 2.0)
+        gn2 = (G.real ** 2 + G.imag ** 2).reshape(len(idx), -1).sum(-1)
+        self.G[idx], self.gn2[idx] = G, gn2
+        flat = ~np.isfinite(gn2) | (gn2 < _GRAD_FLOOR)
+        self.searching[idx[~flat]] = True
+        self._end(idx[flat], True)
+
+    def _end(self, idx, stalled):
+        """Close the level: keep a better exact value, then open the next
+        level or retire the start."""
+        if idx.size == 0:
+            return
+        self.searching[idx] = False
+        self.stalled[idx] = stalled
+        W = self.U[idx] @ self.B
+        value = kernels.roof_value(W, self.use_sqrt, 0.0)
+        better = value < self.best_value[idx]
+        self.best_value[idx[better]] = value[better]
+        self.best_W[idx[better]] = W[better]
+        self.stage[idx] += 1
+        idx = idx[self.stage[idx] < self.n_stages[idx]]
+        self.eps[idx] = self.ladder[idx, self.stage[idx]]
+        self._begin(idx)
+
+    def _tick(self):
+        idx = np.flatnonzero(self.searching)
+        trial, ok = _retract(self.U[idx] - self.eta[idx, None, None] * self.G[idx])
+        tried, trial = idx[ok], trial[ok]
+        f2, P2 = kernels.roof_value_grad(trial @ self.B, self.use_sqrt, self.eps[tried])
+        accept = f2 < self.f[tried] - _ARMIJO * self.eta[tried] * self.gn2[tried]
+
+        back = np.concatenate((idx[~ok], tried[~accept]))
+        self.eta[back] *= 0.5
+        self._end(back[self.eta[back] <= _ETA_MIN], True)
+
+        moved = tried[accept]
+        improvement = self.f[moved] - f2[accept]
+        self.U[moved], self.f[moved], self.P[moved] = trial[accept], f2[accept], P2[accept]
+        self.eta[moved] = np.minimum(self.eta[moved] * 1.4, _ETA_MAX)
+        self.steps[moved] += 1
+        tol = np.where(self.eps[moved] == 0.0, self.tolerance, max(self.tolerance, 1e-10))
+        small = improvement < tol
+        self._end(moved[small], True)
+        moved = moved[~small]
+        spent = self.steps[moved] >= self.budget[moved]
+        self._end(moved[spent], False)
+        self._project(moved[~spent])
 
 
 # --------------------------------------------------------------------------
@@ -426,48 +512,33 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
         return RoofResult(value=w * _member_value(psi, use_sqrt), ensemble=ens,
                           restarts_used=0, best_restart_index=-1, converged=True)
 
-    labelled_starts = []
-    if r == 2:
-        exact, seeds = _seed_starts(B, m)
-        if exact is not None:
-            labelled_starts.append(("exact", exact))
-        for s_ in seeds:
-            labelled_starts.append(("seed", s_))
-
-    best_value = np.inf
-    best_W = None
-    best_label = 0
-    best_stalled = False
-    seed_counter = 0
-    for label, U0 in labelled_starts:
-        seed_counter += 1
-        if label == "exact":
-            W, value, stalled = U0 @ B, kernels.roof_value(U0 @ B, use_sqrt, 0.0), True
-        elif opts.method == "gradient":
-            W, value, stalled = _gradient_search(U0, B, use_sqrt, opts, _FINE_SCHEDULE)
-        else:
-            W, value, stalled = _simplex_search(U0 @ B, B, use_sqrt, opts, _FINE_SCHEDULE)
-        if value < best_value:
-            best_value, best_W, best_label, best_stalled = value, W, -seed_counter, stalled
-
-    for k in range(opts.restarts):
-        rng = np.random.default_rng([opts.seed, k])
-        if opts.method == "gradient":
-            Z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-            U0, _ = np.linalg.qr(Z)
-            W, value, stalled = _gradient_search(U0, B, use_sqrt, opts)
-        else:
-            theta = rng.uniform(0.0, 2.0 * np.pi, m * m)
-            W0 = _assemble_from_angles(theta, B, m)
-            W, value, stalled = _simplex_search(W0, B, use_sqrt, opts)
-        if value < best_value:
-            best_value, best_W, best_label, best_stalled = value, W, k, stalled
+    exact, seeds = _seed_starts(B, m) if r == 2 else (None, [])
+    # one (W, exact value, stalled) per start, in start order: the exact
+    # decomposition, the algebraic seeds (labels -1, -2, ...), then the
+    # restarts (labels 0, 1, ...); ties go to the earlier start
+    results = []
+    if exact is not None:
+        results.append((exact @ B, kernels.roof_value(exact @ B, use_sqrt, 0.0), True))
+    n_seeded = len(results) + len(seeds)
+    labels = [-k for k in range(1, n_seeded + 1)] + list(range(opts.restarts))
+    rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
+    if opts.method == "gradient":
+        restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
+                    for rng in rngs]
+        schedules = [_FINE_SCHEDULE] * len(seeds) + [_COARSE_SCHEDULE] * len(restarts)
+        results += zip(*_LockStep(np.array(seeds + restarts), schedules, B, use_sqrt, opts).run())
+    else:
+        results += [_simplex_search(U0 @ B, B, use_sqrt, opts, _FINE_SCHEDULE) for U0 in seeds]
+        results += [_simplex_search(_assemble_from_angles(rng.uniform(0.0, 2.0 * np.pi, m * m), B, m),
+                                    B, use_sqrt, opts) for rng in rngs]
+    best = int(np.argmin([value for _, value, _ in results]))
+    best_W, _, best_stalled = results[best]
 
     ensemble = _ensemble_from_rows(best_W)
     value = sum(w * _member_value(psi, use_sqrt) for w, psi in ensemble.members)
     return RoofResult(value=float(value), ensemble=ensemble,
                       restarts_used=opts.restarts,
-                      best_restart_index=best_label, converged=best_stalled)
+                      best_restart_index=labels[best], converged=bool(best_stalled))
 
 
 def objective_at(rho: DensityMatrix, e: WeightedEnsemble, functional: str = "sqrt_tau") -> float:

@@ -1,8 +1,4 @@
-"""Make the package importable when the tests run without installation.
-
-The compiled extension is only present after a build; the import fallback
-in ``rtangle.kernels`` keeps everything functional either way.
-"""
+"""Make the package importable when the tests run without installation."""
 import sys
 from pathlib import Path
 

@@ -106,6 +106,18 @@ def test_cli_pure_exit_codes(tmp_path, capsys):
     assert "tau      = 0" in out
 
 
+def test_cli_pure_exit_code_ignores_path_text(tmp_path, capsys):
+    """The exit code follows the error's type, not words in the file path."""
+    (tmp_path / "normal").mkdir()
+    assert main(["pure", str(tmp_path / "normal" / "missing.json")]) == 2
+    unnorm = _write(tmp_path / "normal" / "un.json",
+                    {"amplitudes": [[0.5, 0.0]] + [[0.0, 0.0]] * 7})
+    assert main(["pure", unnorm]) == 3
+    nan = tmp_path / "normal" / "nan.json"
+    nan.write_text('{"amplitudes": [[NaN, 0.0]' + ', [0.0, 0.0]' * 7 + ']}')
+    assert main(["pure", str(nan)]) == 2
+
+
 # --------------------------------------------------------------- CLI: mixture
 
 STD_ARGS = ["--a", repr(float(1 / np.sqrt(2))), "--b", repr(float(1 / np.sqrt(2))),
@@ -186,6 +198,22 @@ def test_cli_roof_tau_functional(tmp_path, capsys):
     path = _write(tmp_path / "ens.json", stateio.ensemble_to_doc(fx.ensemble))
     assert main(["roof", path, "--functional", "tau", "--restarts", "4"]) == 0
     assert abs(_value(capsys.readouterr().out, "value") - fx.tau_input) < 5e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["roof", "{ghz}", "--size", "9"],
+    ["roof", "{ghz}", "--restarts", "0"],
+    ["mixture", *STD_ARGS, "--p", "0.8", "--numeric", "--restarts", "0"],
+    ["sweep", *STD_ARGS, "--steps", "2", "--out", "{csv}", "--restarts", "0"],
+    ["verify", "--restarts", "0"],
+])
+def test_cli_out_of_range_search_flags(argv, tmp_path, capsys):
+    ghz = _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state()))
+    argv = [a.format(ghz=ghz, csv=tmp_path / "x.csv") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: RoofOptions:") and captured.err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- CLI: slocc

@@ -1,110 +1,119 @@
-"""Cross-checks between the compiled kernels and the pure-numpy fallback."""
+"""The convex-roof kernels: values, derivatives, guards and stacked calls."""
 import numpy as np
 import pytest
 
-from rtangle import _kernels_py as kpy
 from rtangle import kernels
 
-compiled = pytest.importorskip("rtangle._kernels_c", reason="compiled extension not built")
+
+def _random_rows(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _random_rows(rng, m=4):
-    return rng.standard_normal((m, 8)) + 1j * rng.standard_normal((m, 8))
-
-
-def test_backend_selected():
-    assert kernels.BACKEND in ("compiled", "python")
-
-
-def test_hyperdet_rows_agree():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        W = _random_rows(rng)
-        assert np.abs(compiled.hyperdet_rows(W) - kpy.hyperdet_rows(W)).max() < 1e-12
+def _hyperdet_grad_loop(W):
+    """Reference dD/dpsi, accumulated monomial by monomial."""
+    G = np.zeros_like(W)
+    for coef, (a, b, c, d) in zip(kernels._COEF, kernels._IDX.T):
+        pa, pb, pc, pd = W[:, a], W[:, b], W[:, c], W[:, d]
+        G[:, a] += coef * pb * pc * pd
+        G[:, b] += coef * pa * pc * pd
+        G[:, c] += coef * pa * pb * pd
+        G[:, d] += coef * pa * pb * pc
+    return G
 
 
 def test_hyperdet_ghz_value():
     ghz = np.zeros((1, 8), complex)
     ghz[0, 0] = ghz[0, 7] = 1 / np.sqrt(2)
-    assert abs(compiled.hyperdet_rows(ghz)[0] - 0.25) < 1e-15
-    assert abs(kpy.hyperdet_rows(ghz)[0] - 0.25) < 1e-15
+    assert abs(kernels.hyperdet_rows(ghz)[0] - 0.25) < 1e-15
 
 
-@pytest.mark.parametrize("use_sqrt", [True, False])
-@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])
-def test_roof_value_and_grad_agree(use_sqrt, eps):
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        W = _random_rows(rng)
-        f1 = kpy.roof_value(W, use_sqrt, eps)
-        f2 = compiled.roof_value(W, use_sqrt, eps)
-        assert abs(f1 - f2) < 1e-10 * max(1.0, abs(f1))
-        g1 = kpy.roof_value_grad(W, use_sqrt, eps)
-        g2 = compiled.roof_value_grad(W, use_sqrt, eps)
-        assert abs(g1[0] - g2[0]) < 1e-10 * max(1.0, abs(g1[0]))
-        assert np.abs(g1[1] - g2[1]).max() < 1e-10
+def test_hyperdet_gradient_equals_monomial_loop():
+    rng = np.random.default_rng(1)
+    for m in (1, 3, 4):
+        W = _random_rows(rng, m, 8)
+        assert np.array_equal(kernels._hyperdet_grad(kernels._factors(W)), _hyperdet_grad_loop(W))
 
 
-@pytest.mark.parametrize("impl", [kpy, compiled])
-def test_value_grad_consistent_with_value(impl):
+def test_value_grad_consistent_with_value():
     rng = np.random.default_rng(6)
-    W = _random_rows(rng)
+    W = _random_rows(rng, 4, 8)
     for use_sqrt in (True, False):
-        f_only = impl.roof_value(W, use_sqrt, 1e-4)
-        f_pair, _ = impl.roof_value_grad(W, use_sqrt, 1e-4)
+        f_only = kernels.roof_value(W, use_sqrt, 1e-4)
+        f_pair, _ = kernels.roof_value_grad(W, use_sqrt, 1e-4)
         assert abs(f_only - f_pair) < 1e-12 * max(1.0, abs(f_only))
 
 
-@pytest.mark.parametrize("impl", [kpy, compiled])
-def test_gradient_finite_difference(impl):
+def test_gradient_finite_difference():
     rng = np.random.default_rng(8)
-    W = _random_rows(rng, m=3)
+    W = _random_rows(rng, 3, 8)
     h = 1e-7
     for use_sqrt in (True, False):
-        f0, P = impl.roof_value_grad(W, use_sqrt, 1e-3)
+        f0, P = kernels.roof_value_grad(W, use_sqrt, 1e-3)
         for i in range(3):
             for a in range(0, 8, 3):
                 Wp = W.copy()
                 Wp[i, a] += h
-                fp, _ = impl.roof_value_grad(Wp, use_sqrt, 1e-3)
+                fp, _ = kernels.roof_value_grad(Wp, use_sqrt, 1e-3)
                 Wq = W.copy()
                 Wq[i, a] += 1j * h
-                fq, _ = impl.roof_value_grad(Wq, use_sqrt, 1e-3)
+                fq, _ = kernels.roof_value_grad(Wq, use_sqrt, 1e-3)
                 numeric = (fp - f0) / h + 1j * (fq - f0) / h
                 assert abs(numeric - 2.0 * np.conj(P[i, a])) < 1e-5
 
 
+@pytest.mark.parametrize("use_sqrt", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_stacked_call_equals_per_start_calls(use_sqrt, m):
+    rng = np.random.default_rng(m)
+    W = _random_rows(rng, 5, m, 8)
+    W[1, 0] = 0.0                    # a zero row
+    W[2, 1] = 0.0
+    W[2, 1, 3] = 0.7                 # a product state: Det = 0, the cusp
+    eps = np.array([0.0, 1e-13, 1e-6, 1e-2, 0.0])
+    f, P = kernels.roof_value_grad(W, use_sqrt, eps)
+    value = kernels.roof_value(W, use_sqrt, eps)
+    D = kernels.hyperdet_rows(W)
+    assert f.shape == value.shape == (5,) and P.shape == W.shape
+    for s in range(5):
+        f_s, P_s = kernels.roof_value_grad(W[s], use_sqrt, float(eps[s]))
+        assert type(f_s) is float
+        assert f[s] == f_s and np.array_equal(P[s], P_s)
+        assert value[s] == kernels.roof_value(W[s], use_sqrt, float(eps[s]))
+        assert np.array_equal(D[s], kernels.hyperdet_rows(W[s]))
+
+
 @pytest.mark.parametrize("shape", [(4, 2), (6, 3), (8, 8), (3, 1)])
-def test_polar_retract_agree(shape):
+def test_polar_retract_orthonormal(shape):
     rng = np.random.default_rng(10)
     for _ in range(10):
-        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        R1 = kpy.polar_retract(A)
-        R2 = compiled.polar_retract(A)
-        eye = np.eye(shape[1])
-        assert np.abs(R1.conj().T @ R1 - eye).max() < 1e-12
-        assert np.abs(R2.conj().T @ R2 - eye).max() < 1e-10
-        # the polar factor is unique for full-column-rank input
-        assert np.abs(R1 - R2).max() < 1e-9
+        R = kernels.polar_retract(_random_rows(rng, *shape))
+        assert np.abs(R.conj().T @ R - np.eye(shape[1])).max() < 1e-12
+
+
+def test_polar_retract_stacked_equals_per_start():
+    rng = np.random.default_rng(11)
+    A = _random_rows(rng, 6, 4, 3)
+    R = kernels.polar_retract(A)
+    for s in range(6):
+        assert np.array_equal(R[s], kernels.polar_retract(A[s]))
 
 
 def test_polar_retract_near_rank_deficient():
     rng = np.random.default_rng(12)
-    A = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    A = _random_rows(rng, 4, 2)
     A[:, 1] = A[:, 0] + 1e-9 * A[:, 1]  # nearly parallel columns
-    R = compiled.polar_retract(A)
+    R = kernels.polar_retract(A)
     assert np.all(np.isfinite(R.view(np.float64)))
 
 
 def test_zero_row_guard_tau():
     W = np.zeros((2, 8), complex)
     W[0, 0] = W[0, 7] = 1 / np.sqrt(2)
-    for impl in (kpy, compiled):
-        val = impl.roof_value(W, False, 0.0)
-        assert abs(val - 1.0) < 1e-12  # the zero row contributes nothing
-        f, P = impl.roof_value_grad(W, False, 0.0)
-        assert np.all(np.isfinite(P.view(np.float64)))
-        assert np.abs(P[1]).max() == 0.0
+    val = kernels.roof_value(W, False, 0.0)
+    assert abs(val - 1.0) < 1e-12  # the zero row contributes nothing
+    f, P = kernels.roof_value_grad(W, False, 0.0)
+    assert np.all(np.isfinite(P.view(np.float64)))
+    assert np.abs(P[1]).max() == 0.0
 
 
 def test_cusp_subgradient_guard_sqrt():
@@ -113,9 +122,8 @@ def test_cusp_subgradient_guard_sqrt():
     W = np.zeros((2, 8), complex)
     W[0, 0] = W[0, 7] = 1 / np.sqrt(2)     # GHZ: Det = 1/4
     W[1, 1] = 1.0                          # product state: Det = 0
-    for impl in (kpy, compiled):
-        f, P = impl.roof_value_grad(W, True, 0.0)
-        assert abs(f - 1.0) < 1e-12
-        assert np.all(np.isfinite(P.view(np.float64)))
-        assert np.abs(P[1]).max() == 0.0
-        assert np.abs(P[0]).max() > 0.0
+    f, P = kernels.roof_value_grad(W, True, 0.0)
+    assert abs(f - 1.0) < 1e-12
+    assert np.all(np.isfinite(P.view(np.float64)))
+    assert np.abs(P[1]).max() == 0.0
+    assert np.abs(P[0]).max() > 0.0

@@ -3,6 +3,7 @@ import pytest
 
 import rtangle as rt
 from rtangle import kernels
+from rtangle import roof
 from rtangle.roof import _eigen_factor
 from freeze import TAU_RHO, TAU_RHO0, TR_STD_P08, ghz_state, random_pure, std_mixture
 
@@ -172,3 +173,126 @@ def test_gradient_matches_finite_differences_complex_rho():
         numeric = (f1 - f0) / h
         analytic = float(np.sum(E.conj() * delta).real)
         assert abs(numeric - analytic) < 1e-5 * max(1.0, abs(analytic))
+
+
+# ------------------------------------------------- the lock-step batched search
+
+def _stage_reference(U, B, use_sqrt, eps, max_steps, tolerance):
+    """One smoothing level of the search, one start at a time."""
+    eta, steps = 0.2, 0
+    f, P = kernels.roof_value_grad(U @ B, use_sqrt, eps)
+    while steps < max_steps:
+        E = 2.0 * np.conj(P @ B.T)
+        A = U.conj().T @ E
+        G = E - U @ ((A + A.conj().T) / 2.0)
+        gn2 = float(np.sum(G.real ** 2 + G.imag ** 2))
+        if not np.isfinite(gn2) or gn2 < 1e-26:
+            return U, True
+        while eta > 1e-15:
+            try:
+                U2 = kernels.polar_retract(U - eta * G)
+            except np.linalg.LinAlgError:
+                eta *= 0.5
+                continue
+            f2, P2 = kernels.roof_value_grad(U2 @ B, use_sqrt, eps)
+            if f2 < f - 1e-4 * eta * gn2:
+                improvement = f - f2
+                U, f, P = U2, f2, P2
+                eta = min(eta * 1.4, 2.0)
+                steps += 1
+                if improvement < tolerance:
+                    return U, True
+                break
+            eta *= 0.5
+        else:
+            return U, True
+    return U, False
+
+
+def _search_reference(U0, B, use_sqrt, opts, schedule):
+    """The annealed search of one start, alone: (best W, best value, stalled)."""
+    per_stage = max(opts.max_iterations // len(schedule), 10)
+    U, best_W = U0, U0 @ B
+    best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
+    for eps in schedule:
+        tol = opts.tolerance if eps == 0.0 else max(opts.tolerance, 1e-10)
+        U, stalled = _stage_reference(U, B, use_sqrt, eps, per_stage, tol)
+        value = kernels.roof_value(U @ B, use_sqrt, 0.0)
+        if value < best_value:
+            best_value, best_W = value, U @ B
+    return best_W, best_value, stalled
+
+
+def _generic_starts(rank, n, seed=5):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+    B = _eigen_factor(rt.DensityMatrix(z @ z.conj().T / np.trace(z @ z.conj().T).real))
+    U0 = [np.linalg.qr(rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank)))[0]
+          for _ in range(n)]
+    return B, np.array(U0)
+
+
+@pytest.mark.parametrize("use_sqrt", [True, False])
+def test_lock_step_equals_one_start_at_a_time(use_sqrt):
+    """Each start of a batch ends bit for bit where the search of that start
+    alone ends, with its own schedule and budget."""
+    B, U0 = _generic_starts(3, 4)
+    opts = rt.RoofOptions(max_iterations=300)
+    schedules = [roof._FINE_SCHEDULE, roof._COARSE_SCHEDULE,
+                 roof._COARSE_SCHEDULE, roof._FINE_SCHEDULE]
+    W, values, stalled = roof._LockStep(U0, schedules, B, use_sqrt, opts).run()
+    for s in range(len(U0)):
+        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, use_sqrt, opts, schedules[s])
+        assert np.array_equal(W[s], W_ref)
+        assert values[s] == value_ref and stalled[s] == stalled_ref
+
+
+def test_start_result_independent_of_batch():
+    B, U0 = _generic_starts(2, 5, seed=8)
+    opts = rt.RoofOptions(max_iterations=400)
+    schedules = [roof._COARSE_SCHEDULE] * 5
+    W, values, _ = roof._LockStep(U0, schedules, B, True, opts).run()
+    for s in (0, 3):
+        W1, value1, _ = roof._LockStep(U0[s:s + 1], schedules[:1], B, True, opts).run()
+        assert np.array_equal(W1[0], W[s]) and value1[0] == values[s]
+    W2, values2, _ = roof._LockStep(U0[[4, 1]], schedules[:2], B, True, opts).run()
+    assert np.array_equal(W2[0], W[4]) and np.array_equal(W2[1], W[1])
+    assert values2[0] == values[4] and values2[1] == values[1]
+
+
+def test_retract_flags_a_failed_start_only():
+    rng = np.random.default_rng(13)
+    Y = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    Y[1, 0, 0] = np.nan  # LAPACK does not converge on this start
+    trial, ok = roof._retract(Y)
+    assert ok.tolist() == [True, False, True]
+    for s in (0, 2):
+        assert np.array_equal(trial[s], kernels.polar_retract(Y[s]))
+
+
+def test_failed_retraction_does_not_abort_the_batch(monkeypatch):
+    """An SVD that fails on one near-rank-deficient start halves that
+    start's step, as it would alone, and leaves the other starts as they are."""
+    B, U0 = _generic_starts(2, 3, seed=9)
+    bad = U0[1].copy()
+    bad[:, 1] = bad[:, 0] + 1e-10 * bad[:, 1]  # nearly parallel columns
+    U0[1] = bad
+    svd, failures = kernels.polar_retract, []
+
+    def fails_when_ill_conditioned(A):
+        sv = np.linalg.svd(A, compute_uv=False)
+        if np.any(sv[..., -1] < 0.05 * sv[..., 0]):
+            failures.append(A.ndim)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(A)
+
+    monkeypatch.setattr(kernels, "polar_retract", fails_when_ill_conditioned)
+    opts = rt.RoofOptions(max_iterations=300)
+    schedules = [roof._COARSE_SCHEDULE] * 3
+    W, values, stalled = roof._LockStep(U0, schedules, B, True, opts).run()
+    for s in range(3):
+        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts, schedules[s])
+        assert np.array_equal(W[s], W_ref) and values[s] == value_ref
+        assert stalled[s] == stalled_ref
+    assert 3 in failures and 2 in failures  # the batch failed, then the start alone
+    assert np.array_equal(W[1], bad @ B)      # no trial of it was ever retracted
