@@ -26,7 +26,7 @@ import numpy as np
 from . import io as stateio
 from .ghzw import GhzWMixture, analyze, as_mixture
 from .invariants import invariants
-from .roof import OptionsError, RoofOptions, roof_minimize
+from .roof import RankError, RoofOptions, roof_minimize
 from .slocc import counterexample_fixture, measure, verify_tangle_noncovariance
 from .states import ValidationError, WeightedEnsemble, ensemble_to_density
 
@@ -132,12 +132,9 @@ def cmd_roof(args) -> int:
                        seed=_default_seed(args.seed))
     try:
         result = roof_minimize(rho, functional, opts)
-    except ValidationError as exc:
-        if "rank" in str(exc):
-            print(f"error: {exc}; increase --size to at least the input rank",
-                  file=sys.stderr)
-            return EXIT_RANK
-        raise
+    except RankError as exc:
+        print(f"error: {exc}; increase --size to at least the input rank", file=sys.stderr)
+        return EXIT_RANK
     print(f"functional    = {functional}")
     print(f"value         = {_fmt(result.value)}")
     print(f"restarts_used = {result.restarts_used}")
@@ -366,7 +363,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OptionsError as exc:  # an out-of-range search flag
+    # an out-of-range search flag, or an input check that no command maps
+    # to a code of its own: one error line, never a traceback
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

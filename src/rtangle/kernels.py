@@ -1,11 +1,14 @@
 """Hot kernels of the convex-roof search, in numpy.
 
 Every kernel takes member rows as an ``(m, 8)`` complex array, or a stack
-``(S, m, 8)`` of them, one decomposition per start.  A stacked call
-computes each start exactly as the 2-D call on that start alone would, bit
-for bit, so a start's search does not depend on which other starts share
-its batch.  2-D calls return a float objective; stacked calls return one
-value per start and accept one smoothing ``eps`` per start.
+``(S, m, 8)`` of them, one decomposition per start.  For m >= 2 a stacked
+call computes each start exactly as the 2-D call on that start alone
+would, bit for bit, so a start's search does not depend on which other
+starts share its batch.  A one-member stack ``(S, 1, 8)`` rounds
+differently from ``(1, 8)`` calls in most of the last bits; the roof search
+never stacks m = 1, because a rank-1 input needs no search.  2-D calls
+return a float objective; stacked calls return one value per start and
+accept one smoothing ``eps`` per start.
 """
 from __future__ import annotations
 

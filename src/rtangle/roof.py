@@ -31,6 +31,13 @@ least-squares fit over the root projectors either certifies a tangle-free
 decomposition outright or provides starting points that already sit on the
 non-smooth locus.  Random restarts then cover the rest.
 
+The certificate holds when the fit's members fit in the ensemble size, mix
+back to rho, and are tangle-free to working precision (weighted member
+tangle at most ``_ZERO_TANGLE``).  The objective is then at its lower bound
+of 0 up to rounding, so the search is skipped and that decomposition is
+returned at once, with ``restarts_used == 0``.  This is the zero branch of
+the GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).
+
 The returned value is an upper bound on the true convex roof by
 construction.
 """
@@ -62,10 +69,19 @@ _COARSE_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-13, 0.0)
 _FINE_SCHEDULE = (1e-5, 1e-7, 1e-9, 1e-13, 0.0)
 _WEIGHT_FLOOR = 1e-14
 _MIX_TOL = 1e-8
+# weighted member tangle, sum_i 4|D_i| / ||w_i||^2, up to which a mixing-back
+# decomposition counts as tangle-free: accurate quartic roots give below
+# 100 eps on the zero branch, up to p = 0.999 p0; an inaccurate double root
+# lands near sqrt(eps)
+_ZERO_TANGLE = 1024 * np.finfo(np.float64).eps
 
 
 class OptionsError(ValidationError):
     """A :class:`RoofOptions` field is out of range."""
+
+
+class RankError(ValidationError):
+    """The ensemble size is below the rank of the input."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,9 @@ class RoofResult:
     ``best_restart_index`` is the index of the winning random restart, or
     a negative number when one of the deterministic algebraic seed starts
     won (-1 for the first seed, -2 for the second, ...).
+    ``restarts_used == 0`` means no search ran: the input has rank 1, or a
+    certified tangle-free decomposition was returned (``best_restart_index``
+    -1, value 0 up to rounding).
     """
 
     value: float
@@ -180,8 +199,9 @@ def _zero_direction_rows(B: np.ndarray) -> list:
 def _seed_starts(B: np.ndarray, m: int):
     """Deterministic starts built from tangle-free directions (rank 2 only).
 
-    Returns (exact, starts): ``exact`` is a U realizing an (up to numerical
-    residual) tangle-free decomposition when one exists, else None;
+    Returns (exact, starts): ``exact`` is a U with orthonormal columns
+    within ``_MIX_TOL`` realizing an (up to numerical residual) tangle-free
+    decomposition in at most m members when one exists, else None;
     ``starts`` are retracted U matrices whose rows begin on the tangle-free
     locus.
     """
@@ -193,10 +213,11 @@ def _seed_starts(B: np.ndarray, m: int):
     target = np.array([1.0, 1.0, 0.0, 0.0])
     exact = None
     u, residual = nnls(A, target)
-    if residual < 1e-10 and np.count_nonzero(u > 1e-12) >= 2:
-        rows = [np.sqrt(u[n]) * dirs[n] for n in range(len(dirs))]
-        rows += [np.zeros(2, complex)] * (m - len(rows))
-        exact = np.array(rows[:m])
+    rows = [np.sqrt(u[n]) * dirs[n] for n in np.flatnonzero(u > 0.0)]
+    if residual < 1e-10 and np.count_nonzero(u > 1e-12) >= 2 and len(rows) <= m:
+        U = np.array(rows + [np.zeros(2, complex)] * (m - len(rows)))
+        if np.abs(_herm(U) @ U - np.eye(2)).max() <= _MIX_TOL:
+            exact = U
     starts = []
     for sub in combinations(range(len(dirs)), min(3, len(dirs))):
         usub, _ = nnls(A[:, list(sub)], target)
@@ -256,11 +277,11 @@ class _LockStep:
     takes backtracking steps on the column-orthonormal manifold: step size
     ``eta`` from 0.2, Armijo test, ``eta`` x1.4 on acceptance (at most 2)
     and /2 on rejection or a failed retraction, polar retraction.  A
-    level ends *stalled* on a tiny or non-finite gradient, an improvement
-    below the level's tolerance, or an exhausted line search, and not
-    stalled when its step budget runs out.  The best exact (eps = 0)
-    objective seen at any level boundary is kept, so a smoothing level can
-    never lose an already-good iterate.
+    level ends *stalled* on a tiny gradient, an improvement below the
+    level's tolerance, or an exhausted line search, and not stalled when
+    its step budget runs out or its gradient is not finite.  The best exact
+    (eps = 0) objective seen at any level boundary is kept, so a smoothing
+    level can never lose an already-good iterate.
 
     One tick makes one trial step for every start in a line search: one
     batched retraction and one batched ``roof_value_grad``.  Starts share
@@ -318,7 +339,8 @@ class _LockStep:
         self.G[idx], self.gn2[idx] = G, gn2
         flat = ~np.isfinite(gn2) | (gn2 < _GRAD_FLOOR)
         self.searching[idx[~flat]] = True
-        self._end(idx[flat], True)
+        # a non-finite gradient cuts the level short: not stalled
+        self._end(idx[flat], np.isfinite(gn2[flat]))
 
     def _end(self, idx, stalled):
         """Close the level: keep a better exact value, then open the next
@@ -495,6 +517,14 @@ def _simplex_search(W0, B, use_sqrt, opts: RoofOptions, schedule=_COARSE_SCHEDUL
 
 # --------------------------------------------------------------------------
 
+def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_index: int,
+            converged: bool) -> RoofResult:
+    ensemble = _ensemble_from_rows(W)
+    value = sum(w * _member_value(psi, use_sqrt) for w, psi in ensemble.members)
+    return RoofResult(value=float(value), ensemble=ensemble, restarts_used=restarts_used,
+                      best_restart_index=best_restart_index, converged=converged)
+
+
 def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
                   opts: RoofOptions | None = None) -> RoofResult:
     """Minimize the convex-roof objective over size-m decompositions of rho."""
@@ -504,13 +534,10 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     r = B.shape[0]
     m = opts.ensemble_size
     if m < r:
-        raise ValidationError(
+        raise RankError(
             f"roof_minimize: ensemble_size {m} is below the input rank {r}")
     if r == 1:
-        ens = _ensemble_from_rows(B)
-        w, psi = ens.members[0]
-        return RoofResult(value=w * _member_value(psi, use_sqrt), ensemble=ens,
-                          restarts_used=0, best_restart_index=-1, converged=True)
+        return _result(B, use_sqrt, 0, -1, True)
 
     exact, seeds = _seed_starts(B, m) if r == 2 else (None, [])
     # one (W, exact value, stalled) per start, in start order: the exact
@@ -518,7 +545,10 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     # restarts (labels 0, 1, ...); ties go to the earlier start
     results = []
     if exact is not None:
-        results.append((exact @ B, kernels.roof_value(exact @ B, use_sqrt, 0.0), True))
+        W = exact @ B
+        if kernels.roof_value(W, False, 0.0) <= _ZERO_TANGLE:
+            return _result(W, use_sqrt, 0, -1, True)
+        results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
     n_seeded = len(results) + len(seeds)
     labels = [-k for k in range(1, n_seeded + 1)] + list(range(opts.restarts))
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
@@ -533,12 +563,7 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
                                     B, use_sqrt, opts) for rng in rngs]
     best = int(np.argmin([value for _, value, _ in results]))
     best_W, _, best_stalled = results[best]
-
-    ensemble = _ensemble_from_rows(best_W)
-    value = sum(w * _member_value(psi, use_sqrt) for w, psi in ensemble.members)
-    return RoofResult(value=float(value), ensemble=ensemble,
-                      restarts_used=opts.restarts,
-                      best_restart_index=labels[best], converged=bool(best_stalled))
+    return _result(best_W, use_sqrt, opts.restarts, labels[best], bool(best_stalled))
 
 
 def objective_at(rho: DensityMatrix, e: WeightedEnsemble, functional: str = "sqrt_tau") -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rtangle as rt
+from rtangle import cli
 from rtangle import io as stateio
 from rtangle.cli import main
 from freeze import FAM_SQRT_TAU_08_0, P0_STD, TR_STD_P08, ghz_state, std_mixture, w_state
@@ -191,6 +192,39 @@ def test_cli_roof_size_below_rank(tmp_path, capsys):
                   stateio.density_to_doc(rt.DensityMatrix(np.eye(8) / 8)))
     assert main(["roof", path, "--size", "4", "--restarts", "1"]) == 4
     assert "increase --size" in capsys.readouterr().err
+
+
+def test_cli_roof_zero_branch_certified(tmp_path, capsys):
+    path = _write(tmp_path / "rho.json", stateio.density_to_doc(std_mixture(0.3).density()))
+    assert main(["roof", path, "--restarts", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "restarts_used = 0" in out and "converged     = True" in out
+    assert 0.0 <= _value(out, "value") <= 1e-7
+
+
+def test_cli_roof_zero_branch_below_fit_size(tmp_path, capsys):
+    """The zero-branch fit needs four members; --size 2 searches instead
+    and writes an ensemble that mixes back."""
+    rho = std_mixture(0.3).density()
+    path = _write(tmp_path / "rho.json", stateio.density_to_doc(rho))
+    out_path = tmp_path / "best.json"
+    assert main(["roof", path, "--size", "2", "--restarts", "2", "--out", str(out_path)]) == 0
+    assert "restarts_used = 2" in capsys.readouterr().out
+    best = stateio.parse_ensemble(stateio.load_document(str(out_path)))
+    assert len(best) <= 2
+    assert np.abs(rt.ensemble_to_density(best).matrix - rho.matrix).max() < 1e-8
+
+
+def test_cli_validation_error_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def fails(*args):
+        raise rt.ValidationError("WeightedEnsemble: weights sum to 0.32")
+
+    monkeypatch.setattr(cli, "roof_minimize", fails)
+    path = _write(tmp_path / "rho.json", stateio.density_to_doc(std_mixture(0.3).density()))
+    assert main(["roof", path, "--restarts", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: WeightedEnsemble: weights sum to 0.32\n"
 
 
 def test_cli_roof_tau_functional(tmp_path, capsys):

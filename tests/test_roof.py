@@ -5,7 +5,8 @@ import rtangle as rt
 from rtangle import kernels
 from rtangle import roof
 from rtangle.roof import _eigen_factor
-from freeze import TAU_RHO, TAU_RHO0, TR_STD_P08, ghz_state, random_pure, std_mixture
+from freeze import (TAU_RHO, TAU_RHO0, TR_STD_P08, ghz_state, random_mixture, random_pure,
+                    std_mixture)
 
 FAST = rt.RoofOptions(restarts=6)
 
@@ -27,7 +28,7 @@ def test_rank1_is_exact():
 
 def test_rank_above_size_rejected():
     rho = rt.DensityMatrix(np.eye(8) / 8.0)
-    with pytest.raises(rt.ValidationError, match="rank"):
+    with pytest.raises(roof.RankError, match="rank"):
         rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=4, restarts=1))
 
 
@@ -66,6 +67,7 @@ def test_matches_closed_form_linear_branch():
     res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
     assert res.value >= TR_STD_P08 - 1e-9  # never below the true roof
     assert abs(res.value - TR_STD_P08) <= 5e-3
+    assert res.restarts_used == FAST.restarts
 
 
 def test_finds_zero_on_zero_branch():
@@ -186,7 +188,9 @@ def _stage_reference(U, B, use_sqrt, eps, max_steps, tolerance):
         A = U.conj().T @ E
         G = E - U @ ((A + A.conj().T) / 2.0)
         gn2 = float(np.sum(G.real ** 2 + G.imag ** 2))
-        if not np.isfinite(gn2) or gn2 < 1e-26:
+        if not np.isfinite(gn2):
+            return U, False
+        if gn2 < 1e-26:
             return U, True
         while eta > 1e-15:
             try:
@@ -296,3 +300,109 @@ def test_failed_retraction_does_not_abort_the_batch(monkeypatch):
         assert stalled[s] == stalled_ref
     assert 3 in failures and 2 in failures  # the batch failed, then the start alone
     assert np.array_equal(W[1], bad @ B)      # no trial of it was ever retracted
+
+
+def test_non_finite_gradient_ends_the_level_not_stalled(monkeypatch):
+    """A NaN gradient cuts the level short; the start is not converged, and
+    its values stay those of the one-start search."""
+    grad = kernels.roof_value_grad
+
+    def nan_at_eps0(W, use_sqrt, eps=0.0):
+        f, P = grad(W, use_sqrt, eps)
+        return f, np.where((np.asarray(eps) == 0.0)[..., None, None], np.nan, P)
+
+    monkeypatch.setattr(kernels, "roof_value_grad", nan_at_eps0)
+    B, U0 = _generic_starts(3, 2, seed=6)
+    opts = rt.RoofOptions(max_iterations=300)
+    # only the first start reaches an eps = 0 level
+    schedules = [roof._COARSE_SCHEDULE, roof._COARSE_SCHEDULE[:-1]]
+    W, values, stalled = roof._LockStep(U0, schedules, B, True, opts).run()
+    for s in range(2):
+        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts, schedules[s])
+        assert np.array_equal(W[s], W_ref) and values[s] == value_ref
+        assert stalled[s] == stalled_ref
+    assert not stalled[0]
+    rho = rt.DensityMatrix(B.T @ B.conj())
+    res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=1, max_iterations=300))
+    assert not res.converged
+
+
+# ------------------------------------------ the certified tangle-free decomposition
+
+def _zero_branch_cases():
+    rng = np.random.default_rng(41)
+    cases = [std_mixture(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+    for _ in range(4):
+        mix = random_mixture(rng)
+        p = rt.analyze(mix).p0 * rng.uniform(0.25, 0.75)
+        cases.append(rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f, p=p))
+    return cases
+
+
+def _mixes_back(res, rho):
+    return np.abs(rt.ensemble_to_density(res.ensemble).matrix - rho.matrix).max() < 1e-8
+
+
+def test_zero_branch_returns_the_certified_decomposition():
+    for mix in _zero_branch_cases():
+        assert rt.analyze(mix).branch == "zero_branch"
+        res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
+        assert res.restarts_used == 0 and res.best_restart_index == -1 and res.converged
+        assert 0.0 <= res.value <= 1e-7
+        assert _mixes_back(res, mix.density())
+
+
+def test_search_never_undercuts_the_certificate(monkeypatch):
+    opts = rt.RoofOptions(restarts=3)
+    cases = _zero_branch_cases()
+    certified = [rt.roof_minimize(mix.density(), "sqrt_tau", opts) for mix in cases]
+    seed_starts = roof._seed_starts
+    monkeypatch.setattr(roof, "_seed_starts", lambda B, m: (None, seed_starts(B, m)[1]))
+    for mix, cert in zip(cases, certified):
+        res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
+        assert res.restarts_used == opts.restarts
+        assert res.value >= cert.value - 1e-9
+
+
+def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
+    """An exact decomposition that mixes back but is not tangle-free is
+    only a candidate of the search."""
+    rng = np.random.default_rng(3)
+    z = np.eye(4) + 0.05 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    rotation = np.linalg.qr(z)[0]
+    seed_starts = roof._seed_starts
+
+    def perturbed(B, m):
+        exact, starts = seed_starts(B, m)
+        return rotation @ exact, starts
+
+    monkeypatch.setattr(roof, "_seed_starts", perturbed)
+    rho = std_mixture(0.3).density()
+    res = rt.roof_minimize(rho, "sqrt_tau", FAST)
+    assert res.restarts_used == FAST.restarts
+    assert res.value <= 1e-4 and _mixes_back(res, rho)
+
+
+def test_linear_branch_runs_the_full_search():
+    rng = np.random.default_rng(43)
+    cases = [std_mixture(0.7), std_mixture(0.9)]
+    while len(cases) < 4:
+        mix = random_mixture(rng)
+        ana = rt.analyze(mix)
+        if ana.branch == "linear_branch" and not ana.limit_case:
+            cases.append(mix)
+    for mix in cases:
+        res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
+        assert res.restarts_used == FAST.restarts
+        assert res.value >= rt.analyze(mix).rtangle - 1e-9
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
+    """The zero-branch fit of the standard mixture needs four members; with
+    fewer the search runs and its ensemble still mixes back."""
+    for p in (0.1, 0.3, 0.6):
+        rho = std_mixture(p).density()
+        res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
+        assert res.restarts_used == 2 and len(res.ensemble) <= size
+        assert _mixes_back(res, rho)
