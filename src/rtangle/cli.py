@@ -51,7 +51,10 @@ def _default_seed(value) -> int:
     if value is not None:
         return int(value)
     env = os.environ.get("RTANGLE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValidationError(f"RTANGLE_SEED: cannot parse {env!r} as an integer") from None
 
 
 def _parse_param(text: str, name: str) -> complex:
@@ -151,6 +154,9 @@ def cmd_roof(args) -> int:
 
 
 def cmd_slocc(args) -> int:
+    if args.rtangle_in is not None and not 0.0 <= args.rtangle_in <= 1.0:
+        print("error: --rtangle-in must be in [0, 1]", file=sys.stderr)
+        return EXIT_PARSE
     try:
         ens = stateio.parse_ensemble(stateio.load_document(args.ensemble_file))
         ms = stateio.parse_kraus(stateio.load_document(args.kraus_file))
@@ -245,6 +251,9 @@ def _verify_rows(opts: RoofOptions, tol_override: float | None):
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0.0):
+        print("error: --tol must be a finite number >= 0", file=sys.stderr)
+        return EXIT_PARSE
     opts = RoofOptions(restarts=args.restarts, seed=_default_seed(args.seed))
     rows = _verify_rows(opts, args.tol)
     width = max(len(r[0]) for r in rows)

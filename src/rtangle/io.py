@@ -37,12 +37,22 @@ class StateNormalizationError(StateFileError):
     """A well-formed pure-state file whose state is not normalized."""
 
 
+def _finite(x) -> float | None:
+    """x as a float when it is a finite JSON number, else None."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _complex_at(node, path: str) -> complex:
-    if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in node)):
+    parts = [_finite(x) for x in node] if isinstance(node, (list, tuple)) else []
+    if len(parts) != 2 or None in parts:
         raise StateFileError(f"{path}: expected a [re, im] pair of finite numbers, got {node!r}")
-    return complex(node[0], node[1])
+    return complex(parts[0], parts[1])
 
 
 def _amplitudes_at(node, path: str) -> np.ndarray:
@@ -69,12 +79,12 @@ def parse_ensemble(doc) -> WeightedEnsemble:
         path = f"members[{k}]"
         if not isinstance(entry, dict) or "weight" not in entry or "amplitudes" not in entry:
             raise StateFileError(f"{path}: expected weight and amplitudes fields")
-        w = entry["weight"]
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise StateFileError(f"{path}.weight: expected a number, got {w!r}")
+        w = _finite(entry["weight"])
+        if w is None:
+            raise StateFileError(f"{path}.weight: expected a finite number, got {entry['weight']!r}")
         amp = _amplitudes_at(entry["amplitudes"], f"{path}.amplitudes")
         try:
-            members.append((float(w), PureState(amp)))
+            members.append((w, PureState(amp)))
         except ValidationError as exc:
             raise StateFileError(f"{path}: {exc}") from exc
     try:
@@ -139,6 +149,10 @@ def load_document(path: str):
         raise StateFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise StateFileError(f"{path}: JSON nested too deeply") from None
 
 
 def sniff_kind(doc) -> str:

@@ -31,15 +31,27 @@ least-squares fit over the root projectors either certifies a tangle-free
 decomposition outright or provides starting points that already sit on the
 non-smooth locus.  Random restarts then cover the rest.
 
-The certificate holds when the fit's members fit in the ensemble size, mix
-back to rho, and are tangle-free to working precision (weighted member
-tangle at most ``_ZERO_TANGLE``).  The objective is then at its lower bound
-of 0 up to rounding, so the search is skipped and that decomposition is
-returned at once, with ``restarts_used == 0``.  This is the zero branch of
-the GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).
+Two certificates skip the search; the decomposition is then returned at
+once, with ``restarts_used == 0``:
+
+* zero: the fit's members fit in the ensemble size, mix back to rho, and
+  are tangle-free to working precision (weighted member tangle at most
+  ``_ZERO_TANGLE``), so the objective is at its lower bound of 0 up to
+  rounding.  This is the zero branch of the GHZ/W mixtures (Lohmayer et
+  al., PRL 97, 260502 (2006)).
+* affine (sqrt-tau only): an affine function of the Bloch vector of the
+  range, fitted to the best seed's members, lies below sqrt-tau on the
+  sphere up to a measured offset, and the lower bound it gives on every
+  decomposition is within ``_CERT_GAP`` of the seed's value (Osterloh,
+  Siewert & Uhlmann, PRA 77, 032310 (2008)).  This is the linear branch of
+  the GHZ/W mixtures.  The offset is found numerically (grid, roots of the
+  quartic, pattern search), so this certifies to working precision; it is
+  not a proof.  For tau the objective has a Lipschitz cusp at each root,
+  where an affine function can rise above it between grid points, so tau
+  always searches.
 
 The returned value is an upper bound on the true convex roof by
-construction.
+construction, certified or not.
 """
 from __future__ import annotations
 
@@ -107,6 +119,8 @@ class RoofOptions:
             raise OptionsError("RoofOptions: restarts must be >= 1")
         if self.max_iterations < 1:
             raise OptionsError("RoofOptions: max_iterations must be >= 1")
+        if self.seed < 0:
+            raise OptionsError("RoofOptions: seed must be >= 0")
         if self.method not in ("gradient", "simplex"):
             raise OptionsError(f"RoofOptions: unknown method {self.method!r}")
 
@@ -118,9 +132,10 @@ class RoofResult:
     ``best_restart_index`` is the index of the winning random restart, or
     a negative number when one of the deterministic algebraic seed starts
     won (-1 for the first seed, -2 for the second, ...).
-    ``restarts_used == 0`` means no search ran: the input has rank 1, or a
+    ``restarts_used == 0`` means no search ran: the input has rank 1, a
     certified tangle-free decomposition was returned (``best_restart_index``
-    -1, value 0 up to rounding).
+    -1, value 0 up to rounding), or a sqrt-tau seed passed the affine
+    certificate (``best_restart_index`` is that seed's label).
     """
 
     value: float
@@ -241,6 +256,89 @@ def _seed_starts(B: np.ndarray, m: int):
         rows += [np.zeros(2, complex)] * (m - len(rows))
         starts.append(kernels.polar_retract(np.array(rows[:m])))
     return exact, starts
+
+
+def _bloch(angles: np.ndarray):
+    """The unit vectors (c, y) = (cos(theta/2), e^(i phi) sin(theta/2)) of
+    (..., 2) angles: c real, y complex."""
+    half = angles[..., 0] / 2.0
+    return np.cos(half), np.exp(1j * angles[..., 1]) * np.sin(half)
+
+
+# Bloch-sphere grid (theta, phi) of the range, one step apart in both angles,
+# and the 5 x 5 pattern of the refinement around a point
+_BLOCH_STEP = np.pi / 60
+_BLOCH_GRID = np.stack(np.meshgrid(np.arange(61) * _BLOCH_STEP, np.arange(120) * _BLOCH_STEP,
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+_BLOCH_C, _BLOCH_Y = _bloch(_BLOCH_GRID)
+_PATTERN = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+# value minus certified lower bound up to which a seed counts as optimal:
+# 2 sqrt|D| magnifies the rounding of a tangle-free member to ~1e-8
+_CERT_GAP = 1e-7
+# sqrt-tau below which a member is fitted as tangle-free: a light member on
+# a root of q reads up to ~1e-7 after rounding, and an l fitted to that
+# would sit as far above g = 0 at the root, a loss that delta takes
+# unweighted
+_ROUNDED_ROOT = 1e-6
+
+
+def _affine_gap(W: np.ndarray, B: np.ndarray) -> float:
+    """Sqrt-tau value of the rank-2 decomposition W minus a lower bound on
+    the roof of rho = B^T conj(B), after Osterloh, Siewert & Uhlmann, PRA 77,
+    032310 (2008).
+
+    A unit v in C^2 stands for the range state v0 e0 + v1 e1 (orthonormal
+    eigenvectors e_k, eigenvalues lambda_k), of sqrt-tau g(v) = 2 sqrt|q(v)|.
+    If l(v) = v^H X v, X Hermitian, satisfies g >= l - delta on the whole
+    sphere, every decomposition of rho has a value of at least
+    L = lambda_0 X_00 + lambda_1 X_11 - delta.  X is the least-squares fit
+    of l = g at the members of W (0 for a member below ``_ROUNDED_ROOT``);
+    delta = max(0, -min(g - l)) with the minimum taken over a grid, the
+    roots of q, the members, and a pattern search from these.
+    That minimum is numerical, so a small gap certifies W to working
+    precision only, not as a proof; W's value is an upper bound in any case.
+    """
+    lam = (B.real ** 2 + B.imag ** 2).sum(-1)
+    E = B / np.sqrt(lam)[:, None]
+    q = _pair_quartic(E[0], E[1])
+    A = W @ E.conj().T  # member coordinates on the eigenvectors
+    n2 = (A.real ** 2 + A.imag ** 2).sum(-1)
+    members = A[n2 > _WEIGHT_FLOOR] / np.sqrt(n2[n2 > _WEIGHT_FLOOR])[:, None]
+    # members, then roots of q, as (c, y): the phase taken off v0 >= 0
+    V = np.concatenate((members, np.array(_zero_direction_rows(E)).reshape(-1, 2)))
+    c, y = np.abs(V[:, 0]), V[:, 1] * np.exp(-1j * np.angle(V[:, 0]))
+    n = len(members)
+
+    def g(c, y):  # 2 sqrt|q(c, y)|, q by homogeneous Horner
+        y2 = y * y
+        h = ((q[4] * c + q[3] * y) * c + q[2] * y2) * c + q[1] * (y2 * y)
+        return 2.0 * np.sqrt(np.abs(h * c + q[0] * (y2 * y2)))
+
+    def basis(c, y):  # l = basis @ (X_00, X_11, Re X_01, -Im X_01)
+        return np.stack((c * c, y.real ** 2 + y.imag ** 2, 2.0 * c * y.real, 2.0 * c * y.imag),
+                        axis=-1)
+
+    at_members = g(c[:n], y[:n])
+    X = np.linalg.lstsq(basis(c[:n], y[:n]), np.where(at_members < _ROUNDED_ROOT, 0.0, at_members),
+                        rcond=None)[0]
+
+    def excess(c, y):  # g - l
+        return g(c, y) - basis(c, y) @ X
+
+    on_grid = excess(_BLOCH_C, _BLOCH_Y)
+    lowest = min(on_grid.min(), excess(c, y).min())
+    pts = np.concatenate((np.stack((2.0 * np.arctan2(np.abs(y), c), np.angle(y)), axis=-1),
+                          _BLOCH_GRID[np.argpartition(on_grid, 8)[:8]]))
+    step = _BLOCH_STEP
+    for _ in range(14):
+        trial = pts[:, None, :] + step * _PATTERN
+        vals = excess(*_bloch(trial))
+        pts = trial[np.arange(len(pts)), np.argmin(vals, axis=1)]
+        lowest = min(lowest, vals.min())
+        step /= 3.0
+    bound = lam[0] * X[0] + lam[1] * X[1] - max(0.0, -lowest)
+    return float(kernels.roof_value(W, True, 0.0) - bound)
 
 
 # --------------------------------------------------------------------------
@@ -551,6 +649,13 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
         results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
     n_seeded = len(results) + len(seeds)
     labels = [-k for k in range(1, n_seeded + 1)] + list(range(opts.restarts))
+    if use_sqrt and n_seeded:
+        # the lowest-valued seeded start, returned as is when the affine
+        # bound certifies it (the linear branch of the GHZ/W mixtures)
+        candidates = [W for W, _, _ in results] + [U @ B for U in seeds]
+        k = int(np.argmin([kernels.roof_value(W, True, 0.0) for W in candidates]))
+        if _affine_gap(candidates[k], B) <= _CERT_GAP:
+            return _result(candidates[k], use_sqrt, 0, labels[k], True)
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
     if opts.method == "gradient":
         restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]

@@ -1,8 +1,12 @@
+import copy
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rtangle as rt
 from rtangle import cli
@@ -202,6 +206,14 @@ def test_cli_roof_zero_branch_certified(tmp_path, capsys):
     assert 0.0 <= _value(out, "value") <= 1e-7
 
 
+def test_cli_roof_linear_branch_certified(tmp_path, capsys):
+    path = _write(tmp_path / "rho.json", stateio.density_to_doc(std_mixture(0.8).density()))
+    assert main(["roof", path, "--restarts", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "restarts_used = 0" in out and "converged     = True" in out
+    assert abs(_value(out, "value") - TR_STD_P08) <= 1e-7
+
+
 def test_cli_roof_zero_branch_below_fit_size(tmp_path, capsys):
     """The zero-branch fit needs four members; --size 2 searches instead
     and writes an ensemble that mixes back."""
@@ -358,3 +370,134 @@ def test_cli_env_seed(tmp_path, monkeypatch, capsys):
                  "--restarts", "2", "--seed", "7"]) == 0
     v2 = _value(capsys.readouterr().out, "numeric")
     assert v1 == v2
+
+
+# ------------------------------------------------- CLI: malformed input, fuzzed
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.0, 2.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=9)
+    | st.dictionaries(st.sampled_from(["amplitudes", "members", "weight", "matrix",
+                                       "operators", "target"]) | st.text(max_size=3),
+                      inner, max_size=3),
+    max_leaves=20)
+# numbers no state file may hold: non-finite, or integers beyond the float range
+_BAD_NUMBERS = (st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.integers(10 ** 309, 10 ** 400) | st.integers(-10 ** 400, -10 ** 309))
+
+
+def _json_kind(x):
+    return "number" if isinstance(x, (int, float)) and not isinstance(x, bool) else type(x)
+
+
+_VALID_DOCS = (stateio.pure_to_doc(ghz_state()),
+               stateio.ensemble_to_doc(rt.counterexample_fixture().ensemble),
+               stateio.density_to_doc(std_mixture(0.3).density()),
+               stateio.kraus_to_doc(rt.counterexample_fixture().measurement))
+
+
+@st.composite
+def _malformed_documents(draw):
+    """A valid document with one node replaced by a value of another JSON
+    kind, or a number replaced by one out of range; the result is JSON text."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCS)))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        parent, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                 else range(len(node))))
+        node = parent[key]
+    other = _JSON.filter(lambda v: _json_kind(v) != _json_kind(node))
+    new = draw(other | _BAD_NUMBERS if _json_kind(node) == "number" else other)
+    if parent is None:
+        return json.dumps(new)
+    parent[key] = new
+    return json.dumps(doc)
+
+
+_MALFORMED_FILES = (
+    _malformed_documents().map(str.encode)
+    | st.binary(max_size=40)
+    | st.integers(1, 20).map(lambda n: json.dumps(_VALID_DOCS[n % 4])[:-n].encode())
+    | st.integers(10 ** 3, 10 ** 5).map(lambda n: b"[" * n + b"]" * n))
+
+
+def _no_traceback(argv, capsys):
+    """Exit code and stderr of main(argv).  An argparse error counts as its
+    exit 2; any other exception escapes and fails the test."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(content=_MALFORMED_FILES, command=st.sampled_from(["pure", "roof", "slocc-ensemble",
+                                                          "slocc-kraus"]))
+def test_cli_malformed_file_exits_2_to_6(content, command, tmp_path, capsys):
+    """Any malformed file gives an exit code in 2..6 and one error line."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    fx = rt.counterexample_fixture()
+    ens = _write(tmp_path / "ens.json", stateio.ensemble_to_doc(fx.ensemble))
+    kraus = _write(tmp_path / "kraus.json", stateio.kraus_to_doc(fx.measurement))
+    argv = {"pure": ["pure", str(bad)], "roof": ["roof", str(bad), "--restarts", "1"],
+            "slocc-ensemble": ["slocc", str(bad), kraus],
+            "slocc-kraus": ["slocc", ens, str(bad)]}[command]
+    code, err = _no_traceback(argv, capsys)
+    assert 2 <= code <= 6
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _outside(low, high):
+    return st.floats(allow_nan=True).filter(lambda x: not low <= x <= high)
+
+
+_OUT_OF_RANGE = st.one_of(
+    st.builds(lambda v: ["roof", "{ghz}", "--size", str(v)],
+              st.integers(max_value=0) | st.integers(min_value=9)),
+    st.builds(lambda flag, v: [*flag, str(v)],
+              st.sampled_from([["roof", "{ghz}", "--restarts"], ["verify", "--restarts"],
+                               ["mixture", *STD_ARGS, "--p", "0.8", "--numeric", "--restarts"],
+                               ["sweep", *STD_ARGS, "--steps", "2", "--out", "{csv}",
+                                "--restarts"]]),
+              st.integers(max_value=0)),
+    st.builds(lambda flag, v: [*flag, str(v)],
+              st.sampled_from([["roof", "{ghz}", "--seed"], ["verify", "--seed"],
+                               ["mixture", *STD_ARGS, "--p", "0.8", "--numeric", "--seed"],
+                               ["sweep", *STD_ARGS, "--steps", "2", "--out", "{csv}", "--seed"]]),
+              st.integers(max_value=-1)),
+    st.builds(lambda v: ["sweep", *STD_ARGS, "--out", "{csv}", "--steps", str(v)],
+              st.integers(max_value=1)),
+    st.builds(lambda v: ["mixture", *STD_ARGS, "--p", repr(v)], _outside(0.0, 1.0)),
+    st.builds(lambda v: ["verify", "--tol", repr(v)], _outside(0.0, math.inf)),
+    st.builds(lambda v: ["slocc", "{ens}", "{kraus}", "--rtangle-in", repr(v)],
+              _outside(0.0, 1.0)),
+    st.builds(lambda t: ["roof", "{ghz}", "--functional", t],
+              st.text(min_size=1, max_size=6).filter(lambda t: t not in ("tau", "sqrt-tau")
+                                                      and not t.startswith("-"))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_OUT_OF_RANGE)
+def test_cli_out_of_range_flag_exits_2_to_6(argv, tmp_path, capsys):
+    fx = rt.counterexample_fixture()
+    paths = {"ghz": _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state())),
+             "ens": _write(tmp_path / "ens.json", stateio.ensemble_to_doc(fx.ensemble)),
+             "kraus": _write(tmp_path / "kraus.json", stateio.kraus_to_doc(fx.measurement)),
+             "csv": str(tmp_path / "x.csv")}
+    code, _ = _no_traceback([a.format(**paths) for a in argv], capsys)
+    assert 2 <= code <= 6
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+def test_cli_rejects_a_malformed_seed_variable(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RTANGLE_SEED", value)
+    ghz = _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state()))
+    assert main(["roof", ghz, "--restarts", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

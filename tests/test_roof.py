@@ -15,6 +15,11 @@ def _pure_density(psi):
     return rt.ensemble_to_density(rt.WeightedEnsemble(((1.0, psi),)))
 
 
+def _without_affine_certificate(monkeypatch):
+    """Make every seed fail the affine certificate, so the search runs."""
+    monkeypatch.setattr(roof, "_affine_gap", lambda W, B: np.inf)
+
+
 def test_rank1_is_exact():
     rho = _pure_density(ghz_state())
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
@@ -45,10 +50,13 @@ def test_determinism_bit_for_bit():
     assert v1 == v2
 
 
-def test_monotonicity_in_restarts():
+def test_monotonicity_in_restarts(monkeypatch):
+    _without_affine_certificate(monkeypatch)
     rho = std_mixture(0.75).density()
-    vals = [rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=k, seed=5)).value
-            for k in (1, 3, 6)]
+    results = [rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=k, seed=5))
+               for k in (1, 3, 6)]
+    assert [res.restarts_used for res in results] == [1, 3, 6]
+    vals = [res.value for res in results]
     assert vals[1] <= vals[0] + 1e-15
     assert vals[2] <= vals[1] + 1e-15
 
@@ -67,7 +75,7 @@ def test_matches_closed_form_linear_branch():
     res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
     assert res.value >= TR_STD_P08 - 1e-9  # never below the true roof
     assert abs(res.value - TR_STD_P08) <= 5e-3
-    assert res.restarts_used == FAST.restarts
+    assert res.restarts_used == 0
 
 
 def test_finds_zero_on_zero_branch():
@@ -86,10 +94,12 @@ def test_tau_functional_reproduces_reference_constants():
     assert abs(res0.value - TAU_RHO0) < 5e-3
 
 
-def test_simplex_method_upper_bound_and_zero_branch():
+def test_simplex_method_upper_bound_and_zero_branch(monkeypatch):
+    _without_affine_certificate(monkeypatch)
     mix = std_mixture(0.8)
     opts = rt.RoofOptions(restarts=3, method="simplex", max_iterations=400)
     res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
+    assert res.restarts_used == 3
     assert res.value >= TR_STD_P08 - 1e-9
     assert abs(res.value - TR_STD_P08) <= 5e-3
     res_zero = rt.roof_minimize(std_mixture(0.4).density(), "sqrt_tau", opts)
@@ -356,6 +366,9 @@ def test_search_never_undercuts_the_certificate(monkeypatch):
     opts = rt.RoofOptions(restarts=3)
     cases = _zero_branch_cases()
     certified = [rt.roof_minimize(mix.density(), "sqrt_tau", opts) for mix in cases]
+    # without the tangle-free decomposition the best raw seed would pass the
+    # affine certificate instead
+    _without_affine_certificate(monkeypatch)
     seed_starts = roof._seed_starts
     monkeypatch.setattr(roof, "_seed_starts", lambda B, m: (None, seed_starts(B, m)[1]))
     for mix, cert in zip(cases, certified):
@@ -377,13 +390,14 @@ def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
         return rotation @ exact, starts
 
     monkeypatch.setattr(roof, "_seed_starts", perturbed)
+    _without_affine_certificate(monkeypatch)  # the raw seeds would pass it
     rho = std_mixture(0.3).density()
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
     assert res.restarts_used == FAST.restarts
     assert res.value <= 1e-4 and _mixes_back(res, rho)
 
 
-def test_linear_branch_runs_the_full_search():
+def _linear_branch_cases():
     rng = np.random.default_rng(43)
     cases = [std_mixture(0.7), std_mixture(0.9)]
     while len(cases) < 4:
@@ -391,10 +405,76 @@ def test_linear_branch_runs_the_full_search():
         ana = rt.analyze(mix)
         if ana.branch == "linear_branch" and not ana.limit_case:
             cases.append(mix)
-    for mix in cases:
-        res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
-        assert res.restarts_used == FAST.restarts
-        assert res.value >= rt.analyze(mix).rtangle - 1e-9
+    return cases
+
+
+def test_linear_branch_returns_the_certified_seed(monkeypatch):
+    """The best algebraic seed is returned without a search, and a search
+    without the certificate never undercuts it."""
+    cases = _linear_branch_cases()
+    certified = [rt.roof_minimize(mix.density(), "sqrt_tau", FAST) for mix in cases]
+    _without_affine_certificate(monkeypatch)
+    opts = rt.RoofOptions(restarts=3)
+    for mix, cert in zip(cases, certified):
+        closed = rt.analyze(mix).rtangle
+        assert cert.restarts_used == 0 and cert.best_restart_index < 0 and cert.converged
+        assert closed - 1e-9 <= cert.value <= closed + 1e-7
+        assert _mixes_back(cert, mix.density())
+        res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
+        assert res.restarts_used == opts.restarts
+        assert res.value >= cert.value - 1e-9
+
+
+def _ghzw_both_branches():
+    """Twelve drawn GHZ/W mixtures: four on the zero branch, four just above
+    the branch point, p in (p0, 1.1 p0], and four further up."""
+    rng = np.random.default_rng(47)
+    cases = []
+    for k in range(12):
+        ana = None
+        while ana is None or ana.limit_case or not 0.05 < ana.p0 < 0.9:
+            mix = random_mixture(rng)
+            ana = rt.analyze(mix)
+        low, high = ((0.25, 0.95), (1.0001, 1.1), (1.1, 1.0 / ana.p0))[k % 3]
+        p = ana.p0 * rng.uniform(low, high)
+        cases.append(rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f, p=p))
+    return cases
+
+
+def test_affine_bound_never_exceeds_the_closed_form():
+    """value - gap is a lower bound on the roof: for the seeds, for random
+    decompositions, and for the certified result."""
+    rng = np.random.default_rng(53)
+    for mix in _ghzw_both_branches():
+        rho = mix.density()
+        closed = rt.analyze(mix).rtangle
+        B = _eigen_factor(rho)
+        rows = [U @ B for U in roof._seed_starts(B, 4)[1]]
+        rows += [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0] @ B
+                 for _ in range(2)]
+        for W in rows:
+            assert kernels.roof_value(W, True, 0.0) - roof._affine_gap(W, B) <= closed + 1e-12
+        res = rt.roof_minimize(rho, "sqrt_tau", FAST)
+        assert res.restarts_used == 0 and res.converged
+        assert closed - 1e-9 <= res.value <= closed + 1e-7
+
+
+def test_uncertified_inputs_run_the_full_search(monkeypatch):
+    """tau, a generic rank-3 input and a rotated (not optimal) seed all search."""
+    mix = std_mixture(0.8)
+    res = rt.roof_minimize(mix.density(), "tau", FAST)
+    assert res.restarts_used == FAST.restarts
+    B, _ = _generic_starts(3, 0)
+    opts = rt.RoofOptions(restarts=2, max_iterations=300)
+    res = rt.roof_minimize(rt.DensityMatrix(B.T @ B.conj()), "sqrt_tau", opts)
+    assert res.restarts_used == opts.restarts
+    rotation = np.linalg.qr(np.eye(4) + 0.05j * np.ones((4, 4)))[0]
+    seed_starts = roof._seed_starts
+    monkeypatch.setattr(roof, "_seed_starts",
+                        lambda B, m: (None, [rotation @ U for U in seed_starts(B, m)[1]]))
+    res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
+    assert res.restarts_used == FAST.restarts
+    assert res.value >= TR_STD_P08 - 1e-9
 
 
 @pytest.mark.parametrize("size", [2, 3])
