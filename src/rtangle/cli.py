@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as stateio
-from .ghzw import GhzWMixture, analyze, as_mixture
+from .ghzw import GhzWMixture, MixtureNormalizationError, analyze, as_mixture
 from .invariants import invariants
 from .roof import RankError, RoofOptions, roof_minimize
 from .slocc import counterexample_fixture, measure, verify_tangle_noncovariance
@@ -95,7 +96,7 @@ def cmd_mixture(args) -> int:
         opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
     try:
         mix = _mixture_from_args(args)
-    except ValidationError as exc:
+    except MixtureNormalizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NORMALIZATION
     ana = analyze(mix)
@@ -276,7 +277,7 @@ def cmd_sweep(args) -> int:
             c=_parse_param(args.c, "c"), d=_parse_param(args.d, "d"),
             f=_parse_param(args.f, "f"), p=0.0,
         )
-    except ValidationError as exc:
+    except MixtureNormalizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NORMALIZATION
     if args.steps < 2:
@@ -314,7 +315,10 @@ def _add_mixture_params(p: argparse.ArgumentParser):
     p.add_argument("--f", required=True, help="gW amplitude f")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (building it costs far
+    more than a parse).  Callers share it, so they must not modify it."""
     ap = argparse.ArgumentParser(prog="rtangle", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

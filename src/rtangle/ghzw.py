@@ -50,6 +50,10 @@ def generalized_w(c: complex, d: complex, f: complex) -> PureState:
     return PureState(amp)
 
 
+class MixtureNormalizationError(ValidationError):
+    """The gGHZ or gW amplitudes of a :class:`GhzWMixture` are not normalized."""
+
+
 @dataclass(frozen=True)
 class GhzWMixture:
     """Parameters (a, b, c, d, f, p) of the GHZ/W mixture family."""
@@ -70,9 +74,10 @@ class GhzWMixture:
         n_ghz = abs(self.a) ** 2 + abs(self.b) ** 2
         n_w = abs(self.c) ** 2 + abs(self.d) ** 2 + abs(self.f) ** 2
         if abs(n_ghz - 1.0) > NORM_TOL:
-            raise ValidationError(f"GhzWMixture: |a|^2+|b|^2 = {n_ghz!r}, expected 1")
+            raise MixtureNormalizationError(f"GhzWMixture: |a|^2+|b|^2 = {n_ghz!r}, expected 1")
         if abs(n_w - 1.0) > NORM_TOL:
-            raise ValidationError(f"GhzWMixture: |c|^2+|d|^2+|f|^2 = {n_w!r}, expected 1")
+            raise MixtureNormalizationError(
+                f"GhzWMixture: |c|^2+|d|^2+|f|^2 = {n_w!r}, expected 1")
         p = float(self.p)
         if not (0.0 <= p <= 1.0) or not np.isfinite(p):
             raise ValidationError(f"GhzWMixture: p = {p!r} outside [0, 1]")

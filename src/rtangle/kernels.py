@@ -9,6 +9,14 @@ differently from ``(1, 8)`` calls in most of the last bits; the roof search
 never stacks m = 1, because a rank-1 input needs no search.  2-D calls
 return a float objective; stacked calls return one value per start and
 accept one smoothing ``eps`` per start.
+
+The hyperdeterminant D of a row is one gather of its 12 monomials' four
+factors and one contraction with their coefficients.  Its derivative
+dD/dpsi is one gather of a (6, 8, 3) table: for each amplitude, the six
+monomial terms holding it, each as the triple of its other factors.  The
+six terms are scaled by their coefficient and added in monomial order, so
+the result equals a loop over the monomials bit for bit.  The derivative
+``P`` that ``roof_value_grad`` returns is C-contiguous, shaped as W.
 """
 from __future__ import annotations
 
@@ -27,9 +35,28 @@ _IDX = np.array(
 ).T
 _COEF = np.array([1, 1, 1, 1, -2, -2, -2, -2, -2, -2, 4, 4], dtype=np.float64)
 _COEF_C = _COEF.astype(complex)
-# dD/dpsi_a collects six of the 48 (monomial, factor) terms; row k holds
-# each amplitude's k-th term in monomial order
-_GRAD_TERMS = np.array([np.flatnonzero(_IDX.T.ravel() == a) for a in range(8)]).T
+
+
+def _grad_table():
+    """Leave-one-out factor triples of dD/dpsi_a, (6, 8, 3), and their
+    coefficients, (6, 8).
+
+    Entry (k, a) is the k-th (monomial, position) holding amplitude a, in
+    monomial order: the indices of the monomial's other three factors, in
+    their order, and the monomial's coefficient.
+    """
+    held = _IDX.T.ravel()
+    triples = np.empty((6, 8, 3), dtype=np.int64)
+    coef = np.empty((6, 8))
+    for a in range(8):
+        for k, n in enumerate(np.flatnonzero(held == a)):
+            j, pos = divmod(n, 4)
+            triples[k, a] = np.delete(_IDX[:, j], pos)
+            coef[k, a] = _COEF[j]
+    return triples, coef
+
+
+_TRIPLES, _TRIPLE_COEF = _grad_table()
 
 _NORM_FLOOR = 1e-30
 
@@ -47,20 +74,6 @@ def _factors(W: np.ndarray) -> np.ndarray:
 def _hyperdet(X: np.ndarray) -> np.ndarray:
     # contracted per start, (m, 12) @ (12,), as the 2-D call does
     return (((X[..., 0] * X[..., 1]) * X[..., 2]) * X[..., 3]) @ _COEF_C
-
-
-def _hyperdet_grad(X: np.ndarray) -> np.ndarray:
-    a, b, c, d = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
-    ab = a * b
-    # coefficients are +-1, 2, 4: scaling by them is exact in any order
-    terms = np.stack(((b * c) * d, (a * c) * d, ab * d, ab * c), axis=-1) * _COEF[:, None]
-    terms = np.take(terms.reshape(*X.shape[:-2], 48), _GRAD_TERMS, axis=-1)
-    # summed one by one, as a loop over the monomials would; a numpy sum
-    # picks its order from the memory layout
-    G = 0.0
-    for k in range(6):
-        G = G + terms[..., k, :]
-    return G
 
 
 def hyperdet_rows(W: np.ndarray) -> np.ndarray:
@@ -108,9 +121,16 @@ def roof_value_grad(W: np.ndarray, use_sqrt: bool, eps=0.0):
 
     The steepest-descent direction in amplitude space is ``-conj(P)``.
     """
-    X = _factors(W)
-    D = _hyperdet(X)
-    Gd = _hyperdet_grad(X)
+    D = _hyperdet(_factors(W))
+    # dD/dpsi, one gather of the leave-one-out triples; the coefficients
+    # are +-1, 2, 4, so scaling by them is exact in any order
+    F = np.take(W, _TRIPLES, axis=-1)
+    terms = ((F[..., 0] * F[..., 1]) * F[..., 2]) * _TRIPLE_COEF
+    # summed one by one, as a loop over the monomials would; a numpy sum
+    # picks its order from the memory layout
+    Gd = 0.0
+    for k in range(6):
+        Gd = Gd + terms[..., k, :]
     absD2 = (D * D.conj()).real
     e2 = _eps_sq(eps, W)
     if use_sqrt:

@@ -218,7 +218,7 @@ def _seed_starts(B: np.ndarray, m: int):
     within ``_MIX_TOL`` realizing an (up to numerical residual) tangle-free
     decomposition in at most m members when one exists, else None;
     ``starts`` are retracted U matrices whose rows begin on the tangle-free
-    locus.
+    locus, one per seed that fits in m members; a larger seed is dropped.
     """
     dirs = _zero_direction_rows(B)
     if len(dirs) < 2:
@@ -253,8 +253,11 @@ def _seed_starts(B: np.ndarray, m: int):
         for k in range(2):
             if ev[k] > 1e-12:
                 rows.append(np.sqrt(ev[k]) * np.conj(evec[:, k]))
+        if len(rows) > m:
+            # cut to m rows and retracted, the rest would leave the locus
+            continue
         rows += [np.zeros(2, complex)] * (m - len(rows))
-        starts.append(kernels.polar_retract(np.array(rows[:m])))
+        starts.append(kernels.polar_retract(np.array(rows)))
     return exact, starts
 
 
@@ -382,8 +385,11 @@ class _LockStep:
     level can never lose an already-good iterate.
 
     One tick makes one trial step for every start in a line search: one
-    batched retraction and one batched ``roof_value_grad``.  Starts share
-    no arithmetic, so each one ends exactly where it would alone.
+    batched retraction and one batched ``roof_value_grad``.  The accepted
+    trials go straight on to the gradient projection, and a tick whose
+    retractions all succeed or whose trials all pass masks nothing.
+    Starts share no arithmetic, so each one ends exactly where it would
+    alone.
     """
 
     def __init__(self, U0: np.ndarray, schedules, B: np.ndarray, use_sqrt: bool,
@@ -391,6 +397,8 @@ class _LockStep:
         S = len(schedules)
         depth = max(len(s) for s in schedules)
         self.B, self.use_sqrt, self.tolerance = B, use_sqrt, opts.tolerance
+        # E = 2 conj(P B^T) = conj(P) @ B2: conjugation and doubling are exact
+        self.B2 = 2.0 * np.conj(B.T)
         self.ladder = np.array([s + (np.nan,) * (depth - len(s)) for s in schedules])
         self.n_stages = np.array([len(s) for s in schedules])
         self.budget = np.array([max(opts.max_iterations // len(s), 10) for s in schedules])
@@ -399,10 +407,10 @@ class _LockStep:
         self.best_value = kernels.roof_value(self.best_W, use_sqrt, 0.0)
         self.stage = np.zeros(S, dtype=np.int64)
         self.eps = self.ladder[:, 0].copy()
+        self.tol = np.zeros(S)                    # the level's stall threshold
         self.steps = np.zeros(S, dtype=np.int64)
         self.eta = np.full(S, _ETA0)
         self.f = np.zeros(S)
-        self.P = np.zeros((S, self.U.shape[1], 8), dtype=np.complex128)
         self.G = np.zeros_like(self.U)
         self.gn2 = np.zeros(S)
         self.searching = np.zeros(S, dtype=bool)  # in a line search
@@ -421,21 +429,26 @@ class _LockStep:
             return
         self.eta[idx] = _ETA0
         self.steps[idx] = 0
-        self.f[idx], self.P[idx] = kernels.roof_value_grad(
-            self.U[idx] @ self.B, self.use_sqrt, self.eps[idx])
-        self._project(idx)
+        eps = self.eps[idx]
+        self.tol[idx] = np.where(eps == 0.0, self.tolerance, max(self.tolerance, 1e-10))
+        U = self.U[idx]
+        self.f[idx], P = kernels.roof_value_grad(U @ self.B, self.use_sqrt, eps)
+        self._project(idx, U, P)
 
-    def _project(self, idx):
-        """Riemannian gradient at U; a vanishing or non-finite one ends the level."""
+    def _project(self, idx, U, P):
+        """Riemannian gradient at the starts' U from their Wirtinger derivative
+        P; a vanishing or non-finite one ends the level."""
         if idx.size == 0:
             return
-        U = self.U[idx]
-        E = 2.0 * np.conj(self.P[idx] @ self.B.T)
+        E = np.conj(P) @ self.B2
         A = _herm(U) @ E
         G = E - U @ ((A + _herm(A)) / 2.0)
         gn2 = (G.real ** 2 + G.imag ** 2).reshape(len(idx), -1).sum(-1)
         self.G[idx], self.gn2[idx] = G, gn2
         flat = ~np.isfinite(gn2) | (gn2 < _GRAD_FLOOR)
+        if not flat.any():
+            self.searching[idx] = True
+            return
         self.searching[idx[~flat]] = True
         # a non-finite gradient cuts the level short: not stalled
         self._end(idx[flat], np.isfinite(gn2[flat]))
@@ -459,27 +472,35 @@ class _LockStep:
 
     def _tick(self):
         idx = np.flatnonzero(self.searching)
-        trial, ok = _retract(self.U[idx] - self.eta[idx, None, None] * self.G[idx])
-        tried, trial = idx[ok], trial[ok]
-        f2, P2 = kernels.roof_value_grad(trial @ self.B, self.use_sqrt, self.eps[tried])
-        accept = f2 < self.f[tried] - _ARMIJO * self.eta[tried] * self.gn2[tried]
+        eta = self.eta[idx]
+        trial, ok = _retract(self.U[idx] - eta[:, None, None] * self.G[idx])
+        back = []  # starts whose step halves: failed retraction or rejected trial
+        if not ok.all():
+            back.append(idx[~ok])
+            idx, eta, trial = idx[ok], eta[ok], trial[ok]
+        f, P = kernels.roof_value_grad(trial @ self.B, self.use_sqrt, self.eps[idx])
+        f0 = self.f[idx]
+        accept = f < f0 - _ARMIJO * eta * self.gn2[idx]
+        if not accept.all():
+            back.append(idx[~accept])
+            idx, eta, trial, f, P = idx[accept], eta[accept], trial[accept], f[accept], P[accept]
+            f0 = f0[accept]
+        if back:
+            back = np.concatenate(back)
+            self.eta[back] *= 0.5
+            self._end(back[self.eta[back] <= _ETA_MIN], True)
 
-        back = np.concatenate((idx[~ok], tried[~accept]))
-        self.eta[back] *= 0.5
-        self._end(back[self.eta[back] <= _ETA_MIN], True)
-
-        moved = tried[accept]
-        improvement = self.f[moved] - f2[accept]
-        self.U[moved], self.f[moved], self.P[moved] = trial[accept], f2[accept], P2[accept]
-        self.eta[moved] = np.minimum(self.eta[moved] * 1.4, _ETA_MAX)
-        self.steps[moved] += 1
-        tol = np.where(self.eps[moved] == 0.0, self.tolerance, max(self.tolerance, 1e-10))
-        small = improvement < tol
-        self._end(moved[small], True)
-        moved = moved[~small]
-        spent = self.steps[moved] >= self.budget[moved]
-        self._end(moved[spent], False)
-        self._project(moved[~spent])
+        self.U[idx], self.f[idx] = trial, f
+        self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
+        self.steps[idx] += 1
+        small = f0 - f < self.tol[idx]
+        spent = ~small & (self.steps[idx] >= self.budget[idx])
+        if small.any() or spent.any():
+            self._end(idx[small], True)
+            self._end(idx[spent], False)
+            go_on = ~(small | spent)
+            idx, trial, P = idx[go_on], trial[go_on], P[go_on]
+        self._project(idx, trial, P)
 
 
 # --------------------------------------------------------------------------

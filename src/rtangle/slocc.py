@@ -99,11 +99,14 @@ def measure_density(rho: DensityMatrix, ms: MeasurementSet,
 
 
 def propagate_rtangle(rtangle_in: float, alpha: float) -> float:
-    """Residual tangle of a measurement outcome: alpha * t_r(input)."""
-    if rtangle_in < 0:
-        raise ValueError(f"propagate_rtangle: rtangle_in must be >= 0, got {rtangle_in!r}")
-    if alpha < 0:
-        raise ValueError(f"propagate_rtangle: alpha must be >= 0, got {alpha!r}")
+    """Residual tangle of a measurement outcome: alpha * t_r(input).
+
+    Raises :class:`ValidationError` for a negative or non-finite argument.
+    """
+    for name, value in (("rtangle_in", rtangle_in), ("alpha", alpha)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValidationError(
+                f"propagate_rtangle: {name} must be finite and >= 0, got {value!r}")
     return alpha * rtangle_in
 
 

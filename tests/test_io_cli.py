@@ -168,6 +168,23 @@ def test_cli_mixture_rejects_bad_normalization(capsys):
                  "--f", repr(float(np.sqrt(0.5))), "--p", "0.5"]) == 3
 
 
+@pytest.mark.parametrize("p", ["2", "nan", "-0.5"])
+def test_cli_mixture_out_of_range_p_exits_2(p, capsys):
+    assert main(["mixture", *STD_ARGS, "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: GhzWMixture: p") and captured.err.count("\n") == 1
+
+
+def test_cli_mixture_and_sweep_exit_codes(tmp_path, capsys):
+    unnormalized = ["--a", "1", "--b", "1", *STD_ARGS[4:]]
+    assert main(["sweep", *unnormalized, "--steps", "2", "--out", str(tmp_path / "x.csv")]) == 3
+    # an unparsable amplitude is a malformed option, not a normalization
+    assert main(["mixture", *STD_ARGS[:-1], "zz", "--p", "0.5"]) == 2
+    assert main(["sweep", *STD_ARGS[:-1], "zz", "--steps", "2",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+
+
 # ------------------------------------------------------------------ CLI: roof
 
 def test_cli_roof_rank1(tmp_path, capsys):

@@ -28,10 +28,21 @@ def test_hyperdet_ghz_value():
 
 
 def test_hyperdet_gradient_equals_monomial_loop():
+    """The triple-table dD/dpsi inside roof_value_grad equals the monomial
+    loop bit for bit, on one start and on a stack; P stays C-contiguous."""
     rng = np.random.default_rng(1)
-    for m in (1, 3, 4):
-        W = _random_rows(rng, m, 8)
-        assert np.array_equal(kernels._hyperdet_grad(kernels._factors(W)), _hyperdet_grad_loop(W))
+    for m in range(1, 6):
+        for W in (_random_rows(rng, m, 8), _random_rows(rng, 5, m, 8)):
+            eps = 1e-3 if W.ndim == 2 else np.array([0.0, 1e-13, 1e-6, 1e-3, 1e-2])
+            G = np.array([_hyperdet_grad_loop(w) for w in W.reshape(-1, m, 8)]).reshape(W.shape)
+            D = kernels.hyperdet_rows(W)
+            s = (D * D.conj()).real + kernels._eps_sq(eps, W)
+            coef = np.where(s > 0.0, 0.5 * np.maximum(s, 1e-300) ** -0.75, 0.0)
+            _, P = kernels.roof_value_grad(W, True, eps)
+            assert np.array_equal(P, coef[..., None] * D.conj()[..., None] * G)
+            for use_sqrt in (True, False):
+                _, P = kernels.roof_value_grad(W, use_sqrt, eps)
+                assert P.flags.c_contiguous and P.view(np.float64).shape[-1] == 16
 
 
 def test_value_grad_consistent_with_value():

@@ -479,10 +479,13 @@ def test_uncertified_inputs_run_the_full_search(monkeypatch):
 
 @pytest.mark.parametrize("size", [2, 3])
 def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
-    """The zero-branch fit of the standard mixture needs four members; with
-    fewer the search runs and its ensemble still mixes back."""
+    """The zero-branch fit of the standard mixture needs four members, and so
+    does each of its seeds; with fewer, the fit and the seeds are dropped,
+    not cut, and the search runs from the restarts and still mixes back."""
     for p in (0.1, 0.3, 0.6):
         rho = std_mixture(p).density()
+        assert roof._seed_starts(_eigen_factor(rho), size) == (None, [])
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
+

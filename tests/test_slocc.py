@@ -145,6 +145,14 @@ def test_propagate_rtangle_contract():
         rt.propagate_rtangle(0.1, -1.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_propagate_rtangle_rejects_negative_and_non_finite(bad):
+    with pytest.raises(rt.ValidationError, match="rtangle_in"):
+        rt.propagate_rtangle(bad, 0.5)
+    with pytest.raises(rt.ValidationError, match="alpha"):
+        rt.propagate_rtangle(0.5, bad)
+
+
 def test_propagate_matches_closed_form_on_counterexample(fixture_outcomes):
     fx, outcomes = fixture_outcomes
     out = outcomes[0]
