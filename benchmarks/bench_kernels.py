@@ -1,11 +1,12 @@
-"""Benchmark: the convex-roof kernels, one search tick and one full search.
+"""Benchmark: the convex-roof kernels, one search tick and two full solves.
 
 Times the three hot kernels on one start (a (4, 8) decomposition) and on
 a stack of 50 starts, as the lock-step search calls them; one tick of the
-lock-step search over 5 random starts of a rank-3 state; and one
-default-options ``roof_minimize`` that still searches, the tau functional
-on the counterexample rho = 0.8 GHZ + 0.2 W (the GHZ/W sqrt-tau solves
-return a certified decomposition without a search).
+lock-step search over 5 random starts of a rank-3 state; one
+default-options ``roof_minimize`` of the tau functional on the
+counterexample rho = 0.8 GHZ + 0.2 W, which the rank-2 linear program
+certifies without a search; and one default-options sqrt-tau
+``roof_minimize`` of a random rank-3 state, which runs the full search.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -64,9 +65,17 @@ def main():
     t0 = time.perf_counter()
     res = rt.roof_minimize(rho, "tau")
     dt = time.perf_counter() - t0
-    print(f"\nroof_minimize, tau of the counterexample rho (default options, "
-          f"{res.restarts_used} restarts): value={res.value:.9f} in {dt:.2f}s")
+    print(f"\nroof_minimize, tau of the counterexample rho (default options, linear program, "
+          f"{res.restarts_used} restarts): value={res.value:.9f} "
+          f"lower_bound={res.lower_bound:.9f} in {dt * 1e3:.1f} ms")
 
+    z = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    rho3 = rt.DensityMatrix(z @ z.conj().T / np.trace(z @ z.conj().T).real)
+    t0 = time.perf_counter()
+    res = rt.roof_minimize(rho3, "sqrt_tau")
+    dt = time.perf_counter() - t0
+    print(f"roof_minimize, sqrt-tau of a random rank-3 rho (default options, search, "
+          f"{res.restarts_used} restarts): value={res.value:.9f} in {dt:.2f}s")
 
 if __name__ == "__main__":
     main()

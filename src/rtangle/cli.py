@@ -141,6 +141,8 @@ def cmd_roof(args) -> int:
         return EXIT_RANK
     print(f"functional    = {functional}")
     print(f"value         = {_fmt(result.value)}")
+    bound = "none" if result.lower_bound is None else _fmt(result.lower_bound)
+    print(f"lower_bound   = {bound}")
     print(f"restarts_used = {result.restarts_used}")
     print(f"converged     = {result.converged}")
     print(f"members       = {len(result.ensemble)}")

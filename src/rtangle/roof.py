@@ -31,8 +31,9 @@ least-squares fit over the root projectors either certifies a tangle-free
 decomposition outright or provides starting points that already sit on the
 non-smooth locus.  Random restarts then cover the rest.
 
-Two certificates skip the search; the decomposition is then returned at
-once, with ``restarts_used == 0``:
+A rank-2 input meets, in order, three certificates that skip the search,
+then the search.  A certified decomposition is returned at once, with
+``restarts_used == 0`` and a ``lower_bound``:
 
 * zero: the fit's members fit in the ensemble size, mix back to rho, and
   are tangle-free to working precision (weighted member tangle at most
@@ -44,22 +45,29 @@ once, with ``restarts_used == 0``:
   sphere up to a measured offset, and the lower bound it gives on every
   decomposition is within ``_CERT_GAP`` of the seed's value (Osterloh,
   Siewert & Uhlmann, PRA 77, 032310 (2008)).  This is the linear branch of
-  the GHZ/W mixtures.  The offset is found numerically (grid, roots of the
-  quartic, pattern search), so this certifies to working precision; it is
-  not a proof.  For tau the objective has a Lipschitz cusp at each root,
-  where an affine function can rise above it between grid points, so tau
-  always searches.
+  the GHZ/W mixtures.
+* linear program (both functionals): the roof as a linear program over
+  the range's Bloch sphere, solved by column generation.  Its basic
+  solution is a decomposition of at most 4 members, and its dual is the
+  best affine bound, so the two bracket the roof.  The decomposition is
+  returned when the bracket is at most ``_CERT_GAP``; otherwise it joins
+  the search as one more seeded start, and the bound stays on the result.
+
+The affine offsets are found numerically (grid, roots of the quartic,
+pattern search), so these certify to working precision; they are not a
+proof.  The certificates are tried cheapest first: the zero and affine
+ones cost about a millisecond, a linear program tens of milliseconds.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from . import kernels
 from .invariants import invariants
@@ -130,12 +138,25 @@ class RoofResult:
     """Best decomposition found; ``value`` upper-bounds the true roof.
 
     ``best_restart_index`` is the index of the winning random restart, or
-    a negative number when one of the deterministic algebraic seed starts
-    won (-1 for the first seed, -2 for the second, ...).
+    a negative number when a deterministic start won: -1 for the first
+    algebraic seed, -2 for the second, ..., and after the seeds the
+    linear program's decomposition (rank 2).
     ``restarts_used == 0`` means no search ran: the input has rank 1, a
     certified tangle-free decomposition was returned (``best_restart_index``
-    -1, value 0 up to rounding), or a sqrt-tau seed passed the affine
-    certificate (``best_restart_index`` is that seed's label).
+    -1, value 0 up to rounding), a sqrt-tau seed passed the affine
+    certificate (``best_restart_index`` is that seed's label), or the
+    linear program closed its bracket (``best_restart_index`` is the
+    label its decomposition has as a start).
+
+    ``lower_bound`` is a lower bound on the true roof, to working precision
+    (its offset is a numerical minimum, not a proof), or None.  It is set
+    for rank-2 inputs: 0 for the tangle-free decomposition, the affine
+    bound of the certified seed, or the linear program's dual bound.  It is
+    None at every other rank, and at rank 2 when the program failed or its
+    bound came out above ``value`` by more than rounding.  With a lower
+    bound, ``converged`` means ``value - lower_bound`` is at most
+    ``_CERT_GAP`` (1e-7); without one, that the winning start's last
+    smoothing level stalled.
     """
 
     value: float
@@ -143,6 +164,7 @@ class RoofResult:
     restarts_used: int
     best_restart_index: int
     converged: bool
+    lower_bound: float | None = None
 
 
 def _check_functional(functional: str) -> bool:
@@ -268,16 +290,28 @@ def _bloch(angles: np.ndarray):
     return np.cos(half), np.exp(1j * angles[..., 1]) * np.sin(half)
 
 
+def _phase_off(V: np.ndarray):
+    """(c, y) of unit vectors V, (n, 2), with the phase of V[:, 0] taken off."""
+    return np.abs(V[:, 0]), V[:, 1] * np.exp(-1j * np.angle(V[:, 0]))
+
+
+def _basis(c, y) -> np.ndarray:
+    """The rows (c^2, |y|^2, 2 c Re y, 2 c Im y) of v v^H at unit (c, y)."""
+    return np.stack((c * c, y.real ** 2 + y.imag ** 2, 2.0 * c * y.real, 2.0 * c * y.imag),
+                    axis=-1)
+
+
 # Bloch-sphere grid (theta, phi) of the range, one step apart in both angles,
 # and the 5 x 5 pattern of the refinement around a point
 _BLOCH_STEP = np.pi / 60
 _BLOCH_GRID = np.stack(np.meshgrid(np.arange(61) * _BLOCH_STEP, np.arange(120) * _BLOCH_STEP,
                                    indexing="ij"), axis=-1).reshape(-1, 2)
 _BLOCH_C, _BLOCH_Y = _bloch(_BLOCH_GRID)
+_BLOCH_BASIS = _basis(_BLOCH_C, _BLOCH_Y)
 _PATTERN = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij"),
                     axis=-1).reshape(-1, 2)
-# value minus certified lower bound up to which a seed counts as optimal:
-# 2 sqrt|D| magnifies the rounding of a tangle-free member to ~1e-8
+# value minus certified lower bound up to which a decomposition counts as
+# optimal: 2 sqrt|D| magnifies the rounding of a tangle-free member to ~1e-8
 _CERT_GAP = 1e-7
 # sqrt-tau below which a member is fitted as tangle-free: a light member on
 # a root of q reads up to ~1e-7 after rounding, and an l fitted to that
@@ -286,62 +320,170 @@ _CERT_GAP = 1e-7
 _ROUNDED_ROOT = 1e-6
 
 
-def _affine_gap(W: np.ndarray, B: np.ndarray) -> float:
-    """Sqrt-tau value of the rank-2 decomposition W minus a lower bound on
-    the roof of rho = B^T conj(B), after Osterloh, Siewert & Uhlmann, PRA 77,
-    032310 (2008).
+class _Range:
+    """The range of a rank-2 rho = B^T conj(B) on its Bloch sphere.
 
     A unit v in C^2 stands for the range state v0 e0 + v1 e1 (orthonormal
-    eigenvectors e_k, eigenvalues lambda_k), of sqrt-tau g(v) = 2 sqrt|q(v)|.
-    If l(v) = v^H X v, X Hermitian, satisfies g >= l - delta on the whole
-    sphere, every decomposition of rho has a value of at least
-    L = lambda_0 X_00 + lambda_1 X_11 - delta.  X is the least-squares fit
-    of l = g at the members of W (0 for a member below ``_ROUNDED_ROOT``);
-    delta = max(0, -min(g - l)) with the minimum taken over a grid, the
-    roots of q, the members, and a pattern search from these.
-    That minimum is numerical, so a small gap certifies W to working
-    precision only, not as a proof; W's value is an upper bound in any case.
+    eigenvectors e_k, eigenvalues lambda_k); every decomposition of rho is
+    a mixture of such states.  Its objective is f(v) = 2 sqrt|q(v)|
+    (sqrt-tau) or 4 |q(v)| (tau), with q the hyperdeterminant restricted to
+    the range.  A Hermitian X gives the affine function
+    l(v) = v^H X v = _basis(v) @ (X_00, X_11, Re X_01, -Im X_01).  If
+    f >= l - delta on the whole sphere, every decomposition of rho has a
+    value of at least lambda_0 X_00 + lambda_1 X_11 - delta (Osterloh,
+    Siewert & Uhlmann, PRA 77, 032310 (2008)).
     """
-    lam = (B.real ** 2 + B.imag ** 2).sum(-1)
-    E = B / np.sqrt(lam)[:, None]
-    q = _pair_quartic(E[0], E[1])
-    A = W @ E.conj().T  # member coordinates on the eigenvectors
+
+    def __init__(self, B: np.ndarray, use_sqrt: bool):
+        self.lam = (B.real ** 2 + B.imag ** 2).sum(-1)
+        self.E = B / np.sqrt(self.lam)[:, None]
+        self.q = _pair_quartic(self.E[0], self.E[1])
+        self.use_sqrt = use_sqrt
+        # the tangle-free directions, the roots of q
+        self.roots = np.array(_zero_direction_rows(self.E)).reshape(-1, 2)
+
+    def f(self, c, y):
+        """Objective of the unit range vectors (c, y), q by homogeneous Horner."""
+        q, y2 = self.q, y * y
+        h = ((q[4] * c + q[3] * y) * c + q[2] * y2) * c + q[1] * (y2 * y)
+        a = np.abs(h * c + q[0] * (y2 * y2))
+        return 2.0 * np.sqrt(a) if self.use_sqrt else 4.0 * a
+
+    def bound(self, X, lowest: float) -> float:
+        """The lower bound of X, given the lowest f - l found on the sphere."""
+        return self.lam[0] * X[0] + self.lam[1] * X[1] - max(0.0, -lowest)
+
+    def lowest(self, X, on_grid: np.ndarray, c, y):
+        """Lowest f - l over the grid (``on_grid``, its values there), the
+        points (c, y) and a 14-step pattern search from these and the 8
+        lowest grid points; and every point the search moved to."""
+        def excess(c, y):
+            return self.f(c, y) - _basis(c, y) @ X
+
+        lowest = min(on_grid.min(), excess(c, y).min())
+        pts = np.concatenate((np.stack((2.0 * np.arctan2(np.abs(y), c), np.angle(y)), axis=-1),
+                              _BLOCH_GRID[np.argpartition(on_grid, 8)[:8]]))
+        step, visited = _BLOCH_STEP, []
+        for _ in range(14):
+            trial = pts[:, None, :] + step * _PATTERN
+            vals = excess(*_bloch(trial))
+            pts = trial[np.arange(len(pts)), np.argmin(vals, axis=1)]
+            visited.append(pts)
+            lowest = min(lowest, vals.min())
+            step /= 3.0
+        return lowest, np.concatenate(visited)
+
+
+def _affine_gap(W: np.ndarray, B: np.ndarray) -> float:
+    """Sqrt-tau value of the rank-2 decomposition W minus a lower bound on
+    the roof of rho = B^T conj(B) (see :class:`_Range`).
+
+    X is the least-squares fit of l = g at the members of W (0 for a member
+    below ``_ROUNDED_ROOT``); delta = max(0, -min(g - l)) with the minimum
+    taken over a grid, the roots of q, the members, and a pattern search
+    from these.  That minimum is numerical, so a small gap certifies W to
+    working precision only, not as a proof; W's value is an upper bound in
+    any case.
+    """
+    sphere = _Range(B, True)
+    A = W @ sphere.E.conj().T  # member coordinates on the eigenvectors
     n2 = (A.real ** 2 + A.imag ** 2).sum(-1)
     members = A[n2 > _WEIGHT_FLOOR] / np.sqrt(n2[n2 > _WEIGHT_FLOOR])[:, None]
     # members, then roots of q, as (c, y): the phase taken off v0 >= 0
-    V = np.concatenate((members, np.array(_zero_direction_rows(E)).reshape(-1, 2)))
-    c, y = np.abs(V[:, 0]), V[:, 1] * np.exp(-1j * np.angle(V[:, 0]))
+    c, y = _phase_off(np.concatenate((members, sphere.roots)))
     n = len(members)
+    at_members = sphere.f(c[:n], y[:n])
+    X = np.linalg.lstsq(_basis(c[:n], y[:n]),
+                        np.where(at_members < _ROUNDED_ROOT, 0.0, at_members), rcond=None)[0]
+    on_grid = sphere.f(_BLOCH_C, _BLOCH_Y) - _BLOCH_BASIS @ X
+    lowest, _ = sphere.lowest(X, on_grid, c, y)
+    return float(kernels.roof_value(W, True, 0.0) - sphere.bound(X, lowest))
 
-    def g(c, y):  # 2 sqrt|q(c, y)|, q by homogeneous Horner
-        y2 = y * y
-        h = ((q[4] * c + q[3] * y) * c + q[2] * y2) * c + q[1] * (y2 * y)
-        return 2.0 * np.sqrt(np.abs(h * c + q[0] * (y2 * y2)))
 
-    def basis(c, y):  # l = basis @ (X_00, X_11, Re X_01, -Im X_01)
-        return np.stack((c * c, y.real ** 2 + y.imag ** 2, 2.0 * c * y.real, 2.0 * c * y.imag),
-                        axis=-1)
+# --------------------------------------------------------------------------
+# rank-2 roof as a linear program over the range's Bloch sphere
 
-    at_members = g(c[:n], y[:n])
-    X = np.linalg.lstsq(basis(c[:n], y[:n]), np.where(at_members < _ROUNDED_ROOT, 0.0, at_members),
-                        rcond=None)[0]
+# HiGHS at its tightest feasibility tolerances: the default 1e-7 would leave
+# reduced costs of that size, a bracket as wide as _CERT_GAP.  Presolve only
+# costs time on four rows.
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+          "presolve": False}
+_LP_ROUNDS = 20
+# the program's own gap at which rounds stop: half of _CERT_GAP leaves the
+# other half for the rounding of the retracted decomposition's members
+_LP_GAP = _CERT_GAP / 2
+_LP_KEEP = 150       # lowest reduced costs kept in the working set per round
+_LP_START = (np.arange(61)[:, None] % 4 == 0) & (np.arange(120) % 4 == 0)  # 16 x 30 grid
+# how far a lower bound may sit above a decomposition's value from rounding
+# alone; further above, pricing missed a point and the bound is dropped
+_BOUND_SLACK = 1e-9
 
-    def excess(c, y):  # g - l
-        return g(c, y) - basis(c, y) @ X
 
-    on_grid = excess(_BLOCH_C, _BLOCH_Y)
-    lowest = min(on_grid.min(), excess(c, y).min())
-    pts = np.concatenate((np.stack((2.0 * np.arctan2(np.abs(y), c), np.angle(y)), axis=-1),
-                          _BLOCH_GRID[np.argpartition(on_grid, 8)[:8]]))
-    step = _BLOCH_STEP
-    for _ in range(14):
-        trial = pts[:, None, :] + step * _PATTERN
-        vals = excess(*_bloch(trial))
-        pts = trial[np.arange(len(pts)), np.argmin(vals, axis=1)]
-        lowest = min(lowest, vals.min())
-        step /= 3.0
-    bound = lam[0] * X[0] + lam[1] * X[1] - max(0.0, -lowest)
-    return float(kernels.roof_value(W, True, 0.0) - bound)
+def _lp_roof(B: np.ndarray, use_sqrt: bool):
+    """The roof of a rank-2 rho = B^T conj(B) as a linear program.
+
+    Columns are unit range vectors v with cost f(v) (see :class:`_Range`);
+    weights w >= 0 with sum_k w_k v_k v_k^H = diag(lambda), four real
+    equality rows, give a decomposition, so the program's value is an upper
+    bound on the roof and its dual X gives the affine lower bound.  Column
+    generation: HiGHS solves a working set of a few hundred columns (the
+    roots of q, then a 16 x 30 grid), the dual is priced over the 61 x 120
+    grid, the roots and a pattern search, and the next working set is the
+    support, the lowest reduced costs and the points the pattern search
+    visited.  Rounds stop once the program's value is within ``_LP_GAP``
+    of the bound, or after ``_LP_ROUNDS``.  For sqrt-tau, a root column
+    below ``_ROUNDED_ROOT`` costs 0, its exact value.
+
+    Returns (rows, bound), or None when HiGHS fails: ``rows`` are the at
+    most 4 members of the basic solution as rows of U, (k, 2), their
+    weights solved exactly on the support; ``bound`` is the lower bound.
+    Like :func:`_affine_gap`'s, the bound rests on a numerical minimum, so
+    it holds to working precision, not as a proof.
+    """
+    sphere = _Range(B, use_sqrt)
+    b_eq = np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
+    grid_f = sphere.f(_BLOCH_C, _BLOCH_Y)
+    root_c, root_y = _phase_off(sphere.roots)
+    root_f = sphere.f(root_c, root_y)
+    if use_sqrt:
+        root_f = np.where(root_f < _ROUNDED_ROOT, 0.0, root_f)
+    root_basis = _basis(root_c, root_y)
+    start = _LP_START.ravel()
+    # the working set: unit vectors (c, y), their costs and constraint rows
+    c = np.concatenate((root_c, _BLOCH_C[start]))
+    y = np.concatenate((root_y, _BLOCH_Y[start]))
+    cost = np.concatenate((root_f, grid_f[start]))
+    rows = np.concatenate((root_basis, _BLOCH_BASIS[start]))
+    for round_ in range(_LP_ROUNDS):
+        if round_:
+            # the support and the lowest reduced costs among the working set,
+            # the roots and the grid, then the points the pricing visited
+            pool_c = np.concatenate((c, root_c, _BLOCH_C))
+            pool_y = np.concatenate((y, root_y, _BLOCH_Y))
+            pool_cost = np.concatenate((cost, root_f, grid_f))
+            pool_rows = np.concatenate((rows, root_basis, _BLOCH_BASIS))
+            reduced = pool_cost - pool_rows @ X
+            keep = np.union1d(support, np.argpartition(reduced, _LP_KEEP)[:_LP_KEEP])
+            new_c, new_y = _bloch(visited)
+            c = np.concatenate((pool_c[keep], new_c))
+            y = np.concatenate((pool_y[keep], new_y))
+            cost = np.concatenate((pool_cost[keep], sphere.f(new_c, new_y)))
+            rows = np.concatenate((pool_rows[keep], _basis(new_c, new_y)))
+        lp = linprog(cost, A_eq=rows.T, b_eq=b_eq, bounds=(0.0, None), method="highs",
+                     options=_HIGHS)
+        if lp.status != 0:
+            return None
+        X = lp.eqlin.marginals
+        support = np.flatnonzero(lp.x > 0.0)
+        on_grid = grid_f - _BLOCH_BASIS @ X
+        lowest, visited = sphere.lowest(X, on_grid, c[support], y[support])
+        bound = sphere.bound(X, min(lowest, (root_f - root_basis @ X).min()))
+        if lp.fun - bound <= _LP_GAP:
+            break
+    # the basic solution's weights, solved on its support to rounding
+    w = np.linalg.lstsq(rows[support].T, b_eq, rcond=None)[0]
+    V = np.stack((c[support] + 0j, y[support]), axis=-1)
+    return np.sqrt(np.maximum(w, 0.0))[:, None] * V / np.sqrt(sphere.lam), float(bound)
 
 
 # --------------------------------------------------------------------------
@@ -369,6 +511,11 @@ def _retract(Y: np.ndarray):
             except np.linalg.LinAlgError:
                 ok[i] = False
         return out, ok
+
+
+def _sub(idx, mask: np.ndarray) -> np.ndarray:
+    """The starts of ``idx``, an index array or ``slice(None)``, where mask holds."""
+    return np.flatnonzero(mask) if isinstance(idx, slice) else idx[mask]
 
 
 class _LockStep:
@@ -437,21 +584,22 @@ class _LockStep:
 
     def _project(self, idx, U, P):
         """Riemannian gradient at the starts' U from their Wirtinger derivative
-        P; a vanishing or non-finite one ends the level."""
-        if idx.size == 0:
+        P; a vanishing or non-finite one ends the level.  ``idx`` is an index
+        array or, for every start, ``slice(None)``."""
+        if len(U) == 0:
             return
         E = np.conj(P) @ self.B2
         A = _herm(U) @ E
         G = E - U @ ((A + _herm(A)) / 2.0)
-        gn2 = (G.real ** 2 + G.imag ** 2).reshape(len(idx), -1).sum(-1)
+        gn2 = (G.real ** 2 + G.imag ** 2).reshape(len(U), -1).sum(-1)
         self.G[idx], self.gn2[idx] = G, gn2
         flat = ~np.isfinite(gn2) | (gn2 < _GRAD_FLOOR)
         if not flat.any():
             self.searching[idx] = True
             return
-        self.searching[idx[~flat]] = True
+        self.searching[_sub(idx, ~flat)] = True
         # a non-finite gradient cuts the level short: not stalled
-        self._end(idx[flat], np.isfinite(gn2[flat]))
+        self._end(_sub(idx, flat), np.isfinite(gn2[flat]))
 
     def _end(self, idx, stalled):
         """Close the level: keep a better exact value, then open the next
@@ -471,35 +619,37 @@ class _LockStep:
         self._begin(idx)
 
     def _tick(self):
-        idx = np.flatnonzero(self.searching)
+        # until the first start retires every start is in a line search, and
+        # a slice reads and writes the per-start arrays without a gather
+        idx = slice(None) if self.searching.all() else np.flatnonzero(self.searching)
         eta = self.eta[idx]
         trial, ok = _retract(self.U[idx] - eta[:, None, None] * self.G[idx])
         back = []  # starts whose step halves: failed retraction or rejected trial
         if not ok.all():
-            back.append(idx[~ok])
-            idx, eta, trial = idx[ok], eta[ok], trial[ok]
+            back.append(_sub(idx, ~ok))
+            idx, eta, trial = _sub(idx, ok), eta[ok], trial[ok]
         f, P = kernels.roof_value_grad(trial @ self.B, self.use_sqrt, self.eps[idx])
         f0 = self.f[idx]
         accept = f < f0 - _ARMIJO * eta * self.gn2[idx]
         if not accept.all():
-            back.append(idx[~accept])
-            idx, eta, trial, f, P = idx[accept], eta[accept], trial[accept], f[accept], P[accept]
+            back.append(_sub(idx, ~accept))
+            idx, eta, trial, f, P = _sub(idx, accept), eta[accept], trial[accept], f[accept], P[accept]
             f0 = f0[accept]
         if back:
             back = np.concatenate(back)
             self.eta[back] *= 0.5
             self._end(back[self.eta[back] <= _ETA_MIN], True)
 
+        small = f0 - f < self.tol[idx]  # before f0, a view under a slice, is overwritten
         self.U[idx], self.f[idx] = trial, f
         self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
         self.steps[idx] += 1
-        small = f0 - f < self.tol[idx]
         spent = ~small & (self.steps[idx] >= self.budget[idx])
         if small.any() or spent.any():
-            self._end(idx[small], True)
-            self._end(idx[spent], False)
+            self._end(_sub(idx, small), True)
+            self._end(_sub(idx, spent), False)
             go_on = ~(small | spent)
-            idx, trial, P = idx[go_on], trial[go_on], P[go_on]
+            idx, trial, P = _sub(idx, go_on), trial[go_on], P[go_on]
         self._project(idx, trial, P)
 
 
@@ -637,11 +787,12 @@ def _simplex_search(W0, B, use_sqrt, opts: RoofOptions, schedule=_COARSE_SCHEDUL
 # --------------------------------------------------------------------------
 
 def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_index: int,
-            converged: bool) -> RoofResult:
+            converged: bool, lower_bound: float | None = None) -> RoofResult:
     ensemble = _ensemble_from_rows(W)
     value = sum(w * _member_value(psi, use_sqrt) for w, psi in ensemble.members)
     return RoofResult(value=float(value), ensemble=ensemble, restarts_used=restarts_used,
-                      best_restart_index=best_restart_index, converged=converged)
+                      best_restart_index=best_restart_index, converged=converged,
+                      lower_bound=lower_bound)
 
 
 def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
@@ -660,23 +811,34 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
 
     exact, seeds = _seed_starts(B, m) if r == 2 else (None, [])
     # one (W, exact value, stalled) per start, in start order: the exact
-    # decomposition, the algebraic seeds (labels -1, -2, ...), then the
-    # restarts (labels 0, 1, ...); ties go to the earlier start
+    # decomposition, the algebraic seeds and the LP's decomposition (labels
+    # -1, -2, ...), then the restarts (labels 0, 1, ...); ties go to the
+    # earlier start
     results = []
     if exact is not None:
         W = exact @ B
         if kernels.roof_value(W, False, 0.0) <= _ZERO_TANGLE:
-            return _result(W, use_sqrt, 0, -1, True)
+            return _result(W, use_sqrt, 0, -1, True, 0.0)
         results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
-    n_seeded = len(results) + len(seeds)
-    labels = [-k for k in range(1, n_seeded + 1)] + list(range(opts.restarts))
-    if use_sqrt and n_seeded:
+    if use_sqrt and (results or seeds):
         # the lowest-valued seeded start, returned as is when the affine
         # bound certifies it (the linear branch of the GHZ/W mixtures)
         candidates = [W for W, _, _ in results] + [U @ B for U in seeds]
         k = int(np.argmin([kernels.roof_value(W, True, 0.0) for W in candidates]))
-        if _affine_gap(candidates[k], B) <= _CERT_GAP:
-            return _result(candidates[k], use_sqrt, 0, labels[k], True)
+        gap = _affine_gap(candidates[k], B)
+        if gap <= _CERT_GAP:
+            return _result(candidates[k], use_sqrt, 0, -1 - k, True,
+                           float(kernels.roof_value(candidates[k], True, 0.0) - gap))
+    lp = _lp_roof(B, use_sqrt) if r == 2 else None
+    lp_rows, lower_bound = (None, None) if lp is None else lp
+    if lp_rows is not None and len(lp_rows) <= m:
+        U = kernels.polar_retract(np.concatenate((lp_rows, np.zeros((m - len(lp_rows), 2)))))
+        res = _result(U @ B, use_sqrt, 0, -1 - len(results) - len(seeds), True, lower_bound)
+        if res.value - lower_bound <= _CERT_GAP and lower_bound <= res.value + _BOUND_SLACK:
+            return res
+        seeds.append(U)
+    n_seeded = len(results) + len(seeds)
+    labels = [-k for k in range(1, n_seeded + 1)] + list(range(opts.restarts))
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
     if opts.method == "gradient":
         restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
@@ -688,8 +850,12 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
         results += [_simplex_search(_assemble_from_angles(rng.uniform(0.0, 2.0 * np.pi, m * m), B, m),
                                     B, use_sqrt, opts) for rng in rngs]
     best = int(np.argmin([value for _, value, _ in results]))
-    best_W, _, best_stalled = results[best]
-    return _result(best_W, use_sqrt, opts.restarts, labels[best], bool(best_stalled))
+    best_W, _, converged = results[best]
+    res = _result(best_W, use_sqrt, opts.restarts, labels[best], bool(converged))
+    if lower_bound is None or lower_bound > res.value + _BOUND_SLACK:
+        return res
+    # a sound bracket: converged means it is closed
+    return replace(res, lower_bound=lower_bound, converged=res.value - lower_bound <= _CERT_GAP)
 
 
 def objective_at(rho: DensityMatrix, e: WeightedEnsemble, functional: str = "sqrt_tau") -> float:

@@ -263,6 +263,22 @@ def test_cli_roof_tau_functional(tmp_path, capsys):
     assert abs(_value(capsys.readouterr().out, "value") - fx.tau_input) < 5e-3
 
 
+def test_cli_roof_prints_the_lp_bracket(tmp_path, capsys):
+    """A rank-2 tau input is certified by the linear program: no search, and
+    a lower bound within 1e-7 of the value; other ranks print none."""
+    fx = rt.counterexample_fixture()
+    path = _write(tmp_path / "ens.json", stateio.ensemble_to_doc(fx.ensemble))
+    assert main(["roof", path, "--functional", "tau"]) == 0
+    out = capsys.readouterr().out
+    assert "restarts_used = 0" in out and "converged     = True" in out
+    keys = [line.split("=")[0].strip() for line in out.splitlines()]
+    assert keys == ["functional", "value", "lower_bound", "restarts_used", "converged", "members"]
+    assert abs(_value(out, "value") - _value(out, "lower_bound")) <= 1e-7
+    ghz = _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state()))
+    assert main(["roof", ghz, "--restarts", "1"]) == 0
+    assert "lower_bound   = none" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["roof", "{ghz}", "--size", "9"],
     ["roof", "{ghz}", "--restarts", "0"],

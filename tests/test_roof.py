@@ -20,6 +20,16 @@ def _without_affine_certificate(monkeypatch):
     monkeypatch.setattr(roof, "_affine_gap", lambda W, B: np.inf)
 
 
+def _without_lp(monkeypatch):
+    """Switch the rank-2 linear program off, so the search runs alone."""
+    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: None)
+
+
+def _without_certificates(monkeypatch):
+    _without_affine_certificate(monkeypatch)
+    _without_lp(monkeypatch)
+
+
 def test_rank1_is_exact():
     rho = _pure_density(ghz_state())
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
@@ -51,7 +61,7 @@ def test_determinism_bit_for_bit():
 
 
 def test_monotonicity_in_restarts(monkeypatch):
-    _without_affine_certificate(monkeypatch)
+    _without_certificates(monkeypatch)
     rho = std_mixture(0.75).density()
     results = [rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=k, seed=5))
                for k in (1, 3, 6)]
@@ -95,7 +105,7 @@ def test_tau_functional_reproduces_reference_constants():
 
 
 def test_simplex_method_upper_bound_and_zero_branch(monkeypatch):
-    _without_affine_certificate(monkeypatch)
+    _without_certificates(monkeypatch)
     mix = std_mixture(0.8)
     opts = rt.RoofOptions(restarts=3, method="simplex", max_iterations=400)
     res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
@@ -368,7 +378,7 @@ def test_search_never_undercuts_the_certificate(monkeypatch):
     certified = [rt.roof_minimize(mix.density(), "sqrt_tau", opts) for mix in cases]
     # without the tangle-free decomposition the best raw seed would pass the
     # affine certificate instead
-    _without_affine_certificate(monkeypatch)
+    _without_certificates(monkeypatch)
     seed_starts = roof._seed_starts
     monkeypatch.setattr(roof, "_seed_starts", lambda B, m: (None, seed_starts(B, m)[1]))
     for mix, cert in zip(cases, certified):
@@ -390,7 +400,7 @@ def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
         return rotation @ exact, starts
 
     monkeypatch.setattr(roof, "_seed_starts", perturbed)
-    _without_affine_certificate(monkeypatch)  # the raw seeds would pass it
+    _without_certificates(monkeypatch)  # either would certify without a search
     rho = std_mixture(0.3).density()
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
     assert res.restarts_used == FAST.restarts
@@ -410,10 +420,10 @@ def _linear_branch_cases():
 
 def test_linear_branch_returns_the_certified_seed(monkeypatch):
     """The best algebraic seed is returned without a search, and a search
-    without the certificate never undercuts it."""
+    without the certificates never undercuts it."""
     cases = _linear_branch_cases()
     certified = [rt.roof_minimize(mix.density(), "sqrt_tau", FAST) for mix in cases]
-    _without_affine_certificate(monkeypatch)
+    _without_certificates(monkeypatch)
     opts = rt.RoofOptions(restarts=3)
     for mix, cert in zip(cases, certified):
         closed = rt.analyze(mix).rtangle
@@ -460,7 +470,9 @@ def test_affine_bound_never_exceeds_the_closed_form():
 
 
 def test_uncertified_inputs_run_the_full_search(monkeypatch):
-    """tau, a generic rank-3 input and a rotated (not optimal) seed all search."""
+    """Without the linear program, tau, a generic rank-3 input and a rotated
+    (not optimal) seed all search."""
+    _without_lp(monkeypatch)
     mix = std_mixture(0.8)
     res = rt.roof_minimize(mix.density(), "tau", FAST)
     assert res.restarts_used == FAST.restarts
@@ -489,3 +501,112 @@ def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
 
+
+# ------------------------------------------------------- the rank-2 linear program
+
+def _slocc_image(rho, ops):
+    """(A x B x C) rho (A x B x C)^dag / p and alpha = |det A det B det C| / p."""
+    M = np.kron(ops[0], np.kron(ops[1], ops[2]))
+    image = M @ rho.matrix @ M.conj().T
+    p = np.trace(image).real
+    alpha = abs(np.prod([np.linalg.det(op) for op in ops])) / p
+    image = image / p
+    return rt.DensityMatrix((image + image.conj().T) / 2.0), alpha
+
+
+def test_lp_brackets_the_roof_on_slocc_orbits():
+    """t_r is covariant on the whole SLOCC orbit of a GHZ/W mixture: the
+    bracket of an image under random complex local operators contains
+    alpha t_r, and neither certificate of the seeds fires there."""
+    rng = np.random.default_rng(5)
+    for p in (0.8, 0.95):
+        mix = std_mixture(p)
+        ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        image, alpha = _slocc_image(mix.density(), ops)
+        want = alpha * rt.analyze(mix).rtangle
+        res = rt.roof_minimize(image, "sqrt_tau", FAST)
+        assert res.restarts_used == 0 and res.converged
+        assert res.lower_bound - 1e-9 <= want <= res.value + 1e-9
+        assert res.value - want <= 1e-6
+        assert _mixes_back(res, image)
+
+
+def test_lp_brackets_the_counterexample_tau_constants():
+    fx = rt.counterexample_fixture()
+    rho = rt.ensemble_to_density(fx.ensemble)
+    rho0 = rt.measure(fx.ensemble, fx.measurement)[0].post_density
+    for state, want in ((rho, TAU_RHO), (rho0, TAU_RHO0)):
+        res = rt.roof_minimize(state, "tau", FAST)
+        assert res.restarts_used == 0 and res.converged
+        assert res.lower_bound - 1e-9 <= want <= res.value + 1e-9
+        assert res.value - res.lower_bound <= roof._CERT_GAP
+        again = rt.roof_minimize(state, "tau", FAST)
+        assert again.value == res.value and again.lower_bound == res.lower_bound
+
+
+def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
+    """Without the zero and affine certificates the linear program returns
+    a decomposition within _CERT_GAP of the closed form, on the zero branch
+    and on the linear one, and its bound never rises above the closed form."""
+    _without_affine_certificate(monkeypatch)
+    seed_starts = roof._seed_starts
+    monkeypatch.setattr(roof, "_seed_starts", lambda B, m: (None, seed_starts(B, m)[1]))
+    for mix in _ghzw_both_branches()[:6]:
+        closed = rt.analyze(mix).rtangle
+        res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
+        assert res.restarts_used == 0 and res.converged
+        assert res.lower_bound <= closed + 1e-9
+        assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
+        assert _mixes_back(res, mix.density())
+
+
+def test_lower_bound_only_at_rank_2():
+    assert rt.roof_minimize(_pure_density(ghz_state()), "tau", FAST).lower_bound is None
+    B, _ = _generic_starts(3, 0)
+    opts = rt.RoofOptions(restarts=1, max_iterations=100)
+    assert rt.roof_minimize(rt.DensityMatrix(B.T @ B.conj()), "tau", opts).lower_bound is None
+    for p in (0.3, 0.8):  # the zero and the affine certificate
+        res = rt.roof_minimize(std_mixture(p).density(), "sqrt_tau", FAST)
+        assert isinstance(res.lower_bound, float)
+        assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
+
+
+def test_bound_above_the_value_is_not_certified(monkeypatch):
+    """A bound above the program's own decomposition means pricing missed a
+    point: the decomposition only joins the search, and no bound is reported."""
+    lp_roof = roof._lp_roof
+    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: (lp_roof(B, use_sqrt)[0], 1.0))
+    rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
+    opts = rt.RoofOptions(restarts=2, max_iterations=300)
+    res = rt.roof_minimize(rho, "tau", opts)
+    assert res.restarts_used == 2 and res.lower_bound is None
+    assert abs(res.value - TAU_RHO) <= 1e-7  # the program's start won or tied
+
+
+def _random_rank2(rng):
+    """Two random pure states mixed with Dirichlet weights."""
+    w = rng.dirichlet([1.0, 1.0])
+    rows = [random_pure(rng).amp for _ in range(2)]
+    return rt.DensityMatrix(sum(wk * np.outer(v, v.conj()) for wk, v in zip(w, rows)))
+
+
+def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch):
+    """Thirty random rank-2 states, both functionals: every result mixes
+    back, carries a bound no higher than its value, and a bracket of at
+    most 1e-5; on six of them the value is no worse than the search's."""
+    rng = np.random.default_rng(2026)
+    states = [_random_rank2(rng) for _ in range(30)]
+    results = {}
+    for k, rho in enumerate(states):
+        for functional in roof.FUNCTIONALS:
+            res = rt.roof_minimize(rho, functional)
+            assert _mixes_back(res, rho)
+            assert res.lower_bound is not None and res.lower_bound <= res.value + 1e-9
+            assert res.value - res.lower_bound <= 1e-5
+            results[k, functional] = res.value
+    _without_lp(monkeypatch)
+    checked = [(k, f) for k, f in results if results[k, f] > 1e-6][:6]
+    assert len(checked) == 6
+    for k, functional in checked:
+        search = rt.roof_minimize(states[k], functional, rt.RoofOptions(restarts=5))
+        assert results[k, functional] <= search.value + 1e-7
