@@ -47,7 +47,7 @@ then the search.  A certified decomposition is returned at once, with
   Siewert & Uhlmann, PRA 77, 032310 (2008)).  This is the linear branch of
   the GHZ/W mixtures.
 * linear program (both functionals): the roof as a linear program over
-  the range's Bloch sphere, solved by column generation.  Its basic
+  the range's Bloch sphere, solved by a revised simplex.  Its basic
   solution is a decomposition of at most 4 members, and its dual is the
   best affine bound, so the two bracket the roof.  The decomposition is
   returned when the bracket is at most ``_CERT_GAP``; otherwise it joins
@@ -56,7 +56,7 @@ then the search.  A certified decomposition is returned at once, with
 The affine offsets are found numerically (grid, roots of the quartic,
 pattern search), so these certify to working precision; they are not a
 proof.  The certificates are tried cheapest first: the zero and affine
-ones cost about a millisecond, a linear program tens of milliseconds.
+ones cost about a millisecond, a linear program about ten.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.
@@ -67,7 +67,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
 
 from . import kernels
 from .invariants import invariants
@@ -198,16 +198,14 @@ def _ensemble_from_rows(W: np.ndarray) -> WeightedEnsemble:
 # --------------------------------------------------------------------------
 # algebraic seeding for rank-2 inputs
 
-_QPTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 1j))
-_QVINV = np.linalg.inv(
-    np.array([[x ** k * y ** (4 - k) for k in range(5)] for x, y in _QPTS], dtype=complex)
-)
+# the five sample points (x, y) of the quartic, as columns
+_QX, _QY = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j]]).T[:, :, None]
+_QVINV = np.linalg.inv(_QX ** np.arange(5) * _QY ** np.arange(4, -1, -1))
 
 
 def _pair_quartic(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Coefficients q_k of Det(x w1 + y w2) = sum_k q_k x^k y^(4-k)."""
-    vals = np.array([kernels.hyperdet_rows((x * w1 + y * w2)[None, :])[0] for x, y in _QPTS])
-    return _QVINV @ vals
+    return _QVINV @ kernels.hyperdet_rows(_QX * w1 + _QY * w2)
 
 
 def _zero_direction_rows(B: np.ndarray) -> list:
@@ -403,20 +401,37 @@ def _affine_gap(W: np.ndarray, B: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # rank-2 roof as a linear program over the range's Bloch sphere
 
-# HiGHS at its tightest feasibility tolerances: the default 1e-7 would leave
-# reduced costs of that size, a bracket as wide as _CERT_GAP.  Presolve only
-# costs time on four rows.
-_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
-          "presolve": False}
 _LP_ROUNDS = 20
 # the program's own gap at which rounds stop: half of _CERT_GAP leaves the
 # other half for the rounding of the retracted decomposition's members
 _LP_GAP = _CERT_GAP / 2
-_LP_KEEP = 150       # lowest reduced costs kept in the working set per round
-_LP_START = (np.arange(61)[:, None] % 4 == 0) & (np.arange(120) % 4 == 0)  # 16 x 30 grid
+# the grid columns of e0, e1, (e0 + e1)/sqrt 2 and (e0 + i e1)/sqrt 2: the
+# weights (lambda_0, lambda_1, 0, 0) on them are a feasible basic solution
+_LP_BASIS = np.array([0, 60 * 120, 30 * 120, 30 * 120 + 30])
+_LP_PIVOTS = 200     # pivots per round
+_LP_TOL = 1e-12      # least negative reduced cost, and least ratio-test pivot
 # how far a lower bound may sit above a decomposition's value from rounding
 # alone; further above, pricing missed a point and the bound is dropped
 _BOUND_SLACK = 1e-9
+
+
+def _simplex(cost, rows, b, basis):
+    """Revised simplex for min cost @ w, rows^T w = b, w >= 0, from the
+    feasible ``basis`` (4 column indices, updated in place), ties to the
+    lowest index.  Returns the basic weights, the dual X and the reduced
+    costs; raises LinAlgError on a singular basis or after ``_LP_PIVOTS``."""
+    for _ in range(_LP_PIVOTS + 1):
+        X = np.linalg.solve(rows[basis], cost[basis])
+        reduced = cost - rows @ X
+        j = int(np.argmin(reduced))
+        if reduced[j] >= -_LP_TOL:
+            return np.linalg.solve(rows[basis].T, b), X, reduced
+        w, d = np.linalg.solve(rows[basis].T, np.stack((b, rows[j]), axis=-1)).T
+        # every column has c^2 + |y|^2 = 1, so d sums to 1: no direction is unbounded
+        ratio = np.where(d > _LP_TOL, np.maximum(w, 0.0), np.inf) / np.maximum(d, _LP_TOL)
+        ties = np.flatnonzero(ratio == ratio.min())
+        basis[ties[np.argmin(basis[ties])]] = j
+    raise np.linalg.LinAlgError(f"no optimal basis in {_LP_PIVOTS} pivots")
 
 
 def _lp_roof(B: np.ndarray, use_sqrt: bool):
@@ -425,63 +440,45 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
     Columns are unit range vectors v with cost f(v) (see :class:`_Range`);
     weights w >= 0 with sum_k w_k v_k v_k^H = diag(lambda), four real
     equality rows, give a decomposition, so the program's value is an upper
-    bound on the roof and its dual X gives the affine lower bound.  Column
-    generation: HiGHS solves a working set of a few hundred columns (the
-    roots of q, then a 16 x 30 grid), the dual is priced over the 61 x 120
-    grid, the roots and a pattern search, and the next working set is the
-    support, the lowest reduced costs and the points the pattern search
-    visited.  Rounds stop once the program's value is within ``_LP_GAP``
-    of the bound, or after ``_LP_ROUNDS``.  For sqrt-tau, a root column
-    below ``_ROUNDED_ROOT`` costs 0, its exact value.
+    bound on the roof and its dual X gives the affine lower bound.
+    :func:`_simplex` solves over the 61 x 120 grid and the roots of q (for
+    sqrt-tau, a root below ``_ROUNDED_ROOT`` costs 0); each round prices X
+    by a pattern search, appends the points it visited as columns and
+    warm-starts from the last basis, until the program's value is within
+    ``_LP_GAP`` of the bound or after ``_LP_ROUNDS``.
 
-    Returns (rows, bound), or None when HiGHS fails: ``rows`` are the at
-    most 4 members of the basic solution as rows of U, (k, 2), their
-    weights solved exactly on the support; ``bound`` is the lower bound.
-    Like :func:`_affine_gap`'s, the bound rests on a numerical minimum, so
-    it holds to working precision, not as a proof.
+    Returns (rows, bound), or None when the simplex fails: ``rows`` are the
+    at most 4 members of the basic solution as rows of U, (k, 2), their
+    weights solved on the support; ``bound`` is the lower bound, which, as
+    :func:`_affine_gap`'s, holds to working precision, not as a proof.
     """
     sphere = _Range(B, use_sqrt)
-    b_eq = np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
-    grid_f = sphere.f(_BLOCH_C, _BLOCH_Y)
+    b = np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
     root_c, root_y = _phase_off(sphere.roots)
     root_f = sphere.f(root_c, root_y)
     if use_sqrt:
         root_f = np.where(root_f < _ROUNDED_ROOT, 0.0, root_f)
-    root_basis = _basis(root_c, root_y)
-    start = _LP_START.ravel()
-    # the working set: unit vectors (c, y), their costs and constraint rows
-    c = np.concatenate((root_c, _BLOCH_C[start]))
-    y = np.concatenate((root_y, _BLOCH_Y[start]))
-    cost = np.concatenate((root_f, grid_f[start]))
-    rows = np.concatenate((root_basis, _BLOCH_BASIS[start]))
-    for round_ in range(_LP_ROUNDS):
-        if round_:
-            # the support and the lowest reduced costs among the working set,
-            # the roots and the grid, then the points the pricing visited
-            pool_c = np.concatenate((c, root_c, _BLOCH_C))
-            pool_y = np.concatenate((y, root_y, _BLOCH_Y))
-            pool_cost = np.concatenate((cost, root_f, grid_f))
-            pool_rows = np.concatenate((rows, root_basis, _BLOCH_BASIS))
-            reduced = pool_cost - pool_rows @ X
-            keep = np.union1d(support, np.argpartition(reduced, _LP_KEEP)[:_LP_KEEP])
-            new_c, new_y = _bloch(visited)
-            c = np.concatenate((pool_c[keep], new_c))
-            y = np.concatenate((pool_y[keep], new_y))
-            cost = np.concatenate((pool_cost[keep], sphere.f(new_c, new_y)))
-            rows = np.concatenate((pool_rows[keep], _basis(new_c, new_y)))
-        lp = linprog(cost, A_eq=rows.T, b_eq=b_eq, bounds=(0.0, None), method="highs",
-                     options=_HIGHS)
-        if lp.status != 0:
+    # the columns: unit vectors (c, y), their costs and constraint rows
+    c, y = np.concatenate((_BLOCH_C, root_c)), np.concatenate((_BLOCH_Y, root_y))
+    cost = np.concatenate((sphere.f(_BLOCH_C, _BLOCH_Y), root_f))
+    rows = np.concatenate((_BLOCH_BASIS, _basis(root_c, root_y)))
+    basis = _LP_BASIS.copy()
+    for _ in range(_LP_ROUNDS):
+        try:
+            w, X, reduced = _simplex(cost, rows, b, basis)
+        except np.linalg.LinAlgError:
             return None
-        X = lp.eqlin.marginals
-        support = np.flatnonzero(lp.x > 0.0)
-        on_grid = grid_f - _BLOCH_BASIS @ X
-        lowest, visited = sphere.lowest(X, on_grid, c[support], y[support])
-        bound = sphere.bound(X, min(lowest, (root_f - root_basis @ X).min()))
-        if lp.fun - bound <= _LP_GAP:
+        support = basis[w > 0.0]
+        lowest, visited = sphere.lowest(X, reduced[:len(_BLOCH_C)], c[support], y[support])
+        bound = sphere.bound(X, min(lowest, reduced.min()))
+        if cost[basis] @ w - bound <= _LP_GAP:
             break
+        new_c, new_y = _bloch(visited)
+        c, y = np.concatenate((c, new_c)), np.concatenate((y, new_y))
+        cost = np.concatenate((cost, sphere.f(new_c, new_y)))
+        rows = np.concatenate((rows, _basis(new_c, new_y)))
     # the basic solution's weights, solved on its support to rounding
-    w = np.linalg.lstsq(rows[support].T, b_eq, rcond=None)[0]
+    w = np.linalg.lstsq(rows[support].T, b, rcond=None)[0]
     V = np.stack((c[support] + 0j, y[support]), axis=-1)
     return np.sqrt(np.maximum(w, 0.0))[:, None] * V / np.sqrt(sphere.lam), float(bound)
 

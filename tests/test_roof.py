@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import rtangle as rt
 from rtangle import kernels
@@ -610,3 +611,67 @@ def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch):
     for k, functional in checked:
         search = rt.roof_minimize(states[k], functional, rt.RoofOptions(restarts=5))
         assert results[k, functional] <= search.value + 1e-7
+
+
+def _lp_columns(B, use_sqrt):
+    """The simplex's first columns, the grid and the roots of q: costs,
+    constraint rows and the right-hand side."""
+    sphere = roof._Range(B, use_sqrt)
+    root_c, root_y = roof._phase_off(sphere.roots)
+    root_f = sphere.f(root_c, root_y)
+    if use_sqrt:
+        root_f = np.where(root_f < roof._ROUNDED_ROOT, 0.0, root_f)
+    cost = np.concatenate((sphere.f(roof._BLOCH_C, roof._BLOCH_Y), root_f))
+    rows = np.concatenate((roof._BLOCH_BASIS, roof._basis(root_c, root_y)))
+    return cost, rows, np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
+
+
+def test_simplex_matches_highs_on_the_same_columns():
+    """The revised simplex reaches HiGHS's optimum over the grid and the
+    roots: the counterexample rho (tau) and two random states (sqrt-tau)."""
+    rng = np.random.default_rng(2026)
+    cases = [(rt.ensemble_to_density(rt.counterexample_fixture().ensemble), False),
+             (_random_rank2(rng), True), (_random_rank2(rng), True)]
+    for rho, use_sqrt in cases:
+        cost, rows, b = _lp_columns(_eigen_factor(rho), use_sqrt)
+        basis = roof._LP_BASIS.copy()
+        w, X, reduced = roof._simplex(cost, rows, b, basis)
+        highs = linprog(cost, A_eq=rows.T, b_eq=b, bounds=(0.0, None), method="highs",
+                        options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+        assert highs.status == 0
+        assert abs(cost[basis] @ w - highs.fun) <= 1e-9
+        assert abs(b @ X - highs.fun) <= 1e-9
+        assert w.min() >= -1e-12 and np.abs(rows[basis].T @ w - b).max() <= 1e-12
+        assert reduced.min() >= -roof._LP_TOL
+
+
+@pytest.mark.parametrize("patch", [("_LP_BASIS", np.arange(4)), ("_LP_PIVOTS", 0)],
+                         ids=["singular-basis", "pivot-cap"])
+def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
+    """Four copies of e0 make a singular start basis, and no pivot at all
+    leaves the start basis unsolved: the program returns None and the
+    search runs, with no bound."""
+    monkeypatch.setattr(roof, *patch)
+    rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
+    assert roof._lp_roof(_eigen_factor(rho), False) is None
+    opts = rt.RoofOptions(restarts=2, max_iterations=300)
+    res = rt.roof_minimize(rho, "tau", opts)
+    assert res.restarts_used == 2 and res.lower_bound is None
+    assert _mixes_back(res, rho)
+
+
+def test_lp_closes_the_bracket_where_pricing_tails_off(monkeypatch):
+    """State 27 of rng 7, sqrt-tau: the roof is affine on a face there, and
+    the gap shrinks slowly from round to round; the program still closes
+    its own gap within _LP_ROUNDS and certifies its decomposition."""
+    rng = np.random.default_rng(7)
+    rho = [_random_rank2(rng) for _ in range(28)][27]
+    rounds = []
+    simplex = roof._simplex
+    monkeypatch.setattr(roof, "_simplex", lambda *args: rounds.append(1) or simplex(*args))
+    res = rt.roof_minimize(rho, "sqrt_tau", FAST)
+    assert 0 < len(rounds) < roof._LP_ROUNDS
+    assert res.restarts_used == 0 and res.converged
+    assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
+    assert _mixes_back(res, rho)
