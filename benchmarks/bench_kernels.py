@@ -6,7 +6,8 @@ lock-step search over 5 random starts of a rank-3 state; one
 default-options ``roof_minimize`` of the tau functional on the
 counterexample rho = 0.8 GHZ + 0.2 W, which the rank-2 linear program
 certifies without a search; and one default-options sqrt-tau
-``roof_minimize`` of a random rank-3 state, which runs the full search.
+``roof_minimize`` of a random rank-3 state, which runs the full search,
+with its count of batched ``roof_value_grad`` calls.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -71,11 +72,22 @@ def main():
 
     z = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     rho3 = rt.DensityMatrix(z @ z.conj().T / np.trace(z @ z.conj().T).real)
-    t0 = time.perf_counter()
-    res = rt.roof_minimize(rho3, "sqrt_tau")
-    dt = time.perf_counter() - t0
+    calls, grad = [0], kernels.roof_value_grad
+
+    def counted(*args):
+        calls[0] += 1
+        return grad(*args)
+
+    kernels.roof_value_grad = counted  # one call per lock-step tick or level opening
+    try:
+        t0 = time.perf_counter()
+        res = rt.roof_minimize(rho3, "sqrt_tau")
+        dt = time.perf_counter() - t0
+    finally:
+        kernels.roof_value_grad = grad
     print(f"roof_minimize, sqrt-tau of a random rank-3 rho (default options, search, "
-          f"{res.restarts_used} restarts): value={res.value:.9f} in {dt:.2f}s")
+          f"{res.restarts_used} restarts): value={res.value:.9f} in {dt:.2f}s, "
+          f"{calls[0]} roof_value_grad calls")
 
 if __name__ == "__main__":
     main()

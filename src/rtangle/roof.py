@@ -14,8 +14,11 @@ Both functionals are non-smooth exactly where members become tangle-free,
 which is where minimizers live, so the search anneals a smoothing
 parameter toward zero.  Two local searches are provided:
 
-* ``gradient`` (default): projected Wirtinger-gradient descent on the
-  column-orthonormal manifold with polar retraction and backtracking.
+* ``gradient`` (default): Riemannian conjugate-gradient descent on the
+  column-orthonormal manifold, from the projected Wirtinger gradient:
+  Polak-Ribiere+ directions, with the last direction carried over by
+  tangent projection and a restart at the steepest descent where that is
+  not a descent direction, then polar retraction and backtracking.
   Every start of a solve (algebraic seeds and random restarts) advances
   in lock step as one stacked ``(S, m, r)`` batch, one batched kernel
   call per trial step; each start keeps its own smoothing ladder, step
@@ -108,9 +111,13 @@ class RankError(ValidationError):
 class RoofOptions:
     """Search-budget knobs for :func:`roof_minimize`.
 
-    ``max_iterations`` is the per-start budget: gradient steps for the
-    default method, pairwise 2-D minimizations for ``simplex``.  The
-    ``tolerance`` is the objective-stall threshold that ends a start.
+    ``max_iterations`` sets the search budget.  For the default method
+    each smoothing level of a start gets ``max(max_iterations // levels,
+    10)`` accepted steps, where ``levels`` is the length of the start's
+    smoothing ladder; rejected trial steps are not counted.  For
+    ``simplex`` it is the start's budget of pairwise 2-D minimizations
+    over all levels.  The ``tolerance`` is the objective-stall threshold
+    that ends a smoothing level.
     """
 
     ensemble_size: int = 4
@@ -495,6 +502,18 @@ def _herm(A: np.ndarray) -> np.ndarray:
     return A.conj().swapaxes(-1, -2)
 
 
+def _tangent(U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Projection X - U sym(U^H X) of each start's X onto the tangent space
+    of the column-orthonormal manifold at U."""
+    A = _herm(U) @ X
+    return X - U @ ((A + _herm(A)) / 2.0)
+
+
+def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re<X, Y> per start, summed over one start's block in one fixed form."""
+    return (X.real * Y.real + X.imag * Y.imag).reshape(len(X), -1).sum(-1)
+
+
 def _retract(Y: np.ndarray):
     """Polar retraction of each start; returns (trial, ok).  A start whose
     SVD fails is flagged in ``ok`` instead of failing the whole batch."""
@@ -516,12 +535,22 @@ def _sub(idx, mask: np.ndarray) -> np.ndarray:
 
 
 class _LockStep:
-    """Annealed projected-gradient descent of S starts, advanced together.
+    """Annealed conjugate-gradient descent of S starts, advanced together.
 
     Each start anneals through its own smoothing ladder.  At each level it
-    takes backtracking steps on the column-orthonormal manifold: step size
-    ``eta`` from 0.2, Armijo test, ``eta`` x1.4 on acceptance (at most 2)
-    and /2 on rejection or a failed retraction, polar retraction.  A
+    takes backtracking steps on the column-orthonormal manifold along a
+    direction D: -G when the level opens, then the Riemannian
+    Polak-Ribiere+ direction (Absil, Mahony & Sepulchre, *Optimization
+    Algorithms on Matrix Manifolds*, 2008, sec. 8.3)
+
+        D = -G + beta T_U(D_prev),  beta = max(0, (|G|^2 - Re<G, G_prev>) / |G_prev|^2),
+
+    with the transport T_U(X) = X - U sym(U^H X), the tangent projection
+    (as G is tangent at U, <G, T_U(G_prev)> = <G, G_prev>).  Where
+    Re<G, D> is not negative, NaN included, D is -G again.  The trial is
+    the polar retraction of U + eta D; step size ``eta`` from 0.2, Armijo
+    test f_trial < f + 1e-4 eta Re<G, D>, ``eta`` x1.4 on acceptance (at
+    most 2) and /2 on rejection or a failed retraction.  A
     level ends *stalled* on a tiny gradient, an improvement below the
     level's tolerance, or an exhausted line search, and not stalled when
     its step budget runs out or its gradient is not finite.  The best exact
@@ -532,8 +561,9 @@ class _LockStep:
     batched retraction and one batched ``roof_value_grad``.  The accepted
     trials go straight on to the gradient projection, and a tick whose
     retractions all succeed or whose trials all pass masks nothing.
-    Starts share no arithmetic, so each one ends exactly where it would
-    alone.
+    Starts share no arithmetic, and every per-start reduction (|G|^2,
+    beta, the slope) sums one start's block in one form, so each start
+    ends exactly where it would alone.
     """
 
     def __init__(self, U0: np.ndarray, schedules, B: np.ndarray, use_sqrt: bool,
@@ -557,6 +587,8 @@ class _LockStep:
         self.f = np.zeros(S)
         self.G = np.zeros_like(self.U)
         self.gn2 = np.zeros(S)
+        self.D = np.zeros_like(self.U)            # search direction
+        self.slope = np.zeros(S)                  # Re<G, D>, negative
         self.searching = np.zeros(S, dtype=bool)  # in a line search
         self.stalled = np.zeros(S, dtype=bool)    # how the last level ended
 
@@ -577,19 +609,30 @@ class _LockStep:
         self.tol[idx] = np.where(eps == 0.0, self.tolerance, max(self.tolerance, 1e-10))
         U = self.U[idx]
         self.f[idx], P = kernels.roof_value_grad(U @ self.B, self.use_sqrt, eps)
-        self._project(idx, U, P)
+        self._project(idx, U, P, fresh=True)
 
-    def _project(self, idx, U, P):
-        """Riemannian gradient at the starts' U from their Wirtinger derivative
-        P; a vanishing or non-finite one ends the level.  ``idx`` is an index
-        array or, for every start, ``slice(None)``."""
+    def _project(self, idx, U, P, fresh=False):
+        """Riemannian gradient G at the starts' U from their Wirtinger
+        derivative P, and the next search direction D: -G when ``fresh`` (a
+        level opens), else the Polak-Ribiere+ direction, falling back to -G
+        where that is not a descent direction.  A vanishing or non-finite
+        gradient ends the level.  ``idx`` is an index array or, for every
+        start, ``slice(None)``."""
         if len(U) == 0:
             return
         E = np.conj(P) @ self.B2
-        A = _herm(U) @ E
-        G = E - U @ ((A + _herm(A)) / 2.0)
-        gn2 = (G.real ** 2 + G.imag ** 2).reshape(len(U), -1).sum(-1)
-        self.G[idx], self.gn2[idx] = G, gn2
+        G = _tangent(U, E)
+        gn2 = _inner(G, G)
+        D, slope = -G, -gn2
+        if not fresh:
+            # <G, T_U(G_prev)> = <G, G_prev>, as G is tangent at U
+            beta = np.maximum(0.0, (gn2 - _inner(G, self.G[idx])) / self.gn2[idx])
+            D_cg = D + beta[:, None, None] * _tangent(U, self.D[idx])
+            slope_cg = _inner(G, D_cg)
+            cg = slope_cg < 0.0                   # False on NaN
+            D = np.where(cg[:, None, None], D_cg, D)
+            slope = np.where(cg, slope_cg, slope)
+        self.G[idx], self.gn2[idx], self.D[idx], self.slope[idx] = G, gn2, D, slope
         flat = ~np.isfinite(gn2) | (gn2 < _GRAD_FLOOR)
         if not flat.any():
             self.searching[idx] = True
@@ -620,14 +663,14 @@ class _LockStep:
         # a slice reads and writes the per-start arrays without a gather
         idx = slice(None) if self.searching.all() else np.flatnonzero(self.searching)
         eta = self.eta[idx]
-        trial, ok = _retract(self.U[idx] - eta[:, None, None] * self.G[idx])
+        trial, ok = _retract(self.U[idx] + eta[:, None, None] * self.D[idx])
         back = []  # starts whose step halves: failed retraction or rejected trial
         if not ok.all():
             back.append(_sub(idx, ~ok))
             idx, eta, trial = _sub(idx, ok), eta[ok], trial[ok]
         f, P = kernels.roof_value_grad(trial @ self.B, self.use_sqrt, self.eps[idx])
         f0 = self.f[idx]
-        accept = f < f0 - _ARMIJO * eta * self.gn2[idx]
+        accept = f < f0 + _ARMIJO * eta * self.slope[idx]
         if not accept.all():
             back.append(_sub(idx, ~accept))
             idx, eta, trial, f, P = _sub(idx, accept), eta[accept], trial[accept], f[accept], P[accept]

@@ -3,6 +3,9 @@
 The decimal constants were computed independently at 40-digit precision
 (direct evaluation of the closed forms / exact fractions) and frozen here;
 tests compare library output against them at stated tolerances.
+
+The one exception is the generic rank-3 roof below, which has no closed
+form: it is the best value of long searches (see its comment).
 """
 import numpy as np
 
@@ -24,6 +27,10 @@ TAU_RATIO = 0.30075981707757843
 TAU_GAP = 0.0034946565543917463     # ratio - alpha^2
 S_OUT0 = 1.5164220017168009
 P0_OUT0 = 0.56895015001064502
+
+# best-known sqrt-tau roof of generic_rank3(): the lowest of 200-restart,
+# 20000-iteration searches in several local-unitary frames
+SQRT_TAU_GENERIC_R3 = 0.3092379799536361
 
 SQRT2 = 1.0 / np.sqrt(2.0)
 SQRT3 = 1.0 / np.sqrt(3.0)
@@ -64,3 +71,15 @@ def random_mixture(rng, complex_params: bool = True) -> rt.GhzWMixture:
     cdf = unit(3)
     return rt.GhzWMixture(a=ab[0], b=ab[1], c=cdf[0], d=cdf[1], f=cdf[2],
                           p=float(rng.uniform(0.0, 1.0)))
+
+
+def generic_rank3() -> rt.DensityMatrix:
+    """A fixed generic rank-3 state: 0.8 of one random pure state plus 0.2 of
+    two others with Dirichlet weights (the rank-3 base state of perfbench's
+    generic-roof workload)."""
+    rng = np.random.default_rng(2013)
+    for r in (2, 3):  # the rank-2 base state is drawn first
+        weights = np.concatenate(([0.8], 0.2 * rng.dirichlet(np.ones(r - 1))))
+        states = [random_pure(rng).amp for _ in range(r)]
+    rho = sum(w * np.outer(psi, psi.conj()) for w, psi in zip(weights, states))
+    return rt.DensityMatrix((rho + rho.conj().T) / 2.0)

@@ -6,8 +6,8 @@ import rtangle as rt
 from rtangle import kernels
 from rtangle import roof
 from rtangle.roof import _eigen_factor
-from freeze import (TAU_RHO, TAU_RHO0, TR_STD_P08, ghz_state, random_mixture, random_pure,
-                    std_mixture)
+from freeze import (SQRT_TAU_GENERIC_R3, TAU_RHO, TAU_RHO0, TR_STD_P08, generic_rank3,
+                    ghz_state, random_mixture, random_pure, random_unitary2, std_mixture)
 
 FAST = rt.RoofOptions(restarts=6)
 
@@ -177,6 +177,19 @@ def test_general_measurement_covariance_at_oracle_level():
         assert abs(roof_out - out.alpha * roof_in) <= 1e-2
 
 
+def test_generic_rank3_lands_near_the_best_known_roof():
+    """A default-budget 5-restart solve of a generic rank-3 state, posed in
+    three random local-unitary frames, lands within 1e-4 of the best value
+    long searches found."""
+    rho = generic_rank3().matrix
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        V = np.kron(np.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
+        res = rt.roof_minimize(rt.DensityMatrix(V @ rho @ V.conj().T), "sqrt_tau",
+                               rt.RoofOptions(restarts=5))
+        assert abs(res.value - SQRT_TAU_GENERIC_R3) <= 1e-4
+
+
 def test_gradient_matches_finite_differences_complex_rho():
     """U-space directional derivative check with genuinely complex factors."""
     rng = np.random.default_rng(17)
@@ -200,27 +213,45 @@ def test_gradient_matches_finite_differences_complex_rho():
 
 # ------------------------------------------------- the lock-step batched search
 
+def _tangent(U, X):
+    A = U.conj().T @ X
+    return X - U @ ((A + A.conj().T) / 2.0)
+
+
+def _inner(X, Y):
+    return float(np.sum(X.real * Y.real + X.imag * Y.imag))
+
+
 def _stage_reference(U, B, use_sqrt, eps, max_steps, tolerance):
-    """One smoothing level of the search, one start at a time."""
+    """One smoothing level of the search, one start at a time: Polak-Ribiere+
+    conjugate directions, restarted at -G where they do not descend."""
     eta, steps = 0.2, 0
     f, P = kernels.roof_value_grad(U @ B, use_sqrt, eps)
+    G_prev = D = None
     while steps < max_steps:
-        E = 2.0 * np.conj(P @ B.T)
-        A = U.conj().T @ E
-        G = E - U @ ((A + A.conj().T) / 2.0)
+        G = _tangent(U, 2.0 * np.conj(P @ B.T))
         gn2 = float(np.sum(G.real ** 2 + G.imag ** 2))
         if not np.isfinite(gn2):
             return U, False
         if gn2 < 1e-26:
             return U, True
+        if G_prev is None:
+            D, slope = -G, -gn2
+        else:
+            beta = max(0.0, (gn2 - _inner(G, G_prev)) / gn2_prev)
+            D = -G + beta * _tangent(U, D)
+            slope = _inner(G, D)
+            if not slope < 0.0:
+                D, slope = -G, -gn2
+        G_prev, gn2_prev = G, gn2
         while eta > 1e-15:
             try:
-                U2 = kernels.polar_retract(U - eta * G)
+                U2 = kernels.polar_retract(U + eta * D)
             except np.linalg.LinAlgError:
                 eta *= 0.5
                 continue
             f2, P2 = kernels.roof_value_grad(U2 @ B, use_sqrt, eps)
-            if f2 < f - 1e-4 * eta * gn2:
+            if f2 < f + 1e-4 * eta * slope:
                 improvement = f - f2
                 U, f, P = U2, f2, P2
                 eta = min(eta * 1.4, 2.0)
@@ -283,6 +314,48 @@ def test_start_result_independent_of_batch():
     W2, values2, _ = roof._LockStep(U0[[4, 1]], schedules[:2], B, True, opts).run()
     assert np.array_equal(W2[0], W[4]) and np.array_equal(W2[1], W[1])
     assert values2[0] == values[4] and values2[1] == values[1]
+
+
+def test_direction_is_a_tangent_descent_direction():
+    """A level opens on D = -G; after every tick each searching start's D is
+    tangent at its U and descends, and some ticks take a conjugate step."""
+    B, U0 = _generic_starts(3, 4)
+    batch = roof._LockStep(U0, [roof._COARSE_SCHEDULE] * 4, B, True,
+                           rt.RoofOptions(max_iterations=300))
+    batch._begin(np.arange(4))
+    assert np.array_equal(batch.D, -batch.G) and np.array_equal(batch.slope, -batch.gn2)
+    conjugate = 0
+    while batch.searching.any():
+        batch._tick()
+        for s in np.flatnonzero(batch.searching):
+            U, G, D = batch.U[s], batch.G[s], batch.D[s]
+            # relative: |D| reaches 1e4 on the fine levels
+            tangency = np.linalg.norm(U.conj().T @ D + D.conj().T @ U)
+            assert tangency <= 1e-12 * max(1.0, np.linalg.norm(D))
+            assert _inner(G, D) < 0.0
+            if batch.steps[s] == 0:  # a level has just opened
+                assert np.array_equal(D, -G)
+            conjugate += not np.array_equal(D, -G)
+    assert conjugate > 0
+
+
+def test_direction_falls_back_to_the_gradient():
+    """Where the conjugate direction's slope is NaN or not negative, the
+    direction is -G."""
+    B, U0 = _generic_starts(3, 3)
+    batch = roof._LockStep(U0, [roof._COARSE_SCHEDULE] * 3, B, True, rt.RoofOptions())
+    batch._begin(np.arange(3))
+    G = batch.G.copy()
+    batch.D[0] = np.nan                      # NaN slope
+    batch.G[1], batch.gn2[1], batch.D[1] = 0.0, 1e-20, G[1]  # huge beta along +G
+    batch.G[2] *= 0.5                        # beta = 1/2 along D = -G: a descent
+    _, P = kernels.roof_value_grad(batch.U @ B, True, batch.eps)
+    batch._project(np.arange(3), batch.U.copy(), P)
+    assert np.array_equal(batch.G, G)
+    for s in (0, 1):
+        assert np.array_equal(batch.D[s], -G[s]) and batch.slope[s] == -batch.gn2[s]
+    assert np.allclose(batch.D[2], -1.5 * G[2], rtol=0.0, atol=1e-12 * np.abs(G[2]).max())
+    assert batch.slope[2] < 0.0
 
 
 def test_retract_flags_a_failed_start_only():
