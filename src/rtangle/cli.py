@@ -74,13 +74,7 @@ def _mixture_from_args(args) -> GhzWMixture:
 
 
 def cmd_pure(args) -> int:
-    try:
-        doc = stateio.load_document(args.state_file)
-        psi = stateio.parse_pure(doc, renormalize=args.renormalize)
-    except stateio.StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        normalization = isinstance(exc, stateio.StateNormalizationError)
-        return EXIT_NORMALIZATION if normalization else EXIT_PARSE
+    psi = stateio.parse_pure(stateio.load_document(args.state_file), renormalize=args.renormalize)
     inv = invariants(psi)
     print(f"d1       = {_fmtc(inv.d1)}")
     print(f"d2       = {_fmtc(inv.d2)}")
@@ -94,11 +88,7 @@ def cmd_mixture(args) -> int:
     opts = None
     if args.numeric:
         opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
-    try:
-        mix = _mixture_from_args(args)
-    except MixtureNormalizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NORMALIZATION
+    mix = _mixture_from_args(args)
     ana = analyze(mix)
     print(f"s         = {_fmt(ana.s)}")
     print(f"tilde_phi = {_fmt(ana.tilde_phi)}")
@@ -114,31 +104,30 @@ def cmd_mixture(args) -> int:
     return EXIT_OK
 
 
-def cmd_roof(args) -> int:
+def _roof_input(path: str):
+    """The density matrix of a pure, ensemble or density file.  A pure state
+    that is not normalized is malformed here, as an ensemble member is."""
+    doc = stateio.load_document(path)
+    kind = stateio.sniff_kind(doc)
+    if kind == "density":
+        return stateio.parse_density(doc)
+    if kind == "ensemble":
+        return ensemble_to_density(stateio.parse_ensemble(doc))
+    if kind != "pure":
+        raise stateio.StateFileError("roof expects a pure, ensemble or density file")
     try:
-        doc = stateio.load_document(args.state_file)
-        kind = stateio.sniff_kind(doc)
-        if kind == "density":
-            rho = stateio.parse_density(doc)
-        elif kind == "ensemble":
-            rho = ensemble_to_density(stateio.parse_ensemble(doc))
-        elif kind == "pure":
-            psi = stateio.parse_pure(doc)
-            rho = ensemble_to_density(WeightedEnsemble(((1.0, psi),)))
-        else:
-            print("error: roof expects a pure, ensemble or density file", file=sys.stderr)
-            return EXIT_PARSE
-    except stateio.StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        psi = stateio.parse_pure(doc)
+    except stateio.StateNormalizationError as exc:
+        raise stateio.StateFileError(str(exc)) from exc
+    return ensemble_to_density(WeightedEnsemble(((1.0, psi),)))
+
+
+def cmd_roof(args) -> int:
+    rho = _roof_input(args.state_file)
     functional = "sqrt_tau" if args.functional == "sqrt-tau" else "tau"
     opts = RoofOptions(ensemble_size=args.size, restarts=args.restarts,
                        seed=_default_seed(args.seed))
-    try:
-        result = roof_minimize(rho, functional, opts)
-    except RankError as exc:
-        print(f"error: {exc}; increase --size to at least the input rank", file=sys.stderr)
-        return EXIT_RANK
+    result = roof_minimize(rho, functional, opts)
     print(f"functional    = {functional}")
     print(f"value         = {_fmt(result.value)}")
     bound = "none" if result.lower_bound is None else _fmt(result.lower_bound)
@@ -147,11 +136,7 @@ def cmd_roof(args) -> int:
     print(f"converged     = {result.converged}")
     print(f"members       = {len(result.ensemble)}")
     if args.out:
-        try:
-            stateio.write_document(args.out, stateio.ensemble_to_doc(result.ensemble))
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_UNWRITABLE
+        stateio.write_document(args.out, stateio.ensemble_to_doc(result.ensemble))
         print(f"ensemble written to {args.out}")
     return EXIT_OK
 
@@ -160,12 +145,8 @@ def cmd_slocc(args) -> int:
     if args.rtangle_in is not None and not 0.0 <= args.rtangle_in <= 1.0:
         print("error: --rtangle-in must be in [0, 1]", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        ens = stateio.parse_ensemble(stateio.load_document(args.ensemble_file))
-        ms = stateio.parse_kraus(stateio.load_document(args.kraus_file))
-    except stateio.StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    ens = stateio.parse_ensemble(stateio.load_document(args.ensemble_file))
+    ms = stateio.parse_kraus(stateio.load_document(args.kraus_file))
     dev = ms.completeness_deviation()
     if dev > 1e-9:
         print(f"error: Kraus set incomplete, deviation from identity = {dev:.6e}",
@@ -184,11 +165,7 @@ def cmd_slocc(args) -> int:
         if out.rtangle_propagated is not None:
             print(f"  rtangle_out = {_fmt(out.rtangle_propagated)}")
         path = stem.with_name(f"{stem.stem}_out{out.index}.json")
-        try:
-            stateio.write_document(str(path), stateio.ensemble_to_doc(out.post_ensemble))
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_UNWRITABLE
+        stateio.write_document(str(path), stateio.ensemble_to_doc(out.post_ensemble))
         print(f"  ensemble    -> {path}")
     return EXIT_OK
 
@@ -273,15 +250,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        mix0 = GhzWMixture(
-            a=_parse_param(args.a, "a"), b=_parse_param(args.b, "b"),
-            c=_parse_param(args.c, "c"), d=_parse_param(args.d, "d"),
-            f=_parse_param(args.f, "f"), p=0.0,
-        )
-    except MixtureNormalizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NORMALIZATION
+    mix0 = GhzWMixture(
+        a=_parse_param(args.a, "a"), b=_parse_param(args.b, "b"),
+        c=_parse_param(args.c, "c"), d=_parse_param(args.d, "d"),
+        f=_parse_param(args.f, "f"), p=0.0,
+    )
     if args.steps < 2:
         print("error: --steps must be >= 2", file=sys.stderr)
         return EXIT_PARSE
@@ -295,16 +268,12 @@ def cmd_sweep(args) -> int:
         rows.append({"p": p, "rtangle_analytic": ana.rtangle,
                      "rtangle_numeric": result.value, "p0": ana.p0,
                      "branch": ana.branch})
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["p", "rtangle_analytic", "rtangle_numeric", "p0", "branch"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(
+            fh, fieldnames=["p", "rtangle_analytic", "rtangle_numeric", "p0", "branch"])
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -374,15 +343,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the exit code of each error a command lets out, subclasses before their
+# bases; input files are read through stateio, which turns a failed read into
+# a StateFileError, so an OSError that gets here is a failed write
+EXIT_CODES = (
+    (stateio.StateNormalizationError, EXIT_NORMALIZATION),
+    (MixtureNormalizationError, EXIT_NORMALIZATION),
+    (RankError, EXIT_RANK),
+    (stateio.StateFileError, EXIT_PARSE),
+    (ValidationError, EXIT_PARSE),
+    (OSError, EXIT_UNWRITABLE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # an out-of-range search flag, or an input check that no command maps
-    # to a code of its own: one error line, never a traceback
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
+        # one error line, never a traceback
+        what = f"cannot write output: {exc}" if isinstance(exc, OSError) else exc
+        print(f"error: {what}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

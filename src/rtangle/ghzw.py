@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import hyperdet_parts
+from .invariants import invariants
 from .states import (
     NORM_TOL,
     DensityMatrix,
@@ -314,8 +314,7 @@ def concavity_certificate(mix: GhzWMixture, grid_n: int = 10001) -> ConcavityRep
 
 def _family_tau_direct(mix: GhzWMixture, p: float, phi: float) -> float:
     """tau of the constructed family state via the d-invariants (test hook)."""
-    d1, d2, d3 = hyperdet_parts(family_state(mix, p, phi).amp)
-    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
+    return invariants(family_state(mix, p, phi)).tau
 
 
 _GHZ_SUPPORT = (0, 7)

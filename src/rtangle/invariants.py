@@ -21,23 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .states import LocalOperator, PureState
 
 
 def hyperdet_parts(amp: np.ndarray):
-    """Return (d1, d2, d3) of an 8-amplitude vector."""
-    c = amp
-    d1 = c[0] ** 2 * c[7] ** 2 + c[1] ** 2 * c[6] ** 2 + c[2] ** 2 * c[5] ** 2 + c[4] ** 2 * c[3] ** 2
-    d2 = (
-        c[0] * c[7] * c[3] * c[4]
-        + c[0] * c[7] * c[5] * c[2]
-        + c[0] * c[7] * c[6] * c[1]
-        + c[3] * c[4] * c[5] * c[2]
-        + c[3] * c[4] * c[6] * c[1]
-        + c[5] * c[2] * c[6] * c[1]
-    )
-    d3 = c[0] * c[6] * c[5] * c[3] + c[7] * c[1] * c[2] * c[4]
-    return complex(d1), complex(d2), complex(d3)
+    """Return (d1, d2, d3) of an 8-amplitude vector.
+
+    They are the sums of the monomials of :data:`kernels._IDX` whose
+    coefficients in ``kernels._COEF`` are 1 (the first 4), -2 (the next 6)
+    and 4 (the last 2).
+    """
+    X = np.asarray(amp)[kernels._IDX]
+    m = (((X[0] * X[1]) * X[2]) * X[3]).tolist()
+    return complex(sum(m[:4])), complex(sum(m[4:10])), complex(sum(m[10:]))
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,7 @@ def sqrt_tau_homogeneous(psi: PureState) -> float:
     for any complex scalar ``c``; on weight-sqrt-scaled ensemble members it
     yields the weighted summand of the convex-roof objective directly.
     """
-    d1, d2, d3 = hyperdet_parts(psi.amp)
-    return float(np.sqrt(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)))
+    return float(invariants(psi).sqrt_tau)
 
 
 def alpha(op: LocalOperator, p: float) -> float:

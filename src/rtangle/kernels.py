@@ -24,6 +24,8 @@ import numpy as np
 
 # Monomials of the 2x2x2 hyperdeterminant d1 - 2 d2 + 4 d3 over the
 # amplitude vector: coefficient and the four (possibly repeated) indices.
+# The order is a contract: invariants.hyperdet_parts sums the first 4 as
+# d1, the next 6 as d2 and the last 2 as d3.
 _IDX = np.array(
     [
         (0, 0, 7, 7), (1, 1, 6, 6), (2, 2, 5, 5), (4, 4, 3, 3),

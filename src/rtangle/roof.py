@@ -12,20 +12,15 @@ explicitly:
 
 Both functionals are non-smooth exactly where members become tangle-free,
 which is where minimizers live, so the search anneals a smoothing
-parameter toward zero.  Two local searches are provided:
-
-* ``gradient`` (default): Riemannian conjugate-gradient descent on the
-  column-orthonormal manifold, from the projected Wirtinger gradient:
-  Polak-Ribiere+ directions, with the last direction carried over by
-  tangent projection and a restart at the steepest descent where that is
-  not a descent direction, then polar retraction and backtracking.
-  Every start of a solve (algebraic seeds and random restarts) advances
-  in lock step as one stacked ``(S, m, r)`` batch, one batched kernel
-  call per trial step; each start keeps its own smoothing ladder, step
-  size and budget, and ends bit for bit where it would if run alone.
-* ``simplex``: derivative-free block-coordinate descent, running a small
-  2-D Nelder-Mead over each plane-rotation angle pair in turn, one start
-  after another.
+parameter toward zero.  The local search is Riemannian conjugate-gradient
+descent on the column-orthonormal manifold, from the projected Wirtinger
+gradient: Polak-Ribiere+ directions, with the last direction carried over
+by tangent projection and a restart at the steepest descent where that is
+not a descent direction, then polar retraction and backtracking.  Every
+start of a solve (algebraic seeds and random restarts) advances in lock
+step as one stacked ``(S, m, r)`` batch, one batched kernel call per trial
+step; each start keeps its own smoothing ladder, step size and budget, and
+ends bit for bit where it would if run alone.
 
 For rank-2 inputs the search is additionally seeded algebraically: the
 tangle-free directions inside the range of rho are the roots of a quartic
@@ -111,13 +106,11 @@ class RankError(ValidationError):
 class RoofOptions:
     """Search-budget knobs for :func:`roof_minimize`.
 
-    ``max_iterations`` sets the search budget.  For the default method
-    each smoothing level of a start gets ``max(max_iterations // levels,
-    10)`` accepted steps, where ``levels`` is the length of the start's
-    smoothing ladder; rejected trial steps are not counted.  For
-    ``simplex`` it is the start's budget of pairwise 2-D minimizations
-    over all levels.  The ``tolerance`` is the objective-stall threshold
-    that ends a smoothing level.
+    ``max_iterations`` sets the search budget: each smoothing level of a
+    start gets ``max(max_iterations // levels, 10)`` accepted steps, where
+    ``levels`` is the length of the start's smoothing ladder; rejected
+    trial steps are not counted.  The ``tolerance`` is the objective-stall
+    threshold that ends a smoothing level.
     """
 
     ensemble_size: int = 4
@@ -125,7 +118,6 @@ class RoofOptions:
     max_iterations: int = 2000
     tolerance: float = 1e-9
     seed: int = 0
-    method: str = "gradient"
 
     def __post_init__(self):
         if self.ensemble_size < 1 or self.ensemble_size > 8:
@@ -136,8 +128,6 @@ class RoofOptions:
             raise OptionsError("RoofOptions: max_iterations must be >= 1")
         if self.seed < 0:
             raise OptionsError("RoofOptions: seed must be >= 0")
-        if self.method not in ("gradient", "simplex"):
-            raise OptionsError(f"RoofOptions: unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -694,137 +684,6 @@ class _LockStep:
 
 
 # --------------------------------------------------------------------------
-# derivative-free local search: block-coordinate 2-D simplex over
-# plane-rotation angles
-
-def _assemble_from_angles(theta: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
-    """The plane-rotation chart: m^2 angles -> W = U(theta) [B; 0]."""
-    r = B.shape[0]
-    W = np.zeros((m, 8), dtype=np.complex128)
-    W[:r] = B
-    k = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            _rotate_rows(W, i, j, theta[k], theta[k + 1])
-            k += 2
-    W *= np.exp(1j * theta[k:k + m])[:, None]
-    return W
-
-
-def _rotate_rows(W, i, j, th, ph):
-    c, s = np.cos(th), np.sin(th)
-    e = np.exp(1j * ph)
-    wi = W[i].copy()
-    W[i] = c * wi + s * np.conj(e) * W[j]
-    W[j] = -s * e * wi + c * W[j]
-
-
-def _pair_value(q, ni2, nj2, th, ph, use_sqrt, eps):
-    c, s = np.cos(th), np.sin(th)
-    e = np.exp(1j * ph)
-    d1 = sum(q[k] * c ** k * (s * np.conj(e)) ** (4 - k) for k in range(5))
-    d2 = sum(q[k] * (-s * e) ** k * c ** (4 - k) for k in range(5))
-    if use_sqrt:
-        return 2.0 * (abs(d1) ** 2 + eps * eps) ** 0.25 + 2.0 * (abs(d2) ** 2 + eps * eps) ** 0.25
-    n1 = c * c * ni2 + s * s * nj2
-    n2 = s * s * ni2 + c * c * nj2
-    v1 = 4.0 * np.sqrt(abs(d1) ** 2 + eps * eps * n1 ** 4) / n1 if n1 > 1e-30 else 0.0
-    v2 = 4.0 * np.sqrt(abs(d2) ** 2 + eps * eps * n2 ** 4) / n2 if n2 > 1e-30 else 0.0
-    return v1 + v2
-
-
-def _optimize_pair(W, i, j, use_sqrt, eps, grid_n=20, nm_iters=50):
-    """Minimize the two-row objective over one plane rotation, in place."""
-    wi, wj = W[i].copy(), W[j].copy()
-    ni2 = float(np.vdot(wi, wi).real)
-    nj2 = float(np.vdot(wj, wj).real)
-    q = _pair_quartic(wi, wj)
-
-    th = np.linspace(0.0, np.pi / 2.0, grid_n, endpoint=False)
-    ph = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
-    c, s = np.cos(TH), np.sin(TH)
-    e = np.exp(1j * PH)
-    pows = np.arange(5)
-
-    def qeval(x, y):
-        return ((x[..., None] ** pows) * (y[..., None] ** (4 - pows))) @ q
-
-    d1 = qeval(c + 0j, s * np.conj(e))
-    d2 = qeval(-s * e, c + 0j)
-    if use_sqrt:
-        vals = 2.0 * (np.abs(d1) ** 2 + eps * eps) ** 0.25 + 2.0 * (np.abs(d2) ** 2 + eps * eps) ** 0.25
-    else:
-        n1 = c ** 2 * ni2 + s ** 2 * nj2
-        n2 = s ** 2 * ni2 + c ** 2 * nj2
-        vals = np.where(n1 > 1e-30, 4.0 * np.sqrt(np.abs(d1) ** 2 + eps * eps * n1 ** 4) / np.maximum(n1, 1e-30), 0.0) \
-            + np.where(n2 > 1e-30, 4.0 * np.sqrt(np.abs(d2) ** 2 + eps * eps * n2 ** 4) / np.maximum(n2, 1e-30), 0.0)
-    k0 = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    x0 = np.array([TH[k0], PH[k0]])
-
-    def fun(v):
-        return _pair_value(q, ni2, nj2, v[0], v[1], use_sqrt, eps)
-
-    sim = np.array([x0, x0 + [0.06, 0.0], x0 + [0.0, 0.06]])
-    fs = np.array([fun(v) for v in sim])
-    for _ in range(nm_iters):
-        order = np.argsort(fs, kind="stable")
-        sim, fs = sim[order], fs[order]
-        if fs[-1] - fs[0] < 1e-14:
-            break
-        cen = sim[:2].mean(axis=0)
-        xr = cen + (cen - sim[2])
-        fr = fun(xr)
-        if fr < fs[0]:
-            xe = cen + 2.0 * (cen - sim[2])
-            fe = fun(xe)
-            if fe < fr:
-                sim[2], fs[2] = xe, fe
-            else:
-                sim[2], fs[2] = xr, fr
-        elif fr < fs[1]:
-            sim[2], fs[2] = xr, fr
-        else:
-            xc = cen + 0.5 * ((xr if fr < fs[2] else sim[2]) - cen)
-            fc = fun(xc)
-            if fc < min(fr, fs[2]):
-                sim[2], fs[2] = xc, fc
-            else:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fs[1:] = [fun(v) for v in sim[1:]]
-    order = np.argsort(fs, kind="stable")
-    best = sim[order][0]
-    _rotate_rows(W, i, j, best[0], best[1])
-
-
-def _simplex_search(W0, B, use_sqrt, opts: RoofOptions, schedule=_COARSE_SCHEDULE):
-    m = W0.shape[0]
-    W = W0.copy()
-    budget = opts.max_iterations
-    stalled = False
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    best_W = W0.copy()
-    best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
-    for eps in schedule:
-        stage_tol = opts.tolerance if eps == 0.0 else max(opts.tolerance, 1e-6)
-        prev = kernels.roof_value(W, use_sqrt, eps)
-        stalled = False
-        while budget > 0:
-            for i, j in pairs:
-                _optimize_pair(W, i, j, use_sqrt, eps)
-            budget -= len(pairs)
-            cur = kernels.roof_value(W, use_sqrt, eps)
-            if prev - cur < stage_tol:
-                stalled = True
-                break
-            prev = cur
-        value = kernels.roof_value(W, use_sqrt, 0.0)
-        if value < best_value:
-            best_value, best_W = value, W.copy()
-    return best_W, best_value, stalled
-
-
-# --------------------------------------------------------------------------
 
 def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_index: int,
             converged: bool, lower_bound: float | None = None) -> RoofResult:
@@ -845,7 +704,8 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     m = opts.ensemble_size
     if m < r:
         raise RankError(
-            f"roof_minimize: ensemble_size {m} is below the input rank {r}")
+            f"roof_minimize: ensemble_size {m} is below the input rank {r}; "
+            f"increase --size (ensemble_size) to at least {r}")
     if r == 1:
         return _result(B, use_sqrt, 0, -1, True)
 
@@ -880,15 +740,10 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     n_seeded = len(results) + len(seeds)
     labels = [-k for k in range(1, n_seeded + 1)] + list(range(opts.restarts))
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
-    if opts.method == "gradient":
-        restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
-                    for rng in rngs]
-        schedules = [_FINE_SCHEDULE] * len(seeds) + [_COARSE_SCHEDULE] * len(restarts)
-        results += zip(*_LockStep(np.array(seeds + restarts), schedules, B, use_sqrt, opts).run())
-    else:
-        results += [_simplex_search(U0 @ B, B, use_sqrt, opts, _FINE_SCHEDULE) for U0 in seeds]
-        results += [_simplex_search(_assemble_from_angles(rng.uniform(0.0, 2.0 * np.pi, m * m), B, m),
-                                    B, use_sqrt, opts) for rng in rngs]
+    restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
+                for rng in rngs]
+    schedules = [_FINE_SCHEDULE] * len(seeds) + [_COARSE_SCHEDULE] * len(restarts)
+    results += zip(*_LockStep(np.array(seeds + restarts), schedules, B, use_sqrt, opts).run())
     best = int(np.argmin([value for _, value, _ in results]))
     best_W, _, converged = results[best]
     res = _result(best_W, use_sqrt, opts.restarts, labels[best], bool(converged))

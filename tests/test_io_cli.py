@@ -244,6 +244,23 @@ def test_cli_roof_zero_branch_below_fit_size(tmp_path, capsys):
     assert np.abs(rt.ensemble_to_density(best).matrix - rho.matrix).max() < 1e-8
 
 
+def test_cli_roof_unwritable_out_exits_6(tmp_path, capsys):
+    path = _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state()))
+    out_path = tmp_path / "missing" / "x.json"
+    assert main(["roof", path, "--restarts", "1", "--out", str(out_path)]) == 6
+    captured = capsys.readouterr()
+    assert "value" in captured.out
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
+
+def test_cli_roof_unnormalized_pure_file_exits_2(tmp_path, capsys):
+    """roof reads every state's normalization as part of the file's form,
+    as for ensemble and density files; only ``pure`` exits 3 on it."""
+    unnorm = _write(tmp_path / "un.json", {"amplitudes": [[0.5, 0.0]] + [[0.0, 0.0]] * 7})
+    assert main(["roof", unnorm, "--restarts", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: amplitudes:")
+
+
 def test_cli_validation_error_is_one_error_line(tmp_path, monkeypatch, capsys):
     def fails(*args):
         raise rt.ValidationError("WeightedEnsemble: weights sum to 0.32")
@@ -332,6 +349,19 @@ def test_cli_slocc_incomplete_kraus(tmp_path, capsys):
     kraus_path = _write(tmp_path / "half.json", stateio.kraus_to_doc(half))
     assert main(["slocc", ens_path, kraus_path]) == 5
     assert "deviation" in capsys.readouterr().err
+
+
+def test_cli_slocc_unwritable_outcome_exits_6(tmp_path, capsys):
+    """An outcome path taken by a directory cannot be written (a directory,
+    not permissions, since a root user may write anywhere)."""
+    fx = rt.counterexample_fixture()
+    ens_path = _write(tmp_path / "in.json", stateio.ensemble_to_doc(fx.ensemble))
+    kraus_path = _write(tmp_path / "kraus.json", stateio.kraus_to_doc(fx.measurement))
+    (tmp_path / "in_out0.json").mkdir()
+    assert main(["slocc", ens_path, kraus_path]) == 6
+    captured = capsys.readouterr()
+    assert "outcome 0:" in captured.out and "outcome 1:" not in captured.out
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- CLI: verify

@@ -105,21 +105,6 @@ def test_tau_functional_reproduces_reference_constants():
     assert abs(res0.value - TAU_RHO0) < 5e-3
 
 
-def test_simplex_method_upper_bound_and_zero_branch(monkeypatch):
-    _without_certificates(monkeypatch)
-    mix = std_mixture(0.8)
-    opts = rt.RoofOptions(restarts=3, method="simplex", max_iterations=400)
-    res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
-    assert res.restarts_used == 3
-    assert res.value >= TR_STD_P08 - 1e-9
-    assert abs(res.value - TR_STD_P08) <= 5e-3
-    res_zero = rt.roof_minimize(std_mixture(0.4).density(), "sqrt_tau", opts)
-    assert res_zero.value <= 1e-4
-    # deterministic too
-    res_again = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
-    assert res.value == res_again.value
-
-
 def test_larger_ensemble_size():
     mix = std_mixture(0.8)
     res6 = rt.roof_minimize(mix.density(), "sqrt_tau",
