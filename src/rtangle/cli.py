@@ -28,7 +28,7 @@ from . import io as stateio
 from .ghzw import GhzWMixture, MixtureNormalizationError, analyze, as_mixture
 from .invariants import invariants
 from .roof import RankError, RoofOptions, roof_minimize
-from .slocc import counterexample_fixture, measure, verify_tangle_noncovariance
+from .slocc import KrausError, counterexample_fixture, measure, verify_tangle_noncovariance
 from .states import ValidationError, WeightedEnsemble, ensemble_to_density
 
 EXIT_OK = 0
@@ -143,15 +143,9 @@ def cmd_roof(args) -> int:
 
 def cmd_slocc(args) -> int:
     if args.rtangle_in is not None and not 0.0 <= args.rtangle_in <= 1.0:
-        print("error: --rtangle-in must be in [0, 1]", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValidationError("--rtangle-in must be in [0, 1]")
     ens = stateio.parse_ensemble(stateio.load_document(args.ensemble_file))
     ms = stateio.parse_kraus(stateio.load_document(args.kraus_file))
-    dev = ms.completeness_deviation()
-    if dev > 1e-9:
-        print(f"error: Kraus set incomplete, deviation from identity = {dev:.6e}",
-              file=sys.stderr)
-        return EXIT_KRAUS
     outcomes = measure(ens, ms, rtangle_in=args.rtangle_in)
     stem = Path(args.ensemble_file)
     for out in outcomes:
@@ -232,8 +226,7 @@ def _verify_rows(opts: RoofOptions, tol_override: float | None):
 
 def cmd_verify(args) -> int:
     if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0.0):
-        print("error: --tol must be a finite number >= 0", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValidationError("--tol must be a finite number >= 0")
     opts = RoofOptions(restarts=args.restarts, seed=_default_seed(args.seed))
     rows = _verify_rows(opts, args.tol)
     width = max(len(r[0]) for r in rows)
@@ -256,8 +249,7 @@ def cmd_sweep(args) -> int:
         f=_parse_param(args.f, "f"), p=0.0,
     )
     if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValidationError("--steps must be >= 2")
     opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
     rows = []
     for k in range(args.steps + 1):
@@ -351,6 +343,7 @@ EXIT_CODES = (
     (MixtureNormalizationError, EXIT_NORMALIZATION),
     (RankError, EXIT_RANK),
     (stateio.StateFileError, EXIT_PARSE),
+    (KrausError, EXIT_KRAUS),
     (ValidationError, EXIT_PARSE),
     (OSError, EXIT_UNWRITABLE),
 )

@@ -17,44 +17,38 @@ descent on the column-orthonormal manifold, from the projected Wirtinger
 gradient: Polak-Ribiere+ directions, with the last direction carried over
 by tangent projection and a restart at the steepest descent where that is
 not a descent direction, then polar retraction and backtracking.  Every
-start of a solve (algebraic seeds and random restarts) advances in lock
-step as one stacked ``(S, m, r)`` batch, one batched kernel call per trial
-step; each start keeps its own smoothing ladder, step size and budget, and
-ends bit for bit where it would if run alone.
+start of a solve (the rank-2 linear program's decomposition and random
+restarts) advances in lock step as one stacked ``(S, m, r)`` batch, one
+batched kernel call per trial step; each start keeps its own smoothing
+ladder, step size and budget, and ends bit for bit where it would if run
+alone.
 
-For rank-2 inputs the search is additionally seeded algebraically: the
-tangle-free directions inside the range of rho are the roots of a quartic
-(the hyperdeterminant restricted to the range), and a non-negative
-least-squares fit over the root projectors either certifies a tangle-free
-decomposition outright or provides starting points that already sit on the
-non-smooth locus.  Random restarts then cover the rest.
-
-A rank-2 input meets, in order, three certificates that skip the search,
+A rank-2 input meets, in order, two certificates that skip the search,
 then the search.  A certified decomposition is returned at once, with
 ``restarts_used == 0`` and a ``lower_bound``:
 
-* zero: the fit's members fit in the ensemble size, mix back to rho, and
-  are tangle-free to working precision (weighted member tangle at most
-  ``_ZERO_TANGLE``), so the objective is at its lower bound of 0 up to
-  rounding.  This is the zero branch of the GHZ/W mixtures (Lohmayer et
-  al., PRL 97, 260502 (2006)).
-* affine (sqrt-tau only): an affine function of the Bloch vector of the
-  range, fitted to the best seed's members, lies below sqrt-tau on the
-  sphere up to a measured offset, and the lower bound it gives on every
-  decomposition is within ``_CERT_GAP`` of the seed's value (Osterloh,
-  Siewert & Uhlmann, PRA 77, 032310 (2008)).  This is the linear branch of
-  the GHZ/W mixtures.
+* zero: the tangle-free directions inside the range of rho are the roots
+  of a quartic (the hyperdeterminant restricted to the range), and a
+  non-negative least-squares fit over the root projectors gives a
+  decomposition.  It is returned when its members fit in the ensemble
+  size, mix back to rho, and are tangle-free to working precision
+  (weighted member tangle at most ``_ZERO_TANGLE``), so the objective is
+  at its lower bound of 0 up to rounding.  This is the zero branch of the
+  GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).
 * linear program (both functionals): the roof as a linear program over
   the range's Bloch sphere, solved by a revised simplex.  Its basic
   solution is a decomposition of at most 4 members, and its dual is the
-  best affine bound, so the two bracket the roof.  The decomposition is
-  returned when the bracket is at most ``_CERT_GAP``; otherwise it joins
-  the search as one more seeded start, and the bound stays on the result.
+  best affine bound (Osterloh, Siewert & Uhlmann, PRA 77, 032310 (2008)),
+  so the two bracket the roof.  The decomposition is returned when the
+  bracket is at most ``_CERT_GAP``; otherwise it joins the search as a
+  seeded start, and the bound stays on the result.  This certifies the
+  linear branch of the GHZ/W mixtures and their SLOCC images.
 
-The affine offsets are found numerically (grid, roots of the quartic,
-pattern search), so these certify to working precision; they are not a
-proof.  The certificates are tried cheapest first: the zero and affine
-ones cost about a millisecond, a linear program about ten.
+The dual bound's offset is found numerically (grid, roots of the quartic,
+pattern search), so the program certifies to working precision; it is not
+a proof.  The zero certificate is tried first, as it is the cheaper: a
+zero-branch solve takes about half a millisecond, a linear program about
+four.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.
@@ -62,7 +56,6 @@ construction, certified or not.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import nnls
@@ -80,9 +73,10 @@ from .states import (
 
 FUNCTIONALS = ("sqrt_tau", "tau")
 
-# smoothing ladders: random starts explore through the coarse one; seeded
-# starts already sit on the non-smooth locus and only get the fine tail,
-# so the early heavy smoothing cannot pull them out of their basin
+# smoothing ladders: random starts explore through the coarse one; the
+# linear program's decomposition, the one seeded start, already sits near
+# the roof and only gets the fine tail, so the early heavy smoothing cannot
+# pull it out of its basin
 _COARSE_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-13, 0.0)
 _FINE_SCHEDULE = (1e-5, 1e-7, 1e-9, 1e-13, 0.0)
 _WEIGHT_FLOOR = 1e-14
@@ -109,14 +103,12 @@ class RoofOptions:
     ``max_iterations`` sets the search budget: each smoothing level of a
     start gets ``max(max_iterations // levels, 10)`` accepted steps, where
     ``levels`` is the length of the start's smoothing ladder; rejected
-    trial steps are not counted.  The ``tolerance`` is the objective-stall
-    threshold that ends a smoothing level.
+    trial steps are not counted.
     """
 
     ensemble_size: int = 4
     restarts: int = 50
     max_iterations: int = 2000
-    tolerance: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -135,25 +127,24 @@ class RoofResult:
     """Best decomposition found; ``value`` upper-bounds the true roof.
 
     ``best_restart_index`` is the index of the winning random restart, or
-    a negative number when a deterministic start won: -1 for the first
-    algebraic seed, -2 for the second, ..., and after the seeds the
-    linear program's decomposition (rank 2).
+    a negative number when a deterministic start won (rank 1 and 2): -1
+    for the input itself at rank 1 or the tangle-free fit, then the next
+    label, -1 or -2, for the linear program's decomposition (-2 when the
+    fit came first as a candidate that is not tangle-free).
     ``restarts_used == 0`` means no search ran: the input has rank 1, a
     certified tangle-free decomposition was returned (``best_restart_index``
-    -1, value 0 up to rounding), a sqrt-tau seed passed the affine
-    certificate (``best_restart_index`` is that seed's label), or the
-    linear program closed its bracket (``best_restart_index`` is the
-    label its decomposition has as a start).
+    -1, value 0 up to rounding), or the linear program closed its bracket
+    (``best_restart_index`` is the label its decomposition has as a
+    start).
 
     ``lower_bound`` is a lower bound on the true roof, to working precision
     (its offset is a numerical minimum, not a proof), or None.  It is set
-    for rank-2 inputs: 0 for the tangle-free decomposition, the affine
-    bound of the certified seed, or the linear program's dual bound.  It is
-    None at every other rank, and at rank 2 when the program failed or its
-    bound came out above ``value`` by more than rounding.  With a lower
-    bound, ``converged`` means ``value - lower_bound`` is at most
-    ``_CERT_GAP`` (1e-7); without one, that the winning start's last
-    smoothing level stalled.
+    for rank-2 inputs: 0 for the tangle-free decomposition, or the linear
+    program's dual bound.  It is None at every other rank, and at rank 2
+    when the program failed or its bound came out above ``value`` by more
+    than rounding.  With a lower bound, ``converged`` means
+    ``value - lower_bound`` is at most ``_CERT_GAP`` (1e-7); without one,
+    that the winning start's last smoothing level stalled.
     """
 
     value: float
@@ -193,7 +184,7 @@ def _ensemble_from_rows(W: np.ndarray) -> WeightedEnsemble:
 
 
 # --------------------------------------------------------------------------
-# algebraic seeding for rank-2 inputs
+# the tangle-free decomposition of rank-2 inputs
 
 # the five sample points (x, y) of the quartic, as columns
 _QX, _QY = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j]]).T[:, :, None]
@@ -228,54 +219,27 @@ def _zero_direction_rows(B: np.ndarray) -> list:
     return dirs[:4]
 
 
-def _seed_starts(B: np.ndarray, m: int):
-    """Deterministic starts built from tangle-free directions (rank 2 only).
+def _zero_decomposition(B: np.ndarray, m: int):
+    """A tangle-free decomposition in at most m members (rank 2 only).
 
-    Returns (exact, starts): ``exact`` is a U with orthonormal columns
-    within ``_MIX_TOL`` realizing an (up to numerical residual) tangle-free
-    decomposition in at most m members when one exists, else None;
-    ``starts`` are retracted U matrices whose rows begin on the tangle-free
-    locus, one per seed that fits in m members; a larger seed is dropped.
+    The non-negative least-squares fit of the identity over the projectors
+    onto the tangle-free directions; returns its U, with orthonormal columns
+    within ``_MIX_TOL``, when the fit is exact, needs at least two members
+    and fits in m, else None.  The members are tangle-free up to the
+    rounding of the quartic's roots.
     """
     dirs = _zero_direction_rows(B)
     if len(dirs) < 2:
-        return None, []
+        return None
     mats = [np.conj(np.outer(d_, d_.conj())) for d_ in dirs]
     A = np.array([[M[0, 0].real, M[1, 1].real, M[0, 1].real, M[0, 1].imag] for M in mats]).T
-    target = np.array([1.0, 1.0, 0.0, 0.0])
-    exact = None
-    u, residual = nnls(A, target)
+    u, residual = nnls(A, np.array([1.0, 1.0, 0.0, 0.0]))
     rows = [np.sqrt(u[n]) * dirs[n] for n in np.flatnonzero(u > 0.0)]
     if residual < 1e-10 and np.count_nonzero(u > 1e-12) >= 2 and len(rows) <= m:
         U = np.array(rows + [np.zeros(2, complex)] * (m - len(rows)))
         if np.abs(_herm(U) @ U - np.eye(2)).max() <= _MIX_TOL:
-            exact = U
-    starts = []
-    for sub in combinations(range(len(dirs)), min(3, len(dirs))):
-        usub, _ = nnls(A[:, list(sub)], target)
-        if usub.max() <= 0.0:
-            continue
-        # scale the root weights until the leftover I - sum u_n d_n d_n^dag
-        # becomes exactly singular PSD: the seed is then a feasible
-        # decomposition whose subset members sit exactly on the
-        # tangle-free locus, with one completion member carrying the rest.
-        S = sum(usub[i] * mats[n] for i, n in enumerate(sub))
-        lam_max = float(np.linalg.eigvalsh(S)[-1])
-        if lam_max <= 0.0:
-            continue
-        usub = usub / lam_max
-        left = np.eye(2, dtype=complex) - S / lam_max
-        ev, evec = np.linalg.eigh((left + left.conj().T) / 2.0)
-        rows = [np.sqrt(usub[i]) * dirs[n] for i, n in enumerate(sub)]
-        for k in range(2):
-            if ev[k] > 1e-12:
-                rows.append(np.sqrt(ev[k]) * np.conj(evec[:, k]))
-        if len(rows) > m:
-            # cut to m rows and retracted, the rest would leave the locus
-            continue
-        rows += [np.zeros(2, complex)] * (m - len(rows))
-        starts.append(kernels.polar_retract(np.array(rows)))
-    return exact, starts
+            return U
+    return None
 
 
 def _bloch(angles: np.ndarray):
@@ -369,32 +333,6 @@ class _Range:
         return lowest, np.concatenate(visited)
 
 
-def _affine_gap(W: np.ndarray, B: np.ndarray) -> float:
-    """Sqrt-tau value of the rank-2 decomposition W minus a lower bound on
-    the roof of rho = B^T conj(B) (see :class:`_Range`).
-
-    X is the least-squares fit of l = g at the members of W (0 for a member
-    below ``_ROUNDED_ROOT``); delta = max(0, -min(g - l)) with the minimum
-    taken over a grid, the roots of q, the members, and a pattern search
-    from these.  That minimum is numerical, so a small gap certifies W to
-    working precision only, not as a proof; W's value is an upper bound in
-    any case.
-    """
-    sphere = _Range(B, True)
-    A = W @ sphere.E.conj().T  # member coordinates on the eigenvectors
-    n2 = (A.real ** 2 + A.imag ** 2).sum(-1)
-    members = A[n2 > _WEIGHT_FLOOR] / np.sqrt(n2[n2 > _WEIGHT_FLOOR])[:, None]
-    # members, then roots of q, as (c, y): the phase taken off v0 >= 0
-    c, y = _phase_off(np.concatenate((members, sphere.roots)))
-    n = len(members)
-    at_members = sphere.f(c[:n], y[:n])
-    X = np.linalg.lstsq(_basis(c[:n], y[:n]),
-                        np.where(at_members < _ROUNDED_ROOT, 0.0, at_members), rcond=None)[0]
-    on_grid = sphere.f(_BLOCH_C, _BLOCH_Y) - _BLOCH_BASIS @ X
-    lowest, _ = sphere.lowest(X, on_grid, c, y)
-    return float(kernels.roof_value(W, True, 0.0) - sphere.bound(X, lowest))
-
-
 # --------------------------------------------------------------------------
 # rank-2 roof as a linear program over the range's Bloch sphere
 
@@ -446,8 +384,9 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
 
     Returns (rows, bound), or None when the simplex fails: ``rows`` are the
     at most 4 members of the basic solution as rows of U, (k, 2), their
-    weights solved on the support; ``bound`` is the lower bound, which, as
-    :func:`_affine_gap`'s, holds to working precision, not as a proof.
+    weights solved on the support; ``bound`` is the lower bound, which holds
+    to working precision (its offset is a numerical minimum), not as a
+    proof.
     """
     sphere = _Range(B, use_sqrt)
     b = np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
@@ -485,6 +424,7 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
 
 _ETA0, _ETA_MAX, _ETA_MIN = 0.2, 2.0, 1e-15
 _ARMIJO = 1e-4
+_STALL_TOL = 1e-9  # an accepted step that gains less ends its smoothing level
 _GRAD_FLOOR = 1e-26
 
 
@@ -540,10 +480,10 @@ class _LockStep:
     Re<G, D> is not negative, NaN included, D is -G again.  The trial is
     the polar retraction of U + eta D; step size ``eta`` from 0.2, Armijo
     test f_trial < f + 1e-4 eta Re<G, D>, ``eta`` x1.4 on acceptance (at
-    most 2) and /2 on rejection or a failed retraction.  A
-    level ends *stalled* on a tiny gradient, an improvement below the
-    level's tolerance, or an exhausted line search, and not stalled when
-    its step budget runs out or its gradient is not finite.  The best exact
+    most 2) and /2 on rejection or a failed retraction.  A level ends
+    *stalled* on a tiny gradient, an accepted step that gains less than
+    ``_STALL_TOL``, or an exhausted line search, and not stalled when its
+    step budget runs out or its gradient is not finite.  The best exact
     (eps = 0) objective seen at any level boundary is kept, so a smoothing
     level can never lose an already-good iterate.
 
@@ -560,7 +500,7 @@ class _LockStep:
                  opts: RoofOptions):
         S = len(schedules)
         depth = max(len(s) for s in schedules)
-        self.B, self.use_sqrt, self.tolerance = B, use_sqrt, opts.tolerance
+        self.B, self.use_sqrt = B, use_sqrt
         # E = 2 conj(P B^T) = conj(P) @ B2: conjugation and doubling are exact
         self.B2 = 2.0 * np.conj(B.T)
         self.ladder = np.array([s + (np.nan,) * (depth - len(s)) for s in schedules])
@@ -571,7 +511,6 @@ class _LockStep:
         self.best_value = kernels.roof_value(self.best_W, use_sqrt, 0.0)
         self.stage = np.zeros(S, dtype=np.int64)
         self.eps = self.ladder[:, 0].copy()
-        self.tol = np.zeros(S)                    # the level's stall threshold
         self.steps = np.zeros(S, dtype=np.int64)
         self.eta = np.full(S, _ETA0)
         self.f = np.zeros(S)
@@ -595,10 +534,8 @@ class _LockStep:
             return
         self.eta[idx] = _ETA0
         self.steps[idx] = 0
-        eps = self.eps[idx]
-        self.tol[idx] = np.where(eps == 0.0, self.tolerance, max(self.tolerance, 1e-10))
         U = self.U[idx]
-        self.f[idx], P = kernels.roof_value_grad(U @ self.B, self.use_sqrt, eps)
+        self.f[idx], P = kernels.roof_value_grad(U @ self.B, self.use_sqrt, self.eps[idx])
         self._project(idx, U, P, fresh=True)
 
     def _project(self, idx, U, P, fresh=False):
@@ -670,7 +607,7 @@ class _LockStep:
             self.eta[back] *= 0.5
             self._end(back[self.eta[back] <= _ETA_MIN], True)
 
-        small = f0 - f < self.tol[idx]  # before f0, a view under a slice, is overwritten
+        small = f0 - f < _STALL_TOL  # before f0, a view under a slice, is overwritten
         self.U[idx], self.f[idx] = trial, f
         self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
         self.steps[idx] += 1
@@ -709,31 +646,23 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     if r == 1:
         return _result(B, use_sqrt, 0, -1, True)
 
-    exact, seeds = _seed_starts(B, m) if r == 2 else (None, [])
+    exact = _zero_decomposition(B, m) if r == 2 else None
     # one (W, exact value, stalled) per start, in start order: the exact
-    # decomposition, the algebraic seeds and the LP's decomposition (labels
-    # -1, -2, ...), then the restarts (labels 0, 1, ...); ties go to the
-    # earlier start
+    # decomposition and the LP's decomposition, whichever are there (labels
+    # -1, -2), then the restarts (labels 0, 1, ...); ties go to the earlier
+    # start
     results = []
     if exact is not None:
         W = exact @ B
         if kernels.roof_value(W, False, 0.0) <= _ZERO_TANGLE:
             return _result(W, use_sqrt, 0, -1, True, 0.0)
         results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
-    if use_sqrt and (results or seeds):
-        # the lowest-valued seeded start, returned as is when the affine
-        # bound certifies it (the linear branch of the GHZ/W mixtures)
-        candidates = [W for W, _, _ in results] + [U @ B for U in seeds]
-        k = int(np.argmin([kernels.roof_value(W, True, 0.0) for W in candidates]))
-        gap = _affine_gap(candidates[k], B)
-        if gap <= _CERT_GAP:
-            return _result(candidates[k], use_sqrt, 0, -1 - k, True,
-                           float(kernels.roof_value(candidates[k], True, 0.0) - gap))
     lp = _lp_roof(B, use_sqrt) if r == 2 else None
     lp_rows, lower_bound = (None, None) if lp is None else lp
+    seeds = []
     if lp_rows is not None and len(lp_rows) <= m:
         U = kernels.polar_retract(np.concatenate((lp_rows, np.zeros((m - len(lp_rows), 2)))))
-        res = _result(U @ B, use_sqrt, 0, -1 - len(results) - len(seeds), True, lower_bound)
+        res = _result(U @ B, use_sqrt, 0, -1 - len(results), True, lower_bound)
         if res.value - lower_bound <= _CERT_GAP and lower_bound <= res.value + _BOUND_SLACK:
             return res
         seeds.append(U)

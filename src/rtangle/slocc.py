@@ -36,6 +36,10 @@ PROB_FLOOR = 1e-14       # outcomes below this probability are flagged empty
 WEIGHT_FLOOR = 1e-14     # post-measurement members below this weight are dropped
 
 
+class KrausError(ValidationError):
+    """The Kraus set is not complete: sum M^dag M deviates from the identity."""
+
+
 @dataclass(frozen=True)
 class MeasurementOutcome:
     """One outcome of a generalized measurement on a mixed state."""
@@ -58,7 +62,7 @@ def measure(e: WeightedEnsemble, ms: MeasurementSet,
     """
     dev = ms.completeness_deviation()
     if dev > 1e-9:
-        raise ValidationError(
+        raise KrausError(
             f"measure: Kraus set incomplete, sum M^dag M deviates from identity by {dev:.3e}"
         )
     rho = ensemble_to_density(e).matrix

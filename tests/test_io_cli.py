@@ -302,14 +302,23 @@ def test_cli_roof_prints_the_lp_bracket(tmp_path, capsys):
     ["mixture", *STD_ARGS, "--p", "0.8", "--numeric", "--restarts", "0"],
     ["sweep", *STD_ARGS, "--steps", "2", "--out", "{csv}", "--restarts", "0"],
     ["verify", "--restarts", "0"],
+    ["slocc", "{ens}", "{kraus}", "--rtangle-in", "2"],
+    ["verify", "--tol", "-1"],
 ])
 def test_cli_out_of_range_search_flags(argv, tmp_path, capsys):
-    ghz = _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state()))
-    argv = [a.format(ghz=ghz, csv=tmp_path / "x.csv") for a in argv]
-    assert main(argv) == 2
+    """Exit 2 with one error line, before any output: a search flag's line
+    names the RoofOptions check, any other flag's line names the flag."""
+    fx = rt.counterexample_fixture()
+    paths = {"ghz": _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state())),
+             "ens": _write(tmp_path / "ens.json", stateio.ensemble_to_doc(fx.ensemble)),
+             "kraus": _write(tmp_path / "kraus.json", stateio.kraus_to_doc(fx.measurement)),
+             "csv": tmp_path / "x.csv"}
+    flag = argv[-2]
+    assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: RoofOptions:") and captured.err.count("\n") == 1
+    want = "error: RoofOptions:" if flag in ("--size", "--restarts") else f"error: {flag} "
+    assert captured.err.startswith(want) and captured.err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- CLI: slocc
@@ -348,7 +357,10 @@ def test_cli_slocc_incomplete_kraus(tmp_path, capsys):
     half = rt.MeasurementSet((rt.LocalOperator(np.diag([1.0, 0.5]), "A"),))
     kraus_path = _write(tmp_path / "half.json", stateio.kraus_to_doc(half))
     assert main(["slocc", ens_path, kraus_path]) == 5
-    assert "deviation" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: measure: Kraus set incomplete")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_slocc_unwritable_outcome_exits_6(tmp_path, capsys):
@@ -417,6 +429,10 @@ def test_cli_sweep_analytic_column_piecewise_linear(tmp_path):
 def test_cli_sweep_rejects_bad_steps(tmp_path, capsys):
     assert main(["sweep", *STD_ARGS, "--steps", "1",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --steps must be >= 2\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_sweep_unwritable_path(capsys):

@@ -16,19 +16,9 @@ def _pure_density(psi):
     return rt.ensemble_to_density(rt.WeightedEnsemble(((1.0, psi),)))
 
 
-def _without_affine_certificate(monkeypatch):
-    """Make every seed fail the affine certificate, so the search runs."""
-    monkeypatch.setattr(roof, "_affine_gap", lambda W, B: np.inf)
-
-
 def _without_lp(monkeypatch):
     """Switch the rank-2 linear program off, so the search runs alone."""
     monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: None)
-
-
-def _without_certificates(monkeypatch):
-    _without_affine_certificate(monkeypatch)
-    _without_lp(monkeypatch)
 
 
 def test_rank1_is_exact():
@@ -62,7 +52,7 @@ def test_determinism_bit_for_bit():
 
 
 def test_monotonicity_in_restarts(monkeypatch):
-    _without_certificates(monkeypatch)
+    _without_lp(monkeypatch)
     rho = std_mixture(0.75).density()
     results = [rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=k, seed=5))
                for k in (1, 3, 6)]
@@ -207,7 +197,7 @@ def _inner(X, Y):
     return float(np.sum(X.real * Y.real + X.imag * Y.imag))
 
 
-def _stage_reference(U, B, use_sqrt, eps, max_steps, tolerance):
+def _stage_reference(U, B, use_sqrt, eps, max_steps):
     """One smoothing level of the search, one start at a time: Polak-Ribiere+
     conjugate directions, restarted at -G where they do not descend."""
     eta, steps = 0.2, 0
@@ -241,7 +231,7 @@ def _stage_reference(U, B, use_sqrt, eps, max_steps, tolerance):
                 U, f, P = U2, f2, P2
                 eta = min(eta * 1.4, 2.0)
                 steps += 1
-                if improvement < tolerance:
+                if improvement < roof._STALL_TOL:
                     return U, True
                 break
             eta *= 0.5
@@ -256,8 +246,7 @@ def _search_reference(U0, B, use_sqrt, opts, schedule):
     U, best_W = U0, U0 @ B
     best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
     for eps in schedule:
-        tol = opts.tolerance if eps == 0.0 else max(opts.tolerance, 1e-10)
-        U, stalled = _stage_reference(U, B, use_sqrt, eps, per_stage, tol)
+        U, stalled = _stage_reference(U, B, use_sqrt, eps, per_stage)
         value = kernels.roof_value(U @ B, use_sqrt, 0.0)
         if value < best_value:
             best_value, best_W = value, U @ B
@@ -427,6 +416,7 @@ def test_zero_branch_returns_the_certified_decomposition():
         assert rt.analyze(mix).branch == "zero_branch"
         res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
         assert res.restarts_used == 0 and res.best_restart_index == -1 and res.converged
+        assert res.lower_bound == 0.0  # the zero certificate, not the program
         assert 0.0 <= res.value <= 1e-7
         assert _mixes_back(res, mix.density())
 
@@ -435,11 +425,10 @@ def test_search_never_undercuts_the_certificate(monkeypatch):
     opts = rt.RoofOptions(restarts=3)
     cases = _zero_branch_cases()
     certified = [rt.roof_minimize(mix.density(), "sqrt_tau", opts) for mix in cases]
-    # without the tangle-free decomposition the best raw seed would pass the
-    # affine certificate instead
-    _without_certificates(monkeypatch)
-    seed_starts = roof._seed_starts
-    monkeypatch.setattr(roof, "_seed_starts", lambda B, m: (None, seed_starts(B, m)[1]))
+    # without the tangle-free decomposition the linear program would certify
+    # instead
+    _without_lp(monkeypatch)
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda B, m: None)
     for mix, cert in zip(cases, certified):
         res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
         assert res.restarts_used == opts.restarts
@@ -452,14 +441,10 @@ def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
     rng = np.random.default_rng(3)
     z = np.eye(4) + 0.05 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     rotation = np.linalg.qr(z)[0]
-    seed_starts = roof._seed_starts
-
-    def perturbed(B, m):
-        exact, starts = seed_starts(B, m)
-        return rotation @ exact, starts
-
-    monkeypatch.setattr(roof, "_seed_starts", perturbed)
-    _without_certificates(monkeypatch)  # either would certify without a search
+    zero_decomposition = roof._zero_decomposition
+    monkeypatch.setattr(roof, "_zero_decomposition",
+                        lambda B, m: rotation @ zero_decomposition(B, m))
+    _without_lp(monkeypatch)  # it would certify without a search
     rho = std_mixture(0.3).density()
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
     assert res.restarts_used == FAST.restarts
@@ -477,12 +462,12 @@ def _linear_branch_cases():
     return cases
 
 
-def test_linear_branch_returns_the_certified_seed(monkeypatch):
-    """The best algebraic seed is returned without a search, and a search
-    without the certificates never undercuts it."""
+def test_linear_branch_returns_the_lp_decomposition(monkeypatch):
+    """The linear program's decomposition is returned without a search, and
+    a search without the program never undercuts it."""
     cases = _linear_branch_cases()
     certified = [rt.roof_minimize(mix.density(), "sqrt_tau", FAST) for mix in cases]
-    _without_certificates(monkeypatch)
+    _without_lp(monkeypatch)
     opts = rt.RoofOptions(restarts=3)
     for mix, cert in zip(cases, certified):
         closed = rt.analyze(mix).rtangle
@@ -510,27 +495,10 @@ def _ghzw_both_branches():
     return cases
 
 
-def test_affine_bound_never_exceeds_the_closed_form():
-    """value - gap is a lower bound on the roof: for the seeds, for random
-    decompositions, and for the certified result."""
-    rng = np.random.default_rng(53)
-    for mix in _ghzw_both_branches():
-        rho = mix.density()
-        closed = rt.analyze(mix).rtangle
-        B = _eigen_factor(rho)
-        rows = [U @ B for U in roof._seed_starts(B, 4)[1]]
-        rows += [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0] @ B
-                 for _ in range(2)]
-        for W in rows:
-            assert kernels.roof_value(W, True, 0.0) - roof._affine_gap(W, B) <= closed + 1e-12
-        res = rt.roof_minimize(rho, "sqrt_tau", FAST)
-        assert res.restarts_used == 0 and res.converged
-        assert closed - 1e-9 <= res.value <= closed + 1e-7
-
-
 def test_uncertified_inputs_run_the_full_search(monkeypatch):
-    """Without the linear program, tau, a generic rank-3 input and a rotated
-    (not optimal) seed all search."""
+    """Without the linear program, tau and sqrt-tau on a linear-branch input
+    and a generic rank-3 input all search, and the search never undercuts
+    the closed form."""
     _without_lp(monkeypatch)
     mix = std_mixture(0.8)
     res = rt.roof_minimize(mix.density(), "tau", FAST)
@@ -539,10 +507,6 @@ def test_uncertified_inputs_run_the_full_search(monkeypatch):
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rt.DensityMatrix(B.T @ B.conj()), "sqrt_tau", opts)
     assert res.restarts_used == opts.restarts
-    rotation = np.linalg.qr(np.eye(4) + 0.05j * np.ones((4, 4)))[0]
-    seed_starts = roof._seed_starts
-    monkeypatch.setattr(roof, "_seed_starts",
-                        lambda B, m: (None, [rotation @ U for U in seed_starts(B, m)[1]]))
     res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
     assert res.restarts_used == FAST.restarts
     assert res.value >= TR_STD_P08 - 1e-9
@@ -550,12 +514,12 @@ def test_uncertified_inputs_run_the_full_search(monkeypatch):
 
 @pytest.mark.parametrize("size", [2, 3])
 def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
-    """The zero-branch fit of the standard mixture needs four members, and so
-    does each of its seeds; with fewer, the fit and the seeds are dropped,
-    not cut, and the search runs from the restarts and still mixes back."""
+    """The zero-branch fit of the standard mixture needs four members; with
+    fewer, the fit is dropped, not cut, and the search runs from the
+    restarts and still mixes back."""
     for p in (0.1, 0.3, 0.6):
         rho = std_mixture(p).density()
-        assert roof._seed_starts(_eigen_factor(rho), size) == (None, [])
+        assert roof._zero_decomposition(_eigen_factor(rho), size) is None
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
@@ -576,7 +540,7 @@ def _slocc_image(rho, ops):
 def test_lp_brackets_the_roof_on_slocc_orbits():
     """t_r is covariant on the whole SLOCC orbit of a GHZ/W mixture: the
     bracket of an image under random complex local operators contains
-    alpha t_r, and neither certificate of the seeds fires there."""
+    alpha t_r, and the linear program certifies it without a search."""
     rng = np.random.default_rng(5)
     for p in (0.8, 0.95):
         mix = std_mixture(p)
@@ -604,19 +568,20 @@ def test_lp_brackets_the_counterexample_tau_constants():
 
 
 def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
-    """Without the zero and affine certificates the linear program returns
-    a decomposition within _CERT_GAP of the closed form, on the zero branch
-    and on the linear one, and its bound never rises above the closed form."""
-    _without_affine_certificate(monkeypatch)
-    seed_starts = roof._seed_starts
-    monkeypatch.setattr(roof, "_seed_starts", lambda B, m: (None, seed_starts(B, m)[1]))
-    for mix in _ghzw_both_branches()[:6]:
+    """On the zero branch, just above the branch point and further up, the
+    default path and, with the zero certificate off, the linear program
+    alone return a decomposition within _CERT_GAP of the closed form without
+    a search, with a bound never above the closed form."""
+    cases = _ghzw_both_branches()
+    default = [rt.roof_minimize(mix.density(), "sqrt_tau", FAST) for mix in cases]
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda B, m: None)
+    for mix, first in zip(cases, default):
         closed = rt.analyze(mix).rtangle
-        res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
-        assert res.restarts_used == 0 and res.converged
-        assert res.lower_bound <= closed + 1e-9
-        assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
-        assert _mixes_back(res, mix.density())
+        for res in (first, rt.roof_minimize(mix.density(), "sqrt_tau", FAST)):
+            assert res.restarts_used == 0 and res.converged
+            assert res.lower_bound <= closed + 1e-9
+            assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
+            assert _mixes_back(res, mix.density())
 
 
 def test_lower_bound_only_at_rank_2():
@@ -624,7 +589,7 @@ def test_lower_bound_only_at_rank_2():
     B, _ = _generic_starts(3, 0)
     opts = rt.RoofOptions(restarts=1, max_iterations=100)
     assert rt.roof_minimize(rt.DensityMatrix(B.T @ B.conj()), "tau", opts).lower_bound is None
-    for p in (0.3, 0.8):  # the zero and the affine certificate
+    for p in (0.3, 0.8):  # the zero certificate and the linear program
         res = rt.roof_minimize(std_mixture(p).density(), "sqrt_tau", FAST)
         assert isinstance(res.lower_bound, float)
         assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
