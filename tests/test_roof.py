@@ -567,21 +567,41 @@ def test_lp_brackets_the_counterexample_tau_constants():
         assert again.value == res.value and again.lower_bound == res.lower_bound
 
 
-def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
-    """On the zero branch, just above the branch point and further up, the
-    default path and, with the zero certificate off, the linear program
-    alone return a decomposition within _CERT_GAP of the closed form without
-    a search, with a bound never above the closed form."""
-    cases = _ghzw_both_branches()
-    default = [rt.roof_minimize(mix.density(), "sqrt_tau", FAST) for mix in cases]
-    monkeypatch.setattr(roof, "_zero_decomposition", lambda B, m: None)
-    for mix, first in zip(cases, default):
+def test_affine_bound_never_exceeds_the_closed_form():
+    """The linear program's dual is an affine lower bound on the roof: it
+    lies below the closed form, below random decompositions and below the
+    program's own decomposition; and the default path certifies the result."""
+    rng = np.random.default_rng(53)
+    for mix in _ghzw_both_branches():
+        rho = mix.density()
         closed = rt.analyze(mix).rtangle
-        for res in (first, rt.roof_minimize(mix.density(), "sqrt_tau", FAST)):
-            assert res.restarts_used == 0 and res.converged
-            assert res.lower_bound <= closed + 1e-9
-            assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
-            assert _mixes_back(res, mix.density())
+        B = _eigen_factor(rho)
+        U, bound = roof._lp_roof(B, True)
+        assert bound <= closed + 1e-9
+        rows = [U @ B]
+        rows += [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0] @ B
+                 for _ in range(2)]
+        for W in rows:
+            assert bound <= kernels.roof_value(W, True, 0.0) + 1e-9
+        res = rt.roof_minimize(rho, "sqrt_tau", FAST)
+        assert res.restarts_used == 0 and res.converged
+        assert res.lower_bound <= closed + 1e-9
+        assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
+
+
+def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
+    """With the zero certificate off, the linear program alone returns a
+    decomposition within _CERT_GAP of the closed form without a search, on
+    the zero branch, just above the branch point and further up, with a
+    bound never above the closed form."""
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda B, m: None)
+    for mix in _ghzw_both_branches():
+        closed = rt.analyze(mix).rtangle
+        res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
+        assert res.restarts_used == 0 and res.converged
+        assert res.lower_bound <= closed + 1e-9
+        assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
+        assert _mixes_back(res, mix.density())
 
 
 def test_lower_bound_only_at_rank_2():
