@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
@@ -65,11 +66,11 @@ def _parse_param(text: str, name: str) -> complex:
         raise ValidationError(f"--{name}: cannot parse {text!r} as a complex number")
 
 
-def _mixture_from_args(args) -> GhzWMixture:
+def _mixture_from_args(args, p: float) -> GhzWMixture:
     return GhzWMixture(
         a=_parse_param(args.a, "a"), b=_parse_param(args.b, "b"),
         c=_parse_param(args.c, "c"), d=_parse_param(args.d, "d"),
-        f=_parse_param(args.f, "f"), p=float(args.p),
+        f=_parse_param(args.f, "f"), p=p,
     )
 
 
@@ -88,7 +89,7 @@ def cmd_mixture(args) -> int:
     opts = None
     if args.numeric:
         opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
-    mix = _mixture_from_args(args)
+    mix = _mixture_from_args(args, args.p)
     ana = analyze(mix)
     print(f"s         = {_fmt(ana.s)}")
     print(f"tilde_phi = {_fmt(ana.tilde_phi)}")
@@ -243,18 +244,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mix0 = GhzWMixture(
-        a=_parse_param(args.a, "a"), b=_parse_param(args.b, "b"),
-        c=_parse_param(args.c, "c"), d=_parse_param(args.d, "d"),
-        f=_parse_param(args.f, "f"), p=0.0,
-    )
+    mix0 = _mixture_from_args(args, 0.0)
     if args.steps < 2:
         raise ValidationError("--steps must be >= 2")
     opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
     rows = []
     for k in range(args.steps + 1):
         p = k / args.steps
-        mix = GhzWMixture(a=mix0.a, b=mix0.b, c=mix0.c, d=mix0.d, f=mix0.f, p=p)
+        mix = dataclasses.replace(mix0, p=p)
         ana = analyze(mix)
         result = roof_minimize(mix.density(), "sqrt_tau", opts)
         rows.append({"p": p, "rtangle_analytic": ana.rtangle,

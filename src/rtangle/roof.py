@@ -16,12 +16,11 @@ parameter toward zero.  The local search is Riemannian conjugate-gradient
 descent on the column-orthonormal manifold, from the projected Wirtinger
 gradient: Polak-Ribiere+ directions, with the last direction carried over
 by tangent projection and a restart at the steepest descent where that is
-not a descent direction, then polar retraction and backtracking.  Every
-start of a solve (the rank-2 linear program's decomposition and random
-restarts) advances in lock step as one stacked ``(S, m, r)`` batch, one
-batched kernel call per trial step; each start keeps its own smoothing
-ladder, step size and budget, and ends bit for bit where it would if run
-alone.
+not a descent direction, then polar retraction and backtracking.  The
+random restarts of a solve advance in lock step as one stacked
+``(S, m, r)`` batch, one batched kernel call per trial step; they share
+one smoothing ladder, each keeps its own step size, and each ends bit for
+bit where it would if run alone.
 
 A rank-2 input meets, in order, two certificates that skip the search,
 then the search.  A certified decomposition is returned at once, with
@@ -40,9 +39,10 @@ then the search.  A certified decomposition is returned at once, with
   solution is a decomposition of at most 4 members, and its dual is the
   best affine bound (Osterloh, Siewert & Uhlmann, PRA 77, 032310 (2008)),
   so the two bracket the roof.  The decomposition is returned when the
-  bracket is at most ``_CERT_GAP``; otherwise it joins the search as a
-  seeded start, and the bound stays on the result.  This certifies the
-  linear branch of the GHZ/W mixtures and their SLOCC images.
+  bracket is at most ``_CERT_GAP``; otherwise it is kept as a candidate
+  next to the search's restarts, and the bound stays on the result.  This
+  certifies the linear branch of the GHZ/W mixtures and their SLOCC
+  images.
 
 The dual bound's offset is found numerically (grid, roots of the quartic,
 pattern search), so the program certifies to working precision; it is not
@@ -73,12 +73,8 @@ from .states import (
 
 FUNCTIONALS = ("sqrt_tau", "tau")
 
-# smoothing ladders: random starts explore through the coarse one; the
-# linear program's decomposition, the one seeded start, already sits near
-# the roof and only gets the fine tail, so the early heavy smoothing cannot
-# pull it out of its basin
-_COARSE_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-13, 0.0)
-_FINE_SCHEDULE = (1e-5, 1e-7, 1e-9, 1e-13, 0.0)
+# the smoothing ladder every start of the search anneals down
+_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-13, 0.0)
 _WEIGHT_FLOOR = 1e-14
 _MIX_TOL = 1e-8
 # weighted member tangle, sum_i 4|D_i| / ||w_i||^2, up to which a mixing-back
@@ -102,8 +98,8 @@ class RoofOptions:
 
     ``max_iterations`` sets the search budget: each smoothing level of a
     start gets ``max(max_iterations // levels, 10)`` accepted steps, where
-    ``levels`` is the length of the start's smoothing ladder; rejected
-    trial steps are not counted.
+    ``levels`` is ``len(_SCHEDULE)``, the length of the smoothing ladder;
+    rejected trial steps are not counted.
     """
 
     ensemble_size: int = 4
@@ -135,7 +131,7 @@ class RoofResult:
     certified tangle-free decomposition was returned (``best_restart_index``
     -1, value 0 up to rounding), or the linear program closed its bracket
     (``best_restart_index`` is the label its decomposition has as a
-    start).
+    candidate).
 
     ``lower_bound`` is a lower bound on the true roof, to working precision
     (its offset is a numerical minimum, not a proof), or None.  It is set
@@ -144,7 +140,8 @@ class RoofResult:
     when the program failed or its bound came out above ``value`` by more
     than rounding.  With a lower bound, ``converged`` means
     ``value - lower_bound`` is at most ``_CERT_GAP`` (1e-7); without one,
-    that the winning start's last smoothing level stalled.
+    that the winning restart's last smoothing level stalled, or that a
+    candidate won.
     """
 
     value: float
@@ -467,11 +464,11 @@ def _sub(idx, mask: np.ndarray) -> np.ndarray:
 class _LockStep:
     """Annealed conjugate-gradient descent of S starts, advanced together.
 
-    Each start anneals through its own smoothing ladder.  At each level it
-    takes backtracking steps on the column-orthonormal manifold along a
-    direction D: -G when the level opens, then the Riemannian
-    Polak-Ribiere+ direction (Absil, Mahony & Sepulchre, *Optimization
-    Algorithms on Matrix Manifolds*, 2008, sec. 8.3)
+    Every start anneals down the one smoothing ladder ``_SCHEDULE``.  At
+    each level it takes backtracking steps on the column-orthonormal
+    manifold along a direction D: -G when the level opens, then the
+    Riemannian Polak-Ribiere+ direction (Absil, Mahony & Sepulchre,
+    *Optimization Algorithms on Matrix Manifolds*, 2008, sec. 8.3)
 
         D = -G + beta T_U(D_prev),  beta = max(0, (|G|^2 - Re<G, G_prev>) / |G_prev|^2),
 
@@ -496,21 +493,17 @@ class _LockStep:
     ends exactly where it would alone.
     """
 
-    def __init__(self, U0: np.ndarray, schedules, B: np.ndarray, use_sqrt: bool,
-                 opts: RoofOptions):
-        S = len(schedules)
-        depth = max(len(s) for s in schedules)
+    def __init__(self, U0: np.ndarray, B: np.ndarray, use_sqrt: bool, opts: RoofOptions):
+        S = len(U0)
         self.B, self.use_sqrt = B, use_sqrt
         # E = 2 conj(P B^T) = conj(P) @ B2: conjugation and doubling are exact
         self.B2 = 2.0 * np.conj(B.T)
-        self.ladder = np.array([s + (np.nan,) * (depth - len(s)) for s in schedules])
-        self.n_stages = np.array([len(s) for s in schedules])
-        self.budget = np.array([max(opts.max_iterations // len(s), 10) for s in schedules])
+        self.budget = max(opts.max_iterations // len(_SCHEDULE), 10)
         self.U = np.array(U0, dtype=np.complex128)
         self.best_W = self.U @ B
         self.best_value = kernels.roof_value(self.best_W, use_sqrt, 0.0)
         self.stage = np.zeros(S, dtype=np.int64)
-        self.eps = self.ladder[:, 0].copy()
+        self.eps = np.full(S, _SCHEDULE[0])
         self.steps = np.zeros(S, dtype=np.int64)
         self.eta = np.full(S, _ETA0)
         self.f = np.zeros(S)
@@ -581,8 +574,8 @@ class _LockStep:
         self.best_value[idx[better]] = value[better]
         self.best_W[idx[better]] = W[better]
         self.stage[idx] += 1
-        idx = idx[self.stage[idx] < self.n_stages[idx]]
-        self.eps[idx] = self.ladder[idx, self.stage[idx]]
+        idx = idx[self.stage[idx] < len(_SCHEDULE)]
+        self.eps[idx] = np.take(_SCHEDULE, self.stage[idx])
         self._begin(idx)
 
     def _tick(self):
@@ -611,7 +604,7 @@ class _LockStep:
         self.U[idx], self.f[idx] = trial, f
         self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
         self.steps[idx] += 1
-        spent = ~small & (self.steps[idx] >= self.budget[idx])
+        spent = ~small & (self.steps[idx] >= self.budget)
         if small.any() or spent.any():
             self._end(_sub(idx, small), True)
             self._end(_sub(idx, spent), False)
@@ -647,10 +640,10 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
         return _result(B, use_sqrt, 0, -1, True)
 
     exact = _zero_decomposition(B, m) if r == 2 else None
-    # one (W, exact value, stalled) per start, in start order: the exact
+    # one (W, exact value, stalled) per candidate, in order: the exact
     # decomposition and the LP's decomposition, whichever are there (labels
     # -1, -2), then the restarts (labels 0, 1, ...); ties go to the earlier
-    # start
+    # candidate
     results = []
     if exact is not None:
         W = exact @ B
@@ -659,20 +652,18 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
         results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
     lp = _lp_roof(B, use_sqrt) if r == 2 else None
     lp_rows, lower_bound = (None, None) if lp is None else lp
-    seeds = []
     if lp_rows is not None and len(lp_rows) <= m:
         U = kernels.polar_retract(np.concatenate((lp_rows, np.zeros((m - len(lp_rows), 2)))))
-        res = _result(U @ B, use_sqrt, 0, -1 - len(results), True, lower_bound)
+        W = U @ B
+        res = _result(W, use_sqrt, 0, -1 - len(results), True, lower_bound)
         if res.value - lower_bound <= _CERT_GAP and lower_bound <= res.value + _BOUND_SLACK:
             return res
-        seeds.append(U)
-    n_seeded = len(results) + len(seeds)
-    labels = [-k for k in range(1, n_seeded + 1)] + list(range(opts.restarts))
+        results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
+    labels = [-k for k in range(1, len(results) + 1)] + list(range(opts.restarts))
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
     restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
                 for rng in rngs]
-    schedules = [_FINE_SCHEDULE] * len(seeds) + [_COARSE_SCHEDULE] * len(restarts)
-    results += zip(*_LockStep(np.array(seeds + restarts), schedules, B, use_sqrt, opts).run())
+    results += zip(*_LockStep(np.array(restarts), B, use_sqrt, opts).run())
     best = int(np.argmin([value for _, value, _ in results]))
     best_W, _, converged = results[best]
     res = _result(best_W, use_sqrt, opts.restarts, labels[best], bool(converged))

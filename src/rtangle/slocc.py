@@ -58,8 +58,11 @@ def measure(e: WeightedEnsemble, ms: MeasurementSet,
     """Apply a complete Kraus set to an ensemble, one outcome per operator.
 
     With ``rtangle_in`` given, each outcome carries the propagated value
-    ``alpha_j * rtangle_in``.
+    ``alpha_j * rtangle_in``; a value outside [0, 1] raises
+    :class:`ValidationError` before any outcome is computed.
     """
+    if rtangle_in is not None:
+        _check_rtangle_in(rtangle_in)
     dev = ms.completeness_deviation()
     if dev > 1e-9:
         raise KrausError(
@@ -102,15 +105,21 @@ def measure_density(rho: DensityMatrix, ms: MeasurementSet,
     return measure(density_eigendecomposition(rho, cutoff), ms, rtangle_in=rtangle_in)
 
 
+def _check_rtangle_in(rtangle_in: float) -> None:
+    # a residual tangle lies in [0, 1]; NaN fails the comparison
+    if not 0.0 <= rtangle_in <= 1.0:
+        raise ValidationError(f"rtangle_in must be in [0, 1], got {rtangle_in!r}")
+
+
 def propagate_rtangle(rtangle_in: float, alpha: float) -> float:
     """Residual tangle of a measurement outcome: alpha * t_r(input).
 
-    Raises :class:`ValidationError` for a negative or non-finite argument.
+    Raises :class:`ValidationError` for an ``rtangle_in`` outside [0, 1],
+    or a negative or non-finite ``alpha``.
     """
-    for name, value in (("rtangle_in", rtangle_in), ("alpha", alpha)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValidationError(
-                f"propagate_rtangle: {name} must be finite and >= 0, got {value!r}")
+    _check_rtangle_in(rtangle_in)
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValidationError(f"propagate_rtangle: alpha must be finite and >= 0, got {alpha!r}")
     return alpha * rtangle_in
 
 

@@ -240,12 +240,12 @@ def _stage_reference(U, B, use_sqrt, eps, max_steps):
     return U, False
 
 
-def _search_reference(U0, B, use_sqrt, opts, schedule):
+def _search_reference(U0, B, use_sqrt, opts):
     """The annealed search of one start, alone: (best W, best value, stalled)."""
-    per_stage = max(opts.max_iterations // len(schedule), 10)
+    per_stage = max(opts.max_iterations // len(roof._SCHEDULE), 10)
     U, best_W = U0, U0 @ B
     best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
-    for eps in schedule:
+    for eps in roof._SCHEDULE:
         U, stalled = _stage_reference(U, B, use_sqrt, eps, per_stage)
         value = kernels.roof_value(U @ B, use_sqrt, 0.0)
         if value < best_value:
@@ -265,14 +265,12 @@ def _generic_starts(rank, n, seed=5):
 @pytest.mark.parametrize("use_sqrt", [True, False])
 def test_lock_step_equals_one_start_at_a_time(use_sqrt):
     """Each start of a batch ends bit for bit where the search of that start
-    alone ends, with its own schedule and budget."""
+    alone ends."""
     B, U0 = _generic_starts(3, 4)
     opts = rt.RoofOptions(max_iterations=300)
-    schedules = [roof._FINE_SCHEDULE, roof._COARSE_SCHEDULE,
-                 roof._COARSE_SCHEDULE, roof._FINE_SCHEDULE]
-    W, values, stalled = roof._LockStep(U0, schedules, B, use_sqrt, opts).run()
+    W, values, stalled = roof._LockStep(U0, B, use_sqrt, opts).run()
     for s in range(len(U0)):
-        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, use_sqrt, opts, schedules[s])
+        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, use_sqrt, opts)
         assert np.array_equal(W[s], W_ref)
         assert values[s] == value_ref and stalled[s] == stalled_ref
 
@@ -280,12 +278,11 @@ def test_lock_step_equals_one_start_at_a_time(use_sqrt):
 def test_start_result_independent_of_batch():
     B, U0 = _generic_starts(2, 5, seed=8)
     opts = rt.RoofOptions(max_iterations=400)
-    schedules = [roof._COARSE_SCHEDULE] * 5
-    W, values, _ = roof._LockStep(U0, schedules, B, True, opts).run()
+    W, values, _ = roof._LockStep(U0, B, True, opts).run()
     for s in (0, 3):
-        W1, value1, _ = roof._LockStep(U0[s:s + 1], schedules[:1], B, True, opts).run()
+        W1, value1, _ = roof._LockStep(U0[s:s + 1], B, True, opts).run()
         assert np.array_equal(W1[0], W[s]) and value1[0] == values[s]
-    W2, values2, _ = roof._LockStep(U0[[4, 1]], schedules[:2], B, True, opts).run()
+    W2, values2, _ = roof._LockStep(U0[[4, 1]], B, True, opts).run()
     assert np.array_equal(W2[0], W[4]) and np.array_equal(W2[1], W[1])
     assert values2[0] == values[4] and values2[1] == values[1]
 
@@ -294,8 +291,7 @@ def test_direction_is_a_tangent_descent_direction():
     """A level opens on D = -G; after every tick each searching start's D is
     tangent at its U and descends, and some ticks take a conjugate step."""
     B, U0 = _generic_starts(3, 4)
-    batch = roof._LockStep(U0, [roof._COARSE_SCHEDULE] * 4, B, True,
-                           rt.RoofOptions(max_iterations=300))
+    batch = roof._LockStep(U0, B, True, rt.RoofOptions(max_iterations=300))
     batch._begin(np.arange(4))
     assert np.array_equal(batch.D, -batch.G) and np.array_equal(batch.slope, -batch.gn2)
     conjugate = 0
@@ -317,7 +313,7 @@ def test_direction_falls_back_to_the_gradient():
     """Where the conjugate direction's slope is NaN or not negative, the
     direction is -G."""
     B, U0 = _generic_starts(3, 3)
-    batch = roof._LockStep(U0, [roof._COARSE_SCHEDULE] * 3, B, True, rt.RoofOptions())
+    batch = roof._LockStep(U0, B, True, rt.RoofOptions())
     batch._begin(np.arange(3))
     G = batch.G.copy()
     batch.D[0] = np.nan                      # NaN slope
@@ -360,10 +356,9 @@ def test_failed_retraction_does_not_abort_the_batch(monkeypatch):
 
     monkeypatch.setattr(kernels, "polar_retract", fails_when_ill_conditioned)
     opts = rt.RoofOptions(max_iterations=300)
-    schedules = [roof._COARSE_SCHEDULE] * 3
-    W, values, stalled = roof._LockStep(U0, schedules, B, True, opts).run()
+    W, values, stalled = roof._LockStep(U0, B, True, opts).run()
     for s in range(3):
-        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts, schedules[s])
+        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts)
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
         assert stalled[s] == stalled_ref
     assert 3 in failures and 2 in failures  # the batch failed, then the start alone
@@ -371,7 +366,7 @@ def test_failed_retraction_does_not_abort_the_batch(monkeypatch):
 
 
 def test_non_finite_gradient_ends_the_level_not_stalled(monkeypatch):
-    """A NaN gradient cuts the level short; the start is not converged, and
+    """A NaN gradient cuts the level short; each start is not converged, and
     its values stay those of the one-start search."""
     grad = kernels.roof_value_grad
 
@@ -382,14 +377,12 @@ def test_non_finite_gradient_ends_the_level_not_stalled(monkeypatch):
     monkeypatch.setattr(kernels, "roof_value_grad", nan_at_eps0)
     B, U0 = _generic_starts(3, 2, seed=6)
     opts = rt.RoofOptions(max_iterations=300)
-    # only the first start reaches an eps = 0 level
-    schedules = [roof._COARSE_SCHEDULE, roof._COARSE_SCHEDULE[:-1]]
-    W, values, stalled = roof._LockStep(U0, schedules, B, True, opts).run()
+    W, values, stalled = roof._LockStep(U0, B, True, opts).run()
     for s in range(2):
-        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts, schedules[s])
+        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts)
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
         assert stalled[s] == stalled_ref
-    assert not stalled[0]
+    assert not stalled.any()  # both starts reach the eps = 0 level
     rho = rt.DensityMatrix(B.T @ B.conj())
     res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=1, max_iterations=300))
     assert not res.converged
@@ -617,14 +610,15 @@ def test_lower_bound_only_at_rank_2():
 
 def test_bound_above_the_value_is_not_certified(monkeypatch):
     """A bound above the program's own decomposition means pricing missed a
-    point: the decomposition only joins the search, and no bound is reported."""
+    point: the decomposition is only a candidate next to the search's
+    restarts, and no bound is reported."""
     lp_roof = roof._lp_roof
     monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: (lp_roof(B, use_sqrt)[0], 1.0))
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
     assert res.restarts_used == 2 and res.lower_bound is None
-    assert abs(res.value - TAU_RHO) <= 1e-7  # the program's start won or tied
+    assert abs(res.value - TAU_RHO) <= 1e-7  # the program's candidate won or tied
 
 
 def _random_rank2(rng):
@@ -632,6 +626,32 @@ def _random_rank2(rng):
     w = rng.dirichlet([1.0, 1.0])
     rows = [random_pure(rng).amp for _ in range(2)]
     return rt.DensityMatrix(sum(wk * np.outer(v, v.conj()) for wk, v in zip(w, rows)))
+
+
+def _random_rank2_gram(rng):
+    """X diag(w) X^dag / tr, X a complex normal 8 x 2 matrix, w Dirichlet."""
+    X = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    w = rng.dirichlet([1.0, 1.0])
+    rho = sum(wk * np.outer(x, x.conj()) for wk, x in zip(w, X.T))
+    return rt.DensityMatrix(rho / np.trace(rho).real)
+
+
+def test_open_bracket_keeps_the_lp_decomposition_as_a_candidate():
+    """State 14 of rng 2026, tau: pricing leaves the program's bracket open,
+    so its decomposition is a candidate next to the restarts; the result is
+    no worse than it and keeps a sound bound within _CERT_GAP."""
+    rng = np.random.default_rng(2026)
+    rho = [_random_rank2_gram(rng) for _ in range(15)][14]
+    B = _eigen_factor(rho)
+    rows, bound = roof._lp_roof(B, False)
+    U = kernels.polar_retract(np.concatenate((rows, np.zeros((4 - len(rows), 2)))))
+    lp_value = rt.objective_at(rho, roof._ensemble_from_rows(U @ B), "tau")
+    res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
+    assert res.restarts_used == 5 and res.best_restart_index >= 0
+    assert res.value <= lp_value
+    assert res.lower_bound == bound and res.lower_bound <= res.value + 1e-9
+    assert res.value - res.lower_bound <= roof._CERT_GAP and res.converged
+    assert _mixes_back(res, rho)
 
 
 def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch):

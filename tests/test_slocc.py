@@ -153,6 +153,18 @@ def test_propagate_rtangle_rejects_negative_and_non_finite(bad):
         rt.propagate_rtangle(0.5, bad)
 
 
+def test_rtangle_in_above_one_is_rejected():
+    """A residual tangle lies in [0, 1]: measure and propagate_rtangle
+    reject a larger input; alpha stays unbounded above."""
+    fx = rt.counterexample_fixture()
+    with pytest.raises(rt.ValidationError, match="rtangle_in"):
+        rt.measure(fx.ensemble, fx.measurement, rtangle_in=5.0)
+    with pytest.raises(rt.ValidationError, match="rtangle_in"):
+        rt.propagate_rtangle(1.5, 0.5)
+    assert rt.propagate_rtangle(1.0, 0.5) == 0.5
+    assert rt.propagate_rtangle(0.5, 3.0) == 1.5
+
+
 def test_propagate_matches_closed_form_on_counterexample(fixture_outcomes):
     fx, outcomes = fixture_outcomes
     out = outcomes[0]
