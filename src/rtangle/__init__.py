@@ -19,7 +19,7 @@ from .ghzw import (
     optimal_ensemble,
     optimal_objective,
 )
-from .invariants import InvariantBreakdown, alpha, invariants, sqrt_tau, sqrt_tau_homogeneous, tau
+from .invariants import InvariantBreakdown, alpha, invariants, sqrt_tau, tau
 from .roof import RoofOptions, RoofResult, objective_at, roof_minimize
 from .slocc import (
     MeasurementOutcome,
@@ -87,7 +87,6 @@ __all__ = [
     "propagate_rtangle",
     "roof_minimize",
     "sqrt_tau",
-    "sqrt_tau_homogeneous",
     "tau",
     "validate_measurement",
     "verify_tangle_noncovariance",

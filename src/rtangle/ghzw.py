@@ -5,9 +5,14 @@ The mixture family is
     rho(p) = p |gGHZ_ab><gGHZ_ab| + (1 - p) |gW_cdf><gW_cdf|,
 
 with ``gGHZ = a|000> + b|111>`` and ``gW = c|001> + d|010> + f|100>``.
-Its residual tangle is piecewise linear in ``p``: zero up to the branch
-point ``p0 = s^(2/3) / (1 + s^(2/3))`` with ``s = |4 c d f / (a^2 b)|``,
-then ``2|ab| (p - p0) / (1 - p0)``.
+The hyperdeterminant of their superpositions has two terms,
+
+    Det(x gGHZ + y gW) = A x^4 + D x y^3,   A = a^2 b^2,  D = 4 b c d f,
+
+and the closed form reads the mixture only through them and ``p``:
+``2|ab| = 2 sqrt|A|``, ``s = |D/A|`` and ``phi~ = arg(D/A)``.  The residual
+tangle is piecewise linear in ``p``: zero up to the branch point
+``p0 = s^(2/3) / (1 + s^(2/3))``, then ``2|ab| (p - p0) / (1 - p0)``.
 
 The optimal decompositions are built from the one-parameter superposition
 family ``|p, phi>``; note the relative sign convention in
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import invariants
 from .states import (
     NORM_TOL,
     DensityMatrix,
@@ -113,24 +117,31 @@ class MixtureAnalysis:
     limit_case: str | None = None
 
 
-def _s_and_phase(mix: GhzWMixture):
+def _det_core(mix: GhzWMixture) -> tuple[float, complex | None]:
+    """(|ab|, D/A) of Det(x gGHZ + y gW) = A x^4 + D x y^3.
+
+    This is all the closed form reads of a mixture besides p:
+    2|ab| = 2 sqrt|A|, s = |D/A| and phi~ = arg(D/A).  D/A = 4 c d f / (a^2 b)
+    is None where a^2 b = 0 and exactly 0.0 where c d f = 0 (the quotient
+    there can be a negative zero, whose phase is -pi).
+    """
     num = 4.0 * mix.c * mix.d * mix.f
     den = mix.a * mix.a * mix.b
     if abs(den) == 0.0:
-        return float("inf"), 0.0, "degenerate_ghz"
-    if abs(num) == 0.0:
-        return 0.0, 0.0, "degenerate_w"
-    ratio = num / den
-    return abs(ratio), cmath.phase(ratio), None
+        ratio = None
+    elif abs(num) == 0.0:
+        ratio = 0.0
+    else:
+        ratio = num / den
+    return abs(mix.a * mix.b), ratio
 
 
-def _stable_modulus(s: float, p: float, phi: float | None) -> float:
+def _stable_modulus(s: float, p: float, phi: float) -> float:
     """|p^2 - s sqrt(p (1-p)^3) e^{3 i phi}|, evaluated in factored form.
 
     The naive difference cancels catastrophically at the branch point; here
     p^2 - s g(p) is rationalized into an explicit (p - p0) factor so the
-    zero is exact in floating point.  ``phi=None`` means phi is a multiple
-    of 2 pi / 3 by construction and the phase term vanishes identically.
+    zero is exact in floating point.
     """
     g = np.sqrt(p * (1.0 - p) ** 3)
     if s == 0.0:
@@ -142,8 +153,6 @@ def _stable_modulus(s: float, p: float, phi: float | None) -> float:
     else:
         quad = p * p + u * p * (1.0 - p) + u * u * (1.0 - p) ** 2
         radial = p * (1.0 + u) * (p - p0) * quad / (p * p + s * g)
-    if phi is None:
-        return abs(radial)
     half = 1.5 * phi
     delta = half - np.pi * np.round(half / np.pi)
     cross = 4.0 * p * p * s * g * np.sin(delta) ** 2
@@ -157,25 +166,22 @@ def analyze(mix: GhzWMixture) -> MixtureAnalysis:
     outside the closed form's stated hypothesis; they are returned as the
     corresponding limits and flagged via ``limit_case``.
     """
-    s, tilde_phi, limit = _s_and_phase(mix)
-    p = mix.p
-    two_ab = 2.0 * abs(mix.a * mix.b)
-    if limit == "degenerate_ghz":
+    ab, ratio = _det_core(mix)
+    if ratio is None:
         # gGHZ is a product state: the spectral ensemble is already
         # tangle-free, so the roof vanishes for every p.
-        return MixtureAnalysis(s=s, tilde_phi=tilde_phi, p0=1.0, rtangle=0.0,
-                               branch=ZERO_BRANCH, limit_case=limit)
-    if limit == "degenerate_w":
-        p0 = 0.0
-        branch = ZERO_BRANCH if p <= p0 else LINEAR_BRANCH
-        return MixtureAnalysis(s=s, tilde_phi=tilde_phi, p0=p0, rtangle=two_ab * p,
-                               branch=branch, limit_case=limit)
+        return MixtureAnalysis(s=float("inf"), tilde_phi=0.0, p0=1.0, rtangle=0.0,
+                               branch=ZERO_BRANCH, limit_case="degenerate_ghz")
+    s, tilde_phi = abs(ratio), cmath.phase(ratio)
+    limit = "degenerate_w" if s == 0.0 else None
     u = s ** (2.0 / 3.0)
     p0 = u / (1.0 + u)
-    if p <= p0:
-        return MixtureAnalysis(s=s, tilde_phi=tilde_phi, p0=p0, rtangle=0.0, branch=ZERO_BRANCH)
-    rt = two_ab * (p - p0) / (1.0 - p0)
-    return MixtureAnalysis(s=s, tilde_phi=tilde_phi, p0=p0, rtangle=rt, branch=LINEAR_BRANCH)
+    if mix.p <= p0:
+        branch, rt = ZERO_BRANCH, 0.0
+    else:
+        branch, rt = LINEAR_BRANCH, 2.0 * ab * (mix.p - p0) / (1.0 - p0)
+    return MixtureAnalysis(s=s, tilde_phi=tilde_phi, p0=p0, rtangle=rt,
+                           branch=branch, limit_case=limit)
 
 
 def family_state(mix: GhzWMixture, p: float, phi: float) -> PureState:
@@ -187,7 +193,8 @@ def family_state(mix: GhzWMixture, p: float, phi: float) -> PureState:
     """
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"family_state: p = {p!r} outside [0, 1]")
-    _, tilde_phi, _ = _s_and_phase(mix)
+    _, ratio = _det_core(mix)
+    tilde_phi = 0.0 if ratio is None else cmath.phase(ratio)
     w = -np.sqrt(1.0 - p) * cmath.exp(1j * (phi - tilde_phi / 3.0))
     amp = np.sqrt(p) * mix.ghz_state().amp + w * mix.w_state().amp
     return PureState(amp)
@@ -199,23 +206,34 @@ def family_sqrt_tau(mix: GhzWMixture, p: float, phi: float) -> float:
         2 |ab| sqrt| p^2 - s sqrt(p (1-p)^3) e^{3 i phi} |.
 
     Evaluated through :func:`_stable_modulus` so that branch-point zeros
-    come out exact.  In the ``a^2 b = 0`` limit the prefactored form is
-    undefined; the denominator-cleared expression
-    ``2 sqrt|a^2 b^2 p^2 - 4 b c d f sqrt(p (1-p)^3) e^{i (3 phi - phi~)}|``
-    is used instead, which stays the true value there (such family states
-    can carry tangle even though the mixture roof vanishes).
+    come out exact.  In the ``a^2 b = 0`` limit A = 0 and s is undefined;
+    there Det = D x y^3 alone, and ``2 sqrt(|D| sqrt(p (1-p)^3))`` with
+    ``D = 4 b c d f`` stays the true value (such family states can carry
+    tangle even though the mixture roof vanishes).
     """
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"family_sqrt_tau: p = {p!r} outside [0, 1]")
-    s, tilde_phi, limit = _s_and_phase(mix)
-    if limit == "degenerate_ghz":
-        a, b, c, d, f = mix.a, mix.b, mix.c, mix.d, mix.f
-        cross = (4.0 * b * c * d * f * np.sqrt(p * (1.0 - p) ** 3)
-                 * cmath.exp(1j * (3.0 * phi - tilde_phi)))
-        det = a * a * b * b * p * p - cross
-        return float(2.0 * np.sqrt(abs(det)))
-    two_ab = 2.0 * abs(mix.a * mix.b)
-    return float(two_ab * np.sqrt(_stable_modulus(s, p, phi)))
+    ab, ratio = _det_core(mix)
+    if ratio is None:
+        d_abs = 4.0 * abs(mix.b * mix.c * mix.d * mix.f)
+        return float(2.0 * np.sqrt(d_abs * np.sqrt(p * (1.0 - p) ** 3)))
+    return float(2.0 * ab * np.sqrt(_stable_modulus(abs(ratio), p, phi)))
+
+
+def _members(mix: GhzWMixture) -> list[tuple[float, float, float]]:
+    """(weight, p, phi) of each member of the optimal decomposition."""
+    ana = analyze(mix)
+    p, p0 = mix.p, ana.p0
+    if ana.branch == LINEAR_BRANCH:
+        rows = [((p - p0) / (1.0 - p0), 1.0, 0.0)]
+        base = (1.0 - p) / (3.0 * (1.0 - p0))
+    elif p0 > 0:
+        rows = [((p0 - p) / p0, 0.0, 0.0)]
+        base = p / (3.0 * p0)
+    else:  # p == p0 == 0
+        rows = [(1.0, 0.0, 0.0)]
+        base = 0.0
+    return rows + [(base, p0, 2.0 * np.pi * n / 3.0) for n in range(3)]
 
 
 def optimal_ensemble(mix: GhzWMixture) -> WeightedEnsemble:
@@ -226,23 +244,8 @@ def optimal_ensemble(mix: GhzWMixture) -> WeightedEnsemble:
     ``{(p-p0)/(1-p0), |1,0>}`` plus the same three states with weight
     ``(1-p)/(3(1-p0))``.  Zero-weight members are dropped.
     """
-    ana = analyze(mix)
-    p, p0 = mix.p, ana.p0
-    members = []
-    if ana.branch == ZERO_BRANCH:
-        if p0 > 0:
-            members.append(((p0 - p) / p0, family_state(mix, 0.0, 0.0)))
-            base = p / (3.0 * p0)
-        else:  # p == p0 == 0
-            members.append((1.0, family_state(mix, 0.0, 0.0)))
-            base = 0.0
-    else:
-        members.append(((p - p0) / (1.0 - p0), family_state(mix, 1.0, 0.0)))
-        base = (1.0 - p) / (3.0 * (1.0 - p0))
-    for n in range(3):
-        members.append((base, family_state(mix, p0, 2.0 * np.pi * n / 3.0)))
-    kept = tuple((w, psi) for w, psi in members if w > 1e-15)
-    return WeightedEnsemble(kept)
+    return WeightedEnsemble(tuple((w, family_state(mix, pv, phi))
+                                  for w, pv, phi in _members(mix) if w > 1e-15))
 
 
 def optimal_objective(mix: GhzWMixture) -> float:
@@ -254,20 +257,7 @@ def optimal_objective(mix: GhzWMixture) -> float:
     double-precision cancellation the amplitude-level route incurs.
     Equals ``analyze(mix).rtangle`` up to roundoff.
     """
-    ana = analyze(mix)
-    two_ab = 2.0 * abs(mix.a * mix.b)
-    if two_ab == 0.0:
-        return 0.0
-    p, p0 = mix.p, ana.p0
-
-    def member(pv: float) -> float:
-        return two_ab * np.sqrt(_stable_modulus(ana.s, pv, None))
-
-    if ana.branch == ZERO_BRANCH:
-        if p0 > 0:
-            return ((p0 - p) / p0) * member(0.0) + (p / p0) * member(p0)
-        return member(0.0)
-    return ((p - p0) / (1.0 - p0)) * member(1.0) + ((1.0 - p) / (1.0 - p0)) * member(p0)
+    return float(sum(w * family_sqrt_tau(mix, pv, phi) for w, pv, phi in _members(mix)))
 
 
 @dataclass(frozen=True)
@@ -310,11 +300,6 @@ def concavity_certificate(mix: GhzWMixture, grid_n: int = 10001) -> ConcavityRep
         second_difference_max=sd_max,
         concave_on_linear_branch=bool(sd_max <= 1e-8),
     )
-
-
-def _family_tau_direct(mix: GhzWMixture, p: float, phi: float) -> float:
-    """tau of the constructed family state via the d-invariants (test hook)."""
-    return invariants(family_state(mix, p, phi)).tau
 
 
 _GHZ_SUPPORT = (0, 7)

@@ -66,17 +66,14 @@ def tau(psi: PureState) -> float:
 
 
 def sqrt_tau(psi: PureState) -> float:
-    return invariants(psi).sqrt_tau
+    """sqrt(tau), homogeneous of degree 2 in the amplitudes.
 
-
-def sqrt_tau_homogeneous(psi: PureState) -> float:
-    """Degree-2 homogeneous extension of sqrt(tau) to arbitrary vectors.
-
-    Satisfies ``sqrt_tau_homogeneous(c * psi) == |c|^2 * sqrt_tau_homogeneous(psi)``
-    for any complex scalar ``c``; on weight-sqrt-scaled ensemble members it
-    yields the weighted summand of the convex-roof objective directly.
+    For an unnormalized ``psi`` it satisfies
+    ``sqrt_tau(c * psi) == |c|^2 * sqrt_tau(psi)`` for any complex scalar
+    ``c``; on weight-sqrt-scaled ensemble members it yields the weighted
+    summand of the convex-roof objective directly.
     """
-    return float(invariants(psi).sqrt_tau)
+    return invariants(psi).sqrt_tau
 
 
 def alpha(op: LocalOperator, p: float) -> float:

@@ -30,6 +30,7 @@ from .states import (
     apply_local,
     density_eigendecomposition,
     ensemble_to_density,
+    validate_measurement,
 )
 
 PROB_FLOOR = 1e-14       # outcomes below this probability are flagged empty
@@ -63,11 +64,10 @@ def measure(e: WeightedEnsemble, ms: MeasurementSet,
     """
     if rtangle_in is not None:
         _check_rtangle_in(rtangle_in)
-    dev = ms.completeness_deviation()
-    if dev > 1e-9:
-        raise KrausError(
-            f"measure: Kraus set incomplete, sum M^dag M deviates from identity by {dev:.3e}"
-        )
+    report = validate_measurement(ms)
+    if not report.passed:
+        raise KrausError("measure: Kraus set incomplete, sum M^dag M deviates "
+                         f"from identity by {report.deviation:.3e}")
     rho = ensemble_to_density(e).matrix
     outcomes = []
     for j, op in enumerate(ms.operators):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import rtangle as rt
-from rtangle.ghzw import _family_tau_direct
 from freeze import (
     FAM_SQRT_TAU_08_0,
     P0_STD,
@@ -177,22 +176,31 @@ def test_parameter_symmetry_phases():
 
 
 def test_degenerate_w_parameters():
-    mix = rt.GhzWMixture(a=SQRT2, b=SQRT2, c=SQRT2, d=SQRT2, f=0.0, p=0.4)
-    ana = rt.analyze(mix)
-    assert ana.limit_case == "degenerate_w"
-    assert ana.s == 0.0 and ana.p0 == 0.0
-    assert abs(ana.rtangle - 2.0 * abs(mix.a * mix.b) * 0.4) < 1e-12
-    # the closed form still matches the invariants route in the limit
-    for p, phi in ((0.3, 0.0), (0.7, 1.0)):
-        closed = rt.family_sqrt_tau(mix, p, phi)
-        direct = rt.invariants(rt.family_state(mix, p, phi)).sqrt_tau
-        assert abs(closed - direct) < 1e-12
+    # c d f = 0 gives D/A = 0/(a^2 b), a negative zero for b = -1/sqrt2
+    # whose phase is -pi; the limit must keep phi~ = 0.
+    cases = [(SQRT2, SQRT2, SQRT2, 0.4)] + [
+        (b, 1.0, 0.0, p)
+        for b in (SQRT2, -SQRT2, 1j * SQRT2, -1j * SQRT2) for p in (0.0, 0.4, 1.0)]
+    for b, c, d, p in cases:
+        mix = rt.GhzWMixture(a=SQRT2, b=b, c=c, d=d, f=0.0, p=p)
+        ana = rt.analyze(mix)
+        assert ana.limit_case == "degenerate_w"
+        assert ana.tilde_phi == 0.0
+        assert ana.s == 0.0 and ana.p0 == 0.0
+        assert abs(ana.rtangle - 2.0 * abs(mix.a * mix.b) * p) < 1e-12
+        rho = rt.ensemble_to_density(rt.optimal_ensemble(mix))
+        assert np.abs(rho.matrix - mix.density().matrix).max() < 1e-12
+        # the closed form still matches the invariants route in the limit
+        for fp, phi in ((0.3, 0.0), (0.7, 1.0)):
+            closed = rt.family_sqrt_tau(mix, fp, phi)
+            direct = rt.invariants(rt.family_state(mix, fp, phi)).sqrt_tau
+            assert abs(closed - direct) < 1e-12
 
 
 def test_degenerate_ghz_parameters():
     # a = 0 makes gGHZ a product state; the mixture roof vanishes, but
-    # intermediate family states keep a nonzero tangle, which the cleared-
-    # denominator closed form must reproduce.
+    # intermediate family states keep a nonzero tangle, which the A = 0
+    # closed form must reproduce.
     mix = rt.GhzWMixture(a=0.0, b=1.0, c=SQRT3, d=SQRT3, f=SQRT3, p=0.6)
     ana = rt.analyze(mix)
     assert ana.limit_case == "degenerate_ghz"
@@ -200,6 +208,14 @@ def test_degenerate_ghz_parameters():
     closed = rt.family_sqrt_tau(mix, 0.5, 0.2)
     direct = rt.invariants(rt.family_state(mix, 0.5, 0.2)).sqrt_tau
     assert closed > 0.1
+    assert abs(closed - direct) < 1e-12
+    # b = 0 makes D vanish too: every family state is tangle-free
+    mix = rt.GhzWMixture(a=1.0, b=0.0, c=SQRT3, d=SQRT3, f=SQRT3, p=0.6)
+    ana = rt.analyze(mix)
+    assert ana.limit_case == "degenerate_ghz"
+    assert ana.rtangle == 0.0
+    closed = rt.family_sqrt_tau(mix, 0.5, 0.2)
+    direct = rt.invariants(rt.family_state(mix, 0.5, 0.2)).sqrt_tau
     assert abs(closed - direct) < 1e-12
 
 
@@ -221,7 +237,8 @@ def test_concavity_certificate_rejects_small_grid():
 
 def test_family_tau_direct_hook_consistency():
     mix = std_mixture(0.8)
-    assert abs(_family_tau_direct(mix, 0.8, 0.0) - FAM_SQRT_TAU_08_0 ** 2) < 1e-12
+    tau = rt.invariants(rt.family_state(mix, 0.8, 0.0)).tau
+    assert abs(tau - FAM_SQRT_TAU_08_0 ** 2) < 1e-12
 
 
 def test_as_mixture_roundtrip():

@@ -35,10 +35,10 @@ def test_invariants_family_state_cross_check():
 
 def test_sqrt_tau_homogeneous_basics():
     doubled = rt.PureState(2.0 * ghz_state().amp, normalized=False)
-    assert abs(rt.sqrt_tau_homogeneous(doubled) - 4.0) < 1e-12
-    assert rt.sqrt_tau_homogeneous(rt.PureState(np.zeros(8), normalized=False)) == 0.0
+    assert abs(rt.sqrt_tau(doubled) - 4.0) < 1e-12
+    assert rt.sqrt_tau(rt.PureState(np.zeros(8), normalized=False)) == 0.0
     scaled = rt.PureState(np.sqrt(0.3) * ghz_state().amp, normalized=False)
-    assert abs(rt.sqrt_tau_homogeneous(scaled) - 0.3) < 1e-12
+    assert abs(rt.sqrt_tau(scaled) - 0.3) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -48,8 +48,8 @@ def test_sqrt_tau_homogeneity_property(re, im, seed):
     c = complex(re, im)
     psi = random_pure(np.random.default_rng(seed))
     scaled = rt.PureState(c * psi.amp, normalized=False)
-    lhs = rt.sqrt_tau_homogeneous(scaled)
-    rhs = abs(c) ** 2 * rt.sqrt_tau_homogeneous(psi)
+    lhs = rt.sqrt_tau(scaled)
+    rhs = abs(c) ** 2 * rt.sqrt_tau(psi)
     assert abs(lhs - rhs) < 1e-10
 
 

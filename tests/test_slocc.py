@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rtangle as rt
+from rtangle.slocc import KrausError
 from freeze import (
     ALPHA_OUT0,
     ALPHA_SQ_OUT0,
@@ -74,6 +75,20 @@ def test_measure_rejects_incomplete_set():
     half = rt.MeasurementSet((rt.LocalOperator(np.diag([1.0, 0.5]), "A"),))
     with pytest.raises(rt.ValidationError, match="incomplete"):
         rt.measure(ens, half)
+
+
+@pytest.mark.parametrize("delta", [5e-10, 2e-9])
+def test_measure_uses_the_validate_measurement_rule(delta):
+    # one completeness rule: measure accepts exactly the sets that
+    # validate_measurement passes
+    op = rt.LocalOperator(np.diag([1.0, np.sqrt(1.0 + delta)]), "A")
+    ms = rt.MeasurementSet((op,))
+    try:
+        rt.measure(rt.counterexample_fixture().ensemble, ms)
+        accepted = True
+    except KrausError:
+        accepted = False
+    assert accepted == rt.validate_measurement(ms).passed
 
 
 def _random_two_outcome(rng, target):
