@@ -9,6 +9,7 @@ from .ghzw import (
     ConcavityReport,
     GhzWMixture,
     MixtureAnalysis,
+    OrbitAnalysis,
     analyze,
     as_mixture,
     concavity_certificate,
@@ -18,6 +19,7 @@ from .ghzw import (
     generalized_w,
     optimal_ensemble,
     optimal_objective,
+    orbit_analysis,
 )
 from .invariants import InvariantBreakdown, alpha, invariants, sqrt_tau, tau
 from .roof import RoofOptions, RoofResult, objective_at, roof_minimize
@@ -59,6 +61,7 @@ __all__ = [
     "MeasurementSet",
     "MixtureAnalysis",
     "NoncovarianceReport",
+    "OrbitAnalysis",
     "PureState",
     "RoofOptions",
     "RoofResult",
@@ -83,6 +86,7 @@ __all__ = [
     "objective_at",
     "optimal_ensemble",
     "optimal_objective",
+    "orbit_analysis",
     "permute_qubits",
     "propagate_rtangle",
     "roof_minimize",

@@ -19,14 +19,22 @@ family ``|p, phi>``; note the relative sign convention in
 :func:`family_state`, which is fixed by requiring that the closed form of
 :func:`family_sqrt_tau` and the zero states ``|p0, 2 pi n / 3>`` come out
 exactly.
+
+Because the closed form reads only (A, D, p), it extends to every SLOCC
+image of a mixture: :func:`orbit_analysis` finds the image of gW among the
+tangle-free range states of a rank-2 density matrix and the image of gGHZ
+beside it, reads their (A, D) and weight, and feeds the same core,
+:func:`_closed_form`.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .quartic import eigen_factor, pair_quartic, zero_directions
 from .states import (
     NORM_TOL,
     DensityMatrix,
@@ -159,14 +167,15 @@ def _stable_modulus(s: float, p: float, phi: float) -> float:
     return float(np.sqrt(radial * radial + cross))
 
 
-def analyze(mix: GhzWMixture) -> MixtureAnalysis:
-    """Branch point and residual tangle of rho(p).
+def _closed_form(ab: float, ratio: complex | None, p: float) -> MixtureAnalysis:
+    """Branch point and residual tangle from |ab| = sqrt|A|, D/A and p.
 
-    Degenerate parameter choices (``a b = 0`` or ``c d f = 0``) fall
-    outside the closed form's stated hypothesis; they are returned as the
-    corresponding limits and flagged via ``limit_case``.
+    This is the closed form's one core: :func:`analyze` feeds it a
+    mixture's parameters and :func:`orbit_analysis` the coefficients read
+    off a density matrix.  ``ratio`` None (A = 0) is the degenerate-GHZ
+    limit, s = 0 the degenerate-W one.  It returns no NaN: s overflows to
+    inf where A is subnormal, and p0 = 1, its limit, is taken there.
     """
-    ab, ratio = _det_core(mix)
     if ratio is None:
         # gGHZ is a product state: the spectral ensemble is already
         # tangle-free, so the roof vanishes for every p.
@@ -175,13 +184,31 @@ def analyze(mix: GhzWMixture) -> MixtureAnalysis:
     s, tilde_phi = abs(ratio), cmath.phase(ratio)
     limit = "degenerate_w" if s == 0.0 else None
     u = s ** (2.0 / 3.0)
-    p0 = u / (1.0 + u)
-    if mix.p <= p0:
+    p0 = u / (1.0 + u) if u < math.inf else 1.0
+    if p <= p0:
         branch, rt = ZERO_BRANCH, 0.0
     else:
-        branch, rt = LINEAR_BRANCH, 2.0 * ab * (mix.p - p0) / (1.0 - p0)
+        branch, rt = LINEAR_BRANCH, 2.0 * ab * (p - p0) / (1.0 - p0)
     return MixtureAnalysis(s=s, tilde_phi=tilde_phi, p0=p0, rtangle=rt,
                            branch=branch, limit_case=limit)
+
+
+def analyze(mix: GhzWMixture) -> MixtureAnalysis:
+    """Branch point and residual tangle of rho(p).
+
+    Degenerate parameter choices (``a b = 0`` or ``c d f = 0``) fall
+    outside the closed form's stated hypothesis; they are returned as the
+    corresponding limits and flagged via ``limit_case``.
+    """
+    ab, ratio = _det_core(mix)
+    return _closed_form(ab, ratio, mix.p)
+
+
+def _superposition(g: np.ndarray, w: np.ndarray, p: float, phi: float,
+                   tilde_phi: float) -> np.ndarray:
+    """sqrt(p) g - sqrt(1-p) e^{i(phi - phi~/3)} w, the family state's amplitudes."""
+    w_coef = -np.sqrt(1.0 - p) * cmath.exp(1j * (phi - tilde_phi / 3.0))
+    return np.sqrt(p) * g + w_coef * w
 
 
 def family_state(mix: GhzWMixture, p: float, phi: float) -> PureState:
@@ -195,9 +222,7 @@ def family_state(mix: GhzWMixture, p: float, phi: float) -> PureState:
         raise ValidationError(f"family_state: p = {p!r} outside [0, 1]")
     _, ratio = _det_core(mix)
     tilde_phi = 0.0 if ratio is None else cmath.phase(ratio)
-    w = -np.sqrt(1.0 - p) * cmath.exp(1j * (phi - tilde_phi / 3.0))
-    amp = np.sqrt(p) * mix.ghz_state().amp + w * mix.w_state().amp
-    return PureState(amp)
+    return PureState(_superposition(mix.ghz_state().amp, mix.w_state().amp, p, phi, tilde_phi))
 
 
 def family_sqrt_tau(mix: GhzWMixture, p: float, phi: float) -> float:
@@ -220,10 +245,9 @@ def family_sqrt_tau(mix: GhzWMixture, p: float, phi: float) -> float:
     return float(2.0 * ab * np.sqrt(_stable_modulus(abs(ratio), p, phi)))
 
 
-def _members(mix: GhzWMixture) -> list[tuple[float, float, float]]:
-    """(weight, p, phi) of each member of the optimal decomposition."""
-    ana = analyze(mix)
-    p, p0 = mix.p, ana.p0
+def _members(p: float, ana: MixtureAnalysis) -> list[tuple[float, float, float]]:
+    """(weight, p, phi) of each member of the optimal decomposition at p."""
+    p0 = ana.p0
     if ana.branch == LINEAR_BRANCH:
         rows = [((p - p0) / (1.0 - p0), 1.0, 0.0)]
         base = (1.0 - p) / (3.0 * (1.0 - p0))
@@ -245,7 +269,8 @@ def optimal_ensemble(mix: GhzWMixture) -> WeightedEnsemble:
     ``(1-p)/(3(1-p0))``.  Zero-weight members are dropped.
     """
     return WeightedEnsemble(tuple((w, family_state(mix, pv, phi))
-                                  for w, pv, phi in _members(mix) if w > 1e-15))
+                                  for w, pv, phi in _members(mix.p, analyze(mix))
+                                  if w > 1e-15))
 
 
 def optimal_objective(mix: GhzWMixture) -> float:
@@ -257,7 +282,95 @@ def optimal_objective(mix: GhzWMixture) -> float:
     double-precision cancellation the amplitude-level route incurs.
     Equals ``analyze(mix).rtangle`` up to roundoff.
     """
-    return float(sum(w * family_sqrt_tau(mix, pv, phi) for w, pv, phi in _members(mix)))
+    return float(sum(w * family_sqrt_tau(mix, pv, phi)
+                     for w, pv, phi in _members(mix.p, analyze(mix))))
+
+
+# --------------------------------------------------------------------------
+# SLOCC images of the mixtures, recognized from the density matrix alone
+
+# largest |q_0|, |q_2|, |q_3| of a root frame's quartic, relative to its
+# largest coefficient, up to which the frame counts as a GHZ/W frame: SLOCC
+# images of the mixtures leave below 1e-12, random rank-2 states above 0.1
+_ORBIT_TOL = 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitAnalysis:
+    """A rank-2 rho recognized as an SLOCC image of a GHZ/W mixture.
+
+    rho = p |g><g| + (1 - p) |w><w| with unit range vectors g and w, in
+    general not orthogonal, whose superpositions have the two-term
+    hyperdeterminant Det(x g + y w) = A x^4 + D x y^3: up to norm and
+    phase, the images of gGHZ and gW.  ``analysis`` is the closed form with
+    2|ab| -> 2 sqrt|A| and D/A in place of the mixture's, and its
+    ``rtangle`` is the residual tangle of rho.
+    """
+
+    g: np.ndarray
+    w: np.ndarray
+    p: float
+    A: complex
+    D: complex
+    analysis: MixtureAnalysis
+
+    def rows(self) -> np.ndarray:
+        """Sub-normalized members of the optimal decomposition, (4, 8).
+
+        They are the members of :func:`optimal_ensemble`, with (g, w) in
+        place of (gGHZ, gW) and the weights folded in; they mix back to rho,
+        and their weighted sqrt-tau is ``analysis.rtangle``.
+        """
+        tilde_phi = self.analysis.tilde_phi
+        return np.array([np.sqrt(wt) * _superposition(self.g, self.w, pv, phi, tilde_phi)
+                         for wt, pv, phi in _members(self.p, self.analysis)])
+
+
+def range_orbit(B: np.ndarray, dirs: list) -> OrbitAnalysis | None:
+    """:func:`orbit_analysis` of the rank-2 rho = B^T conj(B), given the
+    roots ``dirs`` of :func:`quartic.zero_directions`.
+
+    A root d is a tangle-free range state w = d B.  With d' orthogonal to d
+    in C^2 and g = d' B, rho = g g^H + w w^H, and Det(x g + y w) =
+    sum_k q_k x^k y^(4-k) has q_0 = Det(w) = 0.  The frames of this root
+    whose quartic has no x^2 y^2 term are g + t w with t = -q_2 / (3 q_1),
+    and rho is diagonal in such a frame only at t = 0.  So rho is a GHZ/W
+    image in the frame of d exactly when q_0, q_2 and q_3 vanish, which is
+    tested to ``_ORBIT_TOL``.  At most one root can pass; if none or more
+    than one does, this returns None.
+    """
+    found = []
+    for k, d in enumerate(dirs):
+        if any(np.array_equal(d, e) for e in dirs[:k]):
+            continue  # a multiple root at infinity, listed once per multiplicity
+        g, w = np.array([-np.conj(d[1]), np.conj(d[0])]) @ B, d @ B
+        q = pair_quartic(g, w)
+        scale = np.abs(q).max()
+        if scale > 0.0 and np.abs(q[[0, 2, 3]]).max() <= _ORBIT_TOL * scale:
+            found.append((g, w, q))
+    if len(found) != 1:
+        return None
+    g, w, q = found[0]
+    p = float(np.vdot(g, g).real)
+    ng, nw = math.sqrt(p), math.sqrt(float(np.vdot(w, w).real))
+    A, D = complex(q[4]) / ng ** 4, complex(q[1]) / (ng * nw ** 3)
+    ana = _closed_form(math.sqrt(abs(A)), None if A == 0 else D / A, p)
+    return OrbitAnalysis(g=g / ng, w=w / nw, p=p, A=A, D=D, analysis=ana)
+
+
+def orbit_analysis(rho: DensityMatrix) -> OrbitAnalysis | None:
+    """Recognize rho as an SLOCC image of a GHZ/W mixture; None if it is not.
+
+    An image (A x B x C) rho(p) (A x B x C)^H / N under invertible local
+    operators has t_r = alpha t_r(rho(p)), alpha = |det A det B det C| / N
+    (Lohmayer et al., PRL 97, 260502 (2006)).  This reads it from rho
+    alone, with no (A, B, C) and no mixture parameters: the image of gW is
+    a root of the hyperdeterminant on the range, and the image of gGHZ is
+    fixed by it (see :func:`range_orbit`).  Only rank-2 inputs can be
+    recognized.
+    """
+    B = eigen_factor(rho)
+    return range_orbit(B, zero_directions(B)) if len(B) == 2 else None
 
 
 @dataclass(frozen=True)

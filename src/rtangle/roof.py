@@ -22,9 +22,9 @@ random restarts of a solve advance in lock step as one stacked
 one smoothing ladder, each keeps its own step size, and each ends bit for
 bit where it would if run alone.
 
-A rank-2 input meets, in order, two certificates that skip the search,
-then the search.  A certified decomposition is returned at once, with
-``restarts_used == 0`` and a ``lower_bound``:
+A rank-2 input meets, in order, two certificates and a closed form that
+skip the search, then the search.  A certified decomposition is returned
+at once, with ``restarts_used == 0`` and a ``lower_bound``:
 
 * zero: the tangle-free directions inside the range of rho are the roots
   of a quartic (the hyperdeterminant restricted to the range), and a
@@ -34,21 +34,28 @@ then the search.  A certified decomposition is returned at once, with
   (weighted member tangle at most ``_ZERO_TANGLE``), so the objective is
   at its lower bound of 0 up to rounding.  This is the zero branch of the
   GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).
+* orbit closed form (sqrt-tau, ensemble size at least 4): where
+  :func:`ghzw.range_orbit` recognizes rho, from the same roots, as an
+  SLOCC image of a GHZ/W mixture, its closed form t_r is the bound and its
+  optimal decomposition, the mixture's with the images of gGHZ and gW in
+  place of them, the result.  It is returned under the linear program's
+  rule below; otherwise the program runs as if it had not been tried.
+  Tau is not covariant on the orbit, so it has no such path.
 * linear program (both functionals): the roof as a linear program over
   the range's Bloch sphere, solved by a revised simplex.  Its basic
   solution is a decomposition of at most 4 members, and its dual is the
   best affine bound (Osterloh, Siewert & Uhlmann, PRA 77, 032310 (2008)),
   so the two bracket the roof.  The decomposition is returned when the
   bracket is at most ``_CERT_GAP``; otherwise it is kept as a candidate
-  next to the search's restarts, and the bound stays on the result.  This
-  certifies the linear branch of the GHZ/W mixtures and their SLOCC
-  images.
+  next to the search's restarts, and the bound stays on the result.  It
+  certifies the tau roof of the GHZ/W mixtures and their SLOCC images,
+  and the sqrt-tau roof of those the closed form does not take.
 
 The dual bound's offset is found numerically (grid, roots of the quartic,
 pattern search), so the program certifies to working precision; it is not
-a proof.  The zero certificate is tried first, as it is the cheaper: a
-zero-branch solve takes about half a millisecond, a linear program about
-four.
+a proof.  The closed form is exact for the recognized frame, which holds to
+``ghzw._ORBIT_TOL``.  They are tried cheapest first: a zero-branch or an
+orbit solve takes about half a millisecond, a linear program about four.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.
@@ -61,9 +68,10 @@ import numpy as np
 from scipy.optimize import nnls
 
 from . import kernels
+from .ghzw import range_orbit
 from .invariants import invariants
+from .quartic import eigen_factor, pair_quartic, zero_directions
 from .states import (
-    EIG_CUTOFF,
     DensityMatrix,
     PureState,
     ValidationError,
@@ -125,20 +133,22 @@ class RoofResult:
     ``best_restart_index`` is the index of the winning random restart, or
     a negative number when a deterministic start won (rank 1 and 2): -1
     for the input itself at rank 1 or the tangle-free fit, then the next
-    label, -1 or -2, for the linear program's decomposition (-2 when the
-    fit came first as a candidate that is not tangle-free).
-    ``restarts_used == 0`` means no search ran: the input has rank 1, a
-    certified tangle-free decomposition was returned (``best_restart_index``
-    -1, value 0 up to rounding), or the linear program closed its bracket
-    (``best_restart_index`` is the label its decomposition has as a
-    candidate).
+    label, -1 or -2, for the orbit closed form's or the linear program's
+    decomposition (-2 when the fit came first as a candidate that is not
+    tangle-free; the closed form is never a candidate, so the two share
+    it).  ``restarts_used == 0`` means no search ran: the input has rank 1,
+    a certified tangle-free decomposition was returned
+    (``best_restart_index`` -1, value 0 up to rounding), the closed form of
+    a recognized GHZ/W image was, or the linear program closed its bracket
+    (``best_restart_index`` is the label of the returned decomposition).
 
     ``lower_bound`` is a lower bound on the true roof, to working precision
     (its offset is a numerical minimum, not a proof), or None.  It is set
-    for rank-2 inputs: 0 for the tangle-free decomposition, or the linear
-    program's dual bound.  It is None at every other rank, and at rank 2
-    when the program failed or its bound came out above ``value`` by more
-    than rounding.  With a lower bound, ``converged`` means
+    for rank-2 inputs: 0 for the tangle-free decomposition, the closed form
+    t_r (``ghzw.orbit_analysis``) for a recognized GHZ/W image, or the
+    linear program's dual bound.  It is None at every other rank, and at
+    rank 2 when the program failed or its bound came out above ``value`` by
+    more than rounding.  With a lower bound, ``converged`` means
     ``value - lower_bound`` is at most ``_CERT_GAP`` (1e-7); without one,
     that the winning restart's last smoothing level stalled, or that a
     candidate won.
@@ -163,14 +173,6 @@ def _member_value(psi: PureState, use_sqrt: bool) -> float:
     return inv.sqrt_tau if use_sqrt else inv.tau
 
 
-def _eigen_factor(rho: DensityMatrix, cutoff: float = EIG_CUTOFF):
-    """Rows sqrt(lambda_k) e_k of the spectral factorization, rank x 8."""
-    lam, vec = np.linalg.eigh(rho.matrix)
-    keep = lam > cutoff
-    lam, vec = lam[keep], vec[:, keep]
-    return np.ascontiguousarray((vec * np.sqrt(lam)).T.astype(np.complex128))
-
-
 def _ensemble_from_rows(W: np.ndarray) -> WeightedEnsemble:
     members = []
     for row in W:
@@ -183,49 +185,15 @@ def _ensemble_from_rows(W: np.ndarray) -> WeightedEnsemble:
 # --------------------------------------------------------------------------
 # the tangle-free decomposition of rank-2 inputs
 
-# the five sample points (x, y) of the quartic, as columns
-_QX, _QY = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j]]).T[:, :, None]
-_QVINV = np.linalg.inv(_QX ** np.arange(5) * _QY ** np.arange(4, -1, -1))
-
-
-def _pair_quartic(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Coefficients q_k of Det(x w1 + y w2) = sum_k q_k x^k y^(4-k)."""
-    return _QVINV @ kernels.hyperdet_rows(_QX * w1 + _QY * w2)
-
-
-def _zero_direction_rows(B: np.ndarray) -> list:
-    """Unit coefficient vectors (on rows of U) of tangle-free range states."""
-    q = _pair_quartic(B[0], B[1])
-    scale = np.abs(q).max()
-    if scale == 0.0:  # entire range is tangle-free
-        return [np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)]
-    q = q / scale
-    dirs = []
-    poly = q[::-1]  # highest power of t = x/y first
-    lead = np.abs(poly[0])
-    if lead < 1e-12:  # root at infinity: the pure-b1 direction
-        dirs.append(np.array([1.0, 0.0], complex))
-        poly = poly[1:]
-    while len(poly) > 1 and np.abs(poly[0]) < 1e-14:
-        dirs.append(np.array([1.0, 0.0], complex))
-        poly = poly[1:]
-    if len(poly) > 1:
-        for t in np.roots(poly):
-            v = np.array([t, 1.0], complex)
-            dirs.append(v / np.linalg.norm(v))
-    return dirs[:4]
-
-
-def _zero_decomposition(B: np.ndarray, m: int):
+def _zero_decomposition(dirs: list, m: int):
     """A tangle-free decomposition in at most m members (rank 2 only).
 
     The non-negative least-squares fit of the identity over the projectors
-    onto the tangle-free directions; returns its U, with orthonormal columns
-    within ``_MIX_TOL``, when the fit is exact, needs at least two members
-    and fits in m, else None.  The members are tangle-free up to the
-    rounding of the quartic's roots.
+    onto the tangle-free directions ``dirs`` (:func:`quartic.zero_directions`
+    of B); returns its U, with orthonormal columns within ``_MIX_TOL``, when
+    the fit is exact, needs at least two members and fits in m, else None.
+    The members are tangle-free up to the rounding of the quartic's roots.
     """
-    dirs = _zero_direction_rows(B)
     if len(dirs) < 2:
         return None
     mats = [np.conj(np.outer(d_, d_.conj())) for d_ in dirs]
@@ -293,10 +261,10 @@ class _Range:
     def __init__(self, B: np.ndarray, use_sqrt: bool):
         self.lam = (B.real ** 2 + B.imag ** 2).sum(-1)
         self.E = B / np.sqrt(self.lam)[:, None]
-        self.q = _pair_quartic(self.E[0], self.E[1])
+        self.q = pair_quartic(self.E[0], self.E[1])
         self.use_sqrt = use_sqrt
         # the tangle-free directions, the roots of q
-        self.roots = np.array(_zero_direction_rows(self.E)).reshape(-1, 2)
+        self.roots = np.array(zero_directions(self.E)).reshape(-1, 2)
 
     def f(self, c, y):
         """Objective of the unit range vectors (c, y), q by homogeneous Horner."""
@@ -624,12 +592,19 @@ def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_inde
                       lower_bound=lower_bound)
 
 
+def _bracket_closed(res: RoofResult) -> bool:
+    """A certified result: its bound at most ``_CERT_GAP`` below its value,
+    and above it by no more than rounding."""
+    return (res.value - res.lower_bound <= _CERT_GAP
+            and res.lower_bound <= res.value + _BOUND_SLACK)
+
+
 def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
                   opts: RoofOptions | None = None) -> RoofResult:
     """Minimize the convex-roof objective over size-m decompositions of rho."""
     opts = opts if opts is not None else RoofOptions()
     use_sqrt = _check_functional(functional)
-    B = _eigen_factor(rho)
+    B = eigen_factor(rho)
     r = B.shape[0]
     m = opts.ensemble_size
     if m < r:
@@ -639,7 +614,9 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     if r == 1:
         return _result(B, use_sqrt, 0, -1, True)
 
-    exact = _zero_decomposition(B, m) if r == 2 else None
+    # the roots of the range quartic, shared by the zero fit and the orbit
+    dirs = zero_directions(B) if r == 2 else None
+    exact = None if dirs is None else _zero_decomposition(dirs, m)
     # one (W, exact value, stalled) per candidate, in order: the exact
     # decomposition and the LP's decomposition, whichever are there (labels
     # -1, -2), then the restarts (labels 0, 1, ...); ties go to the earlier
@@ -650,13 +627,20 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
         if kernels.roof_value(W, False, 0.0) <= _ZERO_TANGLE:
             return _result(W, use_sqrt, 0, -1, True, 0.0)
         results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
+    # the closed form holds for t_r alone: tau is not covariant on the orbit
+    orbit = range_orbit(B, dirs) if dirs is not None and use_sqrt and m >= 4 else None
+    if orbit is not None:
+        res = _result(orbit.rows(), use_sqrt, 0, -1 - len(results), True,
+                      orbit.analysis.rtangle)
+        if _bracket_closed(res):
+            return res
     lp = _lp_roof(B, use_sqrt) if r == 2 else None
     lp_rows, lower_bound = (None, None) if lp is None else lp
     if lp_rows is not None and len(lp_rows) <= m:
         U = kernels.polar_retract(np.concatenate((lp_rows, np.zeros((m - len(lp_rows), 2)))))
         W = U @ B
         res = _result(W, use_sqrt, 0, -1 - len(results), True, lower_bound)
-        if res.value - lower_bound <= _CERT_GAP and lower_bound <= res.value + _BOUND_SLACK:
+        if _bracket_closed(res):
             return res
         results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
     labels = [-k for k in range(1, len(results) + 1)] + list(range(opts.restarts))

@@ -28,7 +28,7 @@ TAU_GAP = 0.0034946565543917463     # ratio - alpha^2
 S_OUT0 = 1.5164220017168009
 P0_OUT0 = 0.56895015001064502
 
-# best-known sqrt-tau roof of generic_rank3(): the lowest of 200-restart,
+# best-known sqrt-tau roof of generic_base(3): the lowest of 200-restart,
 # 20000-iteration searches in several local-unitary frames
 SQRT_TAU_GENERIC_R3 = 0.3092379799536361
 
@@ -73,12 +73,12 @@ def random_mixture(rng, complex_params: bool = True) -> rt.GhzWMixture:
                           p=float(rng.uniform(0.0, 1.0)))
 
 
-def generic_rank3() -> rt.DensityMatrix:
-    """A fixed generic rank-3 state: 0.8 of one random pure state plus 0.2 of
-    two others with Dirichlet weights (the rank-3 base state of perfbench's
-    generic-roof workload)."""
+def generic_base(rank: int) -> rt.DensityMatrix:
+    """A fixed generic state of rank 2 or 3: 0.8 of one random pure state
+    plus 0.2 of the others with Dirichlet weights (the base state of that
+    rank of perfbench's generic-roof workload)."""
     rng = np.random.default_rng(2013)
-    for r in (2, 3):  # the rank-2 base state is drawn first
+    for r in range(2, rank + 1):  # the bases are drawn in rank order
         weights = np.concatenate(([0.8], 0.2 * rng.dirichlet(np.ones(r - 1))))
         states = [random_pure(rng).amp for _ in range(r)]
     rho = sum(w * np.outer(psi, psi.conj()) for w, psi in zip(weights, states))

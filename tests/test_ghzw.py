@@ -180,7 +180,7 @@ def test_degenerate_w_parameters():
     # whose phase is -pi; the limit must keep phi~ = 0.
     cases = [(SQRT2, SQRT2, SQRT2, 0.4)] + [
         (b, 1.0, 0.0, p)
-        for b in (SQRT2, -SQRT2, 1j * SQRT2, -1j * SQRT2) for p in (0.0, 0.4, 1.0)]
+        for b in (SQRT2, -SQRT2, 1j * SQRT2, -1j * SQRT2) for p in (0.0, 0.4, 0.6, 1.0)]
     for b, c, d, p in cases:
         mix = rt.GhzWMixture(a=SQRT2, b=b, c=c, d=d, f=0.0, p=p)
         ana = rt.analyze(mix)
@@ -190,6 +190,8 @@ def test_degenerate_w_parameters():
         assert abs(ana.rtangle - 2.0 * abs(mix.a * mix.b) * p) < 1e-12
         rho = rt.ensemble_to_density(rt.optimal_ensemble(mix))
         assert np.abs(rho.matrix - mix.density().matrix).max() < 1e-12
+        if 0.0 < p < 1.0:  # at p = 0.6 a fourfold root at infinity, listed four times
+            assert abs(rt.orbit_analysis(rho).analysis.rtangle - ana.rtangle) < 1e-10
         # the closed form still matches the invariants route in the limit
         for fp, phi in ((0.3, 0.0), (0.7, 1.0)):
             closed = rt.family_sqrt_tau(mix, fp, phi)
@@ -217,6 +219,20 @@ def test_degenerate_ghz_parameters():
     closed = rt.family_sqrt_tau(mix, 0.5, 0.2)
     direct = rt.invariants(rt.family_state(mix, 0.5, 0.2)).sqrt_tau
     assert abs(closed - direct) < 1e-12
+
+
+def test_subnormal_parameter_takes_the_p0_limit():
+    """At a = 1e-160, a^2 b is subnormal and D/A overflows to inf; the core
+    takes its limit p0 = 1, roof 0, and a = 1e-100 keeps its finite s.
+    Neither analyze nor orbit_analysis returns NaN."""
+    for a, s in ((1e-160, float("inf")), (1e-100, 7.698003589195014e+199)):
+        mix = rt.GhzWMixture(a=a, b=1.0, c=SQRT3, d=SQRT3, f=SQRT3, p=0.9)
+        assert rt.analyze(mix) == rt.MixtureAnalysis(s=s, tilde_phi=0.0, p0=1.0, rtangle=0.0,
+                                                     branch="zero_branch")
+        orbit = rt.orbit_analysis(mix.density())
+        assert orbit.analysis.p0 == 1.0 and orbit.analysis.rtangle == 0.0
+        assert np.isfinite(orbit.analysis.tilde_phi) and np.isfinite(orbit.rows()).all()
+        assert abs(orbit.p - 0.9) <= 1e-12
 
 
 def test_concavity_certificate():

@@ -5,8 +5,8 @@ from scipy.optimize import linprog
 import rtangle as rt
 from rtangle import kernels
 from rtangle import roof
-from rtangle.roof import _eigen_factor
-from freeze import (SQRT_TAU_GENERIC_R3, TAU_RHO, TAU_RHO0, TR_STD_P08, generic_rank3,
+from rtangle.quartic import eigen_factor, pair_quartic, zero_directions
+from freeze import (SQRT_TAU_GENERIC_R3, TAU_RHO, TAU_RHO0, TR_STD_P08, generic_base,
                     ghz_state, random_mixture, random_pure, random_unitary2, std_mixture)
 
 FAST = rt.RoofOptions(restarts=6)
@@ -16,8 +16,16 @@ def _pure_density(psi):
     return rt.ensemble_to_density(rt.WeightedEnsemble(((1.0, psi),)))
 
 
+def _without_orbit(monkeypatch):
+    """Switch the closed form of recognized GHZ/W images off, so the linear
+    program runs on them."""
+    monkeypatch.setattr(roof, "range_orbit", lambda B, dirs: None)
+
+
 def _without_lp(monkeypatch):
-    """Switch the rank-2 linear program off, so the search runs alone."""
+    """Switch the orbit closed form and the rank-2 linear program off, so the
+    search runs alone."""
+    _without_orbit(monkeypatch)
     monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: None)
 
 
@@ -156,7 +164,7 @@ def test_generic_rank3_lands_near_the_best_known_roof():
     """A default-budget 5-restart solve of a generic rank-3 state, posed in
     three random local-unitary frames, lands within 1e-4 of the best value
     long searches found."""
-    rho = generic_rank3().matrix
+    rho = generic_base(3).matrix
     rng = np.random.default_rng(31)
     for _ in range(3):
         V = np.kron(np.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
@@ -171,7 +179,7 @@ def test_gradient_matches_finite_differences_complex_rho():
     z = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     rho = z @ z.conj().T
     rho = rt.DensityMatrix(rho / np.trace(rho))
-    B = _eigen_factor(rho)
+    B = eigen_factor(rho)
     m, r = 4, B.shape[0]
     zu = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     U, _ = np.linalg.qr(zu)
@@ -256,7 +264,7 @@ def _search_reference(U0, B, use_sqrt, opts):
 def _generic_starts(rank, n, seed=5):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
-    B = _eigen_factor(rt.DensityMatrix(z @ z.conj().T / np.trace(z @ z.conj().T).real))
+    B = eigen_factor(rt.DensityMatrix(z @ z.conj().T / np.trace(z @ z.conj().T).real))
     U0 = [np.linalg.qr(rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank)))[0]
           for _ in range(n)]
     return B, np.array(U0)
@@ -418,10 +426,10 @@ def test_search_never_undercuts_the_certificate(monkeypatch):
     opts = rt.RoofOptions(restarts=3)
     cases = _zero_branch_cases()
     certified = [rt.roof_minimize(mix.density(), "sqrt_tau", opts) for mix in cases]
-    # without the tangle-free decomposition the linear program would certify
-    # instead
+    # without the tangle-free decomposition the orbit closed form or the
+    # linear program would certify instead
     _without_lp(monkeypatch)
-    monkeypatch.setattr(roof, "_zero_decomposition", lambda B, m: None)
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs, m: None)
     for mix, cert in zip(cases, certified):
         res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
         assert res.restarts_used == opts.restarts
@@ -436,7 +444,7 @@ def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
     rotation = np.linalg.qr(z)[0]
     zero_decomposition = roof._zero_decomposition
     monkeypatch.setattr(roof, "_zero_decomposition",
-                        lambda B, m: rotation @ zero_decomposition(B, m))
+                        lambda dirs, m: rotation @ zero_decomposition(dirs, m))
     _without_lp(monkeypatch)  # it would certify without a search
     rho = std_mixture(0.3).density()
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
@@ -458,6 +466,7 @@ def _linear_branch_cases():
 def test_linear_branch_returns_the_lp_decomposition(monkeypatch):
     """The linear program's decomposition is returned without a search, and
     a search without the program never undercuts it."""
+    _without_orbit(monkeypatch)
     cases = _linear_branch_cases()
     certified = [rt.roof_minimize(mix.density(), "sqrt_tau", FAST) for mix in cases]
     _without_lp(monkeypatch)
@@ -512,7 +521,7 @@ def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
     restarts and still mixes back."""
     for p in (0.1, 0.3, 0.6):
         rho = std_mixture(p).density()
-        assert roof._zero_decomposition(_eigen_factor(rho), size) is None
+        assert roof._zero_decomposition(zero_directions(eigen_factor(rho)), size) is None
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
@@ -530,10 +539,11 @@ def _slocc_image(rho, ops):
     return rt.DensityMatrix((image + image.conj().T) / 2.0), alpha
 
 
-def test_lp_brackets_the_roof_on_slocc_orbits():
+def test_lp_brackets_the_roof_on_slocc_orbits(monkeypatch):
     """t_r is covariant on the whole SLOCC orbit of a GHZ/W mixture: the
     bracket of an image under random complex local operators contains
     alpha t_r, and the linear program certifies it without a search."""
+    _without_orbit(monkeypatch)
     rng = np.random.default_rng(5)
     for p in (0.8, 0.95):
         mix = std_mixture(p)
@@ -568,7 +578,7 @@ def test_affine_bound_never_exceeds_the_closed_form():
     for mix in _ghzw_both_branches():
         rho = mix.density()
         closed = rt.analyze(mix).rtangle
-        B = _eigen_factor(rho)
+        B = eigen_factor(rho)
         U, bound = roof._lp_roof(B, True)
         assert bound <= closed + 1e-9
         rows = [U @ B]
@@ -587,7 +597,8 @@ def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
     decomposition within _CERT_GAP of the closed form without a search, on
     the zero branch, just above the branch point and further up, with a
     bound never above the closed form."""
-    monkeypatch.setattr(roof, "_zero_decomposition", lambda B, m: None)
+    _without_orbit(monkeypatch)
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs, m: None)
     for mix in _ghzw_both_branches():
         closed = rt.analyze(mix).rtangle
         res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
@@ -602,7 +613,7 @@ def test_lower_bound_only_at_rank_2():
     B, _ = _generic_starts(3, 0)
     opts = rt.RoofOptions(restarts=1, max_iterations=100)
     assert rt.roof_minimize(rt.DensityMatrix(B.T @ B.conj()), "tau", opts).lower_bound is None
-    for p in (0.3, 0.8):  # the zero certificate and the linear program
+    for p in (0.3, 0.8):  # the zero certificate and the orbit closed form
         res = rt.roof_minimize(std_mixture(p).density(), "sqrt_tau", FAST)
         assert isinstance(res.lower_bound, float)
         assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
@@ -642,7 +653,7 @@ def test_open_bracket_keeps_the_lp_decomposition_as_a_candidate():
     no worse than it and keeps a sound bound within _CERT_GAP."""
     rng = np.random.default_rng(2026)
     rho = [_random_rank2_gram(rng) for _ in range(15)][14]
-    B = _eigen_factor(rho)
+    B = eigen_factor(rho)
     rows, bound = roof._lp_roof(B, False)
     U = kernels.polar_retract(np.concatenate((rows, np.zeros((4 - len(rows), 2)))))
     lp_value = rt.objective_at(rho, roof._ensemble_from_rows(U @ B), "tau")
@@ -696,7 +707,7 @@ def test_simplex_matches_highs_on_the_same_columns():
     cases = [(rt.ensemble_to_density(rt.counterexample_fixture().ensemble), False),
              (_random_rank2(rng), True), (_random_rank2(rng), True)]
     for rho, use_sqrt in cases:
-        cost, rows, b = _lp_columns(_eigen_factor(rho), use_sqrt)
+        cost, rows, b = _lp_columns(eigen_factor(rho), use_sqrt)
         basis = roof._LP_BASIS.copy()
         w, X, reduced = roof._simplex(cost, rows, b, basis)
         highs = linprog(cost, A_eq=rows.T, b_eq=b, bounds=(0.0, None), method="highs",
@@ -717,7 +728,7 @@ def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     search runs, with no bound."""
     monkeypatch.setattr(roof, *patch)
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
-    assert roof._lp_roof(_eigen_factor(rho), False) is None
+    assert roof._lp_roof(eigen_factor(rho), False) is None
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
     assert res.restarts_used == 2 and res.lower_bound is None
@@ -738,3 +749,144 @@ def test_lp_closes_the_bracket_where_pricing_tails_off(monkeypatch):
     assert res.restarts_used == 0 and res.converged
     assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
     assert _mixes_back(res, rho)
+
+
+# ------------------------------------------------ the closed form of GHZ/W images
+
+def _orbit_images():
+    """Forty SLOCC images (rng 5): twenty of GHZ/W mixtures with random
+    complex parameters and twenty of the standard mixture, p ~ U(0.05, 0.98),
+    under random complex local operators; (image, alpha t_r, mixture)."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for k in range(40):
+        mix = random_mixture(rng) if k < 20 else std_mixture(0.5)
+        mix = rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f,
+                             p=rng.uniform(0.05, 0.98))
+        ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        image, alpha = _slocc_image(mix.density(), ops)
+        cases.append((image, alpha * rt.analyze(mix).rtangle, mix))
+    return cases
+
+
+def test_orbit_closed_form_on_slocc_images(monkeypatch):
+    """Every image is certified without a search at alpha t_r, with alpha t_r
+    as its bound; with the closed form and the zero certificate off, the
+    linear program's bracket contains alpha t_r."""
+    cases = _orbit_images()
+    assert sum(rt.analyze(mix).branch == "linear_branch" for _, _, mix in cases) >= 10
+    for image, want, _ in cases:
+        res = rt.roof_minimize(image, "sqrt_tau", FAST)
+        assert res.restarts_used == 0 and res.converged
+        assert abs(res.value - want) <= roof._CERT_GAP
+        assert abs(res.lower_bound - want) <= 1e-12
+        assert _mixes_back(res, image)
+    _without_orbit(monkeypatch)
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs, m: None)
+    for image, want, _ in cases:
+        res = rt.roof_minimize(image, "sqrt_tau", FAST)
+        assert res.lower_bound - 1e-9 <= want <= res.value + 1e-9
+
+
+def test_default_path_returns_the_orbit_closed_form(monkeypatch):
+    """On a linear-branch image the default path returns the orbit's own
+    members and closed form, ahead of the linear program; on the zero
+    branch the zero certificate still answers first; below four members,
+    and for tau, the orbit is not tried."""
+    for image, want, mix in _orbit_images():
+        orbit = rt.orbit_analysis(image)
+        assert orbit.analysis.branch == rt.analyze(mix).branch
+        res = rt.roof_minimize(image, "sqrt_tau", FAST)
+        if orbit.analysis.branch == "zero_branch":
+            assert res.lower_bound == 0.0
+            continue
+        assert res.best_restart_index == -1 and res.lower_bound == orbit.analysis.rtangle
+        members = roof._ensemble_from_rows(orbit.rows()).members
+        assert len(res.ensemble) == len(members) == 4
+        for (w, psi), (w_ref, psi_ref) in zip(res.ensemble.members, members):
+            assert w == w_ref and np.array_equal(psi.amp, psi_ref.amp)
+        assert res.value == rt.objective_at(image, res.ensemble, "sqrt_tau")
+    calls = []
+    monkeypatch.setattr(roof, "range_orbit", lambda B, dirs: calls.append(B))
+    small = rt.RoofOptions(ensemble_size=3, restarts=1, max_iterations=50)
+    rt.roof_minimize(image, "sqrt_tau", small)
+    rt.roof_minimize(image, "tau", FAST)
+    assert calls == []
+
+
+def test_orbit_recognizes_general_measurement_outcomes():
+    """A non-diagonal invertible Kraus operator on any qubit takes the
+    mixture out of the GHZ/W family but keeps it on its SLOCC orbit: the
+    outcome's density is recognized, and the oracle returns alpha t_r
+    without a search."""
+    rng = np.random.default_rng(21)
+    mixes = [std_mixture(0.8)] + _linear_branch_cases()[2:]
+    for mix, target in zip(mixes * 3, "AAABBBCCC"):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m0 = 0.6 * z / np.linalg.norm(z, 2)
+        rest = np.eye(2) - m0.conj().T @ m0
+        lam, vec = np.linalg.eigh(rest)
+        m1 = (vec * np.sqrt(np.maximum(lam, 0))) @ vec.conj().T
+        ms = rt.MeasurementSet((rt.LocalOperator(m0, target), rt.LocalOperator(m1, target)))
+        roof_in = rt.analyze(mix).rtangle
+        for out in rt.measure(mix.ensemble(), ms):
+            assert rt.orbit_analysis(out.post_density) is not None
+            res = rt.roof_minimize(out.post_density, "sqrt_tau", FAST)
+            assert res.restarts_used == 0 and res.converged
+            assert abs(res.value - out.alpha * roof_in) <= roof._CERT_GAP
+            assert abs(res.lower_bound - out.alpha * roof_in) <= 1e-12
+
+
+def test_orbit_analysis_rejects_non_orbit_states():
+    """Random rank-2 states, the generic-roof rank-2 base state, a GHZ/W
+    pair with an off-diagonal coherence, which keeps I = 0 but has no
+    diagonal root frame, and a diagonal pair whose quartic lacks only the
+    x^3 y term, not the x^2 y^2 one (I != 0), are not recognized;
+    nor is any rank but 2."""
+    rng = np.random.default_rng(2026)
+    states = [_random_rank2(rng) for _ in range(30)] + [generic_base(2)]
+    g, w = std_mixture(1.0).ghz_state().amp, std_mixture(0.0).w_state().amp
+    rho = 0.6 * np.outer(g, g.conj()) + 0.4 * np.outer(w, w.conj())
+    states.append(rt.DensityMatrix(rho + 0.1 * (np.outer(g, w.conj()) + np.outer(w, g.conj()))))
+    # g0 + t w, with t a root of the x^3 y coefficient of Det(x (g0 + t w) + y w)
+    g0 = random_pure(rng).amp
+    q = pair_quartic(g0, w)
+    g = g0 + np.roots([3.0 * q[1], 2.0 * q[2], q[3]])[0] * w
+    q = pair_quartic(g, w)
+    assert abs(q[0]) + abs(q[3]) <= 1e-14 and abs(q[2]) >= 0.1 * np.abs(q).max()
+    rho = 0.6 * np.outer(g, g.conj()) / np.vdot(g, g).real + 0.4 * np.outer(w, w.conj())
+    states.append(rt.DensityMatrix(rho))
+    states += [_pure_density(ghz_state()), generic_base(3)]
+    for rho in states:
+        assert rt.orbit_analysis(rho) is None
+    assert rt.orbit_analysis(std_mixture(0.6).density()) is not None
+
+
+def test_tau_is_not_covariant_on_the_orbit(monkeypatch):
+    """On ten linear-branch images (rng 17) the linear program's tau
+    bracket of the image excludes alpha^2 times the mixture's tau bracket by
+    more than its own width, though t_r is covariant there; the orbit closed
+    form, which holds for t_r alone, is never tried on tau."""
+    calls = []
+    orbit = roof.range_orbit
+    monkeypatch.setattr(roof, "range_orbit", lambda B, dirs: calls.append(B) or orbit(B, dirs))
+    rng = np.random.default_rng(17)
+    opts = rt.RoofOptions(restarts=2)
+    cases = 0
+    while cases < 10:
+        mix = random_mixture(rng)
+        ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        ana = rt.analyze(mix)
+        if ana.branch != "linear_branch" or ana.limit_case:
+            continue
+        cases += 1
+        image, alpha = _slocc_image(mix.density(), ops)
+        tau_in = rt.roof_minimize(mix.density(), "tau", opts)
+        tau_out = rt.roof_minimize(image, "tau", opts)
+        for res in (tau_in, tau_out):
+            assert res.restarts_used == 0 and res.converged
+        width = tau_out.value - tau_out.lower_bound
+        apart = max(alpha ** 2 * tau_in.lower_bound - tau_out.value,
+                    tau_out.lower_bound - alpha ** 2 * tau_in.value)
+        assert apart > width
+    assert calls == []
