@@ -144,6 +144,13 @@ def _det_core(mix: GhzWMixture) -> tuple[float, complex | None]:
     return abs(mix.a * mix.b), ratio
 
 
+# largest s = |D/A| for which family_sqrt_tau uses the factored form.  Its
+# numerator grows like s^2 and overflows near s = 1e154; above s = 1e24 p0
+# rounds to 1, and at every double p < 1 the term |A| p^2 is negligible
+# beside |D| sqrt(p (1-p)^3), so the unfactored form cancels nothing there.
+_S_FACTORED = 1e100
+
+
 def _stable_modulus(s: float, p: float, phi: float) -> float:
     """|p^2 - s sqrt(p (1-p)^3) e^{3 i phi}|, evaluated in factored form.
 
@@ -231,18 +238,20 @@ def family_sqrt_tau(mix: GhzWMixture, p: float, phi: float) -> float:
         2 |ab| sqrt| p^2 - s sqrt(p (1-p)^3) e^{3 i phi} |.
 
     Evaluated through :func:`_stable_modulus` so that branch-point zeros
-    come out exact.  In the ``a^2 b = 0`` limit A = 0 and s is undefined;
-    there Det = D x y^3 alone, and ``2 sqrt(|D| sqrt(p (1-p)^3))`` with
-    ``D = 4 b c d f`` stays the true value (such family states can carry
-    tangle even though the mixture roof vanishes).
+    come out exact.  Where s is undefined (the ``a^2 b = 0`` limit, A = 0)
+    or above ``_S_FACTORED``, it is evaluated unfactored instead, as
+    ``2 sqrt| |A| p^2 - |D| sqrt(p (1-p)^3) e^{3 i phi} |`` with
+    ``A = a^2 b^2`` and ``D = 4 b c d f`` (at A = 0 such family states can
+    carry tangle even though the mixture roof vanishes).
     """
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"family_sqrt_tau: p = {p!r} outside [0, 1]")
     ab, ratio = _det_core(mix)
-    if ratio is None:
-        d_abs = 4.0 * abs(mix.b * mix.c * mix.d * mix.f)
-        return float(2.0 * np.sqrt(d_abs * np.sqrt(p * (1.0 - p) ** 3)))
-    return float(2.0 * ab * np.sqrt(_stable_modulus(abs(ratio), p, phi)))
+    if ratio is not None and abs(ratio) <= _S_FACTORED:
+        return float(2.0 * ab * np.sqrt(_stable_modulus(abs(ratio), p, phi)))
+    g = math.sqrt(p * (1.0 - p) ** 3)
+    d_abs = 4.0 * abs(mix.b * mix.c * mix.d * mix.f)
+    return 2.0 * math.sqrt(abs(ab * ab * p * p - d_abs * g * cmath.exp(3j * phi)))
 
 
 def _members(p: float, ana: MixtureAnalysis) -> list[tuple[float, float, float]]:
@@ -266,11 +275,15 @@ def optimal_ensemble(mix: GhzWMixture) -> WeightedEnsemble:
     Zero branch: ``{(p0-p)/p0, |0,0>}`` plus the three states
     ``|p0, 2 pi n / 3>`` with weight ``p/(3 p0)`` each; linear branch:
     ``{(p-p0)/(1-p0), |1,0>}`` plus the same three states with weight
-    ``(1-p)/(3(1-p0))``.  Zero-weight members are dropped.
+    ``(1-p)/(3(1-p0))``.  Zero-weight members are dropped.  The members are
+    :func:`family_state`'s, from one reading of the core and of the gGHZ
+    and gW amplitudes.
     """
-    return WeightedEnsemble(tuple((w, family_state(mix, pv, phi))
-                                  for w, pv, phi in _members(mix.p, analyze(mix))
-                                  if w > 1e-15))
+    ana = analyze(mix)
+    g, w = mix.ghz_state().amp, mix.w_state().amp
+    return WeightedEnsemble(tuple(
+        (wt, PureState(_superposition(g, w, pv, phi, ana.tilde_phi)))
+        for wt, pv, phi in _members(mix.p, ana) if wt > 1e-15))
 
 
 def optimal_objective(mix: GhzWMixture) -> float:

@@ -33,7 +33,7 @@ def _complex_array(data, shape, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.complex128)
     if arr.shape != shape:
         raise ValidationError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what}: amplitudes must be finite (no NaN/Inf)")
     arr = arr.copy()  # private, C-contiguous
     arr.setflags(write=False)
@@ -155,6 +155,21 @@ class DensityMatrix:
         return int(np.count_nonzero(self.eigenvalues() > cutoff))
 
 
+def _expansion(k: int) -> tuple:
+    """Row bit, column bit and identity factors of qubit k's 8x8 expansion."""
+    bits = np.arange(8)
+    bit = (bits >> (2 - k)) & 1
+    agree = [(((bits[:, None] ^ bits[None, :]) >> (2 - j)) & 1 == 0).astype(np.complex128)
+             for j in range(3) if j != k]
+    # np.kron(np.kron(f1, f2), f3) multiplies m by the identities after it one
+    # at a time, but multiplies the two identities before it together first
+    factors = (agree[0] * agree[1],) if k == 2 else tuple(agree)
+    return bit[:, None], bit[None, :], factors
+
+
+_EXPANSION = {q: _expansion(k) for k, q in enumerate(QUBITS)}
+
+
 @dataclass(frozen=True)
 class LocalOperator:
     """2x2 operator acting on one named qubit of a three-qubit state."""
@@ -169,11 +184,22 @@ class LocalOperator:
             raise ValidationError(f"LocalOperator: target must be one of {QUBITS}")
 
     def expanded(self) -> np.ndarray:
-        """The operator as an 8x8 matrix on the full three-qubit space."""
-        eye = np.eye(2)
-        factors = {"A": (self.m, eye, eye), "B": (eye, self.m, eye), "C": (eye, eye, self.m)}
-        f1, f2, f3 = factors[self.target]
-        return np.kron(np.kron(f1, f2), f3)
+        """The operator as an 8x8 matrix on the full three-qubit space.
+
+        Entry (i, j) is ``m[i_k, j_k]``, with i_k and j_k the target qubit's
+        bits of i and j, where the other two bits of i and j agree, and zero
+        elsewhere.  A table built once per qubit holds the row bit, the
+        column bit and, for each other qubit, whether its bits agree, as a
+        complex 0/1 factor.  The matrix is one gather of ``m`` and one or
+        two products with those factors, taken in the order in which
+        ``np.kron`` takes them, so it equals the Kronecker product
+        bit for bit, signed zeros included.
+        """
+        rows, cols, factors = _EXPANSION[self.target]
+        full = self.m[rows, cols]
+        for f in factors:
+            full *= f
+        return full
 
     def det_abs(self) -> float:
         """|det M|, which equals sqrt(det M^dag M) for a 2x2 operator."""
@@ -196,12 +222,11 @@ class MeasurementSet:
         ops = tuple(self.operators)
         if not ops:
             raise ValidationError("MeasurementSet: at least one operator required")
+        if not all(isinstance(op, LocalOperator) for op in ops):
+            raise ValidationError("MeasurementSet: entries must be LocalOperator")
         targets = {op.target for op in ops}
         if len(targets) != 1:
             raise ValidationError(f"MeasurementSet: operators target different qubits {targets}")
-        for op in ops:
-            if not isinstance(op, LocalOperator):
-                raise ValidationError("MeasurementSet: entries must be LocalOperator")
         object.__setattr__(self, "operators", ops)
 
     @property

@@ -53,6 +53,14 @@ def random_pure(rng) -> rt.PureState:
     return rt.PureState(v / np.linalg.norm(v))
 
 
+def kron_operator(m: np.ndarray, target: str) -> np.ndarray:
+    """The 8x8 matrix of m on one qubit, built as a Kronecker product: the
+    reference that LocalOperator.expanded must equal bit for bit."""
+    eye = np.eye(2)
+    factors = {"A": (m, eye, eye), "B": (eye, m, eye), "C": (eye, eye, m)}[target]
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
 def random_unitary2(rng) -> np.ndarray:
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)

@@ -235,6 +235,22 @@ def test_subnormal_parameter_takes_the_p0_limit():
         assert abs(orbit.p - 0.9) <= 1e-12
 
 
+@pytest.mark.parametrize("a", [1e-160, 1e-100])
+def test_subnormal_parameter_family_values_stay_finite(a):
+    """s = |D/A| overflows (a = 1e-160) or overflows the factored form
+    (a = 1e-100); the family value then comes from the unfactored modulus
+    and still matches the invariants route."""
+    mix = rt.GhzWMixture(a=a, b=1.0, c=SQRT3, d=SQRT3, f=SQRT3, p=0.9)
+    for p in (0.0, 0.1, 0.5, 0.9, 0.999):
+        for phi in (0.0, 0.3, 2.0 * np.pi / 3.0, 2.5):
+            closed = rt.family_sqrt_tau(mix, p, phi)
+            direct = rt.invariants(rt.family_state(mix, p, phi)).sqrt_tau
+            assert abs(closed - direct) <= 1e-12 * direct
+    assert abs(rt.family_sqrt_tau(mix, 0.5, 0.0) - 0.8773826753016618) < 1e-12
+    assert rt.analyze(mix).rtangle == 0.0
+    assert abs(rt.optimal_objective(mix) - rt.analyze(mix).rtangle) < 1e-12
+
+
 def test_concavity_certificate():
     report = rt.concavity_certificate(std_mixture(0.8), grid_n=10001)
     assert report.quartic_positive and report.quartic_min > 0

@@ -11,6 +11,7 @@ from freeze import (
     TR_OUT0,
     TR_STD_P08,
     ghz_state,
+    kron_operator,
     random_mixture,
     random_pure,
     std_mixture,
@@ -125,6 +126,31 @@ def test_mixture_consistency_random():
             assert np.abs(mixed - expected).max() < 1e-12
             assert np.abs(mixed - out.post_density.matrix).max() < 1e-12
         assert abs(sum(o.probability for o in rt.measure(ens, ms)) - 1.0) < 1e-9
+
+
+def test_measure_equals_the_kronecker_products():
+    """Post-states and post-densities equal M psi / sqrt(<psi|M^dag M|psi>)
+    and M rho M^dag / p_j with M built by np.kron, bit for bit."""
+    rng = np.random.default_rng(69)
+    for k in range(30):
+        if k % 2:
+            ens = random_mixture(rng).ensemble()  # amplitudes with exact zeros
+        else:
+            ens = rt.WeightedEnsemble(tuple((float(w), random_pure(rng))
+                                            for w in rng.dirichlet(np.ones(3))))
+        rho = rt.ensemble_to_density(ens).matrix
+        target = "ABC"[rng.integers(0, 3)]
+        ms = _random_general_set(rng, target)
+        for out, op in zip(rt.measure(ens, ms), ms.operators):
+            full = kron_operator(op.m, target)
+            expected = full @ rho @ full.conj().T / out.probability
+            assert out.post_density.matrix.tobytes() == expected.tobytes()
+            raws = [full @ psi.amp for _, psi in ens.members]
+            nsqs = [float(np.vdot(raw, raw).real) for raw in raws]
+            kept = [raw / np.sqrt(nsq) for (w, _), raw, nsq in zip(ens.members, raws, nsqs)
+                    if w * nsq / out.probability > 1e-14]
+            assert [psi.amp.tobytes() for psi in out.post_ensemble.states()] == \
+                [amp.tobytes() for amp in kept]
 
 
 def test_covariance_diagonal_measurements_on_family():

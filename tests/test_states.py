@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rtangle as rt
-from freeze import ghz_state, random_pure, w_state
+from freeze import ghz_state, kron_operator, random_mixture, random_pure, w_state
 
 
 def test_pure_state_rejects_bad_norm():
@@ -148,6 +148,46 @@ def test_apply_local_targets_b_and_c():
     assert np.abs(out_c.amp - ref).max() < 1e-12
 
 
+def test_expanded_equals_the_kronecker_product():
+    rng = np.random.default_rng(31)
+    signed = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5])
+    for k in range(60):
+        if k % 2:
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        else:  # exact zeros of either sign, whose products keep their sign
+            m = rng.choice(signed, (2, 2)) + 0j
+            m.imag = rng.choice(signed, (2, 2))
+        for target in "ABC":
+            full = rt.LocalOperator(m, target).expanded()
+            assert full.dtype == np.complex128 and full.shape == (8, 8)
+            assert full.tobytes() == kron_operator(m, target).tobytes()
+
+
+def test_apply_local_equals_the_kronecker_product():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        psi = random_pure(rng)
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for target in "ABC":
+            out, nsq = rt.apply_local(rt.LocalOperator(m, target), psi)
+            ref = kron_operator(m, target) @ psi.amp
+            assert out.amp.tobytes() == ref.tobytes()
+            assert nsq == float(np.vdot(ref, ref).real)
+
+
+def test_exact_layer_does_not_build_kronecker_products(monkeypatch):
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    rng = np.random.default_rng(33)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rt.apply_local(rt.LocalOperator(m, "B"), random_pure(rng))
+    fx = rt.counterexample_fixture()
+    assert len(rt.measure(fx.ensemble, fx.measurement)) == 2
+    assert len(rt.optimal_ensemble(random_mixture(rng))) >= 3
+
+
 def test_norm_preservation_over_complete_set():
     ms = rt.counterexample_fixture().measurement
     rng = np.random.default_rng(7)
@@ -176,6 +216,14 @@ def test_measurement_set_requires_single_target():
     with pytest.raises(rt.ValidationError):
         rt.MeasurementSet((rt.LocalOperator(np.eye(2), "A"),
                            rt.LocalOperator(np.eye(2), "B")))
+
+
+@pytest.mark.parametrize("entry", [np.eye(2), "A"])
+def test_measurement_set_rejects_entries_that_are_not_operators(entry):
+    with pytest.raises(rt.ValidationError, match="entries must be LocalOperator"):
+        rt.MeasurementSet((entry,))
+    with pytest.raises(rt.ValidationError, match="entries must be LocalOperator"):
+        rt.MeasurementSet((rt.LocalOperator(np.eye(2), "A"), entry))
 
 
 def test_density_matrix_validation():
