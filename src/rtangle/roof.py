@@ -28,12 +28,17 @@ at once, with ``restarts_used == 0`` and a ``lower_bound``:
 
 * zero: the tangle-free directions inside the range of rho are the roots
   of a quartic (the hyperdeterminant restricted to the range), and a
-  non-negative least-squares fit over the root projectors gives a
-  decomposition.  It is returned when its members fit in the ensemble
-  size, mix back to rho, and are tangle-free to working precision
+  non-negative least-squares fit of the identity over the root projectors
+  gives a decomposition.  It is returned when its members fit in the
+  ensemble size, mix back to rho, and are tangle-free to working precision
   (weighted member tangle at most ``_ZERO_TANGLE``), so the objective is
   at its lower bound of 0 up to rounding.  This is the zero branch of the
-  GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).
+  GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).  With four
+  distinct roots the fit is one 4 x 4 solve: its solution is unique, so it
+  is either non-negative, and the answer, or has a weight negative beyond
+  rounding, and no exact non-negative fit exists.  Repeated roots make the
+  projectors dependent, and only they run the active set of
+  :func:`_nnls`.
 * orbit closed form (sqrt-tau, ensemble size at least 4): where
   :func:`ghzw.range_orbit` recognizes rho, from the same roots, as an
   SLOCC image of a GHZ/W mixture, its closed form t_r is the bound and its
@@ -65,7 +70,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import kernels
 from .ghzw import range_orbit
@@ -185,26 +189,105 @@ def _ensemble_from_rows(W: np.ndarray) -> WeightedEnsemble:
 # --------------------------------------------------------------------------
 # the tangle-free decomposition of rank-2 inputs
 
+# residual norm up to which the zero fit counts as exact, and weight up to
+# which a fitted member is rounding, not a member
+_FIT_TOL = 1e-10
+_SUPPORT = 1e-12
+# the identity on the range, in the coordinates (M00, M11, Re M01, Im M01)
+_IDENTITY = np.array([1.0, 1.0, 0.0, 0.0])
+
+
+def _nnls(A: np.ndarray, b: np.ndarray):
+    """Non-negative least squares: x >= 0 minimizing ||A x - b||, and that
+    norm, for any m x n A.
+
+    Where the columns of A are independent and the least-squares solution is
+    non-negative, it is the answer, after one solve.  Otherwise the
+    Lawson-Hanson active set (Lawson & Hanson, *Solving Least Squares
+    Problems*, ch. 23) adds the column of steepest descent to the passive set
+    and solves on it, stepping back to the boundary where a passive weight
+    turns non-positive.  A column that gets no positive weight where it is
+    added depends on the passive ones and waits for the next round; after
+    3n rounds the current point is returned.
+    """
+    m, n = A.shape
+    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank == n and x.min() >= 0.0:
+        return x, float(np.linalg.norm(A @ x - b))
+    tol = 10.0 * max(m, n) * np.finfo(np.float64).eps * np.linalg.norm(A) * np.linalg.norm(b)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+
+    def solve(passive):
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return z
+
+    w = A.T @ b
+    for _ in range(3 * n):
+        j = int(np.argmax(np.where(passive, -np.inf, w)))
+        if passive[j] or w[j] <= tol:
+            break
+        passive[j] = True
+        z = solve(passive)
+        if z[j] <= 0.0:
+            passive[j], w[j] = False, 0.0
+            continue
+        while (z[passive] <= 0.0).any():
+            out = passive & (z <= 0.0)
+            ratio = x[out] / (x[out] - z[out])
+            x = x + ratio.min() * (z - x)
+            x[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
+            passive &= x > 0.0
+            z = solve(passive)
+        x = z
+        w = A.T @ (b - A @ x)
+    return x, float(np.linalg.norm(A @ x - b))
+
+
 def _zero_decomposition(dirs: list, m: int):
     """A tangle-free decomposition in at most m members (rank 2 only).
 
     The non-negative least-squares fit of the identity over the projectors
     onto the tangle-free directions ``dirs`` (:func:`quartic.zero_directions`
-    of B); returns its U, with orthonormal columns within ``_MIX_TOL``, when
-    the fit is exact, needs at least two members and fits in m, else None.
-    The members are tangle-free up to the rounding of the quartic's roots.
+    of B), with weights up to ``_SUPPORT`` taken as rounding; returns its U,
+    whose rows are the members, when the fit is exact (residual below
+    ``_FIT_TOL``, so U has orthonormal columns to that), needs at least two
+    members and fits in m, else None.  The members are tangle-free up to the
+    rounding of the quartic's roots.
+
+    One solve decides in the common case of four distinct roots: the fit is
+    then unique, a non-negative one is the answer, and one with a weight
+    below -``_FIT_TOL`` ||A^-1||_F (the Frobenius norm bounds the spectral
+    one) means no fit within ``_FIT_TOL`` is non-negative, which declines a
+    linear-branch input at once.  Fewer or repeated roots, and weights
+    between rounding and that bound, go to :func:`_nnls`.
     """
     if len(dirs) < 2:
         return None
-    mats = [np.conj(np.outer(d_, d_.conj())) for d_ in dirs]
-    A = np.array([[M[0, 0].real, M[1, 1].real, M[0, 1].real, M[0, 1].imag] for M in mats]).T
-    u, residual = nnls(A, np.array([1.0, 1.0, 0.0, 0.0]))
-    rows = [np.sqrt(u[n]) * dirs[n] for n in np.flatnonzero(u > 0.0)]
-    if residual < 1e-10 and np.count_nonzero(u > 1e-12) >= 2 and len(rows) <= m:
-        U = np.array(rows + [np.zeros(2, complex)] * (m - len(rows)))
-        if np.abs(_herm(U) @ U - np.eye(2)).max() <= _MIX_TOL:
-            return U
-    return None
+    D = np.array(dirs)
+    c = np.conj(D[:, 0] * D[:, 1].conj())
+    A = np.array([(D[:, 0] * D[:, 0].conj()).real, (D[:, 1] * D[:, 1].conj()).real,
+                  c.real, c.imag])
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # fewer than four roots, or a repeated one
+        u = None
+    else:
+        u = inv @ _IDENTITY
+        if u.min() < -_SUPPORT:
+            if u.min() < -_FIT_TOL * np.linalg.norm(inv):
+                return None
+            u = None
+    if u is None:
+        u, _ = _nnls(A, _IDENTITY)
+    support = u > _SUPPORT
+    k = np.count_nonzero(support)
+    if not 2 <= k <= m or np.linalg.norm(A[:, support] @ u[support] - _IDENTITY) >= _FIT_TOL:
+        return None
+    U = np.zeros((m, 2), dtype=complex)
+    U[:k] = np.sqrt(u[support])[:, None] * D[support]
+    return U
 
 
 def _bloch(angles: np.ndarray):

@@ -1,0 +1,47 @@
+"""The runtime needs numpy alone: importing the package loads no scipy."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rtangle
+
+PACKAGE = Path(rtangle.__file__).resolve().parent
+
+
+def _is_scipy(name) -> bool:
+    return isinstance(name, str) and (name == "scipy" or name.startswith("scipy."))
+
+
+def test_import_loads_no_scipy():
+    """A fresh interpreter that imports the package and its CLI has no
+    scipy module loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH"))))
+    code = ("import sys, rtangle, rtangle.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_sources_import_no_scipy():
+    """No module of the package imports scipy, at module level or inside a
+    function, by statement or by ``__import__``/``importlib.import_module``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else []
+            elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                names = [node.args[0].value] if called in ("__import__", "import_module") else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if _is_scipy(name)]
+    assert not found

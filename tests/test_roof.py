@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 import rtangle as rt
 from rtangle import kernels
@@ -525,6 +525,137 @@ def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
+
+
+def _zero_fit_reference(dirs, m):
+    """The zero fit on scipy's NNLS: the fit of the identity over the root
+    projectors, its weights above 1e-12 the members, accepted when its
+    residual is below 1e-10 and it has 2..m members."""
+    if len(dirs) < 2:
+        return None
+    A = np.array([[abs(d[0]) ** 2, abs(d[1]) ** 2, (d[0].conj() * d[1]).real,
+                   (d[0].conj() * d[1]).imag] for d in dirs]).T
+    u, _ = nnls(A, np.array([1.0, 1.0, 0.0, 0.0]))
+    support = np.flatnonzero(u > 1e-12)
+    if (not 2 <= len(support) <= m
+            or np.linalg.norm(A[:, support] @ u[support] - [1.0, 1.0, 0.0, 0.0]) >= 1e-10):
+        return None
+    U = np.zeros((m, 2), complex)
+    U[:len(support)] = np.sqrt(u[support])[:, None] * np.array(dirs)[support]
+    return U
+
+
+def _zero_fit_corpus():
+    """Rank-2 inputs for the zero fit: the twelve GHZ/W mixtures of both
+    branches, a random SLOCC image of each, twelve random rank-2 states,
+    and the degenerate-W fourfold root and the degenerate-GHZ pairs of
+    repeated roots."""
+    rng = np.random.default_rng(53)
+    mixtures = _ghzw_both_branches()
+    states = [mix.density() for mix in mixtures]
+    for mix in mixtures:
+        ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        states.append(_slocc_image(mix.density(), ops)[0])
+    states += [_random_rank2_gram(rng) for _ in range(6)] + [_random_rank2(rng) for _ in range(6)]
+    s2, s3 = 2 ** -0.5, 3 ** -0.5
+    states += [rt.GhzWMixture(a=s2, b=s2, c=1.0, d=0.0, f=0.0, p=0.6).density(),
+               rt.GhzWMixture(a=0.0, b=1.0, c=s3, d=s3, f=s3, p=0.6).density()]
+    return [zero_directions(eigen_factor(rho)) for rho in states]
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_zero_fit_matches_the_scipy_reference(monkeypatch, size):
+    """Same decision as the fit on scipy's NNLS, and the same U within
+    1e-12; both decisions occur, and the repeated roots reach the general
+    solver."""
+    calls = []
+    nnls_ = roof._nnls
+    monkeypatch.setattr(roof, "_nnls", lambda A, b: calls.append(A.shape) or nnls_(A, b))
+    decisions = set()
+    for dirs in _zero_fit_corpus():
+        U, ref = roof._zero_decomposition(dirs, size), _zero_fit_reference(dirs, size)
+        assert (U is None) == (ref is None)
+        if U is not None:
+            assert np.abs(U - ref).max() <= 1e-12
+        decisions.add(U is None)
+    assert decisions == {True, False} and len(calls) >= 2
+
+
+def test_zero_fit_near_the_branch_point(monkeypatch):
+    """Just above p0 the unique fit has a weight of about -(p - p0): from
+    rounding up to -1e-10 ||A^-1|| an exact fit may still exist, and the
+    general solver decides; beyond it the one solve declines.  Both sides
+    of p0 match the scipy reference."""
+    calls = []
+    nnls_ = roof._nnls
+    monkeypatch.setattr(roof, "_nnls", lambda A, b: calls.append(A.shape) or nnls_(A, b))
+    for mix in (std_mixture(0.5), random_mixture(np.random.default_rng(67))):
+        p0 = rt.analyze(mix).p0
+        for t, accepted, general in ((-1e-9, True, False), (1e-13, True, False),
+                                     (1e-11, True, True), (1e-9, False, False)):
+            mix_t = rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f, p=p0 * (1 + t))
+            dirs = zero_directions(eigen_factor(mix_t.density()))
+            calls.clear()
+            U, ref = roof._zero_decomposition(dirs, 4), _zero_fit_reference(dirs, 4)
+            assert (U is not None) == (ref is not None) == accepted
+            assert bool(calls) == general
+            if accepted:
+                assert np.abs(U - ref).max() <= 1e-12
+
+
+def test_rounding_level_weights_are_not_members():
+    """Two orthogonal roots fit the identity alone: the other two roots'
+    weights are rounding, not members, so the fit holds in two members."""
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        q = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        others = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        dirs = [q[:, 0], others[0] / np.linalg.norm(others[0]), q[:, 1],
+                others[1] / np.linalg.norm(others[1])]
+        U = roof._zero_decomposition(dirs, 2)
+        assert U is not None
+        assert np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-12
+
+
+def _nnls_problems():
+    """(A, b) pairs: random 4 x n, n = 1..4, with b inside the cone of the
+    columns and outside it; 4 x 5 with duplicated columns; 9 x 12."""
+    rng = np.random.default_rng(61)
+    problems = []
+    for n in range(1, 5):
+        for _ in range(25):
+            A = rng.standard_normal((4, n))
+            problems += [(A, A @ rng.uniform(0.1, 1.0, n)), (A, rng.standard_normal(4))]
+    for _ in range(25):
+        A = rng.standard_normal((4, 3))[:, [0, 1, 1, 2, 0]]
+        problems += [(A, A @ rng.uniform(0.1, 1.0, 5)), (A, rng.standard_normal(4))]
+    A = rng.standard_normal((9, 12))
+    problems += [(A, A @ np.maximum(rng.standard_normal(12), 0.0)), (A, rng.standard_normal(9))]
+    return problems
+
+
+def test_nnls_matches_scipy():
+    """x and the residual agree with scipy's within 1e-12 relative.  On
+    duplicated columns the split of a weight among the copies is not
+    determined, so the weights are compared summed over each copy group
+    (and sit on one copy); the problems take both the one-solve branch and
+    the active set."""
+    one_solve = active_set = 0
+    for A, b in _nnls_problems():
+        x, residual = roof._nnls(A, b)
+        ref, ref_residual = nnls(A, b)
+        assert x.min() >= 0.0
+        assert abs(residual - ref_residual) <= 1e-12 * max(ref_residual, np.linalg.norm(b))
+        groups = np.unique(A, axis=1, return_inverse=True)[1].ravel()
+        summed = [np.bincount(groups, weights=w) for w in (x, ref)]
+        assert np.linalg.norm(summed[0] - summed[1]) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        assert np.count_nonzero(x) == np.count_nonzero(summed[0])
+        unconstrained, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        if rank == A.shape[1] and unconstrained.min() >= 0.0:
+            one_solve += 1
+        else:
+            active_set += 1
+    assert one_solve >= 50 and active_set >= 50
 
 
 # ------------------------------------------------------- the rank-2 linear program
