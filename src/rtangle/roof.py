@@ -36,9 +36,9 @@ at once, with ``restarts_used == 0`` and a ``lower_bound``:
   GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).  With four
   distinct roots the fit is one 4 x 4 solve: its solution is unique, so it
   is either non-negative, and the answer, or has a weight negative beyond
-  rounding, and no exact non-negative fit exists.  Repeated roots make the
-  projectors dependent, and only they run the active set of
-  :func:`_nnls`.
+  rounding, and no exact non-negative fit exists.  Fewer than four roots,
+  repeated ones (the projectors are then dependent) and weights between
+  rounding and that margin run the active set of :func:`_nnls`.
 * orbit closed form (sqrt-tau, ensemble size at least 4): where
   :func:`ghzw.range_orbit` recognizes rho, from the same roots, as an
   SLOCC image of a GHZ/W mixture, its closed form t_r is the bound and its
@@ -201,19 +201,14 @@ def _nnls(A: np.ndarray, b: np.ndarray):
     """Non-negative least squares: x >= 0 minimizing ||A x - b||, and that
     norm, for any m x n A.
 
-    Where the columns of A are independent and the least-squares solution is
-    non-negative, it is the answer, after one solve.  Otherwise the
-    Lawson-Hanson active set (Lawson & Hanson, *Solving Least Squares
-    Problems*, ch. 23) adds the column of steepest descent to the passive set
-    and solves on it, stepping back to the boundary where a passive weight
-    turns non-positive.  A column that gets no positive weight where it is
-    added depends on the passive ones and waits for the next round; after
-    3n rounds the current point is returned.
+    The Lawson-Hanson active set (Lawson & Hanson, *Solving Least Squares
+    Problems*, ch. 23): add the column of steepest descent to the passive
+    set and solve on it, stepping back to the boundary where a passive
+    weight turns non-positive.  A column that gets no positive weight where
+    it is added depends on the passive ones and waits for the next round;
+    after 3n rounds the current point is returned.
     """
     m, n = A.shape
-    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank == n and x.min() >= 0.0:
-        return x, float(np.linalg.norm(A @ x - b))
     tol = 10.0 * max(m, n) * np.finfo(np.float64).eps * np.linalg.norm(A) * np.linalg.norm(b)
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

@@ -638,9 +638,9 @@ def test_nnls_matches_scipy():
     """x and the residual agree with scipy's within 1e-12 relative.  On
     duplicated columns the split of a weight among the copies is not
     determined, so the weights are compared summed over each copy group
-    (and sit on one copy); the problems take both the one-solve branch and
-    the active set."""
-    one_solve = active_set = 0
+    (and sit on one copy); the answers include interior ones, every
+    distinct column weighted, and ones on the boundary."""
+    interior = boundary = 0
     for A, b in _nnls_problems():
         x, residual = roof._nnls(A, b)
         ref, ref_residual = nnls(A, b)
@@ -650,12 +650,38 @@ def test_nnls_matches_scipy():
         summed = [np.bincount(groups, weights=w) for w in (x, ref)]
         assert np.linalg.norm(summed[0] - summed[1]) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
         assert np.count_nonzero(x) == np.count_nonzero(summed[0])
-        unconstrained, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        if rank == A.shape[1] and unconstrained.min() >= 0.0:
-            one_solve += 1
+        if np.count_nonzero(x) == groups.max() + 1:
+            interior += 1
         else:
-            active_set += 1
-    assert one_solve >= 50 and active_set >= 50
+            boundary += 1
+    assert interior >= 50 and boundary >= 50
+
+
+def test_nnls_steps_back_to_the_boundary(monkeypatch):
+    """Where a column's entry drives an earlier passive weight negative, the
+    active set steps back and drops that column, and the step decides the
+    answer.  In the plane, a1 = (2, 0) enters first for b = (cos s, sin s);
+    a2 = (cos t, sin t), 0 < t < s, enters next, and the fit on both puts
+    -sin(s - t) / (2 sin t) on a1; the answer is cos(s - t) on a2 alone,
+    after three solves: {a1}, {a1, a2}, {a2}.  The plane sits in a random
+    frame of R^4."""
+    solves = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        t = rng.uniform(0.1, 0.4)
+        s = t + rng.uniform(0.1, 0.4)
+        frame = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :2]
+        A = frame @ np.array([[2.0, np.cos(t)], [0.0, np.sin(t)]])
+        b = frame @ np.array([np.cos(s), np.sin(s)])
+        solves.clear()
+        x, residual = roof._nnls(A, b)
+        assert len(solves) == 3
+        assert x[0] == 0.0 and abs(x[1] - np.cos(s - t)) <= 1e-12
+        ref, ref_residual = nnls(A, b)
+        assert np.abs(x - ref).max() <= 1e-12
+        assert abs(residual - ref_residual) <= 1e-12
 
 
 # ------------------------------------------------------- the rank-2 linear program
