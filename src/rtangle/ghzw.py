@@ -360,13 +360,16 @@ def range_orbit(B: np.ndarray, dirs: list) -> OrbitAnalysis | None:
         q = pair_quartic(g, w)
         scale = np.abs(q).max()
         if scale > 0.0 and np.abs(q[[0, 2, 3]]).max() <= _ORBIT_TOL * scale:
-            found.append((g, w, q))
+            found.append((g, w, q, scale))
     if len(found) != 1:
         return None
-    g, w, q = found[0]
+    g, w, q, scale = found[0]
     p = float(np.vdot(g, g).real)
     ng, nw = math.sqrt(p), math.sqrt(float(np.vdot(w, w).real))
-    A, D = complex(q[4]) / ng ** 4, complex(q[1]) / (ng * nw ** 3)
+    # q_1 at rounding, as the recognition reads q_0, q_2 and q_3, is D' = 0:
+    # p0 = s^(2/3) / (1 + s^(2/3)) would turn its rounding into p0 ~ 1e-11
+    q1 = 0.0 if abs(q[1]) <= _ORBIT_TOL * scale else complex(q[1])
+    A, D = complex(q[4]) / ng ** 4, q1 / (ng * nw ** 3)
     ana = _closed_form(math.sqrt(abs(A)), None if A == 0 else D / A, p)
     return OrbitAnalysis(g=g / ng, w=w / nw, p=p, A=A, D=D, analysis=ana)
 

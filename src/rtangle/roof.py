@@ -57,10 +57,11 @@ at once, with ``restarts_used == 0`` and a ``lower_bound``:
   and the sqrt-tau roof of those the closed form does not take.
 
 The dual bound's offset is found numerically (grid, roots of the quartic,
-pattern search), so the program certifies to working precision; it is not
-a proof.  The closed form is exact for the recognized frame, which holds to
-``ghzw._ORBIT_TOL``.  They are tried cheapest first: a zero-branch or an
-orbit solve takes about half a millisecond, a linear program about four.
+Newton steps from the lowest points), so the program certifies to working
+precision; it is not a proof.  The closed form is exact for the recognized
+frame, which holds to ``ghzw._ORBIT_TOL``.  They are tried cheapest first: a
+zero-branch or an orbit solve takes about half a millisecond, a linear
+program two to six.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.
@@ -303,15 +304,22 @@ def _basis(c, y) -> np.ndarray:
                     axis=-1)
 
 
-# Bloch-sphere grid (theta, phi) of the range, one step apart in both angles,
-# and the 5 x 5 pattern of the refinement around a point
+_POWERS = np.arange(5)
+# _TAYLOR[d] maps the coefficients of z^0 .. z^4 of a quartic to those of its
+# d-th derivative, d = 0, 1, 2
+_TAYLOR = np.stack((np.eye(5), np.eye(5, k=1) * _POWERS,
+                    np.eye(5, k=2) * _POWERS * (_POWERS - 1)))
+# Bloch-sphere grid (theta, phi) of the range, one step apart in both angles
 _BLOCH_STEP = np.pi / 60
 _BLOCH_GRID = np.stack(np.meshgrid(np.arange(61) * _BLOCH_STEP, np.arange(120) * _BLOCH_STEP,
                                    indexing="ij"), axis=-1).reshape(-1, 2)
 _BLOCH_C, _BLOCH_Y = _bloch(_BLOCH_GRID)
 _BLOCH_BASIS = _basis(_BLOCH_C, _BLOCH_Y)
-_PATTERN = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij"),
-                    axis=-1).reshape(-1, 2)
+# q on the grid factors into its 61 polar angles and 120 azimuths:
+# q_k c^k y^(4-k) = q_k cos^k(theta/2) sin^(4-k)(theta/2) e^(i (4-k) phi)
+_BLOCH_POLAR = (np.cos(_BLOCH_GRID[::120, :1] / 2.0) ** _POWERS
+                * np.sin(_BLOCH_GRID[::120, :1] / 2.0) ** _POWERS[::-1])
+_BLOCH_AZIMUTH = np.exp(1j * _POWERS[::-1, None] * _BLOCH_GRID[:120, 1])
 # value minus certified lower bound up to which a decomposition counts as
 # optimal: 2 sqrt|D| magnifies the rounding of a tangle-free member to ~1e-8
 _CERT_GAP = 1e-7
@@ -320,6 +328,35 @@ _CERT_GAP = 1e-7
 # would sit as far above g = 0 at the root, a loss that delta takes
 # unweighted
 _ROUNDED_ROOT = 1e-6
+# pricing: at most this many Newton steps from each start, none longer than
+# one grid step in its chart; a start stops once its next step would be
+# shorter than _NEWTON_TOL, or after _NEWTON_HALVINGS rejected steps in a row
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-6
+_NEWTON_HALVINGS = 3
+# the ring of columns a round adds around where each support point's steps
+# end: six points at each of 1/3, 1/9, .., 1/729 of a grid step in the chart.
+# The program moves a support point only onto a column, and where the mixing
+# rows hold it off the minimum of f - l the minima alone creep toward it
+# (rho0 of the counterexample closes in five rounds without rings, three with)
+_RING = ((_BLOCH_STEP / 3.0 ** np.arange(1, 7))[:, None]
+         * np.exp(2j * np.pi * np.arange(6) / 6)).ravel()
+# the distances from a root of q in the support at which pricing starts
+# beside it: 1/3, 1/9 and 1/27 of a grid step in the chart
+_CUSP_RADII = _BLOCH_STEP / 3.0 ** np.arange(1, 4)
+
+
+def _abs2(z):
+    return z.real ** 2 + z.imag ** 2
+
+
+def _affine(z, x0, x1, xi):
+    """l = (x0 + x1 |z|^2 + 2 Re(xi z)) / (1 + |z|^2) at chart points z,
+    and its Wirtinger derivative l_z."""
+    zz = _abs2(z)
+    n = 1.0 + zz
+    l = (x0 + x1 * zz + 2.0 * (xi * z).real) / n
+    return l, ((x1 - l) * np.conj(z) + xi) / n
 
 
 class _Range:
@@ -334,6 +371,18 @@ class _Range:
     f >= l - delta on the whole sphere, every decomposition of rho has a
     value of at least lambda_0 X_00 + lambda_1 X_11 - delta (Osterloh,
     Siewert & Uhlmann, PRA 77, 032310 (2008)).
+
+    Pricing minimizes f - l by Newton steps, the local reduction of
+    semi-infinite programming (Hettich & Kortanek, SIAM Rev. 35, 380
+    (1993)), in two charts of the sphere: z = y / c where c >= |y|, and
+    z = c / y elsewhere (the point (z, 1): q read backwards, X_00 and
+    X_11 swapped, X_01 conjugated), so a grid or support point has
+    |z| <= 1 and no chart meets its singular pole.  With n = 1 + |z|^2 and Q the chart's quartic
+    polynomial in z,
+
+        f - l = K |Q(z)|^a / n^b - (x0 + x1 |z|^2 + 2 Re(xi z)) / n,
+
+    (K, a, b) = (2, 1/2, 1) for sqrt-tau and (4, 1, 2) for tau.
     """
 
     def __init__(self, B: np.ndarray, use_sqrt: bool):
@@ -343,37 +392,127 @@ class _Range:
         self.use_sqrt = use_sqrt
         # the tangle-free directions, the roots of q
         self.roots = np.array(zero_directions(self.E)).reshape(-1, 2)
+        # per chart (z = y / c, then z = c / y) the rows of Q, Q' and Q'' on
+        # (1, z, .., z^4)
+        self.taylor = np.einsum("djk,ck->cdj", _TAYLOR, np.stack((self.q[::-1], self.q)))
 
     def f(self, c, y):
-        """Objective of the unit range vectors (c, y), q by homogeneous Horner."""
+        """Objective of the unit range vectors (c, y)."""
+        return self._of_q(self._abs_q(c, y))
+
+    def _abs_q(self, c, y):
+        """|q| at the unit range vectors (c, y), by homogeneous Horner."""
         q, y2 = self.q, y * y
         h = ((q[4] * c + q[3] * y) * c + q[2] * y2) * c + q[1] * (y2 * y)
-        a = np.abs(h * c + q[0] * (y2 * y2))
+        return np.abs(h * c + q[0] * (y2 * y2))
+
+    def f_grid(self):
+        """The objective on the Bloch grid, in the grid's order."""
+        return self._of_q(np.abs(((_BLOCH_POLAR * self.q) @ _BLOCH_AZIMUTH).ravel()))
+
+    def _of_q(self, a):
+        """The objective at |q| = a."""
         return 2.0 * np.sqrt(a) if self.use_sqrt else 4.0 * a
 
     def bound(self, X, lowest: float) -> float:
         """The lower bound of X, given the lowest f - l found on the sphere."""
         return self.lam[0] * X[0] + self.lam[1] * X[1] - max(0.0, -lowest)
 
+    @staticmethod
+    def chart(c, y):
+        """Chart points z of the unit vectors (c, y) and their charts (True
+        for z = c / y)."""
+        flip = np.abs(y) > c
+        return np.where(flip, c / np.where(flip, y, 1.0), y / np.where(flip, 1.0, c)), flip
+
+    def coefficients(self, X, flip):
+        """The coefficients of f - l in the charts ``flip``: per point the
+        rows of Q, Q' and Q'' on (1, z, .., z^4), (n, 3, 5), then x0, x1 and
+        xi."""
+        xi = X[2] - 1j * X[3]
+        return (self.taylor[flip.astype(int)], np.where(flip, X[1], X[0]),
+                np.where(flip, X[0], X[1]), np.where(flip, np.conj(xi), xi))
+
+    def excess(self, z, taylor, x0, x1, xi):
+        """g = f - l at chart points z, given their charts' coefficients
+        (see :meth:`coefficients`), and its Wirtinger derivatives g_z, g_zz*
+        (d^2 g / dz dz*, real) and g_zz.  The gradient in (Re z, Im z) is
+        2 conj(g_z) as a complex number, and the Hessian is
+        2 [[g_zz* + Re g_zz, -Im g_zz], [-Im g_zz, g_zz* - Re g_zz]].  The
+        derivatives hold off the roots of Q, where f is not smooth."""
+        n = 1.0 + _abs2(z)
+        Q, Q1, Q2 = (taylor @ (z[:, None] ** _POWERS)[..., None])[..., 0].T
+        a, b = (0.5, 1.0) if self.use_sqrt else (1.0, 2.0)
+        f = self._of_q(np.abs(Q)) / n ** b
+        l, l_z = _affine(z, x0, x1, xi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # not finite on a root
+            R = Q1 / Q
+            # f = K exp(phi), phi = a log|Q| - b log n, and log|Q| is harmonic
+            zc = np.conj(z)
+            phi_z = 0.5 * a * R - b * zc / n
+            f_zz = f * (0.5 * a * (Q2 / Q - R * R) + b * zc * zc / n ** 2 + phi_z * phi_z)
+            g_z = f * phi_z - l_z
+            g_zc = f * (_abs2(phi_z) - b / n ** 2) - (x1 - l - 2.0 * (z * l_z).real) / n
+        return f - l, g_z, g_zc, f_zz + 2.0 * zc * l_z / n
+
     def lowest(self, X, on_grid: np.ndarray, c, y):
         """Lowest f - l over the grid (``on_grid``, its values there), the
-        points (c, y) and a 14-step pattern search from these and the 8
-        lowest grid points; and every point the search moved to."""
-        def excess(c, y):
-            return self.f(c, y) - _basis(c, y) @ X
+        points (c, y) and Newton steps from these and the 8 lowest grid
+        points; and, as (c, y), every point a step moved to and the rings
+        ``_RING`` around where the steps from (c, y) ended: the next round's
+        columns.  A point (c, y) on a root of q, where f has a cusp, is not a
+        start itself: the points ``_CUSP_RADII`` from it along the gradient of
+        l are, since f - l can fall off the cusp (for tau, f rises only
+        linearly from a root), and the root's own column prices the cusp.
 
-        lowest = min(on_grid.min(), excess(c, y).min())
-        pts = np.concatenate((np.stack((2.0 * np.arctan2(np.abs(y), c), np.angle(y)), axis=-1),
-                              _BLOCH_GRID[np.argpartition(on_grid, 8)[:8]]))
-        step, visited = _BLOCH_STEP, []
-        for _ in range(14):
-            trial = pts[:, None, :] + step * _PATTERN
-            vals = excess(*_bloch(trial))
-            pts = trial[np.arange(len(pts)), np.argmin(vals, axis=1)]
-            visited.append(pts)
-            lowest = min(lowest, vals.min())
-            step /= 3.0
-        return lowest, np.concatenate(visited)
+        Each step is the Newton step where the Hessian of f - l is positive
+        definite and a steepest-descent step elsewhere, at most one grid
+        step long in the chart.  It is taken only where f - l falls, and
+        halved where it would not."""
+        z, flip = self.chart(c, y)
+        # sqrt-tau below _ROUNDED_ROOT reads as tangle-free: on a root
+        cusp = self._abs_q(c, y) < (_ROUNDED_ROOT / 2.0) ** 2
+        n_ring = np.count_nonzero(~cusp)
+        # f rises off a root equally in every direction, so f - l falls
+        # fastest along the gradient of l, 2 conj(l_z)
+        l_z = _affine(z[cusp], *self.coefficients(X, flip[cusp])[1:])[1]
+        off = z[cusp, None] + np.exp(-1j * np.angle(l_z))[:, None] * _CUSP_RADII
+        start = np.argpartition(on_grid, 8)[:8]
+        grid_z, grid_flip = self.chart(_BLOCH_C[start], _BLOCH_Y[start])
+        z = np.concatenate((z[~cusp], off.ravel(), grid_z))
+        flip = np.concatenate((flip[~cusp], np.repeat(flip[cusp], _CUSP_RADII.size), grid_flip))
+        coef = self.coefficients(X, flip)
+        g, g_z, g_zc, g_zz = self.excess(z, *coef)
+        # the root, basic, has f - l = 0: a start beside it that is no lower
+        # would only step back to its cusp, and does not start
+        beside = np.repeat([False, True, False], (n_ring, off.size, len(grid_z)))
+        scale = np.where(beside & (g >= 0.0), 0.0, 1.0)
+        columns = []
+        for _ in range(_NEWTON_STEPS):
+            # the Newton step d solves g_zz* d + conj(g_zz) conj(d) = -conj(g_z)
+            det = g_zc * g_zc - _abs2(g_zz)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where((g_zc > 0.0) & (det > 0.0),
+                                (np.conj(g_zz) * g_z - g_zc * np.conj(g_z)) / det,
+                                -_BLOCH_STEP * np.conj(g_z) / np.abs(g_z))
+                length = np.abs(step)
+                step *= scale * np.minimum(1.0, _BLOCH_STEP / length)
+            live = (length * scale > _NEWTON_TOL) & (scale >= 0.5 ** _NEWTON_HALVINGS)
+            if not live.any():
+                break
+            trial = np.where(live, z + step, z)
+            new = self.excess(trial, *coef)
+            better = live & (new[0] < g)
+            z, g, g_z, g_zc, g_zz = (np.where(better, v, u)
+                                     for u, v in zip((z, g, g_z, g_zc, g_zz), (trial,) + new))
+            scale = np.where(better, 1.0, 0.5 * scale)
+            columns.append((z[better], flip[better]))
+        columns.append(((z[:n_ring, None] + _RING).ravel(), np.repeat(flip[:n_ring], _RING.size)))
+        z, flip = (np.concatenate(v) for v in zip(*columns))
+        n = np.sqrt(1.0 + _abs2(z))
+        visited = (np.where(flip, np.abs(z), 1.0) / n,
+                   np.where(flip, np.exp(-1j * np.angle(z)), z) / n)
+        return min(on_grid.min(), g.min()), visited
 
 
 # --------------------------------------------------------------------------
@@ -395,16 +534,25 @@ _BOUND_SLACK = 1e-9
 
 def _simplex(cost, rows, b, basis):
     """Revised simplex for min cost @ w, rows^T w = b, w >= 0, from the
-    feasible ``basis`` (4 column indices, updated in place), ties to the
-    lowest index.  Returns the basic weights, the dual X and the reduced
-    costs; raises LinAlgError on a singular basis or after ``_LP_PIVOTS``."""
+    feasible ``basis`` (4 column indices, updated in place): the most
+    negative reduced cost enters, and the ratio test's ties go to the lowest
+    index.  Each pivot inverts the 4 x 4 basis once and reads the dual X,
+    the basic weights and the entering direction from that inverse.
+    Returns the basic weights, the dual X and the reduced costs; raises
+    LinAlgError on a singular basis or after ``_LP_PIVOTS``."""
+    columns = np.ascontiguousarray(rows.T)  # X @ columns prices faster than rows @ X
     for _ in range(_LP_PIVOTS + 1):
-        X = np.linalg.solve(rows[basis], cost[basis])
-        reduced = cost - rows @ X
-        j = int(np.argmin(reduced))
+        A, c = rows[basis], cost[basis]
+        inv = np.linalg.inv(A)
+        # a refinement step takes the dual to rounding, as a solve would: from
+        # the inverse alone a basic column's reduced cost can pass -_LP_TOL
+        X = inv @ c
+        X += inv @ (c - A @ X)
+        reduced = cost - X @ columns
+        j = int(reduced.argmin())
         if reduced[j] >= -_LP_TOL:
-            return np.linalg.solve(rows[basis].T, b), X, reduced
-        w, d = np.linalg.solve(rows[basis].T, np.stack((b, rows[j]), axis=-1)).T
+            return b @ inv, X, reduced
+        w, d = b @ inv, rows[j] @ inv
         # every column has c^2 + |y|^2 = 1, so d sums to 1: no direction is unbounded
         ratio = np.where(d > _LP_TOL, np.maximum(w, 0.0), np.inf) / np.maximum(d, _LP_TOL)
         ties = np.flatnonzero(ratio == ratio.min())
@@ -421,9 +569,11 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
     bound on the roof and its dual X gives the affine lower bound.
     :func:`_simplex` solves over the 61 x 120 grid and the roots of q (for
     sqrt-tau, a root below ``_ROUNDED_ROOT`` costs 0); each round prices X
-    by a pattern search, appends the points it visited as columns and
-    warm-starts from the last basis, until the program's value is within
-    ``_LP_GAP`` of the bound or after ``_LP_ROUNDS``.
+    by Newton steps on f - l from the support (beside it, where it is a
+    root of q) and the lowest grid points (:meth:`_Range.lowest`), appends
+    the points they reached and rings around the support as columns and
+    warm-starts from the last basis, until the program's value is within ``_LP_GAP`` of the bound or
+    after ``_LP_ROUNDS``.
 
     Returns (rows, bound), or None when the simplex fails: ``rows`` are the
     at most 4 members of the basic solution as rows of U, (k, 2), their
@@ -439,7 +589,7 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
         root_f = np.where(root_f < _ROUNDED_ROOT, 0.0, root_f)
     # the columns: unit vectors (c, y), their costs and constraint rows
     c, y = np.concatenate((_BLOCH_C, root_c)), np.concatenate((_BLOCH_Y, root_y))
-    cost = np.concatenate((sphere.f(_BLOCH_C, _BLOCH_Y), root_f))
+    cost = np.concatenate((sphere.f_grid(), root_f))
     rows = np.concatenate((_BLOCH_BASIS, _basis(root_c, root_y)))
     basis = _LP_BASIS.copy()
     for _ in range(_LP_ROUNDS):
@@ -448,11 +598,11 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
         except np.linalg.LinAlgError:
             return None
         support = basis[w > 0.0]
-        lowest, visited = sphere.lowest(X, reduced[:len(_BLOCH_C)], c[support], y[support])
+        lowest, (new_c, new_y) = sphere.lowest(X, reduced[:len(_BLOCH_C)], c[support],
+                                               y[support])
         bound = sphere.bound(X, min(lowest, reduced.min()))
         if cost[basis] @ w - bound <= _LP_GAP:
             break
-        new_c, new_y = _bloch(visited)
         c, y = np.concatenate((c, new_c)), np.concatenate((y, new_y))
         cost = np.concatenate((cost, sphere.f(new_c, new_y)))
         rows = np.concatenate((rows, _basis(new_c, new_y)))

@@ -191,7 +191,7 @@ def test_degenerate_w_parameters():
         rho = rt.ensemble_to_density(rt.optimal_ensemble(mix))
         assert np.abs(rho.matrix - mix.density().matrix).max() < 1e-12
         if 0.0 < p < 1.0:  # at p = 0.6 a fourfold root at infinity, listed four times
-            assert abs(rt.orbit_analysis(rho).analysis.rtangle - ana.rtangle) < 1e-10
+            assert abs(rt.orbit_analysis(rho).analysis.rtangle - ana.rtangle) < 1e-14
         # the closed form still matches the invariants route in the limit
         for fp, phi in ((0.3, 0.0), (0.7, 1.0)):
             closed = rt.family_sqrt_tau(mix, fp, phi)

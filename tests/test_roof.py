@@ -804,21 +804,28 @@ def _random_rank2_gram(rng):
     return rt.DensityMatrix(rho / np.trace(rho).real)
 
 
-def test_open_bracket_keeps_the_lp_decomposition_as_a_candidate():
-    """State 14 of rng 2026, tau: pricing leaves the program's bracket open,
-    so its decomposition is a candidate next to the restarts; the result is
-    no worse than it and keeps a sound bound within _CERT_GAP."""
+def test_open_bracket_keeps_the_lp_decomposition_as_a_candidate(monkeypatch):
+    """State 14 of rng 2026, tau: the program closes its bracket in three
+    rounds, so stopping it after two leaves the bracket open.  Its
+    decomposition is then a candidate next to the restarts; the result is
+    no worse than it, keeps the program's bound, and lands within _CERT_GAP
+    of the certified value."""
     rng = np.random.default_rng(2026)
     rho = [_random_rank2_gram(rng) for _ in range(15)][14]
+    certified = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
+    assert certified.restarts_used == 0 and certified.converged
+    monkeypatch.setattr(roof, "_LP_ROUNDS", 2)
     B = eigen_factor(rho)
     rows, bound = roof._lp_roof(B, False)
     U = kernels.polar_retract(np.concatenate((rows, np.zeros((4 - len(rows), 2)))))
     lp_value = rt.objective_at(rho, roof._ensemble_from_rows(U @ B), "tau")
+    assert lp_value - bound > roof._CERT_GAP
     res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
     assert res.restarts_used == 5 and res.best_restart_index >= 0
     assert res.value <= lp_value
     assert res.lower_bound == bound and res.lower_bound <= res.value + 1e-9
-    assert res.value - res.lower_bound <= roof._CERT_GAP and res.converged
+    assert res.converged == (res.value - res.lower_bound <= roof._CERT_GAP)
+    assert abs(res.value - certified.value) <= roof._CERT_GAP
     assert _mixes_back(res, rho)
 
 
@@ -906,6 +913,125 @@ def test_lp_closes_the_bracket_where_pricing_tails_off(monkeypatch):
     assert res.restarts_used == 0 and res.converged
     assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
     assert _mixes_back(res, rho)
+
+
+def _first_round(rho, use_sqrt):
+    """The range, the dual X, the grid's reduced costs and the support of
+    the program's first round, as :func:`roof._lp_roof` prices them."""
+    B = eigen_factor(rho)
+    cost, rows, b = _lp_columns(B, use_sqrt)
+    basis = roof._LP_BASIS.copy()
+    w, X, reduced = roof._simplex(cost, rows, b, basis)
+    sphere = roof._Range(B, use_sqrt)
+    support = basis[w > 0.0]
+    c = np.concatenate((roof._BLOCH_C, roof._phase_off(sphere.roots)[0]))
+    y = np.concatenate((roof._BLOCH_Y, roof._phase_off(sphere.roots)[1]))
+    return sphere, X, reduced[:len(roof._BLOCH_C)], c[support], y[support]
+
+
+def test_pricing_reaches_the_fine_grid_minimum():
+    """Newton pricing from the support and the 8 lowest grid points finds
+    f - l at or below its minimum over a grid four times finer in both
+    angles (241 x 480), on 40 random rank-2 states and both functionals,
+    with the dual X of the first simplex round."""
+    theta, phi = np.meshgrid(np.arange(241) * np.pi / 240, np.arange(480) * np.pi / 240,
+                             indexing="ij")
+    fine_c, fine_y = np.cos(theta / 2).ravel(), (np.exp(1j * phi) * np.sin(theta / 2)).ravel()
+    rng = np.random.default_rng(61)
+    states = [_random_rank2(rng) for _ in range(20)] + [_random_rank2_gram(rng) for _ in range(20)]
+    for rho in states:
+        for use_sqrt in (True, False):
+            sphere, X, on_grid, c, y = _first_round(rho, use_sqrt)
+            lowest, (new_c, new_y) = sphere.lowest(X, on_grid, c, y)
+            fine = (sphere.f(fine_c, fine_y) - roof._basis(fine_c, fine_y) @ X).min()
+            assert lowest <= fine + 1e-12
+            assert np.allclose(new_c ** 2 + np.abs(new_y) ** 2, 1.0) and new_c.min() >= 0.0
+
+
+def test_pricing_derivatives_match_central_differences():
+    """The analytic gradient and Hessian of f - l in both charts agree with
+    central differences at random points away from the roots of q."""
+    rng = np.random.default_rng(62)
+    h = 1e-4
+    for rho in [_random_rank2(rng) for _ in range(3)] + [_random_rank2_gram(rng) for _ in range(3)]:
+        for use_sqrt in (True, False):
+            sphere = roof._Range(eigen_factor(rho), use_sqrt)
+            X = rng.standard_normal(4)
+            theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
+            c, y = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
+            overlap = np.abs(np.stack((c, y), axis=-1) @ sphere.roots.conj().T)
+            away = (overlap < 0.95).all(axis=1)
+            assert away.sum() >= 10
+            z, flip = sphere.chart(c[away], y[away])
+            assert flip.any() and not flip.all()
+            coef = sphere.coefficients(X, flip)
+            g, g_z, g_zc, g_zz = sphere.excess(z, *coef)
+
+            def G(dz):
+                return sphere.excess(z + dz, *coef)[0]
+
+            grad = (G(h) - G(-h) + 1j * (G(1j * h) - G(-1j * h))) / (2.0 * h)
+            hess_ss = (G(h) - 2.0 * g + G(-h)) / h ** 2
+            hess_tt = (G(1j * h) - 2.0 * g + G(-1j * h)) / h ** 2
+            hess_st = (G(h + 1j * h) - G(h - 1j * h) - G(-h + 1j * h) + G(-h - 1j * h)) / (4 * h * h)
+            scale = 1.0 + np.abs(g_zc) + np.abs(g_zz)
+            assert np.abs(grad - 2.0 * np.conj(g_z)).max() <= 1e-6 * scale.max()
+            assert np.abs(hess_ss - 2.0 * (g_zc + g_zz.real)).max() <= 1e-4 * scale.max()
+            assert np.abs(hess_tt - 2.0 * (g_zc - g_zz.real)).max() <= 1e-4 * scale.max()
+            assert np.abs(hess_st + 2.0 * g_zz.imag).max() <= 1e-4 * scale.max()
+
+
+def test_simplex_dual_prices_its_basis_at_zero():
+    """The dual X is refined to rounding: every basic column's reduced cost
+    is zero to a few ulps of the costs, so rounding cannot make a basic or
+    duplicate column enter and the pivots cycle."""
+    rng = np.random.default_rng(11)
+    states = [_random_rank2(rng) for _ in range(20)] + [_random_rank2_gram(rng) for _ in range(20)]
+    for rho in states:
+        for use_sqrt in (True, False):
+            cost, rows, b = _lp_columns(eigen_factor(rho), use_sqrt)
+            basis = roof._LP_BASIS.copy()
+            _, _, reduced = roof._simplex(cost, rows, b, basis)
+            assert np.abs(reduced[basis]).max() <= 8 * np.finfo(float).eps * np.abs(cost).max()
+
+
+def test_rings_let_the_support_move_on_the_counterexample(monkeypatch):
+    """On rho0 (tau) the three support points must move to where the mixing
+    rows put them, off the minima of f - l; the rings of columns around
+    them let the program close its bracket in three rounds, against five
+    from the Newton points alone."""
+    fx = rt.counterexample_fixture()
+    B = eigen_factor(rt.measure(fx.ensemble, fx.measurement)[0].post_density)
+    rounds = []
+    simplex = roof._simplex
+    monkeypatch.setattr(roof, "_simplex", lambda *args: rounds.append(1) or simplex(*args))
+    _, bound = roof._lp_roof(B, False)
+    with_rings = len(rounds)
+    monkeypatch.setattr(roof, "_RING", np.zeros(0, dtype=complex))
+    rounds.clear()
+    _, bound_without = roof._lp_roof(B, False)
+    assert with_rings <= 3 < len(rounds) < roof._LP_ROUNDS
+    assert abs(bound - TAU_RHO0) <= 1e-7 and abs(bound_without - TAU_RHO0) <= 1e-7
+
+
+@pytest.mark.parametrize("seed, index, restarts", [(120, 19, 50), (125, 11, 5)])
+def test_exact_pricing_keeps_the_bound_below_the_search(monkeypatch, seed, index, restarts):
+    """Tau, `_random_rank2` states where pricing missed the lowest f - l:
+    at rng 120 state 19 the pattern search priced a bound 1.25e-6 above
+    the value restart 33 of the search finds; at rng 125 state 11 the
+    minimum lies beside a root in the support, where f - l falls off the
+    cusp, 2e-4 below the lowest Newton point from the grid.  The program
+    certifies a value no higher than the search's, and the search stays
+    above its bound."""
+    rng = np.random.default_rng(seed)
+    rho = [_random_rank2(rng) for _ in range(index + 1)][index]
+    res = rt.roof_minimize(rho, "tau")
+    assert res.restarts_used == 0 and res.converged
+    assert res.lower_bound <= res.value + roof._BOUND_SLACK
+    _without_lp(monkeypatch)
+    search = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=restarts))
+    assert res.lower_bound <= search.value + roof._BOUND_SLACK
+    assert res.value <= search.value
 
 
 # ------------------------------------------------ the closed form of GHZ/W images
