@@ -22,49 +22,51 @@ random restarts of a solve advance in lock step as one stacked
 one smoothing ladder, each keeps its own step size, and each ends bit for
 bit where it would if run alone.
 
-A rank-2 input meets, in order, two certificates and a closed form that
-skip the search, then the search.  A certified decomposition is returned
-at once, with ``restarts_used == 0`` and a ``lower_bound``:
+A rank-2 input meets three certificates before the search, cheapest
+first.  Each gives a decomposition and a lower bound on the roof, and all
+follow one rule (:func:`_certificates`): the decomposition is returned at
+once, with ``restarts_used == 0``, when the bracket is closed (the bound
+at most ``_CERT_GAP`` below its value and above it by no more than
+rounding); otherwise it is a candidate next to the search's restarts, and
+the bound is kept for the result:
 
-* zero: the tangle-free directions inside the range of rho are the roots
-  of a quartic (the hyperdeterminant restricted to the range), and a
-  non-negative least-squares fit of the identity over the root projectors
-  gives a decomposition.  It is returned when its members fit in the
-  ensemble size, mix back to rho, and are tangle-free to working precision
-  (weighted member tangle at most ``_ZERO_TANGLE``), so the objective is
-  at its lower bound of 0 up to rounding.  This is the zero branch of the
-  GHZ/W mixtures (Lohmayer et al., PRL 97, 260502 (2006)).  With four
-  distinct roots the fit is one 4 x 4 solve: its solution is unique, so it
-  is either non-negative, and the answer, or has a weight negative beyond
+* zero, bound 0: the tangle-free directions inside the range of rho are
+  the roots of a quartic (the hyperdeterminant restricted to the range),
+  and a non-negative least-squares fit of the identity over the root
+  projectors gives a decomposition that mixes back to rho, when its
+  members fit in the ensemble size.  This is the zero branch of the GHZ/W
+  mixtures (Lohmayer et al., PRL 97, 260502 (2006)).  With four distinct
+  roots the fit is one 4 x 4 solve: its solution is unique, so it is
+  either non-negative, and the answer, or has a weight negative beyond
   rounding, and no exact non-negative fit exists.  Fewer than four roots,
   repeated ones (the projectors are then dependent) and weights between
   rounding and that margin run the active set of :func:`_nnls`.
-* orbit closed form (sqrt-tau, ensemble size at least 4): where
-  :func:`ghzw.range_orbit` recognizes rho, from the same roots, as an
-  SLOCC image of a GHZ/W mixture, its closed form t_r is the bound and its
-  optimal decomposition, the mixture's with the images of gGHZ and gW in
-  place of them, the result.  It is returned under the linear program's
-  rule below; otherwise the program runs as if it had not been tried.
-  Tau is not covariant on the orbit, so it has no such path.
-* linear program (both functionals): the roof as a linear program over
-  the range's Bloch sphere, solved by a revised simplex.  Its basic
-  solution is a decomposition of at most 4 members, and its dual is the
-  best affine bound (Osterloh, Siewert & Uhlmann, PRA 77, 032310 (2008)),
-  so the two bracket the roof.  The decomposition is returned when the
-  bracket is at most ``_CERT_GAP``; otherwise it is kept as a candidate
-  next to the search's restarts, and the bound stays on the result.  It
+* orbit closed form (sqrt-tau, ensemble size at least 4), bound t_r:
+  where :func:`ghzw.range_orbit` recognizes rho, from the same roots, as
+  an SLOCC image of a GHZ/W mixture, its closed form t_r is the bound and
+  its optimal decomposition, the mixture's with the images of gGHZ and gW
+  in place of them, the decomposition.  Tau is not covariant on the
+  orbit, so it has no such path.
+* linear program (both functionals), bound the dual's: the roof as a
+  linear program over the range's Bloch sphere, solved by a revised
+  simplex.  Its basic solution is a decomposition of at most 4 members
+  (none, when they do not fit in the ensemble size; the bound is still
+  kept), and its dual is the best affine bound (Osterloh, Siewert &
+  Uhlmann, PRA 77, 032310 (2008)), so the two bracket the roof.  It
   certifies the tau roof of the GHZ/W mixtures and their SLOCC images,
   and the sqrt-tau roof of those the closed form does not take.
 
 The dual bound's offset is found numerically (grid, roots of the quartic,
 Newton steps from the lowest points), so the program certifies to working
 precision; it is not a proof.  The closed form is exact for the recognized
-frame, which holds to ``ghzw._ORBIT_TOL``.  They are tried cheapest first: a
-zero-branch or an orbit solve takes about half a millisecond, a linear
-program two to six.
+frame, which holds to ``ghzw._ORBIT_TOL``.  A zero-branch or an orbit
+solve takes about half a millisecond, a linear program two to six.
 
 The returned value is an upper bound on the true convex roof by
-construction, certified or not.
+construction, certified or not.  After a search the result carries the
+highest bound of the certificates that ran, among those not above its
+value by more than rounding, and ``converged`` says whether that bracket
+is closed.
 """
 from __future__ import annotations
 
@@ -90,11 +92,6 @@ FUNCTIONALS = ("sqrt_tau", "tau")
 _SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-13, 0.0)
 _WEIGHT_FLOOR = 1e-14
 _MIX_TOL = 1e-8
-# weighted member tangle, sum_i 4|D_i| / ||w_i||^2, up to which a mixing-back
-# decomposition counts as tangle-free: accurate quartic roots give below
-# 100 eps on the zero branch, up to p = 0.999 p0; an inaccurate double root
-# lands near sqrt(eps)
-_ZERO_TANGLE = 1024 * np.finfo(np.float64).eps
 
 
 class OptionsError(ValidationError):
@@ -112,7 +109,8 @@ class RoofOptions:
     ``max_iterations`` sets the search budget: each smoothing level of a
     start gets ``max(max_iterations // levels, 10)`` accepted steps, where
     ``levels`` is ``len(_SCHEDULE)``, the length of the smoothing ladder;
-    rejected trial steps are not counted.
+    rejected trial steps are not counted.  Every field is an integer (a
+    Python or numpy one, not a bool).
     """
 
     ensemble_size: int = 4
@@ -121,6 +119,9 @@ class RoofOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise OptionsError(f"RoofOptions: {name} must be an integer, got {value!r}")
         if self.ensemble_size < 1 or self.ensemble_size > 8:
             raise OptionsError("RoofOptions: ensemble_size must be in 1..8")
         if self.restarts < 1:
@@ -135,28 +136,22 @@ class RoofOptions:
 class RoofResult:
     """Best decomposition found; ``value`` upper-bounds the true roof.
 
-    ``best_restart_index`` is the index of the winning random restart, or
-    a negative number when a deterministic start won (rank 1 and 2): -1
-    for the input itself at rank 1 or the tangle-free fit, then the next
-    label, -1 or -2, for the orbit closed form's or the linear program's
-    decomposition (-2 when the fit came first as a candidate that is not
-    tangle-free; the closed form is never a candidate, so the two share
-    it).  ``restarts_used == 0`` means no search ran: the input has rank 1,
-    a certified tangle-free decomposition was returned
-    (``best_restart_index`` -1, value 0 up to rounding), the closed form of
-    a recognized GHZ/W image was, or the linear program closed its bracket
-    (``best_restart_index`` is the label of the returned decomposition).
+    ``best_restart_index`` is k when random restart k won, and -1 when a
+    deterministic decomposition did: the input itself at rank 1, or a
+    rank-2 certificate's.  ``restarts_used == 0`` means no search ran: the
+    input has rank 1, or a certificate closed its bracket.
 
     ``lower_bound`` is a lower bound on the true roof, to working precision
-    (its offset is a numerical minimum, not a proof), or None.  It is set
-    for rank-2 inputs: 0 for the tangle-free decomposition, the closed form
-    t_r (``ghzw.orbit_analysis``) for a recognized GHZ/W image, or the
-    linear program's dual bound.  It is None at every other rank, and at
-    rank 2 when the program failed or its bound came out above ``value`` by
-    more than rounding.  With a lower bound, ``converged`` means
-    ``value - lower_bound`` is at most ``_CERT_GAP`` (1e-7); without one,
-    that the winning restart's last smoothing level stalled, or that a
-    candidate won.
+    (the linear program's offset is a numerical minimum, not a proof), or
+    None.  At rank 2 it is the highest bound of the certificates that ran
+    (0 for the tangle-free fit, the closed form t_r of a recognized GHZ/W
+    image, the linear program's dual bound), among those not above
+    ``value`` by more than rounding.  It is None at every other rank, and
+    at rank 2 when no certificate gave a bound.
+
+    ``converged`` means certified: the input has rank 1, or
+    ``value - lower_bound`` is at most ``_CERT_GAP`` (1e-7).  At any other
+    rank it is False without a lower bound.
     """
 
     value: float
@@ -667,12 +662,11 @@ class _LockStep:
     Re<G, D> is not negative, NaN included, D is -G again.  The trial is
     the polar retraction of U + eta D; step size ``eta`` from 0.2, Armijo
     test f_trial < f + 1e-4 eta Re<G, D>, ``eta`` x1.4 on acceptance (at
-    most 2) and /2 on rejection or a failed retraction.  A level ends
-    *stalled* on a tiny gradient, an accepted step that gains less than
-    ``_STALL_TOL``, or an exhausted line search, and not stalled when its
-    step budget runs out or its gradient is not finite.  The best exact
-    (eps = 0) objective seen at any level boundary is kept, so a smoothing
-    level can never lose an already-good iterate.
+    most 2) and /2 on rejection or a failed retraction.  A level ends on a
+    tiny or non-finite gradient, an accepted step that gains less than
+    ``_STALL_TOL``, an exhausted line search or a spent step budget.  The
+    best exact (eps = 0) objective seen at any level boundary is kept, so a
+    smoothing level can never lose an already-good iterate.
 
     One tick makes one trial step for every start in a line search: one
     batched retraction and one batched ``roof_value_grad``.  The accepted
@@ -702,14 +696,13 @@ class _LockStep:
         self.D = np.zeros_like(self.U)            # search direction
         self.slope = np.zeros(S)                  # Re<G, D>, negative
         self.searching = np.zeros(S, dtype=bool)  # in a line search
-        self.stalled = np.zeros(S, dtype=bool)    # how the last level ended
 
     def run(self):
-        """Returns per start (best W, best exact value, last level stalled)."""
+        """Returns per start (best W, best exact value)."""
         self._begin(np.arange(len(self.U)))
         while self.searching.any():
             self._tick()
-        return self.best_W, self.best_value, self.stalled
+        return self.best_W, self.best_value
 
     def _begin(self, idx):
         """Open the current smoothing level: fresh step size and gradient."""
@@ -748,16 +741,14 @@ class _LockStep:
             self.searching[idx] = True
             return
         self.searching[_sub(idx, ~flat)] = True
-        # a non-finite gradient cuts the level short: not stalled
-        self._end(_sub(idx, flat), np.isfinite(gn2[flat]))
+        self._end(_sub(idx, flat))
 
-    def _end(self, idx, stalled):
+    def _end(self, idx):
         """Close the level: keep a better exact value, then open the next
         level or retire the start."""
         if idx.size == 0:
             return
         self.searching[idx] = False
-        self.stalled[idx] = stalled
         W = self.U[idx] @ self.B
         value = kernels.roof_value(W, self.use_sqrt, 0.0)
         better = value < self.best_value[idx]
@@ -788,37 +779,61 @@ class _LockStep:
         if back:
             back = np.concatenate(back)
             self.eta[back] *= 0.5
-            self._end(back[self.eta[back] <= _ETA_MIN], True)
+            self._end(back[self.eta[back] <= _ETA_MIN])
 
-        small = f0 - f < _STALL_TOL  # before f0, a view under a slice, is overwritten
+        done = f0 - f < _STALL_TOL  # before f0, a view under a slice, is overwritten
         self.U[idx], self.f[idx] = trial, f
         self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
         self.steps[idx] += 1
-        spent = ~small & (self.steps[idx] >= self.budget)
-        if small.any() or spent.any():
-            self._end(_sub(idx, small), True)
-            self._end(_sub(idx, spent), False)
-            go_on = ~(small | spent)
-            idx, trial, P = _sub(idx, go_on), trial[go_on], P[go_on]
+        done |= self.steps[idx] >= self.budget
+        if done.any():
+            self._end(_sub(idx, done))
+            idx, trial, P = _sub(idx, ~done), trial[~done], P[~done]
         self._project(idx, trial, P)
 
 
 # --------------------------------------------------------------------------
 
+def _bracket_closed(value: float, bound: float | None) -> bool:
+    """Certified: a sound bound at most ``_CERT_GAP`` below the value."""
+    return bound is not None and value - bound <= _CERT_GAP
+
+
 def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_index: int,
-            converged: bool, lower_bound: float | None = None) -> RoofResult:
+            bounds=()) -> RoofResult:
+    """The result of the rows W.  Its lower bound is the highest of
+    ``bounds`` that is sound, above the value by no more than rounding
+    (further above, pricing missed a point), and it is converged when that
+    bracket is closed."""
     ensemble = _ensemble_from_rows(W)
-    value = sum(w * _member_value(psi, use_sqrt) for w, psi in ensemble.members)
-    return RoofResult(value=float(value), ensemble=ensemble, restarts_used=restarts_used,
-                      best_restart_index=best_restart_index, converged=converged,
-                      lower_bound=lower_bound)
+    value = float(sum(w * _member_value(psi, use_sqrt) for w, psi in ensemble.members))
+    bound = max((b for b in bounds if b <= value + _BOUND_SLACK), default=None)
+    return RoofResult(value=value, ensemble=ensemble, restarts_used=restarts_used,
+                      best_restart_index=best_restart_index,
+                      converged=_bracket_closed(value, bound), lower_bound=bound)
 
 
-def _bracket_closed(res: RoofResult) -> bool:
-    """A certified result: its bound at most ``_CERT_GAP`` below its value,
-    and above it by no more than rounding."""
-    return (res.value - res.lower_bound <= _CERT_GAP
-            and res.lower_bound <= res.value + _BOUND_SLACK)
+def _certificates(B: np.ndarray, use_sqrt: bool, m: int):
+    """The certificates of a rank-2 rho = B^T conj(B), cheapest first: for
+    each that runs, its decomposition as the rows W (None where they do
+    not fit in m) and its lower bound on the roof."""
+    # the roots of the range quartic, shared by the zero fit and the orbit
+    dirs = zero_directions(B)
+    exact = _zero_decomposition(dirs, m)
+    if exact is not None:
+        yield exact @ B, 0.0
+    # the closed form holds for t_r alone: tau is not covariant on the orbit
+    orbit = range_orbit(B, dirs) if use_sqrt and m >= 4 else None
+    if orbit is not None:
+        yield orbit.rows(), orbit.analysis.rtangle
+    lp = _lp_roof(B, use_sqrt)
+    if lp is not None:
+        rows, bound = lp
+        if len(rows) > m:
+            yield None, bound
+        else:
+            U = kernels.polar_retract(np.concatenate((rows, np.zeros((m - len(rows), 2)))))
+            yield U @ B, bound
 
 
 def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
@@ -834,49 +849,25 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
             f"roof_minimize: ensemble_size {m} is below the input rank {r}; "
             f"increase --size (ensemble_size) to at least {r}")
     if r == 1:
-        return _result(B, use_sqrt, 0, -1, True)
+        return replace(_result(B, use_sqrt, 0, -1), converged=True)
 
-    # the roots of the range quartic, shared by the zero fit and the orbit
-    dirs = zero_directions(B) if r == 2 else None
-    exact = None if dirs is None else _zero_decomposition(dirs, m)
-    # one (W, exact value, stalled) per candidate, in order: the exact
-    # decomposition and the LP's decomposition, whichever are there (labels
-    # -1, -2), then the restarts (labels 0, 1, ...); ties go to the earlier
-    # candidate
-    results = []
-    if exact is not None:
-        W = exact @ B
-        if kernels.roof_value(W, False, 0.0) <= _ZERO_TANGLE:
-            return _result(W, use_sqrt, 0, -1, True, 0.0)
-        results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
-    # the closed form holds for t_r alone: tau is not covariant on the orbit
-    orbit = range_orbit(B, dirs) if dirs is not None and use_sqrt and m >= 4 else None
-    if orbit is not None:
-        res = _result(orbit.rows(), use_sqrt, 0, -1 - len(results), True,
-                      orbit.analysis.rtangle)
-        if _bracket_closed(res):
-            return res
-    lp = _lp_roof(B, use_sqrt) if r == 2 else None
-    lp_rows, lower_bound = (None, None) if lp is None else lp
-    if lp_rows is not None and len(lp_rows) <= m:
-        U = kernels.polar_retract(np.concatenate((lp_rows, np.zeros((m - len(lp_rows), 2)))))
-        W = U @ B
-        res = _result(W, use_sqrt, 0, -1 - len(results), True, lower_bound)
-        if _bracket_closed(res):
-            return res
-        results.append((W, kernels.roof_value(W, use_sqrt, 0.0), True))
-    labels = [-k for k in range(1, len(results) + 1)] + list(range(opts.restarts))
+    # one (W, exact value) per candidate, in order: the certificates'
+    # decompositions, then the restarts; ties go to the earlier candidate
+    candidates, bounds = [], []
+    for W, bound in _certificates(B, use_sqrt, m) if r == 2 else ():
+        bounds.append(bound)
+        if W is not None:
+            res = _result(W, use_sqrt, 0, -1, [bound])
+            if res.converged:  # its bracket is closed
+                return res
+            candidates.append((W, kernels.roof_value(W, use_sqrt, 0.0)))
+    labels = [-1] * len(candidates) + list(range(opts.restarts))
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
     restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
                 for rng in rngs]
-    results += zip(*_LockStep(np.array(restarts), B, use_sqrt, opts).run())
-    best = int(np.argmin([value for _, value, _ in results]))
-    best_W, _, converged = results[best]
-    res = _result(best_W, use_sqrt, opts.restarts, labels[best], bool(converged))
-    if lower_bound is None or lower_bound > res.value + _BOUND_SLACK:
-        return res
-    # a sound bracket: converged means it is closed
-    return replace(res, lower_bound=lower_bound, converged=res.value - lower_bound <= _CERT_GAP)
+    candidates += zip(*_LockStep(np.array(restarts), B, use_sqrt, opts).run())
+    best = int(np.argmin([value for _, value in candidates]))
+    return _result(candidates[best][0], use_sqrt, opts.restarts, labels[best], bounds)
 
 
 def objective_at(rho: DensityMatrix, e: WeightedEnsemble, functional: str = "sqrt_tau") -> float:

@@ -12,7 +12,8 @@ import rtangle as rt
 from rtangle import cli
 from rtangle import io as stateio
 from rtangle.cli import main
-from freeze import FAM_SQRT_TAU_08_0, P0_STD, TR_STD_P08, ghz_state, std_mixture, w_state
+from freeze import (FAM_SQRT_TAU_08_0, P0_STD, TR_STD_P08, generic_base, ghz_state, std_mixture,
+                    w_state)
 
 
 # ---------------------------------------------------------------- state files
@@ -206,6 +207,14 @@ def test_cli_roof_density_and_out(tmp_path, capsys):
     best = stateio.parse_ensemble(stateio.load_document(str(out_path)))
     mixed = rt.ensemble_to_density(best)
     assert np.abs(mixed.matrix - rho.matrix).max() < 1e-8
+
+
+def test_cli_roof_rank3_is_not_converged(tmp_path, capsys):
+    """A rank-3 input has no lower bound, so its search is not certified."""
+    path = _write(tmp_path / "rho3.json", stateio.density_to_doc(generic_base(3)))
+    assert main(["roof", path, "--restarts", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "lower_bound   = none" in out and "converged     = False" in out
 
 
 def test_cli_roof_size_below_rank(tmp_path, capsys):

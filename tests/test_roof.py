@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
@@ -38,6 +40,20 @@ def test_rank1_is_exact():
     assert len(res.ensemble) == 1
     res_tau = rt.roof_minimize(rho, "tau", FAST)
     assert abs(res_tau.value - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ensemble_size", 4.5), ("ensemble_size", True), ("restarts", 2.5),
+    ("restarts", True), ("max_iterations", 300.7), ("max_iterations", np.float64(300.0)),
+    ("seed", 1.5), ("seed", float("nan")), ("seed", np.bool_(False))])
+def test_options_must_be_integers(field, value):
+    """A bool, a float or NaN is refused when the options are made, before
+    any input is read, so no certificate can answer with it; a numpy
+    integer is an integer."""
+    with pytest.raises(roof.OptionsError, match=field):
+        rt.RoofOptions(**{field: value})
+    opts = rt.RoofOptions(**{field: np.int64(getattr(rt.RoofOptions(), field))})
+    assert rt.roof_minimize(std_mixture(0.3).density(), "sqrt_tau", opts).restarts_used == 0
 
 
 def test_rank_above_size_rejected():
@@ -163,7 +179,7 @@ def test_general_measurement_covariance_at_oracle_level():
 def test_generic_rank3_lands_near_the_best_known_roof():
     """A default-budget 5-restart solve of a generic rank-3 state, posed in
     three random local-unitary frames, lands within 1e-4 of the best value
-    long searches found."""
+    long searches found; with no lower bound it is not converged."""
     rho = generic_base(3).matrix
     rng = np.random.default_rng(31)
     for _ in range(3):
@@ -171,6 +187,7 @@ def test_generic_rank3_lands_near_the_best_known_roof():
         res = rt.roof_minimize(rt.DensityMatrix(V @ rho @ V.conj().T), "sqrt_tau",
                                rt.RoofOptions(restarts=5))
         assert abs(res.value - SQRT_TAU_GENERIC_R3) <= 1e-4
+        assert res.converged is False and res.lower_bound is None
 
 
 def test_gradient_matches_finite_differences_complex_rho():
@@ -207,17 +224,16 @@ def _inner(X, Y):
 
 def _stage_reference(U, B, use_sqrt, eps, max_steps):
     """One smoothing level of the search, one start at a time: Polak-Ribiere+
-    conjugate directions, restarted at -G where they do not descend."""
+    conjugate directions, restarted at -G where they do not descend.
+    Returns where the level ends."""
     eta, steps = 0.2, 0
     f, P = kernels.roof_value_grad(U @ B, use_sqrt, eps)
     G_prev = D = None
     while steps < max_steps:
         G = _tangent(U, 2.0 * np.conj(P @ B.T))
         gn2 = float(np.sum(G.real ** 2 + G.imag ** 2))
-        if not np.isfinite(gn2):
-            return U, False
-        if gn2 < 1e-26:
-            return U, True
+        if not np.isfinite(gn2) or gn2 < 1e-26:
+            return U
         if G_prev is None:
             D, slope = -G, -gn2
         else:
@@ -240,25 +256,25 @@ def _stage_reference(U, B, use_sqrt, eps, max_steps):
                 eta = min(eta * 1.4, 2.0)
                 steps += 1
                 if improvement < roof._STALL_TOL:
-                    return U, True
+                    return U
                 break
             eta *= 0.5
         else:
-            return U, True
-    return U, False
+            return U
+    return U
 
 
 def _search_reference(U0, B, use_sqrt, opts):
-    """The annealed search of one start, alone: (best W, best value, stalled)."""
+    """The annealed search of one start, alone: (best W, best value)."""
     per_stage = max(opts.max_iterations // len(roof._SCHEDULE), 10)
     U, best_W = U0, U0 @ B
     best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
     for eps in roof._SCHEDULE:
-        U, stalled = _stage_reference(U, B, use_sqrt, eps, per_stage)
+        U = _stage_reference(U, B, use_sqrt, eps, per_stage)
         value = kernels.roof_value(U @ B, use_sqrt, 0.0)
         if value < best_value:
             best_value, best_W = value, U @ B
-    return best_W, best_value, stalled
+    return best_W, best_value
 
 
 def _generic_starts(rank, n, seed=5):
@@ -276,21 +292,20 @@ def test_lock_step_equals_one_start_at_a_time(use_sqrt):
     alone ends."""
     B, U0 = _generic_starts(3, 4)
     opts = rt.RoofOptions(max_iterations=300)
-    W, values, stalled = roof._LockStep(U0, B, use_sqrt, opts).run()
+    W, values = roof._LockStep(U0, B, use_sqrt, opts).run()
     for s in range(len(U0)):
-        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, use_sqrt, opts)
-        assert np.array_equal(W[s], W_ref)
-        assert values[s] == value_ref and stalled[s] == stalled_ref
+        W_ref, value_ref = _search_reference(U0[s], B, use_sqrt, opts)
+        assert np.array_equal(W[s], W_ref) and values[s] == value_ref
 
 
 def test_start_result_independent_of_batch():
     B, U0 = _generic_starts(2, 5, seed=8)
     opts = rt.RoofOptions(max_iterations=400)
-    W, values, _ = roof._LockStep(U0, B, True, opts).run()
+    W, values = roof._LockStep(U0, B, True, opts).run()
     for s in (0, 3):
-        W1, value1, _ = roof._LockStep(U0[s:s + 1], B, True, opts).run()
+        W1, value1 = roof._LockStep(U0[s:s + 1], B, True, opts).run()
         assert np.array_equal(W1[0], W[s]) and value1[0] == values[s]
-    W2, values2, _ = roof._LockStep(U0[[4, 1]], B, True, opts).run()
+    W2, values2 = roof._LockStep(U0[[4, 1]], B, True, opts).run()
     assert np.array_equal(W2[0], W[4]) and np.array_equal(W2[1], W[1])
     assert values2[0] == values[4] and values2[1] == values[1]
 
@@ -364,18 +379,17 @@ def test_failed_retraction_does_not_abort_the_batch(monkeypatch):
 
     monkeypatch.setattr(kernels, "polar_retract", fails_when_ill_conditioned)
     opts = rt.RoofOptions(max_iterations=300)
-    W, values, stalled = roof._LockStep(U0, B, True, opts).run()
+    W, values = roof._LockStep(U0, B, True, opts).run()
     for s in range(3):
-        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts)
+        W_ref, value_ref = _search_reference(U0[s], B, True, opts)
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
-        assert stalled[s] == stalled_ref
     assert 3 in failures and 2 in failures  # the batch failed, then the start alone
     assert np.array_equal(W[1], bad @ B)      # no trial of it was ever retracted
 
 
-def test_non_finite_gradient_ends_the_level_not_stalled(monkeypatch):
-    """A NaN gradient cuts the level short; each start is not converged, and
-    its values stay those of the one-start search."""
+def test_non_finite_gradient_ends_the_level(monkeypatch):
+    """A NaN gradient cuts the level short; each start's values stay those
+    of the one-start search, and a search with no bound is not converged."""
     grad = kernels.roof_value_grad
 
     def nan_at_eps0(W, use_sqrt, eps=0.0):
@@ -385,12 +399,10 @@ def test_non_finite_gradient_ends_the_level_not_stalled(monkeypatch):
     monkeypatch.setattr(kernels, "roof_value_grad", nan_at_eps0)
     B, U0 = _generic_starts(3, 2, seed=6)
     opts = rt.RoofOptions(max_iterations=300)
-    W, values, stalled = roof._LockStep(U0, B, True, opts).run()
+    W, values = roof._LockStep(U0, B, True, opts).run()
     for s in range(2):
-        W_ref, value_ref, stalled_ref = _search_reference(U0[s], B, True, opts)
+        W_ref, value_ref = _search_reference(U0[s], B, True, opts)
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
-        assert stalled[s] == stalled_ref
-    assert not stalled.any()  # both starts reach the eps = 0 level
     rho = rt.DensityMatrix(B.T @ B.conj())
     res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=1, max_iterations=300))
     assert not res.converged
@@ -438,7 +450,7 @@ def test_search_never_undercuts_the_certificate(monkeypatch):
 
 def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
     """An exact decomposition that mixes back but is not tangle-free is
-    only a candidate of the search."""
+    only a candidate of the search, and its bound of 0 stays on the result."""
     rng = np.random.default_rng(3)
     z = np.eye(4) + 0.05 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     rotation = np.linalg.qr(z)[0]
@@ -448,8 +460,9 @@ def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
     _without_lp(monkeypatch)  # it would certify without a search
     rho = std_mixture(0.3).density()
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
-    assert res.restarts_used == FAST.restarts
+    assert res.restarts_used == FAST.restarts and res.best_restart_index >= -1
     assert res.value <= 1e-4 and _mixes_back(res, rho)
+    assert res.lower_bound == 0.0
 
 
 def _linear_branch_cases():
@@ -518,13 +531,15 @@ def test_uncertified_inputs_run_the_full_search(monkeypatch):
 def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
     """The zero-branch fit of the standard mixture needs four members; with
     fewer, the fit is dropped, not cut, and the search runs from the
-    restarts and still mixes back."""
+    restarts and still mixes back.  The linear program's bound is kept
+    where its decomposition does not fit either."""
     for p in (0.1, 0.3, 0.6):
         rho = std_mixture(p).density()
         assert roof._zero_decomposition(zero_directions(eigen_factor(rho)), size) is None
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
+        assert res.lower_bound is not None and res.lower_bound <= res.value + 1e-9
 
 
 def _zero_fit_reference(dirs, m):
@@ -889,13 +904,13 @@ def test_simplex_matches_highs_on_the_same_columns():
 def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     """Four copies of e0 make a singular start basis, and no pivot at all
     leaves the start basis unsolved: the program returns None and the
-    search runs, with no bound."""
+    search runs, with no bound and so not converged."""
     monkeypatch.setattr(roof, *patch)
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
     assert roof._lp_roof(eigen_factor(rho), False) is None
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
-    assert res.restarts_used == 2 and res.lower_bound is None
+    assert res.restarts_used == 2 and res.lower_bound is None and res.converged is False
     assert _mixes_back(res, rho)
 
 
@@ -1095,6 +1110,29 @@ def test_default_path_returns_the_orbit_closed_form(monkeypatch):
     rt.roof_minimize(image, "sqrt_tau", small)
     rt.roof_minimize(image, "tau", FAST)
     assert calls == []
+
+
+def test_open_orbit_bracket_is_a_candidate_and_keeps_its_bound(monkeypatch):
+    """The orbit follows the one certificate rule: with its t_r lowered by
+    1e-3 its bracket is open, so its decomposition is a candidate next to
+    the restarts (here it beats them) and its bound stays on the result,
+    which is not converged."""
+    range_orbit, bounds = roof.range_orbit, []
+
+    def loose(B, dirs):
+        orbit = range_orbit(B, dirs)
+        bounds.append(orbit.analysis.rtangle - 1e-3)
+        return replace(orbit, analysis=replace(orbit.analysis, rtangle=bounds[-1]))
+
+    monkeypatch.setattr(roof, "range_orbit", loose)
+    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: None)
+    rho = std_mixture(0.8).density()
+    res = rt.roof_minimize(rho, "sqrt_tau", FAST)
+    assert res.restarts_used == FAST.restarts and res.best_restart_index == -1
+    assert len(bounds) == 1 and abs(bounds[0] - (TR_STD_P08 - 1e-3)) <= 1e-9
+    assert res.lower_bound == bounds[0]
+    assert res.value <= TR_STD_P08 + 1e-7 and res.converged is False
+    assert _mixes_back(res, rho)
 
 
 def test_orbit_recognizes_general_measurement_outcomes():
