@@ -339,9 +339,9 @@ class OrbitAnalysis:
                          for wt, pv, phi in _members(self.p, self.analysis)])
 
 
-def range_orbit(B: np.ndarray, dirs: list) -> OrbitAnalysis | None:
+def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
     """:func:`orbit_analysis` of the rank-2 rho = B^T conj(B), given the
-    roots ``dirs`` of :func:`quartic.zero_directions`.
+    roots ``dirs`` of :func:`quartic.zero_directions`, unit rows of U.
 
     A root d is a tangle-free range state w = d B.  With d' orthogonal to d
     in C^2 and g = d' B, rho = g g^H + w w^H, and Det(x g + y w) =
@@ -349,27 +349,33 @@ def range_orbit(B: np.ndarray, dirs: list) -> OrbitAnalysis | None:
     whose quartic has no x^2 y^2 term are g + t w with t = -q_2 / (3 q_1),
     and rho is diagonal in such a frame only at t = 0.  So rho is a GHZ/W
     image in the frame of d exactly when q_0, q_2 and q_3 vanish, which is
-    tested to ``_ORBIT_TOL``.  At most one root can pass; if none or more
-    than one does, this returns None.
+    tested to ``_ORBIT_TOL`` of the largest q_k; every root's quartic is
+    read in one call.  At most one root can pass; if none or more than one
+    does, this returns None.
+
+    The frame's A and D are read off the unit g and w, where D/A is the
+    mixture's, and D is taken as 0 where |D| <= ``_ORBIT_TOL`` |A|.  On the
+    quartic of g and w themselves q_1 / q_4 = (|w| / |g|)^3 D / A, so a test
+    of q_1 against the largest q_k would read every |D/A| below about 3e-3
+    as 0 at a W weight |w|^2 of 1e-5.
     """
-    found = []
-    for k, d in enumerate(dirs):
-        if any(np.array_equal(d, e) for e in dirs[:k]):
-            continue  # a multiple root at infinity, listed once per multiplicity
-        g, w = np.array([-np.conj(d[1]), np.conj(d[0])]) @ B, d @ B
-        q = pair_quartic(g, w)
-        scale = np.abs(q).max()
-        if scale > 0.0 and np.abs(q[[0, 2, 3]]).max() <= _ORBIT_TOL * scale:
-            found.append((g, w, q, scale))
+    # a multiple root at infinity is listed once per multiplicity
+    roots = dirs[~np.tril((dirs[:, None] == dirs).all(-1), -1).any(-1)]
+    G = np.stack((-np.conj(roots[:, 1]), np.conj(roots[:, 0])), axis=-1) @ B
+    W = roots @ B
+    q = pair_quartic(G, W)
+    scale = np.abs(q).max(-1)
+    found = np.flatnonzero((scale > 0.0) & (np.abs(q[:, [0, 2, 3]]).max(-1) <= _ORBIT_TOL * scale))
     if len(found) != 1:
         return None
-    g, w, q, scale = found[0]
+    g, w, q = G[found[0]], W[found[0]], q[found[0]]
     p = float(np.vdot(g, g).real)
     ng, nw = math.sqrt(p), math.sqrt(float(np.vdot(w, w).real))
-    # q_1 at rounding, as the recognition reads q_0, q_2 and q_3, is D' = 0:
+    A, D = complex(q[4]) / ng ** 4, complex(q[1]) / (ng * nw ** 3)
+    # D at rounding, as the recognition reads q_0, q_2 and q_3, is D = 0:
     # p0 = s^(2/3) / (1 + s^(2/3)) would turn its rounding into p0 ~ 1e-11
-    q1 = 0.0 if abs(q[1]) <= _ORBIT_TOL * scale else complex(q[1])
-    A, D = complex(q[4]) / ng ** 4, q1 / (ng * nw ** 3)
+    if abs(D) <= _ORBIT_TOL * abs(A):
+        D = 0.0
     ana = _closed_form(math.sqrt(abs(A)), None if A == 0 else D / A, p)
     return OrbitAnalysis(g=g / ng, w=w / nw, p=p, A=A, D=D, analysis=ana)
 

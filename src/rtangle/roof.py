@@ -28,12 +28,13 @@ follow one rule (:func:`_certificates`): the decomposition is returned at
 once, with ``restarts_used == 0``, when the bracket is closed (the bound
 at most ``_CERT_GAP`` below its value and above it by no more than
 rounding); otherwise it is a candidate next to the search's restarts, and
-the bound is kept for the result:
+the bound is kept for the result.  All three read one list of tangle-free
+directions inside the range of rho: the roots of a quartic (the
+hyperdeterminant restricted to the range), solved once per input on the
+unit eigenvectors (:func:`quartic.zero_directions`).
 
-* zero, bound 0: the tangle-free directions inside the range of rho are
-  the roots of a quartic (the hyperdeterminant restricted to the range),
-  and a non-negative least-squares fit of the identity over the root
-  projectors gives a decomposition that mixes back to rho, when its
+* zero, bound 0: a non-negative least-squares fit of the identity over the
+  root projectors gives a decomposition that mixes back to rho, when its
   members fit in the ensemble size.  This is the zero branch of the GHZ/W
   mixtures (Lohmayer et al., PRL 97, 260502 (2006)).  With four distinct
   roots the fit is one 4 x 4 solve: its solution is unique, so it is
@@ -236,16 +237,16 @@ def _nnls(A: np.ndarray, b: np.ndarray):
     return x, float(np.linalg.norm(A @ x - b))
 
 
-def _zero_decomposition(dirs: list, m: int):
+def _zero_decomposition(dirs: np.ndarray, m: int):
     """A tangle-free decomposition in at most m members (rank 2 only).
 
     The non-negative least-squares fit of the identity over the projectors
     onto the tangle-free directions ``dirs`` (:func:`quartic.zero_directions`
-    of B), with weights up to ``_SUPPORT`` taken as rounding; returns its U,
-    whose rows are the members, when the fit is exact (residual below
-    ``_FIT_TOL``, so U has orthonormal columns to that), needs at least two
-    members and fits in m, else None.  The members are tangle-free up to the
-    rounding of the quartic's roots.
+    of B), with weights up to ``_SUPPORT`` taken as rounding; returns its k
+    members as the rows of U, (k, 2), when the fit is exact (residual below
+    ``_FIT_TOL``, so U has orthonormal columns to that) and 2 <= k <= m,
+    else None.  The members are tangle-free up to the rounding of the
+    quartic's roots.
 
     One solve decides in the common case of four distinct roots: the fit is
     then unique, a non-negative one is the answer, and one with a weight
@@ -276,9 +277,7 @@ def _zero_decomposition(dirs: list, m: int):
     k = np.count_nonzero(support)
     if not 2 <= k <= m or np.linalg.norm(A[:, support] @ u[support] - _IDENTITY) >= _FIT_TOL:
         return None
-    U = np.zeros((m, 2), dtype=complex)
-    U[:k] = np.sqrt(u[support])[:, None] * D[support]
-    return U
+    return np.sqrt(u[support])[:, None] * D[support]
 
 
 def _bloch(angles: np.ndarray):
@@ -356,8 +355,11 @@ class _Range:
     """The range of a rank-2 rho = B^T conj(B) on its Bloch sphere.
 
     A unit v in C^2 stands for the range state v0 e0 + v1 e1 (orthonormal
-    eigenvectors e_k, eigenvalues lambda_k); every decomposition of rho is
-    a mixture of such states.  Its objective is f(v) = 2 sqrt|q(v)|
+    eigenvectors e_k = B_k / sqrt(lambda_k), eigenvalues lambda_k); every
+    decomposition of rho is a mixture of such states.  The roots of q, the
+    tangle-free states, are read from the rows d of U that
+    :func:`quartic.zero_directions` solved for: v is d_k sqrt(lambda_k),
+    normalized.  Its objective is f(v) = 2 sqrt|q(v)|
     (sqrt-tau) or 4 |q(v)| (tau), with q the hyperdeterminant restricted to
     the range.  A Hermitian X gives the affine function
     l(v) = v^H X v = _basis(v) @ (X_00, X_11, Re X_01, -Im X_01).  If
@@ -378,13 +380,13 @@ class _Range:
     (K, a, b) = (2, 1/2, 1) for sqrt-tau and (4, 1, 2) for tau.
     """
 
-    def __init__(self, B: np.ndarray, use_sqrt: bool):
+    def __init__(self, B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
         self.lam = (B.real ** 2 + B.imag ** 2).sum(-1)
         self.E = B / np.sqrt(self.lam)[:, None]
         self.q = pair_quartic(self.E[0], self.E[1])
         self.use_sqrt = use_sqrt
-        # the tangle-free directions, the roots of q
-        self.roots = np.array(zero_directions(self.E)).reshape(-1, 2)
+        roots = dirs * np.sqrt(self.lam)
+        self.roots = roots / np.sqrt(_abs2(roots).sum(-1))[:, None]
         # per chart (z = y / c, then z = c / y) the rows of Q, Q' and Q'' on
         # (1, z, .., z^4)
         self.taylor = np.einsum("djk,ck->cdj", _TAYLOR, np.stack((self.q[::-1], self.q)))
@@ -509,7 +511,7 @@ class _Range:
 
 _LP_ROUNDS = 20
 # the program's own gap at which rounds stop: half of _CERT_GAP leaves the
-# other half for the rounding of the retracted decomposition's members
+# other half for the rounding of the decomposition's members
 _LP_GAP = _CERT_GAP / 2
 # the grid columns of e0, e1, (e0 + e1)/sqrt 2 and (e0 + i e1)/sqrt 2: the
 # weights (lambda_0, lambda_1, 0, 0) on them are a feasible basic solution
@@ -549,8 +551,9 @@ def _simplex(cost, rows, b, basis):
     raise np.linalg.LinAlgError(f"no optimal basis in {_LP_PIVOTS} pivots")
 
 
-def _lp_roof(B: np.ndarray, use_sqrt: bool):
-    """The roof of a rank-2 rho = B^T conj(B) as a linear program.
+def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
+    """The roof of a rank-2 rho = B^T conj(B) as a linear program, given the
+    roots ``dirs`` of :func:`quartic.zero_directions`.
 
     Columns are unit range vectors v with cost f(v) (see :class:`_Range`);
     weights w >= 0 with sum_k w_k v_k v_k^H = diag(lambda), four real
@@ -564,13 +567,13 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
     warm-starts from the last basis, until the program's value is within ``_LP_GAP`` of the bound or
     after ``_LP_ROUNDS``.
 
-    Returns (rows, bound), or None when the simplex fails: ``rows`` are the
-    at most 4 members of the basic solution as rows of U, (k, 2), their
+    Returns (W, bound), or None when the simplex fails: ``W`` holds the at
+    most 4 sub-normalized members of the basic solution, (k, 8), their
     weights solved on the support; ``bound`` is the lower bound, which holds
     to working precision (its offset is a numerical minimum), not as a
     proof.
     """
-    sphere = _Range(B, use_sqrt)
+    sphere = _Range(B, use_sqrt, dirs)
     b = np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
     root_c, root_y = _phase_off(sphere.roots)
     root_f = sphere.f(root_c, root_y)
@@ -598,7 +601,7 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool):
     # the basic solution's weights, solved on its support to rounding
     w = np.linalg.lstsq(rows[support].T, b, rcond=None)[0]
     V = np.stack((c[support] + 0j, y[support]), axis=-1)
-    return np.sqrt(np.maximum(w, 0.0))[:, None] * V / np.sqrt(sphere.lam), float(bound)
+    return (np.sqrt(np.maximum(w, 0.0))[:, None] * V) @ sphere.E, float(bound)
 
 
 # --------------------------------------------------------------------------
@@ -815,9 +818,10 @@ def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_inde
 
 def _certificates(B: np.ndarray, use_sqrt: bool, m: int):
     """The certificates of a rank-2 rho = B^T conj(B), cheapest first: for
-    each that runs, its decomposition as the rows W (None where they do
-    not fit in m) and its lower bound on the roof."""
-    # the roots of the range quartic, shared by the zero fit and the orbit
+    each that runs, its decomposition as its member rows W (None where they
+    do not fit in m) and its lower bound on the roof.  The range quartic is
+    solved once, and the zero fit, the orbit and the linear program all read
+    its roots."""
     dirs = zero_directions(B)
     exact = _zero_decomposition(dirs, m)
     if exact is not None:
@@ -826,14 +830,10 @@ def _certificates(B: np.ndarray, use_sqrt: bool, m: int):
     orbit = range_orbit(B, dirs) if use_sqrt and m >= 4 else None
     if orbit is not None:
         yield orbit.rows(), orbit.analysis.rtangle
-    lp = _lp_roof(B, use_sqrt)
+    lp = _lp_roof(B, use_sqrt, dirs)
     if lp is not None:
-        rows, bound = lp
-        if len(rows) > m:
-            yield None, bound
-        else:
-            U = kernels.polar_retract(np.concatenate((rows, np.zeros((m - len(rows), 2)))))
-            yield U @ B, bound
+        W, bound = lp
+        yield (W if len(W) <= m else None), bound
 
 
 def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",

@@ -28,7 +28,7 @@ def _without_lp(monkeypatch):
     """Switch the orbit closed form and the rank-2 linear program off, so the
     search runs alone."""
     _without_orbit(monkeypatch)
-    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: None)
+    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt, dirs: None)
 
 
 def test_rank1_is_exact():
@@ -555,9 +555,7 @@ def _zero_fit_reference(dirs, m):
     if (not 2 <= len(support) <= m
             or np.linalg.norm(A[:, support] @ u[support] - [1.0, 1.0, 0.0, 0.0]) >= 1e-10):
         return None
-    U = np.zeros((m, 2), complex)
-    U[:len(support)] = np.sqrt(u[support])[:, None] * np.array(dirs)[support]
-    return U
+    return np.sqrt(u[support])[:, None] * np.array(dirs)[support]
 
 
 def _zero_fit_corpus():
@@ -616,6 +614,24 @@ def test_zero_fit_near_the_branch_point(monkeypatch):
             assert bool(calls) == general
             if accepted:
                 assert np.abs(U - ref).max() <= 1e-12
+
+
+def test_zero_directions_on_near_rank1_states():
+    """The roots of the range quartic are solved on unit eigenvectors: on
+    (1 - w) |a><a| + w |b><b| down to w = 1e-10, where the quartic of the
+    rows sqrt(lambda_k) e_k has a leading coefficient below rounding, every
+    root is a tangle-free range state."""
+    for w in (1e-4, 1e-6, 1e-8, 1e-10):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            a, b = random_pure(rng).amp, random_pure(rng).amp
+            rho = rt.DensityMatrix((1 - w) * np.outer(a, a.conj()) + w * np.outer(b, b.conj()))
+            B = eigen_factor(rho)
+            dirs = zero_directions(B)
+            assert len(dirs) == 4
+            for d in dirs:
+                psi = d @ B
+                assert rt.invariants(rt.PureState(psi / np.linalg.norm(psi))).tau <= 1e-12
 
 
 def test_rounding_level_weights_are_not_members():
@@ -729,6 +745,18 @@ def test_lp_brackets_the_roof_on_slocc_orbits(monkeypatch):
         assert _mixes_back(res, image)
 
 
+def test_lp_certified_solve_solves_the_quartic_once(monkeypatch):
+    """The zero fit and the linear program read one list of roots: an
+    LP-certified tau solve solves the range quartic once."""
+    calls = []
+    zero_directions_ = roof.zero_directions
+    monkeypatch.setattr(roof, "zero_directions", lambda B: calls.append(B) or zero_directions_(B))
+    rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
+    res = rt.roof_minimize(rho, "tau", FAST)
+    assert res.restarts_used == 0 and res.converged and res.lower_bound > 0.0
+    assert len(calls) == 1
+
+
 def test_lp_brackets_the_counterexample_tau_constants():
     fx = rt.counterexample_fixture()
     rho = rt.ensemble_to_density(fx.ensemble)
@@ -751,9 +779,9 @@ def test_affine_bound_never_exceeds_the_closed_form():
         rho = mix.density()
         closed = rt.analyze(mix).rtangle
         B = eigen_factor(rho)
-        U, bound = roof._lp_roof(B, True)
+        W, bound = roof._lp_roof(B, True, zero_directions(B))
         assert bound <= closed + 1e-9
-        rows = [U @ B]
+        rows = [W]
         rows += [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0] @ B
                  for _ in range(2)]
         for W in rows:
@@ -796,7 +824,8 @@ def test_bound_above_the_value_is_not_certified(monkeypatch):
     point: the decomposition is only a candidate next to the search's
     restarts, and no bound is reported."""
     lp_roof = roof._lp_roof
-    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: (lp_roof(B, use_sqrt)[0], 1.0))
+    monkeypatch.setattr(roof, "_lp_roof",
+                        lambda B, use_sqrt, dirs: (lp_roof(B, use_sqrt, dirs)[0], 1.0))
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
@@ -832,9 +861,8 @@ def test_open_bracket_keeps_the_lp_decomposition_as_a_candidate(monkeypatch):
     assert certified.restarts_used == 0 and certified.converged
     monkeypatch.setattr(roof, "_LP_ROUNDS", 4)
     B = eigen_factor(rho)
-    rows, bound = roof._lp_roof(B, False)
-    U = kernels.polar_retract(np.concatenate((rows, np.zeros((4 - len(rows), 2)))))
-    lp_value = rt.objective_at(rho, roof._ensemble_from_rows(U @ B), "tau")
+    W, bound = roof._lp_roof(B, False, zero_directions(B))
+    lp_value = rt.objective_at(rho, roof._ensemble_from_rows(W), "tau")
     assert lp_value - bound > roof._CERT_GAP
     res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
     assert res.restarts_used == 5 and res.best_restart_index >= 0
@@ -866,10 +894,10 @@ def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch):
         assert results[k, functional] <= search.value + 1e-7
 
 
-def _lp_columns(B, use_sqrt):
-    """The simplex's first columns, the grid and the roots of q: costs,
-    constraint rows and the right-hand side."""
-    sphere = roof._Range(B, use_sqrt)
+def _lp_columns(B, use_sqrt, dirs):
+    """The simplex's first columns, the grid and the roots ``dirs`` of q:
+    costs, constraint rows and the right-hand side."""
+    sphere = roof._Range(B, use_sqrt, dirs)
     root_c, root_y = roof._phase_off(sphere.roots)
     root_f = sphere.f(root_c, root_y)
     if use_sqrt:
@@ -886,7 +914,8 @@ def test_simplex_matches_highs_on_the_same_columns():
     cases = [(rt.ensemble_to_density(rt.counterexample_fixture().ensemble), False),
              (_random_rank2(rng), True), (_random_rank2(rng), True)]
     for rho, use_sqrt in cases:
-        cost, rows, b = _lp_columns(eigen_factor(rho), use_sqrt)
+        B = eigen_factor(rho)
+        cost, rows, b = _lp_columns(B, use_sqrt, zero_directions(B))
         basis = roof._LP_BASIS.copy()
         w, X, reduced = roof._simplex(cost, rows, b, basis)
         highs = linprog(cost, A_eq=rows.T, b_eq=b, bounds=(0.0, None), method="highs",
@@ -907,7 +936,8 @@ def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     search runs, with no bound and so not converged."""
     monkeypatch.setattr(roof, *patch)
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
-    assert roof._lp_roof(eigen_factor(rho), False) is None
+    B = eigen_factor(rho)
+    assert roof._lp_roof(B, False, zero_directions(B)) is None
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
     assert res.restarts_used == 2 and res.lower_bound is None and res.converged is False
@@ -934,10 +964,11 @@ def _first_round(rho, use_sqrt):
     """The range, the dual X, the grid's reduced costs and the support of
     the program's first round, as :func:`roof._lp_roof` prices them."""
     B = eigen_factor(rho)
-    cost, rows, b = _lp_columns(B, use_sqrt)
+    dirs = zero_directions(B)
+    cost, rows, b = _lp_columns(B, use_sqrt, dirs)
     basis = roof._LP_BASIS.copy()
     w, X, reduced = roof._simplex(cost, rows, b, basis)
-    sphere = roof._Range(B, use_sqrt)
+    sphere = roof._Range(B, use_sqrt, dirs)
     support = basis[w > 0.0]
     c = np.concatenate((roof._BLOCH_C, roof._phase_off(sphere.roots)[0]))
     y = np.concatenate((roof._BLOCH_Y, roof._phase_off(sphere.roots)[1]))
@@ -970,7 +1001,8 @@ def test_pricing_derivatives_match_central_differences():
     h = 1e-4
     for rho in [_random_rank2(rng) for _ in range(3)] + [_random_rank2_gram(rng) for _ in range(3)]:
         for use_sqrt in (True, False):
-            sphere = roof._Range(eigen_factor(rho), use_sqrt)
+            B = eigen_factor(rho)
+            sphere = roof._Range(B, use_sqrt, zero_directions(B))
             X = rng.standard_normal(4)
             theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
             c, y = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
@@ -1004,7 +1036,8 @@ def test_simplex_dual_prices_its_basis_at_zero():
     states = [_random_rank2(rng) for _ in range(20)] + [_random_rank2_gram(rng) for _ in range(20)]
     for rho in states:
         for use_sqrt in (True, False):
-            cost, rows, b = _lp_columns(eigen_factor(rho), use_sqrt)
+            B = eigen_factor(rho)
+            cost, rows, b = _lp_columns(B, use_sqrt, zero_directions(B))
             basis = roof._LP_BASIS.copy()
             _, _, reduced = roof._simplex(cost, rows, b, basis)
             assert np.abs(reduced[basis]).max() <= 8 * np.finfo(float).eps * np.abs(cost).max()
@@ -1020,11 +1053,12 @@ def test_rings_let_the_support_move_on_the_counterexample(monkeypatch):
     rounds = []
     simplex = roof._simplex
     monkeypatch.setattr(roof, "_simplex", lambda *args: rounds.append(1) or simplex(*args))
-    _, bound = roof._lp_roof(B, False)
+    dirs = zero_directions(B)
+    _, bound = roof._lp_roof(B, False, dirs)
     with_rings = len(rounds)
     monkeypatch.setattr(roof, "_RING", np.zeros(0, dtype=complex))
     rounds.clear()
-    _, bound_without = roof._lp_roof(B, False)
+    _, bound_without = roof._lp_roof(B, False, dirs)
     assert with_rings <= 3 < len(rounds) < roof._LP_ROUNDS
     assert abs(bound - TAU_RHO0) <= 1e-7 and abs(bound_without - TAU_RHO0) <= 1e-7
 
@@ -1125,7 +1159,7 @@ def test_open_orbit_bracket_is_a_candidate_and_keeps_its_bound(monkeypatch):
         return replace(orbit, analysis=replace(orbit.analysis, rtangle=bounds[-1]))
 
     monkeypatch.setattr(roof, "range_orbit", loose)
-    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt: None)
+    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt, dirs: None)
     rho = std_mixture(0.8).density()
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
     assert res.restarts_used == FAST.restarts and res.best_restart_index == -1
@@ -1133,6 +1167,30 @@ def test_open_orbit_bracket_is_a_candidate_and_keeps_its_bound(monkeypatch):
     assert res.lower_bound == bounds[0]
     assert res.value <= TR_STD_P08 + 1e-7 and res.converged is False
     assert _mixes_back(res, rho)
+
+
+@pytest.mark.parametrize("w_weight", [1e-5, 1e-6])
+def test_orbit_reads_a_small_branch_point_beside_a_light_w(w_weight):
+    """A mixture with s = 1.13e-3 (p0 = 0.0107) and a W weight 1 - p of
+    1e-5 and 1e-6, and three random complex SLOCC images of it: the orbit
+    recognizes every one of them and reads D/A off the unit frame, so p0 is
+    not rounded to 0 and the certified bound does not rise above alpha t_r."""
+    mix = rt.GhzWMixture(a=2 ** -0.5, b=2 ** -0.5, c=(1 - 2e-4) ** 0.5, d=0.01, f=0.01,
+                         p=1 - w_weight)
+    ana = rt.analyze(mix)
+    orbit = rt.orbit_analysis(mix.density())
+    assert abs(orbit.analysis.p0 - ana.p0) <= 1e-4 * ana.p0
+    rng = np.random.default_rng(31)
+    cases = [(mix.density(), 1.0)]
+    for _ in range(3):
+        ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        cases.append(_slocc_image(mix.density(), ops))
+    for rho, alpha in cases:
+        assert rt.orbit_analysis(rho) is not None
+        res = rt.roof_minimize(rho, "sqrt_tau")
+        assert res.restarts_used == 0 and res.converged
+        assert res.lower_bound <= alpha * ana.rtangle + roof._BOUND_SLACK
+        assert _mixes_back(res, rho)
 
 
 def test_orbit_recognizes_general_measurement_outcomes():
