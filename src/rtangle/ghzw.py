@@ -306,6 +306,10 @@ def optimal_objective(mix: GhzWMixture) -> float:
 # largest coefficient, up to which the frame counts as a GHZ/W frame: SLOCC
 # images of the mixtures leave below 1e-12, random rank-2 states above 0.1
 _ORBIT_TOL = 1e-10
+# largest |D/A| of the unit frame read as D = 0: the rounding of D/A on a
+# degenerate-W image (about 5e-17), and no more, since t_r moves by about
+# 2 sqrt|A| (1 - p) |D/A|^(2/3) where a true D is read as 0
+_D_ROUNDING = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +358,7 @@ def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
     does, this returns None.
 
     The frame's A and D are read off the unit g and w, where D/A is the
-    mixture's, and D is taken as 0 where |D| <= ``_ORBIT_TOL`` |A|.  On the
+    mixture's, and D is taken as 0 where |D| <= ``_D_ROUNDING`` |A|.  On the
     quartic of g and w themselves q_1 / q_4 = (|w| / |g|)^3 D / A, so a test
     of q_1 against the largest q_k would read every |D/A| below about 3e-3
     as 0 at a W weight |w|^2 of 1e-5.
@@ -372,9 +376,9 @@ def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
     p = float(np.vdot(g, g).real)
     ng, nw = math.sqrt(p), math.sqrt(float(np.vdot(w, w).real))
     A, D = complex(q[4]) / ng ** 4, complex(q[1]) / (ng * nw ** 3)
-    # D at rounding, as the recognition reads q_0, q_2 and q_3, is D = 0:
-    # p0 = s^(2/3) / (1 + s^(2/3)) would turn its rounding into p0 ~ 1e-11
-    if abs(D) <= _ORBIT_TOL * abs(A):
+    # D at rounding is D = 0: p0 = s^(2/3) / (1 + s^(2/3)) would turn its
+    # rounding into p0 ~ 1e-11
+    if abs(D) <= _D_ROUNDING * abs(A):
         D = 0.0
     ana = _closed_form(math.sqrt(abs(A)), None if A == 0 else D / A, p)
     return OrbitAnalysis(g=g / ng, w=w / nw, p=p, A=A, D=D, analysis=ana)
@@ -410,24 +414,27 @@ class ConcavityReport:
         return self.quartic_positive and self.concave_on_linear_branch
 
 
-def concavity_certificate(mix: GhzWMixture, grid_n: int = 10001) -> ConcavityReport:
+# points of each grid of concavity_certificate
+_CONCAVITY_GRID = 10001
+
+
+def concavity_certificate(mix: GhzWMixture) -> ConcavityReport:
     """Check the two ingredients of the branch argument on a grid.
 
     The quartic ``-4p^4 + 20p^3 - 3p^2 - 2p + 1`` (which controls the sign
     of the second derivative of the family value at phi = 0) must be
     positive on [0, 1], and the sampled second difference of
-    ``family_sqrt_tau(., 0)`` on [p0, 1] must be <= 1e-8.
+    ``family_sqrt_tau(., 0)`` on [p0, 1] must be <= 1e-8; each grid has
+    ``_CONCAVITY_GRID`` points.
     """
-    if grid_n < 2:
-        raise ValidationError("concavity_certificate: grid_n must be >= 2")
-    ps = np.linspace(0.0, 1.0, grid_n)
+    ps = np.linspace(0.0, 1.0, _CONCAVITY_GRID)
     q = -4.0 * ps ** 4 + 20.0 * ps ** 3 - 3.0 * ps ** 2 - 2.0 * ps + 1.0
     k = int(np.argmin(q))
     p0 = analyze(mix).p0
-    grid = np.linspace(p0, 1.0, grid_n)
+    grid = np.linspace(p0, 1.0, _CONCAVITY_GRID)
     vals = np.array([family_sqrt_tau(mix, float(p), 0.0) for p in grid])
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    sd_max = float(second.max()) if len(second) else 0.0
+    sd_max = float(second.max())
     return ConcavityReport(
         quartic_min=float(q[k]),
         quartic_argmin=float(ps[k]),
@@ -441,19 +448,21 @@ _GHZ_SUPPORT = (0, 7)
 _W_SUPPORT = (1, 2, 4)
 
 
-def as_mixture(e: WeightedEnsemble, tol: float = 1e-12) -> GhzWMixture | None:
+def as_mixture(e: WeightedEnsemble) -> GhzWMixture | None:
     """Recognize a two-member {gGHZ, gW} ensemble; None if it is not one.
 
-    Useful after a diagonal measurement, which preserves the family form.
+    A member is gGHZ (gW) when its amplitudes off that support sum to at
+    most 1e-12 in modulus.  Useful after a diagonal measurement, which
+    preserves the family form.
     """
     ghz = w = None
     p = 0.0
     for weight, psi in e.members:
         off_ghz = sum(abs(psi.amp[k]) for k in range(8) if k not in _GHZ_SUPPORT)
         off_w = sum(abs(psi.amp[k]) for k in range(8) if k not in _W_SUPPORT)
-        if off_ghz <= tol and ghz is None:
+        if off_ghz <= 1e-12 and ghz is None:
             ghz, p = psi, weight
-        elif off_w <= tol and w is None:
+        elif off_w <= 1e-12 and w is None:
             w = psi
         else:
             return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .states import EIG_CUTOFF, DensityMatrix
+from .states import DensityMatrix, spectrum
 
 # the five sample points (x, y) of the quartic, as columns
 _QX, _QY = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j]]).T[:, :, None]
@@ -24,10 +24,8 @@ _QVINV = np.linalg.inv(_QX ** np.arange(5) * _QY ** np.arange(4, -1, -1))
 
 def eigen_factor(rho: DensityMatrix) -> np.ndarray:
     """Rows sqrt(lambda_k) e_k of the spectral factorization, rank x 8, for
-    the eigenvalues above ``EIG_CUTOFF``."""
-    lam, vec = np.linalg.eigh(rho.matrix)
-    keep = lam > EIG_CUTOFF
-    lam, vec = lam[keep], vec[:, keep]
+    the eigenvalues above ``EIG_CUTOFF`` (:func:`states.spectrum`)."""
+    lam, vec = spectrum(rho)
     return np.ascontiguousarray((vec * np.sqrt(lam)).T.astype(np.complex128))
 
 

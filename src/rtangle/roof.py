@@ -24,25 +24,26 @@ bit where it would if run alone.
 
 A rank-2 input meets three certificates before the search, cheapest
 first.  Each gives a decomposition and a lower bound on the roof, and all
-follow one rule (:func:`_certificates`): the decomposition is returned at
-once, with ``restarts_used == 0``, when the bracket is closed (the bound
-at most ``_CERT_GAP`` below its value and above it by no more than
-rounding); otherwise it is a candidate next to the search's restarts, and
-the bound is kept for the result.  All three read one list of tangle-free
+follow one rule (:func:`_certificates`): the bound is kept for the result
+whatever the ensemble size; the decomposition, where its members fit in
+the ensemble size, is returned at once, with ``restarts_used == 0``, when
+the bracket is closed (the bound at most ``_CERT_GAP`` below its value and
+above it by no more than rounding), and is otherwise a candidate next to
+the search's restarts.  All three read one list of tangle-free
 directions inside the range of rho: the roots of a quartic (the
 hyperdeterminant restricted to the range), solved once per input on the
 unit eigenvectors (:func:`quartic.zero_directions`).
 
 * zero, bound 0: a non-negative least-squares fit of the identity over the
-  root projectors gives a decomposition that mixes back to rho, when its
-  members fit in the ensemble size.  This is the zero branch of the GHZ/W
+  root projectors gives a decomposition that mixes back to rho, where one
+  exists.  This is the zero branch of the GHZ/W
   mixtures (Lohmayer et al., PRL 97, 260502 (2006)).  With four distinct
   roots the fit is one 4 x 4 solve: its solution is unique, so it is
   either non-negative, and the answer, or has a weight negative beyond
   rounding, and no exact non-negative fit exists.  Fewer than four roots,
   repeated ones (the projectors are then dependent) and weights between
   rounding and that margin run the active set of :func:`_nnls`.
-* orbit closed form (sqrt-tau, ensemble size at least 4), bound t_r:
+* orbit closed form (sqrt-tau), bound t_r:
   where :func:`ghzw.range_orbit` recognizes rho, from the same roots, as
   an SLOCC image of a GHZ/W mixture, its closed form t_r is the bound and
   its optimal decomposition, the mixture's with the images of gGHZ and gW
@@ -50,9 +51,8 @@ unit eigenvectors (:func:`quartic.zero_directions`).
   orbit, so it has no such path.
 * linear program (both functionals), bound the dual's: the roof as a
   linear program over the range's Bloch sphere, solved by a revised
-  simplex.  Its basic solution is a decomposition of at most 4 members
-  (none, when they do not fit in the ensemble size; the bound is still
-  kept), and its dual is the best affine bound (Osterloh, Siewert &
+  simplex.  Its basic solution is a decomposition of at most 4 members,
+  and its dual is the best affine bound (Osterloh, Siewert &
   Uhlmann, PRA 77, 032310 (2008)), so the two bracket the roof.  It
   certifies the tau roof of the GHZ/W mixtures and their SLOCC images,
   and the sqrt-tau roof of those the closed form does not take.
@@ -237,15 +237,15 @@ def _nnls(A: np.ndarray, b: np.ndarray):
     return x, float(np.linalg.norm(A @ x - b))
 
 
-def _zero_decomposition(dirs: np.ndarray, m: int):
-    """A tangle-free decomposition in at most m members (rank 2 only).
+def _zero_decomposition(dirs: np.ndarray):
+    """A tangle-free decomposition (rank 2 only).
 
     The non-negative least-squares fit of the identity over the projectors
     onto the tangle-free directions ``dirs`` (:func:`quartic.zero_directions`
     of B), with weights up to ``_SUPPORT`` taken as rounding; returns its k
     members as the rows of U, (k, 2), when the fit is exact (residual below
-    ``_FIT_TOL``, so U has orthonormal columns to that) and 2 <= k <= m,
-    else None.  The members are tangle-free up to the rounding of the
+    ``_FIT_TOL``, so U has orthonormal columns to that) and k >= 2, else
+    None.  The members are tangle-free up to the rounding of the
     quartic's roots.
 
     One solve decides in the common case of four distinct roots: the fit is
@@ -275,7 +275,7 @@ def _zero_decomposition(dirs: np.ndarray, m: int):
         u, _ = _nnls(A, _IDENTITY)
     support = u > _SUPPORT
     k = np.count_nonzero(support)
-    if not 2 <= k <= m or np.linalg.norm(A[:, support] @ u[support] - _IDENTITY) >= _FIT_TOL:
+    if k < 2 or np.linalg.norm(A[:, support] @ u[support] - _IDENTITY) >= _FIT_TOL:
         return None
     return np.sqrt(u[support])[:, None] * D[support]
 
@@ -390,6 +390,20 @@ class _Range:
         # per chart (z = y / c, then z = c / y) the rows of Q, Q' and Q'' on
         # (1, z, .., z^4)
         self.taylor = np.einsum("djk,ck->cdj", _TAYLOR, np.stack((self.q[::-1], self.q)))
+
+    def columns(self):
+        """The linear program's first columns, the grid and the roots of q:
+        their unit vectors (c, y), costs and constraint rows, and the
+        right-hand side.  For sqrt-tau a root below ``_ROUNDED_ROOT`` costs
+        0."""
+        root_c, root_y = _phase_off(self.roots)
+        root_f = self.f(root_c, root_y)
+        if self.use_sqrt:
+            root_f = np.where(root_f < _ROUNDED_ROOT, 0.0, root_f)
+        c, y = np.concatenate((_BLOCH_C, root_c)), np.concatenate((_BLOCH_Y, root_y))
+        cost = np.concatenate((self.f(_BLOCH_C, _BLOCH_Y), root_f))
+        rows = np.concatenate((_BLOCH_BASIS, _basis(root_c, root_y)))
+        return c, y, cost, rows, np.array([self.lam[0], self.lam[1], 0.0, 0.0])
 
     def f(self, c, y):
         """Objective of the unit range vectors (c, y)."""
@@ -559,8 +573,8 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
     weights w >= 0 with sum_k w_k v_k v_k^H = diag(lambda), four real
     equality rows, give a decomposition, so the program's value is an upper
     bound on the roof and its dual X gives the affine lower bound.
-    :func:`_simplex` solves over the 61 x 120 grid and the roots of q (for
-    sqrt-tau, a root below ``_ROUNDED_ROOT`` costs 0); each round prices X
+    :func:`_simplex` solves over the 61 x 120 grid and the roots of q
+    (:meth:`_Range.columns`); each round prices X
     by Newton steps on f - l from the support (beside it, where it is a
     root of q) and the lowest grid points (:meth:`_Range.lowest`), appends
     the points they reached and rings around the support as columns and
@@ -574,15 +588,7 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
     proof.
     """
     sphere = _Range(B, use_sqrt, dirs)
-    b = np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
-    root_c, root_y = _phase_off(sphere.roots)
-    root_f = sphere.f(root_c, root_y)
-    if use_sqrt:
-        root_f = np.where(root_f < _ROUNDED_ROOT, 0.0, root_f)
-    # the columns: unit vectors (c, y), their costs and constraint rows
-    c, y = np.concatenate((_BLOCH_C, root_c)), np.concatenate((_BLOCH_Y, root_y))
-    cost = np.concatenate((sphere.f(_BLOCH_C, _BLOCH_Y), root_f))
-    rows = np.concatenate((_BLOCH_BASIS, _basis(root_c, root_y)))
+    c, y, cost, rows, b = sphere.columns()
     basis = _LP_BASIS.copy()
     for _ in range(_LP_ROUNDS):
         try:
@@ -816,24 +822,22 @@ def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_inde
                       converged=_bracket_closed(value, bound), lower_bound=bound)
 
 
-def _certificates(B: np.ndarray, use_sqrt: bool, m: int):
+def _certificates(B: np.ndarray, use_sqrt: bool):
     """The certificates of a rank-2 rho = B^T conj(B), cheapest first: for
-    each that runs, its decomposition as its member rows W (None where they
-    do not fit in m) and its lower bound on the roof.  The range quartic is
-    solved once, and the zero fit, the orbit and the linear program all read
-    its roots."""
+    each that runs, its decomposition as its member rows W, at most 4, and
+    its lower bound on the roof.  The range quartic is solved once, and the
+    zero fit, the orbit and the linear program all read its roots."""
     dirs = zero_directions(B)
-    exact = _zero_decomposition(dirs, m)
+    exact = _zero_decomposition(dirs)
     if exact is not None:
         yield exact @ B, 0.0
     # the closed form holds for t_r alone: tau is not covariant on the orbit
-    orbit = range_orbit(B, dirs) if use_sqrt and m >= 4 else None
+    orbit = range_orbit(B, dirs) if use_sqrt else None
     if orbit is not None:
         yield orbit.rows(), orbit.analysis.rtangle
     lp = _lp_roof(B, use_sqrt, dirs)
     if lp is not None:
-        W, bound = lp
-        yield (W if len(W) <= m else None), bound
+        yield lp
 
 
 def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
@@ -852,11 +856,12 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
         return replace(_result(B, use_sqrt, 0, -1), converged=True)
 
     # one (W, exact value) per candidate, in order: the certificates'
-    # decompositions, then the restarts; ties go to the earlier candidate
+    # decompositions that fit in m members, then the restarts; ties go to the
+    # earlier candidate.  Every certificate's bound is kept
     candidates, bounds = [], []
-    for W, bound in _certificates(B, use_sqrt, m) if r == 2 else ():
+    for W, bound in _certificates(B, use_sqrt) if r == 2 else ():
         bounds.append(bound)
-        if W is not None:
+        if len(W) <= m:
             res = _result(W, use_sqrt, 0, -1, [bound])
             if res.converged:  # its bracket is closed
                 return res

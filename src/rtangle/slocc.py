@@ -20,7 +20,6 @@ import numpy as np
 
 from .invariants import alpha as scaling_alpha
 from .states import (
-    EIG_CUTOFF,
     DensityMatrix,
     LocalOperator,
     MeasurementSet,
@@ -99,10 +98,10 @@ def measure(e: WeightedEnsemble, ms: MeasurementSet,
 
 
 def measure_density(rho: DensityMatrix, ms: MeasurementSet,
-                    cutoff: float = EIG_CUTOFF,
                     rtangle_in: float | None = None) -> list[MeasurementOutcome]:
-    """Density-matrix entry point; decomposes spectrally, then measures."""
-    return measure(density_eigendecomposition(rho, cutoff), ms, rtangle_in=rtangle_in)
+    """Density-matrix entry point: measures the spectral ensemble of rho
+    (:func:`density_eigendecomposition`), as :func:`measure` does."""
+    return measure(density_eigendecomposition(rho), ms, rtangle_in=rtangle_in)
 
 
 def _check_rtangle_in(rtangle_in: float) -> None:
@@ -157,6 +156,11 @@ def counterexample_fixture() -> ScalingFixture:
                           tau_input=float(tau_in), tau_outcome=float(tau_out))
 
 
+# |tau ratio - alpha^2| above which a report reads non-covariant: the
+# default fixture's gap is about 3.5e-3, a pure-state fixture's rounding
+NONCOVARIANCE_GAP = 3e-3
+
+
 @dataclass(frozen=True)
 class NoncovarianceReport:
     probability: float
@@ -173,14 +177,14 @@ class NoncovarianceReport:
         return "non-covariant" if self.noncovariant else "covariant"
 
 
-def verify_tangle_noncovariance(fixture: ScalingFixture | None = None,
-                                gap_threshold: float = 3e-3) -> NoncovarianceReport:
+def verify_tangle_noncovariance(fixture: ScalingFixture | None = None) -> NoncovarianceReport:
     """Compare tau(rho_j)/tau(rho) against alpha_j^2 on a fixture.
 
     For mixed states the ratio generically differs from alpha^2 (the
     default fixture exhibits a gap of about 3.5e-3); for pure states the
     two agree, which callers can check by supplying a pure-state fixture
-    with tangles computed from the invariants.
+    with tangles computed from the invariants.  The report reads
+    non-covariant where the gap exceeds ``NONCOVARIANCE_GAP`` in modulus.
     """
     fx = fixture if fixture is not None else counterexample_fixture()
     outcome = measure(fx.ensemble, fx.measurement)[fx.outcome_index]
@@ -197,5 +201,5 @@ def verify_tangle_noncovariance(fixture: ScalingFixture | None = None,
         tau_outcome=fx.tau_outcome,
         tau_ratio=ratio,
         gap=gap,
-        noncovariant=abs(gap) > gap_threshold,
+        noncovariant=abs(gap) > NONCOVARIANCE_GAP,
     )

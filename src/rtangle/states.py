@@ -21,7 +21,7 @@ QUBITS = ("A", "B", "C")
 NORM_TOL = 1e-9            # normalization tolerance at API boundaries
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
-EIG_CUTOFF = 1e-12         # default numerical-rank cutoff
+EIG_CUTOFF = 1e-12         # eigenvalues at or below this are outside the range
 ANNIHILATION_EPS = 1e-30   # squared norm below which a state counts as annihilated
 
 
@@ -86,9 +86,10 @@ class PureState:
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amp, other.amp))
 
-    def equal_up_to_phase(self, other: "PureState", tol: float = 1e-10) -> bool:
-        """Equality modulo a global phase (both states normalized)."""
-        return abs(abs(self.overlap(other)) - 1.0) <= tol
+    def equal_up_to_phase(self, other: "PureState") -> bool:
+        """Equality modulo a global phase (both states normalized): |<psi|phi>|
+        within 1e-10 of 1."""
+        return abs(abs(self.overlap(other)) - 1.0) <= 1e-10
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amp, self.amp.conj())
@@ -147,12 +148,6 @@ class DensityMatrix:
         if lo < -PSD_TOL:
             raise ValidationError(f"DensityMatrix: negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", mat)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def rank(self, cutoff: float = EIG_CUTOFF) -> int:
-        return int(np.count_nonzero(self.eigenvalues() > cutoff))
 
 
 def _expansion(k: int) -> tuple:
@@ -258,16 +253,20 @@ def ensemble_to_density(e: WeightedEnsemble) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def density_eigendecomposition(rho: DensityMatrix, cutoff: float = EIG_CUTOFF) -> WeightedEnsemble:
-    """Spectral ensemble of a density matrix (eigenvalues above ``cutoff``)."""
-    if cutoff < 0:
-        raise ValidationError("density_eigendecomposition: cutoff must be >= 0")
+def spectrum(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of rho above ``EIG_CUTOFF``, ascending, and their unit
+    eigenvectors as the columns of an 8 x rank array."""
     lam, vec = np.linalg.eigh(rho.matrix)
-    members = []
-    for k in range(len(lam) - 1, -1, -1):
-        if lam[k] > cutoff:
-            members.append((float(lam[k]), PureState(vec[:, k])))
-    return WeightedEnsemble(tuple(members))
+    keep = lam > EIG_CUTOFF
+    return lam[keep], vec[:, keep]
+
+
+def density_eigendecomposition(rho: DensityMatrix) -> WeightedEnsemble:
+    """Spectral ensemble of a density matrix: its eigenvalues above
+    ``EIG_CUTOFF``, largest first, with their eigenvectors."""
+    lam, vec = spectrum(rho)
+    return WeightedEnsemble(tuple((float(lam[k]), PureState(vec[:, k]))
+                                  for k in range(len(lam) - 1, -1, -1)))
 
 
 def apply_local(op: LocalOperator, psi: PureState):

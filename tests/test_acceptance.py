@@ -192,7 +192,7 @@ def test_criterion_7_optimal_ensemble_structure():
         closed = rt.family_sqrt_tau(mix, p, phi)
         direct = rt.invariants(rt.family_state(mix, p, phi)).sqrt_tau
         worst_closed = max(worst_closed, abs(closed - direct))
-    cert = rt.concavity_certificate(std_mixture(0.8), 10001)
+    cert = rt.concavity_certificate(std_mixture(0.8))
     elapsed = time.perf_counter() - t0
     ok = (worst_mix < 1e-12 and worst_obj < 1e-10 and worst_closed < 1e-12
           and cert.quartic_positive and elapsed < 5.0)

@@ -1,7 +1,12 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,3 +594,18 @@ def test_cli_rejects_a_malformed_seed_variable(value, tmp_path, monkeypatch, cap
     ghz = _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state()))
     assert main(["roof", ghz, "--restarts", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------- README
+
+def test_readme_quick_start_runs():
+    """The README's library quick start runs with warnings as errors, and
+    its first line prints the residual tangle its comment shows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error")
+        exec(compile(block, "README.md", "exec"), {})
+    shown = re.search(r"print\(ana.rtangle, roof.value\)\s+# (\S+)", block).group(1)
+    assert out.getvalue().split()[0] == shown

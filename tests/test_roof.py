@@ -441,7 +441,7 @@ def test_search_never_undercuts_the_certificate(monkeypatch):
     # without the tangle-free decomposition the orbit closed form or the
     # linear program would certify instead
     _without_lp(monkeypatch)
-    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs, m: None)
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs: None)
     for mix, cert in zip(cases, certified):
         res = rt.roof_minimize(mix.density(), "sqrt_tau", opts)
         assert res.restarts_used == opts.restarts
@@ -456,7 +456,7 @@ def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
     rotation = np.linalg.qr(z)[0]
     zero_decomposition = roof._zero_decomposition
     monkeypatch.setattr(roof, "_zero_decomposition",
-                        lambda dirs, m: rotation @ zero_decomposition(dirs, m))
+                        lambda dirs: rotation @ zero_decomposition(dirs))
     _without_lp(monkeypatch)  # it would certify without a search
     rho = std_mixture(0.3).density()
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
@@ -531,11 +531,11 @@ def test_uncertified_inputs_run_the_full_search(monkeypatch):
 def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
     """The zero-branch fit of the standard mixture needs four members; with
     fewer, the fit is dropped, not cut, and the search runs from the
-    restarts and still mixes back.  The linear program's bound is kept
-    where its decomposition does not fit either."""
+    restarts and still mixes back.  The certificates' bounds are kept where
+    their decompositions do not fit."""
     for p in (0.1, 0.3, 0.6):
         rho = std_mixture(p).density()
-        assert roof._zero_decomposition(zero_directions(eigen_factor(rho)), size) is None
+        assert len(roof._zero_decomposition(zero_directions(eigen_factor(rho)))) > size
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
@@ -586,7 +586,9 @@ def test_zero_fit_matches_the_scipy_reference(monkeypatch, size):
     monkeypatch.setattr(roof, "_nnls", lambda A, b: calls.append(A.shape) or nnls_(A, b))
     decisions = set()
     for dirs in _zero_fit_corpus():
-        U, ref = roof._zero_decomposition(dirs, size), _zero_fit_reference(dirs, size)
+        U, ref = roof._zero_decomposition(dirs), _zero_fit_reference(dirs, size)
+        if U is not None and len(U) > size:  # roof_minimize's size rule
+            U = None
         assert (U is None) == (ref is None)
         if U is not None:
             assert np.abs(U - ref).max() <= 1e-12
@@ -609,7 +611,7 @@ def test_zero_fit_near_the_branch_point(monkeypatch):
             mix_t = rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f, p=p0 * (1 + t))
             dirs = zero_directions(eigen_factor(mix_t.density()))
             calls.clear()
-            U, ref = roof._zero_decomposition(dirs, 4), _zero_fit_reference(dirs, 4)
+            U, ref = roof._zero_decomposition(dirs), _zero_fit_reference(dirs, 4)
             assert (U is not None) == (ref is not None) == accepted
             assert bool(calls) == general
             if accepted:
@@ -643,8 +645,8 @@ def test_rounding_level_weights_are_not_members():
         others = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         dirs = [q[:, 0], others[0] / np.linalg.norm(others[0]), q[:, 1],
                 others[1] / np.linalg.norm(others[1])]
-        U = roof._zero_decomposition(dirs, 2)
-        assert U is not None
+        U = roof._zero_decomposition(dirs)
+        assert U is not None and len(U) == 2
         assert np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-12
 
 
@@ -798,7 +800,7 @@ def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
     the zero branch, just above the branch point and further up, with a
     bound never above the closed form."""
     _without_orbit(monkeypatch)
-    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs, m: None)
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs: None)
     for mix in _ghzw_both_branches():
         closed = rt.analyze(mix).rtangle
         res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
@@ -894,17 +896,9 @@ def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch):
         assert results[k, functional] <= search.value + 1e-7
 
 
-def _lp_columns(B, use_sqrt, dirs):
-    """The simplex's first columns, the grid and the roots ``dirs`` of q:
-    costs, constraint rows and the right-hand side."""
-    sphere = roof._Range(B, use_sqrt, dirs)
-    root_c, root_y = roof._phase_off(sphere.roots)
-    root_f = sphere.f(root_c, root_y)
-    if use_sqrt:
-        root_f = np.where(root_f < roof._ROUNDED_ROOT, 0.0, root_f)
-    cost = np.concatenate((sphere.f(roof._BLOCH_C, roof._BLOCH_Y), root_f))
-    rows = np.concatenate((roof._BLOCH_BASIS, roof._basis(root_c, root_y)))
-    return cost, rows, np.array([sphere.lam[0], sphere.lam[1], 0.0, 0.0])
+def _lp_columns(B, use_sqrt):
+    """The simplex's first costs, constraint rows and right-hand side."""
+    return roof._Range(B, use_sqrt, zero_directions(B)).columns()[2:]
 
 
 def test_simplex_matches_highs_on_the_same_columns():
@@ -915,7 +909,7 @@ def test_simplex_matches_highs_on_the_same_columns():
              (_random_rank2(rng), True), (_random_rank2(rng), True)]
     for rho, use_sqrt in cases:
         B = eigen_factor(rho)
-        cost, rows, b = _lp_columns(B, use_sqrt, zero_directions(B))
+        cost, rows, b = _lp_columns(B, use_sqrt)
         basis = roof._LP_BASIS.copy()
         w, X, reduced = roof._simplex(cost, rows, b, basis)
         highs = linprog(cost, A_eq=rows.T, b_eq=b, bounds=(0.0, None), method="highs",
@@ -964,14 +958,11 @@ def _first_round(rho, use_sqrt):
     """The range, the dual X, the grid's reduced costs and the support of
     the program's first round, as :func:`roof._lp_roof` prices them."""
     B = eigen_factor(rho)
-    dirs = zero_directions(B)
-    cost, rows, b = _lp_columns(B, use_sqrt, dirs)
+    sphere = roof._Range(B, use_sqrt, zero_directions(B))
+    c, y, cost, rows, b = sphere.columns()
     basis = roof._LP_BASIS.copy()
     w, X, reduced = roof._simplex(cost, rows, b, basis)
-    sphere = roof._Range(B, use_sqrt, dirs)
     support = basis[w > 0.0]
-    c = np.concatenate((roof._BLOCH_C, roof._phase_off(sphere.roots)[0]))
-    y = np.concatenate((roof._BLOCH_Y, roof._phase_off(sphere.roots)[1]))
     return sphere, X, reduced[:len(roof._BLOCH_C)], c[support], y[support]
 
 
@@ -1037,7 +1028,7 @@ def test_simplex_dual_prices_its_basis_at_zero():
     for rho in states:
         for use_sqrt in (True, False):
             B = eigen_factor(rho)
-            cost, rows, b = _lp_columns(B, use_sqrt, zero_directions(B))
+            cost, rows, b = _lp_columns(B, use_sqrt)
             basis = roof._LP_BASIS.copy()
             _, _, reduced = roof._simplex(cost, rows, b, basis)
             assert np.abs(reduced[basis]).max() <= 8 * np.finfo(float).eps * np.abs(cost).max()
@@ -1114,7 +1105,7 @@ def test_orbit_closed_form_on_slocc_images(monkeypatch):
         assert abs(res.lower_bound - want) <= 1e-12
         assert _mixes_back(res, image)
     _without_orbit(monkeypatch)
-    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs, m: None)
+    monkeypatch.setattr(roof, "_zero_decomposition", lambda dirs: None)
     for image, want, _ in cases:
         res = rt.roof_minimize(image, "sqrt_tau", FAST)
         assert res.lower_bound - 1e-9 <= want <= res.value + 1e-9
@@ -1123,8 +1114,9 @@ def test_orbit_closed_form_on_slocc_images(monkeypatch):
 def test_default_path_returns_the_orbit_closed_form(monkeypatch):
     """On a linear-branch image the default path returns the orbit's own
     members and closed form, ahead of the linear program; on the zero
-    branch the zero certificate still answers first; below four members,
-    and for tau, the orbit is not tried."""
+    branch the zero certificate still answers first; below four members
+    the orbit's bound is kept, though its members do not fit, and for tau
+    the orbit is not tried."""
     for image, want, mix in _orbit_images():
         orbit = rt.orbit_analysis(image)
         assert orbit.analysis.branch == rt.analyze(mix).branch
@@ -1133,15 +1125,17 @@ def test_default_path_returns_the_orbit_closed_form(monkeypatch):
             assert res.lower_bound == 0.0
             continue
         assert res.best_restart_index == -1 and res.lower_bound == orbit.analysis.rtangle
+        linear = image, orbit.analysis.rtangle
         members = roof._ensemble_from_rows(orbit.rows()).members
         assert len(res.ensemble) == len(members) == 4
         for (w, psi), (w_ref, psi_ref) in zip(res.ensemble.members, members):
             assert w == w_ref and np.array_equal(psi.amp, psi_ref.amp)
         assert res.value == rt.objective_at(image, res.ensemble, "sqrt_tau")
+    small = rt.RoofOptions(ensemble_size=3, restarts=1, max_iterations=50)
+    res = rt.roof_minimize(linear[0], "sqrt_tau", small)
+    assert res.lower_bound >= linear[1] > 0.0 and len(res.ensemble) <= 3
     calls = []
     monkeypatch.setattr(roof, "range_orbit", lambda B, dirs: calls.append(B))
-    small = rt.RoofOptions(ensemble_size=3, restarts=1, max_iterations=50)
-    rt.roof_minimize(image, "sqrt_tau", small)
     rt.roof_minimize(image, "tau", FAST)
     assert calls == []
 
@@ -1191,6 +1185,19 @@ def test_orbit_reads_a_small_branch_point_beside_a_light_w(w_weight):
         assert res.restarts_used == 0 and res.converged
         assert res.lower_bound <= alpha * ana.rtangle + roof._BOUND_SLACK
         assert _mixes_back(res, rho)
+
+
+def test_orbit_reads_a_tiny_branch_point():
+    """s = |D/A| from 1e-13 to 1e-11 is D != 0, not rounding: read as D = 0,
+    p0 would fall from s^(2/3) / (1 + s^(2/3)) to 0 and the certified bound
+    would rise above t_r by about 2 |ab| (1 - p) s^(2/3)."""
+    a = 2 ** -0.5
+    for s in (1e-13, 1e-12, 1e-11):
+        d = (s * a ** 3 / 4) ** 0.5
+        for p in (0.3, 0.5, 0.9):
+            mix = rt.GhzWMixture(a=a, b=a, c=(1 - 2 * d * d) ** 0.5, d=d, f=d, p=p)
+            res = rt.roof_minimize(mix.density(), "sqrt_tau", rt.RoofOptions(restarts=5))
+            assert res.lower_bound <= rt.analyze(mix).rtangle + 1e-10
 
 
 def test_orbit_recognizes_general_measurement_outcomes():
