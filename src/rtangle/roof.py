@@ -34,15 +34,16 @@ directions inside the range of rho: the roots of a quartic (the
 hyperdeterminant restricted to the range), solved once per input on the
 unit eigenvectors (:func:`quartic.zero_directions`).
 
-* zero, bound 0: a non-negative least-squares fit of the identity over the
-  root projectors gives a decomposition that mixes back to rho, where one
-  exists.  This is the zero branch of the GHZ/W
-  mixtures (Lohmayer et al., PRL 97, 260502 (2006)).  With four distinct
+* zero, bound 0: a non-negative fit of the identity over the root
+  projectors gives a decomposition that mixes back to rho, where one
+  exists.  This is the zero branch of the GHZ/W mixtures (Lohmayer et al.,
+  PRL 97, 260502 (2006)).  With four distinct
   roots the fit is one 4 x 4 solve: its solution is unique, so it is
   either non-negative, and the answer, or has a weight negative beyond
   rounding, and no exact non-negative fit exists.  Fewer than four roots,
   repeated ones (the projectors are then dependent) and weights between
-  rounding and that margin run the active set of :func:`_nnls`.
+  rounding and that margin run phase one of the program's simplex on the
+  root columns.
 * orbit closed form (sqrt-tau), bound t_r:
   where :func:`ghzw.range_orbit` recognizes rho, from the same roots, as
   an SLOCC image of a GHZ/W mixture, its closed form t_r is the bound and
@@ -194,54 +195,11 @@ _SUPPORT = 1e-12
 _IDENTITY = np.array([1.0, 1.0, 0.0, 0.0])
 
 
-def _nnls(A: np.ndarray, b: np.ndarray):
-    """Non-negative least squares: x >= 0 minimizing ||A x - b||, and that
-    norm, for any m x n A.
-
-    The Lawson-Hanson active set (Lawson & Hanson, *Solving Least Squares
-    Problems*, ch. 23): add the column of steepest descent to the passive
-    set and solve on it, stepping back to the boundary where a passive
-    weight turns non-positive.  A column that gets no positive weight where
-    it is added depends on the passive ones and waits for the next round;
-    after 3n rounds the current point is returned.
-    """
-    m, n = A.shape
-    tol = 10.0 * max(m, n) * np.finfo(np.float64).eps * np.linalg.norm(A) * np.linalg.norm(b)
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-
-    def solve(passive):
-        z = np.zeros(n)
-        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-        return z
-
-    w = A.T @ b
-    for _ in range(3 * n):
-        j = int(np.argmax(np.where(passive, -np.inf, w)))
-        if passive[j] or w[j] <= tol:
-            break
-        passive[j] = True
-        z = solve(passive)
-        if z[j] <= 0.0:
-            passive[j], w[j] = False, 0.0
-            continue
-        while (z[passive] <= 0.0).any():
-            out = passive & (z <= 0.0)
-            ratio = x[out] / (x[out] - z[out])
-            x = x + ratio.min() * (z - x)
-            x[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
-            passive &= x > 0.0
-            z = solve(passive)
-        x = z
-        w = A.T @ (b - A @ x)
-    return x, float(np.linalg.norm(A @ x - b))
-
-
 def _zero_decomposition(dirs: np.ndarray):
     """A tangle-free decomposition (rank 2 only).
 
-    The non-negative least-squares fit of the identity over the projectors
-    onto the tangle-free directions ``dirs`` (:func:`quartic.zero_directions`
+    A non-negative fit of the identity over the projectors onto the
+    tangle-free directions ``dirs`` (:func:`quartic.zero_directions`
     of B), with weights up to ``_SUPPORT`` taken as rounding; returns its k
     members as the rows of U, (k, 2), when the fit is exact (residual below
     ``_FIT_TOL``, so U has orthonormal columns to that) and k >= 2, else
@@ -253,7 +211,11 @@ def _zero_decomposition(dirs: np.ndarray):
     below -``_FIT_TOL`` ||A^-1||_F (the Frobenius norm bounds the spectral
     one) means no fit within ``_FIT_TOL`` is non-negative, which declines a
     linear-branch input at once.  Fewer or repeated roots, and weights
-    between rounding and that bound, go to :func:`_nnls`.
+    between rounding and that bound, go to phase one of the program
+    (:func:`_simplex`): the four unit columns at cost 1, with the weights
+    ``_IDENTITY`` the start basis, and the roots at cost 0.  The roots of
+    its final basis are the candidate members, their weights solved on
+    them; a simplex that fails declines.
     """
     if len(dirs) < 2:
         return None
@@ -271,8 +233,16 @@ def _zero_decomposition(dirs: np.ndarray):
             if u.min() < -_FIT_TOL * np.linalg.norm(inv):
                 return None
             u = None
-    if u is None:
-        u, _ = _nnls(A, _IDENTITY)
+    if u is None:  # phase one: is the identity in the cone of the root projectors?
+        basis = np.arange(4)
+        try:
+            _simplex(np.repeat((1.0, 0.0), (4, len(D))), np.concatenate((np.eye(4), A.T)),
+                     _IDENTITY, basis)
+        except np.linalg.LinAlgError:
+            return None
+        roots = basis[basis >= 4] - 4
+        u = np.zeros(len(D))
+        u[roots] = np.linalg.lstsq(A[:, roots], _IDENTITY, rcond=None)[0]
     support = u > _SUPPORT
     k = np.count_nonzero(support)
     if k < 2 or np.linalg.norm(A[:, support] @ u[support] - _IDENTITY) >= _FIT_TOL:
@@ -544,7 +514,9 @@ def _simplex(cost, rows, b, basis):
     index.  Each pivot inverts the 4 x 4 basis once and reads the dual X,
     the basic weights and the entering direction from that inverse.
     Returns the basic weights, the dual X and the reduced costs; raises
-    LinAlgError on a singular basis or after ``_LP_PIVOTS``."""
+    LinAlgError on a singular basis or after ``_LP_PIVOTS``.  The rank-2
+    program calls it, and so does the zero fit's phase one
+    (:func:`_zero_decomposition`)."""
     columns = np.ascontiguousarray(rows.T)  # X @ columns prices faster than rows @ X
     for _ in range(_LP_PIVOTS + 1):
         A, c = rows[basis], cost[basis]
@@ -558,7 +530,9 @@ def _simplex(cost, rows, b, basis):
         if reduced[j] >= -_LP_TOL:
             return b @ inv, X, reduced
         w, d = b @ inv, rows[j] @ inv
-        # every column has c^2 + |y|^2 = 1, so d sums to 1: no direction is unbounded
+        # every cost is >= 0, so no direction is unbounded: d has a positive
+        # entry.  In the program every column has trace c^2 + |y|^2 = 1, so d
+        # sums to 1; phase one's two off-diagonal unit columns have trace 0
         ratio = np.where(d > _LP_TOL, np.maximum(w, 0.0), np.inf) / np.maximum(d, _LP_TOL)
         ties = np.flatnonzero(ratio == ratio.min())
         basis[ties[np.argmin(basis[ties])]] = j

@@ -579,11 +579,11 @@ def _zero_fit_corpus():
 @pytest.mark.parametrize("size", [3, 4])
 def test_zero_fit_matches_the_scipy_reference(monkeypatch, size):
     """Same decision as the fit on scipy's NNLS, and the same U within
-    1e-12; both decisions occur, and the repeated roots reach the general
-    solver."""
+    1e-12; both decisions occur, and the repeated roots reach phase one of
+    the simplex."""
     calls = []
-    nnls_ = roof._nnls
-    monkeypatch.setattr(roof, "_nnls", lambda A, b: calls.append(A.shape) or nnls_(A, b))
+    simplex = roof._simplex
+    monkeypatch.setattr(roof, "_simplex", lambda *args: calls.append(1) or simplex(*args))
     decisions = set()
     for dirs in _zero_fit_corpus():
         U, ref = roof._zero_decomposition(dirs), _zero_fit_reference(dirs, size)
@@ -598,24 +598,40 @@ def test_zero_fit_matches_the_scipy_reference(monkeypatch, size):
 
 def test_zero_fit_near_the_branch_point(monkeypatch):
     """Just above p0 the unique fit has a weight of about -(p - p0): from
-    rounding up to -1e-10 ||A^-1|| an exact fit may still exist, and the
-    general solver decides; beyond it the one solve declines.  Both sides
-    of p0 match the scipy reference."""
+    rounding up to -1e-10 ||A^-1|| an exact fit may still exist, and phase
+    one of the simplex decides; beyond it the one solve declines.  Both
+    sides of p0 match the scipy reference."""
     calls = []
-    nnls_ = roof._nnls
-    monkeypatch.setattr(roof, "_nnls", lambda A, b: calls.append(A.shape) or nnls_(A, b))
+    simplex = roof._simplex
+    monkeypatch.setattr(roof, "_simplex", lambda *args: calls.append(1) or simplex(*args))
     for mix in (std_mixture(0.5), random_mixture(np.random.default_rng(67))):
         p0 = rt.analyze(mix).p0
-        for t, accepted, general in ((-1e-9, True, False), (1e-13, True, False),
-                                     (1e-11, True, True), (1e-9, False, False)):
+        for t, accepted, phase_one in ((-1e-9, True, False), (1e-13, True, False),
+                                       (1e-11, True, True), (1e-9, False, False)):
             mix_t = rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f, p=p0 * (1 + t))
             dirs = zero_directions(eigen_factor(mix_t.density()))
             calls.clear()
             U, ref = roof._zero_decomposition(dirs), _zero_fit_reference(dirs, 4)
             assert (U is not None) == (ref is not None) == accepted
-            assert bool(calls) == general
+            assert bool(calls) == phase_one
             if accepted:
                 assert np.abs(U - ref).max() <= 1e-12
+
+
+def test_zero_fit_declines_when_phase_one_fails(monkeypatch):
+    """The degenerate-GHZ pair has repeated roots, so phase one of the
+    simplex fits it, with two members.  Where the simplex fails (no pivots
+    allowed), the fit declines rather than raises, and the result still
+    mixes back: the orbit closed form's for sqrt-tau, the search's for tau
+    (the program fails too)."""
+    rho = rt.GhzWMixture(a=0.0, b=1.0, c=3 ** -0.5, d=3 ** -0.5, f=3 ** -0.5, p=0.6).density()
+    dirs = zero_directions(eigen_factor(rho))
+    assert len(roof._zero_decomposition(dirs)) == 2
+    monkeypatch.setattr(roof, "_LP_PIVOTS", 0)
+    assert roof._zero_decomposition(dirs) is None
+    for functional, restarts_used in (("sqrt_tau", 0), ("tau", 2)):
+        res = rt.roof_minimize(rho, functional, rt.RoofOptions(restarts=2, max_iterations=300))
+        assert res.restarts_used == restarts_used and _mixes_back(res, rho)
 
 
 def test_zero_directions_on_near_rank1_states():
@@ -648,73 +664,6 @@ def test_rounding_level_weights_are_not_members():
         U = roof._zero_decomposition(dirs)
         assert U is not None and len(U) == 2
         assert np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-12
-
-
-def _nnls_problems():
-    """(A, b) pairs: random 4 x n, n = 1..4, with b inside the cone of the
-    columns and outside it; 4 x 5 with duplicated columns; 9 x 12."""
-    rng = np.random.default_rng(61)
-    problems = []
-    for n in range(1, 5):
-        for _ in range(25):
-            A = rng.standard_normal((4, n))
-            problems += [(A, A @ rng.uniform(0.1, 1.0, n)), (A, rng.standard_normal(4))]
-    for _ in range(25):
-        A = rng.standard_normal((4, 3))[:, [0, 1, 1, 2, 0]]
-        problems += [(A, A @ rng.uniform(0.1, 1.0, 5)), (A, rng.standard_normal(4))]
-    A = rng.standard_normal((9, 12))
-    problems += [(A, A @ np.maximum(rng.standard_normal(12), 0.0)), (A, rng.standard_normal(9))]
-    return problems
-
-
-def test_nnls_matches_scipy():
-    """x and the residual agree with scipy's within 1e-12 relative.  On
-    duplicated columns the split of a weight among the copies is not
-    determined, so the weights are compared summed over each copy group
-    (and sit on one copy); the answers include interior ones, every
-    distinct column weighted, and ones on the boundary."""
-    interior = boundary = 0
-    for A, b in _nnls_problems():
-        x, residual = roof._nnls(A, b)
-        ref, ref_residual = nnls(A, b)
-        assert x.min() >= 0.0
-        assert abs(residual - ref_residual) <= 1e-12 * max(ref_residual, np.linalg.norm(b))
-        groups = np.unique(A, axis=1, return_inverse=True)[1].ravel()
-        summed = [np.bincount(groups, weights=w) for w in (x, ref)]
-        assert np.linalg.norm(summed[0] - summed[1]) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
-        assert np.count_nonzero(x) == np.count_nonzero(summed[0])
-        if np.count_nonzero(x) == groups.max() + 1:
-            interior += 1
-        else:
-            boundary += 1
-    assert interior >= 50 and boundary >= 50
-
-
-def test_nnls_steps_back_to_the_boundary(monkeypatch):
-    """Where a column's entry drives an earlier passive weight negative, the
-    active set steps back and drops that column, and the step decides the
-    answer.  In the plane, a1 = (2, 0) enters first for b = (cos s, sin s);
-    a2 = (cos t, sin t), 0 < t < s, enters next, and the fit on both puts
-    -sin(s - t) / (2 sin t) on a1; the answer is cos(s - t) on a2 alone,
-    after three solves: {a1}, {a1, a2}, {a2}.  The plane sits in a random
-    frame of R^4."""
-    solves = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
-    rng = np.random.default_rng(71)
-    for _ in range(20):
-        t = rng.uniform(0.1, 0.4)
-        s = t + rng.uniform(0.1, 0.4)
-        frame = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :2]
-        A = frame @ np.array([[2.0, np.cos(t)], [0.0, np.sin(t)]])
-        b = frame @ np.array([np.cos(s), np.sin(s)])
-        solves.clear()
-        x, residual = roof._nnls(A, b)
-        assert len(solves) == 3
-        assert x[0] == 0.0 and abs(x[1] - np.cos(s - t)) <= 1e-12
-        ref, ref_residual = nnls(A, b)
-        assert np.abs(x - ref).max() <= 1e-12
-        assert abs(residual - ref_residual) <= 1e-12
 
 
 # ------------------------------------------------------- the rank-2 linear program
@@ -874,20 +823,27 @@ def test_open_bracket_keeps_the_lp_decomposition_as_a_candidate(monkeypatch):
     assert _mixes_back(res, rho)
 
 
-def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch):
-    """Thirty random rank-2 states, both functionals: every result mixes
-    back, carries a bound no higher than its value, and a bracket of at
-    most 1e-5; on six of them the value is no worse than the search's."""
-    rng = np.random.default_rng(2026)
-    states = [_random_rank2(rng) for _ in range(30)]
+@pytest.mark.parametrize("draw, seed", [(_random_rank2, 2026), (_random_rank2, 7),
+                                        (_random_rank2, 11), (_random_rank2, 12),
+                                        (_random_rank2_gram, 2026), (_random_rank2_gram, 7)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch, draw, seed):
+    """The gate of the rank-2 certificates: thirty random rank-2 states per
+    set, both functionals.  Every result mixes back and is certified with no
+    search, its bound no higher than its value beyond rounding; on six
+    states of the first set the value is no worse than the search's."""
+    rng = np.random.default_rng(seed)
+    states = [draw(rng) for _ in range(30)]
     results = {}
     for k, rho in enumerate(states):
         for functional in roof.FUNCTIONALS:
             res = rt.roof_minimize(rho, functional)
             assert _mixes_back(res, rho)
-            assert res.lower_bound is not None and res.lower_bound <= res.value + 1e-9
-            assert res.value - res.lower_bound <= 1e-5
+            assert res.converged and res.restarts_used == 0
+            assert res.lower_bound <= res.value + roof._BOUND_SLACK
             results[k, functional] = res.value
+    if (draw, seed) != (_random_rank2, 2026):
+        return
     _without_lp(monkeypatch)
     checked = [(k, f) for k, f in results if results[k, f] > 1e-6][:6]
     assert len(checked) == 6
