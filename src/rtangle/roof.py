@@ -22,17 +22,20 @@ random restarts of a solve advance in lock step as one stacked
 one smoothing ladder, each keeps its own step size, and each ends bit for
 bit where it would if run alone.
 
-A rank-2 input meets three certificates before the search, cheapest
-first.  Each gives a decomposition and a lower bound on the roof, and all
-follow one rule (:func:`_certificates`): the bound is kept for the result
-whatever the ensemble size; the decomposition, where its members fit in
-the ensemble size, is returned at once, with ``restarts_used == 0``, when
-the bracket is closed (the bound at most ``_CERT_GAP`` below its value and
-above it by no more than rounding), and is otherwise a candidate next to
-the search's restarts.  All three read one list of tangle-free
-directions inside the range of rho: the roots of a quartic (the
-hyperdeterminant restricted to the range), solved once per input on the
-unit eigenvectors (:func:`quartic.zero_directions`).
+A rank-2 input meets three certificates, cheapest first.  Each gives a
+decomposition and a lower bound on the roof, and one rule holds for all
+(:func:`_certificates`): the bound is kept for the result whatever the
+ensemble size, and a decomposition whose members fit in the ensemble size
+answers, with ``restarts_used == 0``.  The first whose bracket is closed
+(the bound at most ``_CERT_GAP`` below its value and above it by no more
+than rounding) is returned at once; otherwise the lowest that fits is.
+The search runs only where no decomposition fits: the ensemble size is
+below every certificate's, or every certificate declined.  All three read
+one list of tangle-free directions inside the range of rho: the roots of a
+quartic (the hyperdeterminant restricted to the range), solved once per
+input on the unit eigenvectors (:func:`quartic.zero_directions`).  A
+quartic that is 0 up to rounding, on a biseparable range, gives the unit
+frame instead, and the zero fit certifies the spectral decomposition.
 
 * zero, bound 0: a non-negative fit of the identity over the root
   projectors gives a decomposition that mixes back to rho, where one
@@ -65,10 +68,10 @@ frame, which holds to ``ghzw._ORBIT_TOL``.  A zero-branch or an orbit
 solve takes about half a millisecond, a linear program two to six.
 
 The returned value is an upper bound on the true convex roof by
-construction, certified or not.  After a search the result carries the
-highest bound of the certificates that ran, among those not above its
-value by more than rounding, and ``converged`` says whether that bracket
-is closed.
+construction, certified or not.  Unless a bracket closed at once, the
+result carries the highest bound of the certificates that ran, among those
+not above its value by more than rounding, and ``converged`` says whether
+that bracket is closed.
 """
 from __future__ import annotations
 
@@ -138,10 +141,10 @@ class RoofOptions:
 class RoofResult:
     """Best decomposition found; ``value`` upper-bounds the true roof.
 
-    ``best_restart_index`` is k when random restart k won, and -1 when a
-    deterministic decomposition did: the input itself at rank 1, or a
-    rank-2 certificate's.  ``restarts_used == 0`` means no search ran: the
-    input has rank 1, or a certificate closed its bracket.
+    ``best_restart_index`` is k when random restart k won, and -1 when no
+    search ran, exactly when ``restarts_used == 0``: the input itself at
+    rank 1, or a rank-2 certificate's decomposition that fits in the
+    ensemble size.
 
     ``lower_bound`` is a lower bound on the true roof, to working precision
     (the linear program's offset is a numerical minimum, not a proof), or
@@ -210,15 +213,14 @@ def _zero_decomposition(dirs: np.ndarray):
     then unique, a non-negative one is the answer, and one with a weight
     below -``_FIT_TOL`` ||A^-1||_F (the Frobenius norm bounds the spectral
     one) means no fit within ``_FIT_TOL`` is non-negative, which declines a
-    linear-branch input at once.  Fewer or repeated roots, and weights
-    between rounding and that bound, go to phase one of the program
+    linear-branch input at once.  Repeated roots, the two rows of the unit
+    frame where the quartic vanishes, and weights between rounding and
+    that bound go to phase one of the program
     (:func:`_simplex`): the four unit columns at cost 1, with the weights
     ``_IDENTITY`` the start basis, and the roots at cost 0.  The roots of
     its final basis are the candidate members, their weights solved on
     them; a simplex that fails declines.
     """
-    if len(dirs) < 2:
-        return None
     D = np.array(dirs)
     c = np.conj(D[:, 0] * D[:, 1].conj())
     A = np.array([(D[:, 0] * D[:, 0].conj()).real, (D[:, 1] * D[:, 1].conj()).real,
@@ -816,7 +818,11 @@ def _certificates(B: np.ndarray, use_sqrt: bool):
 
 def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
                   opts: RoofOptions | None = None) -> RoofResult:
-    """Minimize the convex-roof objective over size-m decompositions of rho."""
+    """Minimize the convex-roof objective over size-m decompositions of rho.
+
+    At rank 2 the certificates answer where a decomposition of theirs fits
+    in m members (see the module docstring); the lock-step search runs at
+    ranks 3 and up, and at rank 2 only where none fits."""
     opts = opts if opts is not None else RoofOptions()
     use_sqrt = _check_functional(functional)
     B = eigen_factor(rho)
@@ -829,24 +835,25 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     if r == 1:
         return replace(_result(B, use_sqrt, 0, -1), converged=True)
 
-    # one (W, exact value) per candidate, in order: the certificates'
-    # decompositions that fit in m members, then the restarts; ties go to the
-    # earlier candidate.  Every certificate's bound is kept
-    candidates, bounds = [], []
+    # a certificate's decomposition that fits in m members answers: the first
+    # with a closed bracket, else the lowest, with every bound kept (ties go
+    # to the earlier certificate).  The search runs only where none fits
+    fits, bounds = [], []
     for W, bound in _certificates(B, use_sqrt) if r == 2 else ():
         bounds.append(bound)
         if len(W) <= m:
             res = _result(W, use_sqrt, 0, -1, [bound])
             if res.converged:  # its bracket is closed
                 return res
-            candidates.append((W, kernels.roof_value(W, use_sqrt, 0.0)))
-    labels = [-1] * len(candidates) + list(range(opts.restarts))
+            fits.append(W)
+    if fits:
+        return min((_result(W, use_sqrt, 0, -1, bounds) for W in fits), key=lambda res: res.value)
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
     restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
                 for rng in rngs]
-    candidates += zip(*_LockStep(np.array(restarts), B, use_sqrt, opts).run())
-    best = int(np.argmin([value for _, value in candidates]))
-    return _result(candidates[best][0], use_sqrt, opts.restarts, labels[best], bounds)
+    W, values = _LockStep(np.array(restarts), B, use_sqrt, opts).run()
+    best = int(np.argmin(values))
+    return _result(W[best], use_sqrt, opts.restarts, best, bounds)
 
 
 def objective_at(rho: DensityMatrix, e: WeightedEnsemble, functional: str = "sqrt_tau") -> float:

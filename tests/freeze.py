@@ -91,3 +91,20 @@ def generic_base(rank: int) -> rt.DensityMatrix:
         states = [random_pure(rng).amp for _ in range(r)]
     rho = sum(w * np.outer(psi, psi.conj()) for w, psi in zip(weights, states))
     return rt.DensityMatrix((rho + rho.conj().T) / 2.0)
+
+
+def biseparable(rng) -> rt.DensityMatrix:
+    """a (x) sigma on a random qubit split, in a random local-unitary frame:
+    a a random one-qubit state and sigma a Dirichlet mixture of two random
+    two-qubit states phi, chi.  Every state of its range a (x) span{phi, chi}
+    is a product across the split, so the range quartic vanishes."""
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    pair = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    w = rng.dirichlet([1.0, 1.0])
+    sigma = sum(wk * np.outer(v, v.conj()) / np.vdot(v, v).real for wk, v in zip(w, pair))
+    rho = np.kron(np.outer(a, a.conj()) / np.vdot(a, a).real, sigma).reshape((2,) * 6)
+    perm = rng.permutation(3)
+    rho = rho.transpose(*perm, *(perm + 3)).reshape(8, 8)
+    V = np.kron(np.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
+    rho = V @ rho @ V.conj().T
+    return rt.DensityMatrix((rho + rho.conj().T) / 2.0)

@@ -17,8 +17,8 @@ import rtangle as rt
 from rtangle import cli
 from rtangle import io as stateio
 from rtangle.cli import main
-from freeze import (FAM_SQRT_TAU_08_0, P0_STD, TR_STD_P08, generic_base, ghz_state, std_mixture,
-                    w_state)
+from freeze import (FAM_SQRT_TAU_08_0, P0_STD, TR_STD_P08, biseparable, generic_base, ghz_state,
+                    std_mixture, w_state)
 
 
 # ---------------------------------------------------------------- state files
@@ -253,6 +253,21 @@ def test_cli_roof_zero_branch_below_fit_size(tmp_path, capsys):
     out_path = tmp_path / "best.json"
     assert main(["roof", path, "--size", "2", "--restarts", "2", "--out", str(out_path)]) == 0
     assert "restarts_used = 2" in capsys.readouterr().out
+    best = stateio.parse_ensemble(stateio.load_document(str(out_path)))
+    assert len(best) <= 2
+    assert np.abs(rt.ensemble_to_density(best).matrix - rho.matrix).max() < 1e-8
+
+
+def test_cli_roof_biseparable_at_size_2(tmp_path, capsys):
+    """A biseparable range is tangle-free: at --size 2 its spectral
+    decomposition is certified with bound 0, without a search."""
+    rho = biseparable(np.random.default_rng(4242))
+    path = _write(tmp_path / "rho.json", stateio.density_to_doc(rho))
+    out_path = tmp_path / "best.json"
+    assert main(["roof", path, "--size", "2", "--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "lower_bound   = 0\n" in out and "restarts_used = 0\n" in out
+    assert "converged     = True\n" in out
     best = stateio.parse_ensemble(stateio.load_document(str(out_path)))
     assert len(best) <= 2
     assert np.abs(rt.ensemble_to_density(best).matrix - rho.matrix).max() < 1e-8

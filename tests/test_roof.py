@@ -8,8 +8,9 @@ import rtangle as rt
 from rtangle import kernels
 from rtangle import roof
 from rtangle.quartic import eigen_factor, pair_quartic, zero_directions
-from freeze import (SQRT_TAU_GENERIC_R3, TAU_RHO, TAU_RHO0, TR_STD_P08, generic_base,
-                    ghz_state, random_mixture, random_pure, random_unitary2, std_mixture)
+from freeze import (SQRT_TAU_GENERIC_R3, TAU_RHO, TAU_RHO0, TR_STD_P08, biseparable,
+                    generic_base, ghz_state, random_mixture, random_pure, random_unitary2,
+                    std_mixture)
 
 FAST = rt.RoofOptions(restarts=6)
 
@@ -448,23 +449,6 @@ def test_search_never_undercuts_the_certificate(monkeypatch):
         assert res.value >= cert.value - 1e-9
 
 
-def test_perturbed_exact_decomposition_runs_the_full_search(monkeypatch):
-    """An exact decomposition that mixes back but is not tangle-free is
-    only a candidate of the search, and its bound of 0 stays on the result."""
-    rng = np.random.default_rng(3)
-    z = np.eye(4) + 0.05 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    rotation = np.linalg.qr(z)[0]
-    zero_decomposition = roof._zero_decomposition
-    monkeypatch.setattr(roof, "_zero_decomposition",
-                        lambda dirs: rotation @ zero_decomposition(dirs))
-    _without_lp(monkeypatch)  # it would certify without a search
-    rho = std_mixture(0.3).density()
-    res = rt.roof_minimize(rho, "sqrt_tau", FAST)
-    assert res.restarts_used == FAST.restarts and res.best_restart_index >= -1
-    assert res.value <= 1e-4 and _mixes_back(res, rho)
-    assert res.lower_bound == 0.0
-
-
 def _linear_branch_cases():
     rng = np.random.default_rng(43)
     cases = [std_mixture(0.7), std_mixture(0.9)]
@@ -770,20 +754,6 @@ def test_lower_bound_only_at_rank_2():
         assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
 
 
-def test_bound_above_the_value_is_not_certified(monkeypatch):
-    """A bound above the program's own decomposition means pricing missed a
-    point: the decomposition is only a candidate next to the search's
-    restarts, and no bound is reported."""
-    lp_roof = roof._lp_roof
-    monkeypatch.setattr(roof, "_lp_roof",
-                        lambda B, use_sqrt, dirs: (lp_roof(B, use_sqrt, dirs)[0], 1.0))
-    rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
-    opts = rt.RoofOptions(restarts=2, max_iterations=300)
-    res = rt.roof_minimize(rho, "tau", opts)
-    assert res.restarts_used == 2 and res.lower_bound is None
-    assert abs(res.value - TAU_RHO) <= 1e-7  # the program's candidate won or tied
-
-
 def _random_rank2(rng):
     """Two random pure states mixed with Dirichlet weights."""
     w = rng.dirichlet([1.0, 1.0])
@@ -799,48 +769,85 @@ def _random_rank2_gram(rng):
     return rt.DensityMatrix(rho / np.trace(rho).real)
 
 
-def test_open_bracket_keeps_the_lp_decomposition_as_a_candidate(monkeypatch):
-    """State 2 of `_random_rank2` rng 12, tau: the program closes its
-    bracket on its own, but stopped after four rounds its bound is already
-    within _CERT_GAP of the roof while its decomposition is not.  The
-    decomposition is then a candidate next to the restarts; the result is
-    no worse than it, and the search closes the bracket against the
-    program's bound."""
-    rng = np.random.default_rng(12)
-    rho = [_random_rank2(rng) for _ in range(3)][2]
-    certified = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
-    assert certified.restarts_used == 0 and certified.converged
+def _cap_lp_rounds(monkeypatch):
+    """State 2 of `_random_rank2` rng 12, tau: stopped after four rounds, the
+    program's bound is within _CERT_GAP of the roof, its decomposition not."""
     monkeypatch.setattr(roof, "_LP_ROUNDS", 4)
-    B = eigen_factor(rho)
-    W, bound = roof._lp_roof(B, False, zero_directions(B))
-    lp_value = rt.objective_at(rho, roof._ensemble_from_rows(W), "tau")
-    assert lp_value - bound > roof._CERT_GAP
-    res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
-    assert res.restarts_used == 5 and res.best_restart_index >= 0
-    assert res.value <= lp_value
-    assert res.lower_bound == bound and res.lower_bound <= res.value + 1e-9
-    assert res.value - res.lower_bound <= roof._CERT_GAP and res.converged
+    rng = np.random.default_rng(12)
+    return [_random_rank2(rng) for _ in range(3)][2], "tau"
+
+
+def _lower_orbit_bound(monkeypatch):
+    """The standard mixture at p = 0.8, sqrt-tau, with the orbit's t_r
+    lowered by 1e-3 and the program off."""
+    range_orbit = roof.range_orbit
+
+    def loose(B, dirs):
+        orbit = range_orbit(B, dirs)
+        return replace(orbit, analysis=replace(orbit.analysis, rtangle=orbit.analysis.rtangle - 1e-3))
+
+    monkeypatch.setattr(roof, "range_orbit", loose)
+    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt, dirs: None)
+    return std_mixture(0.8).density(), "sqrt_tau"
+
+
+def _raise_lp_bound(monkeypatch):
+    """The counterexample rho, tau, with the program's bound forced to 1.0,
+    above its own decomposition: pricing missed a point."""
+    lp_roof = roof._lp_roof
+    monkeypatch.setattr(roof, "_lp_roof",
+                        lambda B, use_sqrt, dirs: (lp_roof(B, use_sqrt, dirs)[0], 1.0))
+    return rt.ensemble_to_density(rt.counterexample_fixture().ensemble), "tau"
+
+
+@pytest.mark.parametrize("open_bracket, sound", [(_cap_lp_rounds, True), (_lower_orbit_bound, True),
+                                                 (_raise_lp_bound, False)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_open_bracket_returns_the_certificate_decomposition(monkeypatch, open_bracket, sound):
+    """A certificate whose decomposition fits but whose bracket is open
+    answers without a search: its decomposition is returned, not converged,
+    with its bound where that is sound and none where it lies above the
+    value."""
+    rho, functional = open_bracket(monkeypatch)
+    made, certificates = [], roof._certificates
+    monkeypatch.setattr(roof, "_certificates",
+                        lambda B, use_sqrt: (made.append(c) or c for c in certificates(B, use_sqrt)))
+    res = rt.roof_minimize(rho, functional, rt.RoofOptions(restarts=2, max_iterations=300))
+    assert len(made) == 1
+    W, bound = made[0]
+    assert res.restarts_used == 0 and res.best_restart_index == -1 and res.converged is False
+    assert res.value == rt.objective_at(rho, roof._ensemble_from_rows(W), functional)
     assert _mixes_back(res, rho)
+    assert res.lower_bound == (bound if sound else None)
 
 
 @pytest.mark.parametrize("draw, seed", [(_random_rank2, 2026), (_random_rank2, 7),
                                         (_random_rank2, 11), (_random_rank2, 12),
-                                        (_random_rank2_gram, 2026), (_random_rank2_gram, 7)],
+                                        (_random_rank2_gram, 2026), (_random_rank2_gram, 7),
+                                        (biseparable, 4242)],
                          ids=lambda v: getattr(v, "__name__", str(v)))
 def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch, draw, seed):
     """The gate of the rank-2 certificates: thirty random rank-2 states per
-    set, both functionals.  Every result mixes back and is certified with no
-    search, its bound no higher than its value beyond rounding; on six
-    states of the first set the value is no worse than the search's."""
+    entangled set and 200 biseparable ones, both functionals.  Every result
+    mixes back and is certified with no search, its bound no higher than its
+    value beyond rounding, and -1 labels exactly the solves that did not
+    search.  Only the biseparable ranges read as tangle-free, certified with
+    bound 0; on six states of the first set the value is no worse than the
+    search's."""
     rng = np.random.default_rng(seed)
-    states = [draw(rng) for _ in range(30)]
+    states = [draw(rng) for _ in range(200 if draw is biseparable else 30)]
     results = {}
     for k, rho in enumerate(states):
+        frame = np.array_equal(zero_directions(eigen_factor(rho)), np.eye(2))
+        assert frame == (draw is biseparable)
         for functional in roof.FUNCTIONALS:
             res = rt.roof_minimize(rho, functional)
             assert _mixes_back(res, rho)
             assert res.converged and res.restarts_used == 0
+            assert (res.best_restart_index == -1) == (res.restarts_used == 0)
             assert res.lower_bound <= res.value + roof._BOUND_SLACK
+            if frame:
+                assert res.lower_bound == 0.0
             results[k, functional] = res.value
     if (draw, seed) != (_random_rank2, 2026):
         return
@@ -1094,29 +1101,6 @@ def test_default_path_returns_the_orbit_closed_form(monkeypatch):
     monkeypatch.setattr(roof, "range_orbit", lambda B, dirs: calls.append(B))
     rt.roof_minimize(image, "tau", FAST)
     assert calls == []
-
-
-def test_open_orbit_bracket_is_a_candidate_and_keeps_its_bound(monkeypatch):
-    """The orbit follows the one certificate rule: with its t_r lowered by
-    1e-3 its bracket is open, so its decomposition is a candidate next to
-    the restarts (here it beats them) and its bound stays on the result,
-    which is not converged."""
-    range_orbit, bounds = roof.range_orbit, []
-
-    def loose(B, dirs):
-        orbit = range_orbit(B, dirs)
-        bounds.append(orbit.analysis.rtangle - 1e-3)
-        return replace(orbit, analysis=replace(orbit.analysis, rtangle=bounds[-1]))
-
-    monkeypatch.setattr(roof, "range_orbit", loose)
-    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt, dirs: None)
-    rho = std_mixture(0.8).density()
-    res = rt.roof_minimize(rho, "sqrt_tau", FAST)
-    assert res.restarts_used == FAST.restarts and res.best_restart_index == -1
-    assert len(bounds) == 1 and abs(bounds[0] - (TR_STD_P08 - 1e-3)) <= 1e-9
-    assert res.lower_bound == bounds[0]
-    assert res.value <= TR_STD_P08 + 1e-7 and res.converged is False
-    assert _mixes_back(res, rho)
 
 
 @pytest.mark.parametrize("w_weight", [1e-5, 1e-6])
