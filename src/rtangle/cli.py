@@ -9,6 +9,10 @@ Subcommands:
 * ``verify``   self-contained check of the built-in counterexample pipeline
 * ``sweep``    CSV of closed-form vs numerical values over p in [0, 1]
 
+The search flags ``--restarts`` and ``--seed`` (and ``roof``'s ``--size``)
+take their defaults from ``RoofOptions``; ``RTANGLE_SEED`` stands in for
+an absent ``--seed``.
+
 Exit codes: 0 success, 1 verification failure, 2 malformed input file or
 out-of-range option, 3 normalization violation, 4 ensemble size below
 rank, 5 incomplete Kraus set, 6 unwritable output path.
@@ -49,14 +53,17 @@ def _fmtc(z: complex) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}j"
 
 
-def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
+def _options(args, **fields) -> RoofOptions:
+    """RoofOptions from the search flags that were given, the seed from
+    --seed, else RTANGLE_SEED; every field left unset keeps its default."""
+    fields.update(restarts=args.restarts, seed=args.seed)
     env = os.environ.get("RTANGLE_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ValidationError(f"RTANGLE_SEED: cannot parse {env!r} as an integer") from None
+    if args.seed is None and env:
+        try:
+            fields["seed"] = int(env)
+        except ValueError:
+            raise ValidationError(f"RTANGLE_SEED: cannot parse {env!r} as an integer") from None
+    return RoofOptions(**{k: v for k, v in fields.items() if v is not None})
 
 
 def _parse_param(text: str, name: str) -> complex:
@@ -86,9 +93,7 @@ def cmd_pure(args) -> int:
 
 
 def cmd_mixture(args) -> int:
-    opts = None
-    if args.numeric:
-        opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
+    opts = _options(args) if args.numeric else None
     mix = _mixture_from_args(args, args.p)
     ana = analyze(mix)
     print(f"s         = {_fmt(ana.s)}")
@@ -126,9 +131,7 @@ def _roof_input(path: str):
 def cmd_roof(args) -> int:
     rho = _roof_input(args.state_file)
     functional = "sqrt_tau" if args.functional == "sqrt-tau" else "tau"
-    opts = RoofOptions(ensemble_size=args.size, restarts=args.restarts,
-                       seed=_default_seed(args.seed))
-    result = roof_minimize(rho, functional, opts)
+    result = roof_minimize(rho, functional, _options(args, ensemble_size=args.size))
     print(f"functional    = {functional}")
     print(f"value         = {_fmt(result.value)}")
     bound = "none" if result.lower_bound is None else _fmt(result.lower_bound)
@@ -228,8 +231,7 @@ def _verify_rows(opts: RoofOptions, tol_override: float | None):
 def cmd_verify(args) -> int:
     if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0.0):
         raise ValidationError("--tol must be a finite number >= 0")
-    opts = RoofOptions(restarts=args.restarts, seed=_default_seed(args.seed))
-    rows = _verify_rows(opts, args.tol)
+    rows = _verify_rows(_options(args), args.tol)
     width = max(len(r[0]) for r in rows)
     failures = 0
     for name, expected, computed, t, ok, note in rows:
@@ -247,7 +249,7 @@ def cmd_sweep(args) -> int:
     mix0 = _mixture_from_args(args, 0.0)
     if args.steps < 2:
         raise ValidationError("--steps must be >= 2")
-    opts = RoofOptions(seed=_default_seed(args.seed), restarts=args.restarts)
+    opts = _options(args)
     rows = []
     for k in range(args.steps + 1):
         p = k / args.steps
@@ -282,6 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rtangle", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
+    # the search flags of every command that runs roof_minimize; an absent
+    # flag leaves RoofOptions's default in place
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--restarts", type=int, help="random restarts of the search")
+    search.add_argument("--seed", type=int, help="search seed (else RTANGLE_SEED)")
 
     p = sub.add_parser("pure", help="invariants of a pure-state JSON file")
     p.add_argument("state_file")
@@ -289,21 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rescale instead of rejecting a non-normalized state")
     p.set_defaults(func=cmd_pure)
 
-    p = sub.add_parser("mixture", help="closed-form residual tangle of a GHZ/W mixture")
+    p = sub.add_parser("mixture", parents=[search],
+                       help="closed-form residual tangle of a GHZ/W mixture")
     _add_mixture_params(p)
     p.add_argument("--p", required=True, type=float, help="GHZ weight p in [0, 1]")
     p.add_argument("--numeric", action="store_true",
                    help="also run the convex-roof minimizer and print the gap")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_mixture)
 
-    p = sub.add_parser("roof", help="convex-roof minimization of a state file")
+    p = sub.add_parser("roof", parents=[search], help="convex-roof minimization of a state file")
     p.add_argument("state_file", help="pure, ensemble or density JSON file")
     p.add_argument("--functional", choices=("sqrt-tau", "tau"), default="sqrt-tau")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--size", type=int, default=4, help="decomposition size m")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--size", type=int, help="decomposition size m")
     p.add_argument("--out", help="write the best ensemble to this JSON file")
     p.set_defaults(func=cmd_roof)
 
@@ -314,20 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="propagate this input residual tangle through each outcome")
     p.set_defaults(func=cmd_slocc)
 
-    p = sub.add_parser("verify",
+    p = sub.add_parser("verify", parents=[search],
                        help="run the built-in measurement-scaling verification pipeline")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None,
                    help="override every row tolerance")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="CSV sweep of rho(p) over p = 0..1")
+    p = sub.add_parser("sweep", parents=[search], help="CSV sweep of rho(p) over p = 0..1")
     _add_mixture_params(p)
     p.add_argument("--steps", type=int, required=True, help="number of intervals (>= 2)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
     return ap
 

@@ -8,9 +8,12 @@ doubles round-trip losslessly.  Four document shapes are understood:
 * density:     ``{"matrix": [[[re, im] x8] x8]}``
 * Kraus set:   ``{"target": "A"|"B"|"C", "operators": [[[...], [...]], ...]}``
 
-Parse failures raise :class:`StateFileError` carrying the JSON path of the
-offending field; a well-formed pure state that is not normalized raises its
-subclass :class:`StateNormalizationError`.
+Every array (the amplitudes, the density matrix, each Kraus operator) is
+read by one walker, ``_array_at``, and written by one, ``_pairs``.  Parse
+failures raise :class:`StateFileError` carrying the JSON path of the
+offending field, including a value type's own check; a well-formed pure
+state that is not normalized raises its subclass
+:class:`StateNormalizationError`.
 """
 from __future__ import annotations
 
@@ -55,20 +58,32 @@ def _complex_at(node, path: str) -> complex:
     return complex(parts[0], parts[1])
 
 
-def _amplitudes_at(node, path: str) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != 8:
-        raise StateFileError(f"{path}: expected 8 amplitude pairs")
-    return np.array([_complex_at(v, f"{path}[{k}]") for k, v in enumerate(node)])
+def _array_at(node, shape: tuple, path: str) -> np.ndarray:
+    """The complex array of ``shape`` held by nested lists of [re, im] pairs;
+    an error names the first list or pair that does not fit."""
+    if not isinstance(node, list) or len(node) != shape[0]:
+        raise StateFileError(f"{path}: expected {shape[0]} entries")
+    if len(shape) == 1:
+        return np.array([_complex_at(v, f"{path}[{k}]") for k, v in enumerate(node)])
+    return np.array([_array_at(v, shape[1:], f"{path}[{k}]") for k, v in enumerate(node)])
+
+
+def _valid(path: str, make, *args, error=StateFileError, **kwargs):
+    """``make(*args, **kwargs)``, a value type's ValidationError raised as
+    ``error`` at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def parse_pure(doc, renormalize: bool = False) -> PureState:
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise StateFileError("amplitudes: missing field")
-    amp = _amplitudes_at(doc["amplitudes"], "amplitudes")
-    try:
-        return PureState.from_amplitudes(amp, renormalize=renormalize)
-    except ValidationError as exc:  # shape and finiteness are checked above
-        raise StateNormalizationError(f"amplitudes: {exc}") from exc
+    amp = _array_at(doc["amplitudes"], (8,), "amplitudes")
+    # shape and finiteness are checked above, so only the norm can fail here
+    return _valid("amplitudes", PureState.from_amplitudes, amp, renormalize=renormalize,
+                  error=StateNormalizationError)
 
 
 def parse_ensemble(doc) -> WeightedEnsemble:
@@ -82,33 +97,15 @@ def parse_ensemble(doc) -> WeightedEnsemble:
         w = _finite(entry["weight"])
         if w is None:
             raise StateFileError(f"{path}.weight: expected a finite number, got {entry['weight']!r}")
-        amp = _amplitudes_at(entry["amplitudes"], f"{path}.amplitudes")
-        try:
-            members.append((w, PureState(amp)))
-        except ValidationError as exc:
-            raise StateFileError(f"{path}: {exc}") from exc
-    try:
-        return WeightedEnsemble(tuple(members))
-    except ValidationError as exc:
-        raise StateFileError(f"members: {exc}") from exc
+        amp = _array_at(entry["amplitudes"], (8,), f"{path}.amplitudes")
+        members.append((w, _valid(path, PureState, amp)))
+    return _valid("members", WeightedEnsemble, tuple(members))
 
 
 def parse_density(doc) -> DensityMatrix:
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise StateFileError("matrix: missing field")
-    rows = doc["matrix"]
-    if not isinstance(rows, list) or len(rows) != 8:
-        raise StateFileError("matrix: expected 8 rows")
-    mat = np.zeros((8, 8), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 8:
-            raise StateFileError(f"matrix[{i}]: expected 8 entries")
-        for j, v in enumerate(row):
-            mat[i, j] = _complex_at(v, f"matrix[{i}][{j}]")
-    try:
-        return DensityMatrix(mat)
-    except ValidationError as exc:
-        raise StateFileError(f"matrix: {exc}") from exc
+    return _valid("matrix", DensityMatrix, _array_at(doc["matrix"], (8, 8), "matrix"))
 
 
 def parse_kraus(doc) -> MeasurementSet:
@@ -120,25 +117,10 @@ def parse_kraus(doc) -> MeasurementSet:
     ops = doc["operators"]
     if not isinstance(ops, list) or not ops:
         raise StateFileError("operators: expected a non-empty list")
-    parsed = []
-    for k, op in enumerate(ops):
-        path = f"operators[{k}]"
-        if not isinstance(op, list) or len(op) != 2:
-            raise StateFileError(f"{path}: expected a 2x2 matrix")
-        mat = np.zeros((2, 2), dtype=np.complex128)
-        for i in range(2):
-            if not isinstance(op[i], list) or len(op[i]) != 2:
-                raise StateFileError(f"{path}[{i}]: expected 2 entries")
-            for j in range(2):
-                mat[i, j] = _complex_at(op[i][j], f"{path}[{i}][{j}]")
-        try:
-            parsed.append(LocalOperator(mat, target))
-        except ValidationError as exc:
-            raise StateFileError(f"{path}: {exc}") from exc
-    try:
-        return MeasurementSet(tuple(parsed))
-    except ValidationError as exc:
-        raise StateFileError(f"operators: {exc}") from exc
+    parsed = tuple(_valid(f"operators[{k}]", LocalOperator,
+                          _array_at(op, (2, 2), f"operators[{k}]"), target)
+                   for k, op in enumerate(ops))
+    return _valid("operators", MeasurementSet, parsed)
 
 
 def load_document(path: str):
@@ -165,27 +147,26 @@ def sniff_kind(doc) -> str:
     raise StateFileError("unrecognized document: expected amplitudes, members, matrix or operators")
 
 
-def _pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(array: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs, as _array_at reads them."""
+    return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
 def pure_to_doc(psi: PureState) -> dict:
-    return {"amplitudes": [_pair(z) for z in psi.amp]}
+    return {"amplitudes": _pairs(psi.amp)}
 
 
 def ensemble_to_doc(e: WeightedEnsemble) -> dict:
-    return {"members": [{"weight": w, "amplitudes": [_pair(z) for z in psi.amp]}
+    return {"members": [{"weight": w, "amplitudes": _pairs(psi.amp)}
                         for w, psi in e.members]}
 
 
 def density_to_doc(rho: DensityMatrix) -> dict:
-    return {"matrix": [[_pair(z) for z in row] for row in rho.matrix]}
+    return {"matrix": _pairs(rho.matrix)}
 
 
 def kraus_to_doc(ms: MeasurementSet) -> dict:
-    return {"target": ms.target,
-            "operators": [[[_pair(op.m[i, j]) for j in range(2)] for i in range(2)]
-                          for op in ms.operators]}
+    return {"target": ms.target, "operators": [_pairs(op.m) for op in ms.operators]}
 
 
 def write_document(path: str, doc: dict) -> None:

@@ -26,7 +26,6 @@ from .states import (
     PureState,
     ValidationError,
     WeightedEnsemble,
-    apply_local,
     density_eigendecomposition,
     ensemble_to_density,
     validate_measurement,
@@ -70,10 +69,12 @@ def measure(e: WeightedEnsemble, ms: MeasurementSet,
     rho = ensemble_to_density(e).matrix
     outcomes = []
     for j, op in enumerate(ms.operators):
+        full = op.expanded()
         post = []
         p_j = 0.0
         for w, psi in e.members:
-            raw, nsq = apply_local(op, psi)
+            raw = full @ psi.amp
+            nsq = float(np.vdot(raw, raw).real)
             p_j += w * nsq
             post.append((w * nsq, raw, nsq))
         if p_j < PROB_FLOOR:
@@ -82,11 +83,10 @@ def measure(e: WeightedEnsemble, ms: MeasurementSet,
                 post_ensemble=None, post_density=None, empty=True))
             continue
         members = tuple(
-            (wn / p_j, PureState(raw.amp / np.sqrt(nsq)))
+            (wn / p_j, PureState(raw / np.sqrt(nsq)))
             for wn, raw, nsq in post
             if wn / p_j > WEIGHT_FLOOR
         )
-        full = op.expanded()
         rho_j = DensityMatrix(full @ rho @ full.conj().T / p_j)
         a_j = scaling_alpha(op, p_j)
         propagated = None if rtangle_in is None else propagate_rtangle(rtangle_in, a_j)

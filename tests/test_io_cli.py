@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -68,8 +69,18 @@ def test_parse_errors_are_field_addressed():
         ]})
     with pytest.raises(stateio.StateFileError, match=r"matrix\[2\]"):
         stateio.parse_density({"matrix": [[[0, 0]] * 8, [[0, 0]] * 8, [[0, 0]] * 7] + [[[0, 0]] * 8] * 5})
+    with pytest.raises(stateio.StateFileError, match=r"matrix\[5\]: "):
+        stateio.parse_density({"matrix": [[[0, 0]] * 8] * 5 + [[[0, 0]] * 9] + [[[0, 0]] * 8] * 2})
     with pytest.raises(stateio.StateFileError, match="target"):
         stateio.parse_kraus({"target": "Q", "operators": []})
+    with pytest.raises(stateio.StateFileError, match=r"operators\[0\]: "):
+        stateio.parse_kraus({"operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]]})
+    with pytest.raises(stateio.StateFileError, match=r"operators\[0\]\[1\]\[0\]: "):
+        stateio.parse_kraus({"operators": [[[[1, 0], [0, 0]], [[0], [1, 0]]]]})
+    with pytest.raises(stateio.StateFileError, match=r"^amplitudes: "):
+        stateio.parse_pure({"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 6})
+    with pytest.raises(stateio.StateFileError, match=r"^members\[0\]\.amplitudes: "):
+        stateio.parse_ensemble({"members": [{"weight": 1.0, "amplitudes": [[1, 0]] * 3}]})
     with pytest.raises(stateio.StateFileError, match="unrecognized"):
         stateio.sniff_kind({"something": 1})
 
@@ -478,6 +489,50 @@ def test_cli_env_seed(tmp_path, monkeypatch, capsys):
                  "--restarts", "2", "--seed", "7"]) == 0
     v2 = _value(capsys.readouterr().out, "numeric")
     assert v1 == v2
+
+
+@dataclasses.dataclass(frozen=True)
+class _OtherDefaults(rt.RoofOptions):
+    ensemble_size: int = 5
+    restarts: int = 3
+    seed: int = 2
+
+
+class _Searched(Exception):
+    """Raised by the stand-in for roof_minimize once it has seen the options."""
+
+
+def test_cli_search_flags_follow_the_library_defaults(tmp_path, monkeypatch, capsys):
+    """Every command that searches passes RoofOptions's own defaults where no
+    flag is given, the flags where they are, and RTANGLE_SEED for --seed."""
+    seen = []
+
+    def search(rho, functional, opts):
+        seen.append(opts)
+        raise _Searched
+
+    monkeypatch.setattr(cli, "RoofOptions", _OtherDefaults)
+    monkeypatch.setattr(cli, "roof_minimize", search)
+    monkeypatch.delenv("RTANGLE_SEED", raising=False)
+
+    def options(argv):
+        seen.clear()
+        with pytest.raises(_Searched):
+            main(argv)
+        return seen[0]
+
+    ghz = _write(tmp_path / "ghz.json", stateio.pure_to_doc(ghz_state()))
+    commands = {"roof": ["roof", ghz], "verify": ["verify"],
+                "mixture": ["mixture", *STD_ARGS, "--p", "0.8", "--numeric"],
+                "sweep": ["sweep", *STD_ARGS, "--steps", "2", "--out", str(tmp_path / "x.csv")]}
+    for command, argv in commands.items():
+        assert options(argv) == _OtherDefaults()
+        size = ["--size", "6"] if command == "roof" else []
+        assert options([*argv, "--restarts", "7", "--seed", "1", *size]) == \
+            _OtherDefaults(restarts=7, seed=1, ensemble_size=6 if size else 5)
+        monkeypatch.setenv("RTANGLE_SEED", "9")
+        assert options(argv) == _OtherDefaults(seed=9)
+        monkeypatch.delenv("RTANGLE_SEED")
 
 
 # ------------------------------------------------- CLI: malformed input, fuzzed

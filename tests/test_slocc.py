@@ -153,6 +153,36 @@ def test_measure_equals_the_kronecker_products():
                 [amp.tobytes() for amp in kept]
 
 
+def test_measure_expands_each_operator_once(monkeypatch):
+    """Each Kraus operator is expanded to 8 x 8 once, not once per member,
+    and the outcomes equal the apply_local route bit for bit."""
+    rng = np.random.default_rng(73)
+    ens = rt.WeightedEnsemble(((0.3, random_pure(rng)), (0.7, random_pure(rng))))
+    ms = _random_general_set(rng, "B")
+    rho = rt.ensemble_to_density(ens).matrix
+    expected = []
+    for op in ms.operators:
+        applied = [(w, *rt.apply_local(op, psi)) for w, psi in ens.members]
+        p_j = 0.0
+        for w, _, nsq in applied:
+            p_j += w * nsq
+        members = [(w * nsq / p_j, raw.amp / np.sqrt(nsq)) for w, raw, nsq in applied]
+        full = op.expanded()
+        expected.append((p_j, members, full @ rho @ full.conj().T / p_j))
+
+    calls = []
+    expanded = rt.LocalOperator.expanded
+    monkeypatch.setattr(rt.LocalOperator, "expanded",
+                        lambda op: calls.append(op) or expanded(op))
+    outcomes = rt.measure(ens, ms)
+    assert [id(op) for op in calls] == [id(op) for op in ms.operators]
+    for out, (p_j, members, rho_j) in zip(outcomes, expected, strict=True):
+        assert out.probability == p_j
+        assert [(w, psi.amp.tobytes()) for w, psi in out.post_ensemble.members] == \
+            [(w, amp.tobytes()) for w, amp in members]
+        assert out.post_density.matrix.tobytes() == rho_j.tobytes()
+
+
 def test_covariance_diagonal_measurements_on_family():
     """Closed-form residual tangle transforms with alpha under diagonal
     measurements, which preserve the GHZ/W form, on every target qubit."""
