@@ -65,7 +65,9 @@ The dual bound's offset is found numerically (grid, roots of the quartic,
 Newton steps from the lowest points), so the program certifies to working
 precision; it is not a proof.  The closed form is exact for the recognized
 frame, which holds to ``ghzw._ORBIT_TOL``.  A zero-branch or an orbit
-solve takes about half a millisecond, a linear program two to six.
+solve takes about half a millisecond, a linear program two to four: Newton
+steps on its optimality conditions move the support before it is priced,
+and most programs close at their first pricing pass.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.  Unless a bracket closed at once, the
@@ -296,15 +298,22 @@ _ROUNDED_ROOT = 1e-6
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-6
 _NEWTON_HALVINGS = 3
-# the ring of columns a round adds around where each support point's steps
-# end: six points at each of 1/3, 1/9, .., 1/729 of a grid step in the chart.
-# The program moves a support point only onto a column, and where the mixing
-# rows hold it off the minimum of f - l the minima alone creep toward it
-# (rho0 of the counterexample closes in five rounds without rings, three
-# with; 360 random rank-2 programs take a median of six rounds without
-# them, four with)
-_RING = ((_BLOCH_STEP / 3.0 ** np.arange(1, 7))[:, None]
-         * np.exp(2j * np.pi * np.arange(6) / 6)).ravel()
+# support refinement: at most _KKT_STEPS Newton steps on the program's KKT
+# system per round, none once no residual is above _KKT_TOL; singular values
+# below _KKT_RCOND of the largest count as zero, since a support point that
+# the grid split in two makes the system singular as the halves meet
+_KKT_STEPS = 2
+_KKT_TOL = 1e-13
+_KKT_RCOND = 1e-5
+# each refined point goes in as a column with the four points _KKT_OFFSET
+# from it in its chart.  Where fewer than four points carry weight,
+# zero-weight columns complete the basis and fix the dual X, and only a
+# column this close to a support point makes X stationary there, up to a
+# bound loss of order _KKT_OFFSET^2.  A point within _KKT_SEP (as a column)
+# of a support point or of an earlier point is dropped with its offsets:
+# near-equal columns make a basis ill-conditioned
+_KKT_OFFSET = 1e-5 * np.array([0.0, 1.0, 1j, -1.0, -1j])
+_KKT_SEP = 1e-6
 # the distances from a root of q in the support at which pricing starts
 # beside it: 1/3, 1/9 and 1/27 of a grid step in the chart
 _CUSP_RADII = _BLOCH_STEP / 3.0 ** np.arange(1, 4)
@@ -321,6 +330,29 @@ def _affine(z, x0, x1, xi):
     n = 1.0 + zz
     l = (x0 + x1 * zz + 2.0 * (xi * z).real) / n
     return l, ((x1 - l) * np.conj(z) + xi) / n
+
+
+def _unchart(z, flip):
+    """The unit vectors (c, y) of chart points z (see :meth:`_Range.chart`)."""
+    n = np.sqrt(1.0 + _abs2(z))
+    return np.where(flip, np.abs(z), 1.0) / n, np.where(flip, np.exp(-1j * np.angle(z)), z) / n
+
+
+def _chart_basis(z, flip):
+    """The columns a = _basis(c, y) at chart points z (see :meth:`_Range.chart`)
+    and their derivatives in Re z and Im z, as one (3, len(z), 4) array.  With
+    n = 1 + |z|^2 and z* the conjugate, a = (1, |z|^2, 2 Re z, 2 Im z) / n in
+    the chart z = y / c and (|z|^2, 1, 2 Re z*, 2 Im z*) / n in the chart
+    z = c / y."""
+    s, t = z.real, z.imag
+    n = 1.0 + s * s + t * t
+    u = 2.0 * np.where(flip, np.conj(z), z) / n
+    a0 = np.where(flip, n - 1.0, 1.0) / n
+    d0 = np.where(flip, 2.0, -2.0) / (n * n)  # a0 has the gradient d0 (Re z, Im z)
+    u_s, u_t = (2.0 - 2.0 * s * u) / n, (np.where(flip, -2j, 2j) - 2.0 * t * u) / n
+    a = np.stack((a0, 1.0 - a0, u.real, u.imag, d0 * s, -d0 * s, u_s.real, u_s.imag,
+                  d0 * t, -d0 * t, u_t.real, u_t.imag), axis=-1)
+    return a.reshape(-1, 3, 4).swapaxes(0, 1)
 
 
 class _Range:
@@ -435,12 +467,12 @@ class _Range:
     def lowest(self, X, on_grid: np.ndarray, c, y):
         """Lowest f - l over the grid (``on_grid``, its values there), the
         points (c, y) and Newton steps from these and the 8 lowest grid
-        points; and, as (c, y), every point a step moved to and the rings
-        ``_RING`` around where the steps from (c, y) ended: the next round's
-        columns.  A point (c, y) on a root of q, where f has a cusp, is not a
-        start itself: the points ``_CUSP_RADII`` from it along the gradient of
-        l are, since f - l can fall off the cusp (for tau, f rises only
-        linearly from a root), and the root's own column prices the cusp.
+        points; and, as (c, y), every point a step moved to: the next
+        round's columns.  A point (c, y) on a root of q, where f has a cusp,
+        is not a start itself: the points ``_CUSP_RADII`` from it along the
+        gradient of l are, since f - l can fall off the cusp (for tau, f
+        rises only linearly from a root), and the root's own column prices
+        the cusp.
 
         Each step is the Newton step where the Hessian of f - l is positive
         definite and a steepest-descent step elsewhere, at most one grid
@@ -449,7 +481,6 @@ class _Range:
         z, flip = self.chart(c, y)
         # sqrt-tau below _ROUNDED_ROOT reads as tangle-free: on a root
         cusp = self._abs_q(c, y) < (_ROUNDED_ROOT / 2.0) ** 2
-        n_ring = np.count_nonzero(~cusp)
         # f rises off a root equally in every direction, so f - l falls
         # fastest along the gradient of l, 2 conj(l_z)
         l_z = _affine(z[cusp], *self.coefficients(X, flip[cusp])[1:])[1]
@@ -462,9 +493,9 @@ class _Range:
         g, g_z, g_zc, g_zz = self.excess(z, *coef)
         # the root, basic, has f - l = 0: a start beside it that is no lower
         # would only step back to its cusp, and does not start
-        beside = np.repeat([False, True, False], (n_ring, off.size, len(grid_z)))
+        beside = np.repeat([False, True, False], (np.count_nonzero(~cusp), off.size, len(grid_z)))
         scale = np.where(beside & (g >= 0.0), 0.0, 1.0)
-        columns = []
+        columns = [(z[:0], flip[:0])]  # a round may take no step
         for _ in range(_NEWTON_STEPS):
             # the Newton step d solves g_zz* d + conj(g_zz) conj(d) = -conj(g_z)
             det = g_zc * g_zc - _abs2(g_zz)
@@ -484,12 +515,73 @@ class _Range:
                                      for u, v in zip((z, g, g_z, g_zc, g_zz), (trial,) + new))
             scale = np.where(better, 1.0, 0.5 * scale)
             columns.append((z[better], flip[better]))
-        columns.append(((z[:n_ring, None] + _RING).ravel(), np.repeat(flip[:n_ring], _RING.size)))
         z, flip = (np.concatenate(v) for v in zip(*columns))
-        n = np.sqrt(1.0 + _abs2(z))
-        visited = (np.where(flip, np.abs(z), 1.0) / n,
-                   np.where(flip, np.exp(-1j * np.angle(z)), z) / n)
-        return min(on_grid.min(), g.min()), visited
+        return min(on_grid.min(), g.min()), _unchart(z, flip)
+
+    def _refine(self, X, w, c, y, cost):
+        """Newton steps on the program's KKT system from its support (c, y),
+        with their weights w, their costs and the dual X; returns, as (c, y),
+        each point the steps reach followed by its ``_KKT_OFFSET`` points
+        (columns for the program, not a solution), and for each such point
+        the index of the support point it moved from.
+
+        The unknowns are X, w and the chart points z_k of the support points
+        off the roots of q; a point on a root (the cusp test of
+        :meth:`lowest`) holds still.  With b = (lambda_0, lambda_1, 0, 0) and
+        a(v) = _basis(v), the rows are the mixing sum_k w_k a(v_k) = b, the
+        complementarity f(v_k) - a(v_k) @ X = 0 at every support point (a
+        point that holds still keeps its column's cost) and the
+        stationarity of f - l in each moving point's chart.  Each step
+        solves the linearization by least squares, so where the system is
+        singular (an affine face of the roof, where the optimum is not
+        unique, or two support points that meet) the step is the least-norm
+        one.  At most ``_KKT_STEPS`` steps are taken, none once every
+        residual is within ``_KKT_TOL``, and a point that is not finite is
+        dropped."""
+        z, flip = self.chart(c, y)
+        move = self._abs_q(c, y) >= (_ROUNDED_ROOT / 2.0) ** 2
+        z, flip, taylor = z[move], flip[move], self.taylor[flip[move].astype(int)]
+        k, m = len(w), len(z)
+        b = np.array([self.lam[0], self.lam[1], 0.0, 0.0])
+        A = _basis(c, y)
+        support = A.copy()
+        # the unknowns (J's columns) and the residuals F (its rows) come in
+        # one order: X and the mixing, w and the complementarity, then Re z
+        # (i) and Im z (j) of the moving points and their stationarity; ``at``
+        # are the moving points' complementarity rows
+        i = 4 + k + np.arange(m)
+        j, at = i + m, 4 + np.flatnonzero(move)
+        J = np.zeros((4 + k + 2 * m,) * 2)
+        moved = False
+        for _ in range(_KKT_STEPS if m else 0):  # with no point to move, none to propose
+            a, a_s, a_t = _chart_basis(z, flip)
+            A[move] = a
+            g, g_z, g_zc, g_zz = self.excess(z, taylor, *self.coefficients(X, flip)[1:])
+            slack = cost - A @ X
+            slack[move] = g
+            F = np.concatenate((A.T @ w - b, slack, 2.0 * g_z.real, -2.0 * g_z.imag))
+            if not np.isfinite(F).all() or np.abs(F).max() <= _KKT_TOL:
+                break
+            J[:4, 4:4 + k], J[4:4 + k, :4] = A.T, -A
+            J[:4, i], J[:4, j] = w[move] * a_s.T, w[move] * a_t.T
+            J[at, i], J[at, j] = F[i], F[j]
+            J[i, :4], J[j, :4] = -a_s, -a_t
+            J[i, i], J[j, j] = 2.0 * (g_zc + g_zz.real), 2.0 * (g_zc - g_zz.real)
+            J[i, j] = J[j, i] = -2.0 * g_zz.imag
+            if not np.isfinite(J).all():
+                break
+            step = np.linalg.lstsq(J, -F, rcond=_KKT_RCOND)[0]
+            X, w, z = X + step[:4], w + step[4:4 + k], z + step[i] + 1j * step[j]
+            moved = True
+        kept = np.isfinite(z) & moved
+        z, flip, origin = z[kept], flip[kept], np.flatnonzero(move)[kept]
+        # a point near a support point or an earlier point goes with its
+        # offsets: they are near that point's
+        a = _chart_basis(z, flip)[0]
+        near = ((a[:, None] - np.concatenate((support, a))) ** 2).sum(-1) <= _KKT_SEP ** 2
+        fresh = ~np.tril(near, k - 1).any(axis=1)
+        return _unchart((z[fresh, None] + _KKT_OFFSET).ravel(),
+                        np.repeat(flip[fresh], _KKT_OFFSET.size)), origin[fresh]
 
 
 # --------------------------------------------------------------------------
@@ -504,6 +596,7 @@ _LP_GAP = _CERT_GAP / 2
 _LP_BASIS = np.array([0, 60 * 120, 30 * 120, 30 * 120 + 30])
 _LP_PIVOTS = 200     # pivots per round
 _LP_TOL = 1e-12      # least negative reduced cost, and least ratio-test pivot
+_LP_COND = 1e6       # largest condition number of a start basis from the refinement
 # how far a lower bound may sit above a decomposition's value from rounding
 # alone; further above, pricing missed a point and the bound is dropped
 _BOUND_SLACK = 1e-9
@@ -541,6 +634,14 @@ def _simplex(cost, rows, b, basis):
     raise np.linalg.LinAlgError(f"no optimal basis in {_LP_PIVOTS} pivots")
 
 
+def _feasible(A, b) -> bool:
+    """Whether the basis of the rows A, 4 x 4, is a feasible start for
+    :func:`_simplex`: its condition number is below ``_LP_COND`` and its
+    weights, A^T w = b, are non-negative."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return bool(s[-1] * _LP_COND > s[0] and np.linalg.solve(A.T, b).min() >= 0.0)
+
+
 def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
     """The roof of a rank-2 rho = B^T conj(B) as a linear program, given the
     roots ``dirs`` of :func:`quartic.zero_directions`.
@@ -550,12 +651,16 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
     equality rows, give a decomposition, so the program's value is an upper
     bound on the roof and its dual X gives the affine lower bound.
     :func:`_simplex` solves over the 61 x 120 grid and the roots of q
-    (:meth:`_Range.columns`); each round prices X
-    by Newton steps on f - l from the support (beside it, where it is a
-    root of q) and the lowest grid points (:meth:`_Range.lowest`), appends
-    the points they reached and rings around the support as columns and
-    warm-starts from the last basis, until the program's value is within ``_LP_GAP`` of the bound or
-    after ``_LP_ROUNDS``.
+    (:meth:`_Range.columns`).  Each round then moves the basic solution's
+    support by Newton steps on the program's KKT system
+    (:meth:`_Range._refine`), appends the points they reach as columns and
+    solves again from the last basis; prices that solution's dual X by
+    Newton steps on f - l from the support (beside it, where it is a root
+    of q) and the lowest grid points (:meth:`_Range.lowest`); and appends
+    the points those reached, until the program's value is within
+    ``_LP_GAP`` of the bound or after ``_LP_ROUNDS``.  The bound is priced
+    at the simplex's own dual alone, so it holds, and the decomposition
+    mixes back, whether or not the refinement converged.
 
     Returns (W, bound), or None when the simplex fails: ``W`` holds the at
     most 4 sub-normalized members of the basic solution, (k, 8), their
@@ -566,20 +671,36 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
     sphere = _Range(B, use_sqrt, dirs)
     c, y, cost, rows, b = sphere.columns()
     basis = _LP_BASIS.copy()
+
+    def grown(new_c, new_y):
+        return (np.concatenate((c, new_c)), np.concatenate((y, new_y)),
+                np.concatenate((cost, sphere.f(new_c, new_y))),
+                np.concatenate((rows, _basis(new_c, new_y))))
+
     for _ in range(_LP_ROUNDS):
         try:
             w, X, reduced = _simplex(cost, rows, b, basis)
+            at = np.flatnonzero(w > 0.0)
+            support = basis[at]
+            (new_c, new_y), origin = sphere._refine(X, w[at], c[support], y[support],
+                                                    cost[support])
+            if len(new_c):
+                # the refined points take the places of the points they moved
+                # from, where that basis is feasible and well-conditioned
+                trial = basis.copy()
+                trial[at[origin]] = len(cost) + _KKT_OFFSET.size * np.arange(len(origin))
+                c, y, cost, rows = grown(new_c, new_y)
+                if _feasible(rows[trial], b):
+                    basis[:] = trial
+                w, X, reduced = _simplex(cost, rows, b, basis)
         except np.linalg.LinAlgError:
             return None
         support = basis[w > 0.0]
-        lowest, (new_c, new_y) = sphere.lowest(X, reduced[:len(_BLOCH_C)], c[support],
-                                               y[support])
+        lowest, visited = sphere.lowest(X, reduced[:len(_BLOCH_C)], c[support], y[support])
         bound = sphere.bound(X, min(lowest, reduced.min()))
         if cost[basis] @ w - bound <= _LP_GAP:
             break
-        c, y = np.concatenate((c, new_c)), np.concatenate((y, new_y))
-        cost = np.concatenate((cost, sphere.f(new_c, new_y)))
-        rows = np.concatenate((rows, _basis(new_c, new_y)))
+        c, y, cost, rows = grown(*visited)
     # the basic solution's weights, solved on its support to rounding
     w = np.linalg.lstsq(rows[support].T, b, rcond=None)[0]
     V = np.stack((c[support] + 0j, y[support]), axis=-1)

@@ -770,11 +770,11 @@ def _random_rank2_gram(rng):
 
 
 def _cap_lp_rounds(monkeypatch):
-    """State 2 of `_random_rank2` rng 12, tau: stopped after four rounds, the
-    program's bound is within _CERT_GAP of the roof, its decomposition not."""
-    monkeypatch.setattr(roof, "_LP_ROUNDS", 4)
+    """State 12 of `_random_rank2` rng 12, tau: stopped after two rounds, the
+    program's bracket is still open by about 1e-5, with a sound bound."""
+    monkeypatch.setattr(roof, "_LP_ROUNDS", 2)
     rng = np.random.default_rng(12)
-    return [_random_rank2(rng) for _ in range(3)][2], "tau"
+    return [_random_rank2(rng) for _ in range(13)][12], "tau"
 
 
 def _lower_orbit_bound(monkeypatch):
@@ -901,17 +901,35 @@ def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     assert _mixes_back(res, rho)
 
 
+def test_refined_start_basis_must_be_feasible_and_well_conditioned():
+    """The refined points replace the support in the simplex's start basis
+    only where that basis solves b with non-negative weights and is not
+    near-singular: on random rank-2 programs, feasible such bases reach
+    condition numbers of 4e7."""
+    angles = np.array([[0.0, 0.0], [np.pi, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]])
+    A = roof._basis(*roof._bloch(angles))
+    assert roof._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
+    assert not roof._feasible(A, A.T @ [0.5, 0.5, 0.3, -0.3])
+    near = angles.copy()
+    near[3] = near[2] + [1e-8, 0.0]
+    A = roof._basis(*roof._bloch(near))
+    assert not roof._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
+
+
 def test_lp_closes_the_bracket_where_pricing_tails_off(monkeypatch):
     """State 27 of rng 7, sqrt-tau: the roof is affine on a face there, and
-    the gap shrinks slowly from round to round; the program still closes
-    its own gap within _LP_ROUNDS and certifies its decomposition."""
+    with pricing alone the gap shrank slowly from round to round (six
+    pricing passes with rings of columns around the support); the refined
+    support closes the program's gap at its first pricing pass, and the
+    program certifies its decomposition."""
     rng = np.random.default_rng(7)
     rho = [_random_rank2(rng) for _ in range(28)][27]
-    rounds = []
-    simplex = roof._simplex
-    monkeypatch.setattr(roof, "_simplex", lambda *args: rounds.append(1) or simplex(*args))
+    passes = []
+    lowest = roof._Range.lowest
+    monkeypatch.setattr(roof._Range, "lowest",
+                        lambda self, *args: passes.append(1) or lowest(self, *args))
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
-    assert 0 < len(rounds) < roof._LP_ROUNDS
+    assert len(passes) == 1
     assert res.restarts_used == 0 and res.converged
     assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
     assert _mixes_back(res, rho)
@@ -997,24 +1015,84 @@ def test_simplex_dual_prices_its_basis_at_zero():
             assert np.abs(reduced[basis]).max() <= 8 * np.finfo(float).eps * np.abs(cost).max()
 
 
-def test_rings_let_the_support_move_on_the_counterexample(monkeypatch):
-    """On rho0 (tau) the three support points must move to where the mixing
-    rows put them, off the minima of f - l; the rings of columns around
-    them let the program close its bracket in three rounds, against five
-    from the Newton points alone."""
+def _counterexample_pair():
+    """(rho, TAU_RHO) and (rho0, TAU_RHO0) of the counterexample fixture."""
     fx = rt.counterexample_fixture()
-    B = eigen_factor(rt.measure(fx.ensemble, fx.measurement)[0].post_density)
-    rounds = []
-    simplex = roof._simplex
-    monkeypatch.setattr(roof, "_simplex", lambda *args: rounds.append(1) or simplex(*args))
-    dirs = zero_directions(B)
-    _, bound = roof._lp_roof(B, False, dirs)
-    with_rings = len(rounds)
-    monkeypatch.setattr(roof, "_RING", np.zeros(0, dtype=complex))
-    rounds.clear()
-    _, bound_without = roof._lp_roof(B, False, dirs)
-    assert with_rings <= 3 < len(rounds) < roof._LP_ROUNDS
-    assert abs(bound - TAU_RHO0) <= 1e-7 and abs(bound_without - TAU_RHO0) <= 1e-7
+    return ((rt.ensemble_to_density(fx.ensemble), TAU_RHO),
+            (rt.measure(fx.ensemble, fx.measurement)[0].post_density, TAU_RHO0))
+
+
+def test_refinement_closes_the_counterexample_in_one_pricing_pass(monkeypatch):
+    """Tau, the counterexample pair: Newton steps on the program's KKT system
+    carry the first round's support to the optimum, and each program closes
+    its bracket at its first pricing pass (rho0 took three with rings of
+    columns around the support, rho two); with refinement proposing
+    nothing, rho0 takes more."""
+    passes = []
+    lowest = roof._Range.lowest
+    monkeypatch.setattr(roof._Range, "lowest",
+                        lambda self, *args: passes.append(1) or lowest(self, *args))
+    for state, want in _counterexample_pair():
+        B = eigen_factor(state)
+        passes.clear()
+        _, bound = roof._lp_roof(B, False, zero_directions(B))
+        assert len(passes) == 1
+        assert abs(bound - want) <= 1e-7
+    monkeypatch.setattr(roof._Range, "_refine",
+                        lambda self, X, w, c, y, cost: ((c[:0], y[:0]), np.arange(0)))
+    passes.clear()
+    _, bound = roof._lp_roof(B, False, zero_directions(B))  # rho0
+    assert 1 < len(passes) < roof._LP_ROUNDS
+    assert abs(bound - TAU_RHO0) <= 1e-7
+
+
+def test_chart_columns_and_derivatives_match_central_differences():
+    """The columns a(z) of chart points, in both charts, are _basis of their
+    unit vectors, and their derivatives in Re z and Im z agree with central
+    differences; a point with |z| < 1 reads back in its own chart."""
+    rng = np.random.default_rng(63)
+    h = 1e-6
+    z = rng.uniform(0.0, 1.0, 40) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
+    for flip in (np.zeros(40, dtype=bool), np.ones(40, dtype=bool)):
+        def column(z):
+            return roof._basis(*roof._unchart(z, flip))
+
+        a, a_s, a_t = roof._chart_basis(z, flip)
+        assert np.abs(a - column(z)).max() <= 1e-15
+        assert np.abs((column(z + h) - column(z - h)) / (2.0 * h) - a_s).max() <= 1e-8
+        assert np.abs((column(z + 1j * h) - column(z - 1j * h)) / (2.0 * h) - a_t).max() <= 1e-8
+        back, chart = roof._Range.chart(*roof._unchart(z, flip))
+        assert np.array_equal(chart, flip) and np.abs(back - z).max() <= 1e-15
+
+
+def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
+    """Run to convergence from rho0's first simplex round (tau), the
+    refinement proposes the three points of the optimal decomposition, each
+    with its four offsets: the fourth support point, which the grid split
+    off one of them, meets it and is dropped.  Weights solved on the three
+    mix back to b, one X makes f - l and its gradient vanish at all three to
+    rounding, and b @ X is the frozen roof."""
+    monkeypatch.setattr(roof, "_KKT_STEPS", 8)
+    B = eigen_factor(_counterexample_pair()[1][0])
+    sphere = roof._Range(B, False, zero_directions(B))
+    c, y, cost, rows, b = sphere.columns()
+    basis = roof._LP_BASIS.copy()
+    w, X, _ = roof._simplex(cost, rows, b, basis)
+    support = basis[w > 0.0]
+    assert len(support) == 4
+    (new_c, new_y), _ = sphere._refine(X, w[w > 0.0], c[support], y[support], cost[support])
+    assert len(new_c) == 3 * roof._KKT_OFFSET.size
+    z, flip = sphere.chart(new_c[::roof._KKT_OFFSET.size], new_y[::roof._KKT_OFFSET.size])
+    a, a_s, a_t = roof._chart_basis(z, flip)
+    weights = np.linalg.lstsq(a.T, b, rcond=None)[0]
+    assert weights.min() > 0.0 and np.abs(a.T @ weights - b).max() <= 1e-13
+    # f - l and its gradient are linear in X: (f, f_s, f_t) - (a, a_s, a_t) @ X
+    f, f_z = sphere.excess(z, *sphere.coefficients(np.zeros(4), flip))[:2]
+    rows = np.concatenate((a, a_s, a_t))
+    values = np.concatenate((f, 2.0 * f_z.real, -2.0 * f_z.imag))
+    X = np.linalg.lstsq(rows, values, rcond=None)[0]
+    assert np.abs(rows @ X - values).max() <= 1e-13
+    assert abs(b @ X - TAU_RHO0) <= 1e-13
 
 
 @pytest.mark.parametrize("seed, index, restarts", [(120, 19, 50), (125, 11, 5)])
