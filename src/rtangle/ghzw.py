@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quartic import eigen_factor, pair_quartic, zero_directions
+from .quartic import eigen_factor, pair_quartic, range_roots
 from .states import (
     NORM_TOL,
     DensityMatrix,
@@ -345,7 +345,7 @@ class OrbitAnalysis:
 
 def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
     """:func:`orbit_analysis` of the rank-2 rho = B^T conj(B), given the
-    roots ``dirs`` of :func:`quartic.zero_directions`, unit rows of U.
+    distinct roots ``dirs`` of :func:`quartic.range_roots`, unit rows of U.
 
     A root d is a tangle-free range state w = d B.  With d' orthogonal to d
     in C^2 and g = d' B, rho = g g^H + w w^H, and Det(x g + y w) =
@@ -363,10 +363,8 @@ def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
     of q_1 against the largest q_k would read every |D/A| below about 3e-3
     as 0 at a W weight |w|^2 of 1e-5.
     """
-    # a multiple root at infinity is listed once per multiplicity
-    roots = dirs[~np.tril((dirs[:, None] == dirs).all(-1), -1).any(-1)]
-    G = np.stack((-np.conj(roots[:, 1]), np.conj(roots[:, 0])), axis=-1) @ B
-    W = roots @ B
+    G = np.stack((-np.conj(dirs[:, 1]), np.conj(dirs[:, 0])), axis=-1) @ B
+    W = dirs @ B
     q = pair_quartic(G, W)
     scale = np.abs(q).max(-1)
     found = np.flatnonzero((scale > 0.0) & (np.abs(q[:, [0, 2, 3]]).max(-1) <= _ORBIT_TOL * scale))
@@ -396,7 +394,7 @@ def orbit_analysis(rho: DensityMatrix) -> OrbitAnalysis | None:
     recognized.
     """
     B = eigen_factor(rho)
-    return range_orbit(B, zero_directions(B)) if len(B) == 2 else None
+    return range_orbit(B, range_roots(B)[3]) if len(B) == 2 else None
 
 
 @dataclass(frozen=True)

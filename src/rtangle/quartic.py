@@ -3,12 +3,15 @@
 A density matrix rho = B^T conj(B) is factored into the rows B_k =
 sqrt(lambda_k) e_k of its spectral decomposition.  On a rank-2 range the
 hyperdeterminant of the range state x w1 + y w2 is a binary quartic in
-(x, y), and its roots are the tangle-free range states.  The roots are
-solved once per density matrix, on the unit rows e_k: on the rows B_k the
+(x, y), and its roots are the tangle-free range states.  The quartic is
+evaluated and its roots solved once per density matrix
+(:func:`range_roots`), on the unit rows e_k: on the rows B_k the
 coefficients scale as lambda_0^(k/2) lambda_1^((4-k)/2), and on a nearly
-rank-1 range the leading one sinks into rounding.  The convex-roof
-certificates of :mod:`rtangle.roof` and the SLOCC-orbit recognition of
-:mod:`rtangle.ghzw` all read that one list of roots.
+rank-1 range the leading one sinks into rounding.  That one solve gives
+each distinct root in both frames: as a unit row on the e_k, which the
+rank-2 linear program of :mod:`rtangle.roof` reads with the quartic, and as
+a row of U on the B_k, which the zero fit of :mod:`rtangle.roof` and the
+SLOCC-orbit recognition of :mod:`rtangle.ghzw` read.
 """
 from __future__ import annotations
 
@@ -46,31 +49,37 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V.real ** 2 + V.imag ** 2).sum(-1))
 
 
-def zero_directions(B: np.ndarray) -> np.ndarray:
-    """Unit coefficient vectors d (rows of U) of the tangle-free range
-    states d_0 B_0 + d_1 B_1, at most four, as the rows of a (k, 2) array.
+def range_roots(B: np.ndarray):
+    """The range quartic of the rank-2 rho = B^T conj(B) and its roots, in
+    one solve: (E, q, roots, dirs).
 
-    The roots v of Det(v_0 e_0 + v_1 e_1) are solved on the unit rows
-    e_k = B_k / |B_k|, and each maps to the row v_k / |B_k|, normalized.
-    Where the quartic is 0 up to rounding (max|q| <= ``_Q_ROUNDING``) every
-    range state is tangle-free, and the rows are the unit frame: its four
+    E holds the unit rows e_k = B_k / |B_k|, q the coefficients of
+    Det(x e_0 + y e_1) (:func:`pair_quartic`), and the distinct roots come
+    twice, at most four of them: ``roots`` as unit rows v on E, the
+    tangle-free range states v_0 e_0 + v_1 e_1, and ``dirs`` as unit rows d
+    of U, the same states d_0 B_0 + d_1 B_1 (d is v_k / |B_k|, normalized).
+    A repeated root, at infinity or an exact one of ``np.roots``, is listed
+    once.  Where the quartic is 0 up to rounding (max|q| <= ``_Q_ROUNDING``)
+    every range state is tangle-free, and both are the unit frame: its four
     "roots" would be those of rounding."""
     norms = _norms(B)
     E = B / norms[:, None]
     q = pair_quartic(E[0], E[1])
     scale = np.abs(q).max()
     if scale <= _Q_ROUNDING:  # entire range is tangle-free
-        return np.eye(2, dtype=complex)
+        frame = np.eye(2, dtype=complex)
+        return E, q, frame, frame
     poly = q[::-1] / scale  # highest power of t = x/y first
-    at_infinity = 0  # roots at the pure-e_0 direction
-    if np.abs(poly[0]) < 1e-12:
-        at_infinity, poly = 1, poly[1:]
-    while len(poly) > 1 and np.abs(poly[0]) < 1e-14:
-        at_infinity, poly = at_infinity + 1, poly[1:]
-    # the rows (1, 0) at infinity, then (t, 1) at the roots t
-    V = np.ones((at_infinity + len(poly) - 1, 2), complex)
+    at_infinity = int(np.abs(poly[0]) < 1e-12)  # a root at the pure-e_0 direction
+    poly = poly[at_infinity:]
+    while len(poly) > 1 and np.abs(poly[0]) < 1e-14:  # of a higher multiplicity
+        poly = poly[1:]
+    t = np.roots(poly).tolist()
+    t = [z for k, z in enumerate(t) if z not in t[:k]]
+    # the row (1, 0) at infinity, then (t, 1) at the roots t, each once
+    V = np.ones((at_infinity + len(t), 2), complex)
     V[:at_infinity, 1] = 0.0
-    if len(poly) > 1:
-        V[at_infinity:, 0] = np.roots(poly)
-    V = V / _norms(V)[:, None] / norms
-    return V / _norms(V)[:, None]
+    V[at_infinity:, 0] = t
+    roots = V / _norms(V)[:, None]
+    dirs = roots / norms
+    return E, q, roots, dirs / _norms(dirs)[:, None]

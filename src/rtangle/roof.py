@@ -31,11 +31,14 @@ answers, with ``restarts_used == 0``.  The first whose bracket is closed
 than rounding) is returned at once; otherwise the lowest that fits is.
 The search runs only where no decomposition fits: the ensemble size is
 below every certificate's, or every certificate declined.  All three read
-one list of tangle-free directions inside the range of rho: the roots of a
-quartic (the hyperdeterminant restricted to the range), solved once per
-input on the unit eigenvectors (:func:`quartic.zero_directions`).  A
-quartic that is 0 up to rounding, on a biseparable range, gives the unit
-frame instead, and the zero fit certifies the spectral decomposition.
+one list of tangle-free directions inside the range of rho: the distinct
+roots of a quartic (the hyperdeterminant restricted to the range),
+evaluated and solved once per input on the unit eigenvectors
+(:func:`quartic.range_roots`), which gives each root both as a row of U,
+for the zero fit and the orbit, and as a unit range vector, for the
+program.  A quartic that is 0 up to rounding, on a biseparable range,
+gives the unit frame instead, and the zero fit certifies the spectral
+decomposition.
 
 * zero, bound 0: a non-negative fit of the identity over the root
   projectors gives a decomposition that mixes back to rho, where one
@@ -84,7 +87,7 @@ import numpy as np
 from . import kernels
 from .ghzw import range_orbit
 from .invariants import invariants
-from .quartic import eigen_factor, pair_quartic, zero_directions
+from .quartic import eigen_factor, range_roots
 from .states import (
     DensityMatrix,
     PureState,
@@ -204,24 +207,24 @@ def _zero_decomposition(dirs: np.ndarray):
     """A tangle-free decomposition (rank 2 only).
 
     A non-negative fit of the identity over the projectors onto the
-    tangle-free directions ``dirs`` (:func:`quartic.zero_directions`
-    of B), with weights up to ``_SUPPORT`` taken as rounding; returns its k
-    members as the rows of U, (k, 2), when the fit is exact (residual below
-    ``_FIT_TOL``, so U has orthonormal columns to that) and k >= 2, else
-    None.  The members are tangle-free up to the rounding of the
-    quartic's roots.
+    tangle-free directions ``dirs`` (the rows of U of
+    :func:`quartic.range_roots`), with weights up to ``_SUPPORT`` taken as
+    rounding; returns its k members as the rows of U, (k, 2), when the fit
+    is exact (residual below ``_FIT_TOL``, so U has orthonormal columns to
+    that) and k >= 2, else None.  The members are tangle-free up to the
+    rounding of the quartic's roots.
 
     One solve decides in the common case of four distinct roots: the fit is
     then unique, a non-negative one is the answer, and one with a weight
     below -``_FIT_TOL`` ||A^-1||_F (the Frobenius norm bounds the spectral
     one) means no fit within ``_FIT_TOL`` is non-negative, which declines a
-    linear-branch input at once.  Repeated roots, the two rows of the unit
-    frame where the quartic vanishes, and weights between rounding and
-    that bound go to phase one of the program
-    (:func:`_simplex`): the four unit columns at cost 1, with the weights
-    ``_IDENTITY`` the start basis, and the roots at cost 0.  The roots of
-    its final basis are the candidate members, their weights solved on
-    them; a simplex that fails declines.
+    linear-branch input at once.  Fewer than four roots (a repeated root is
+    listed once), the two rows of the unit frame where the quartic
+    vanishes, and weights between rounding and that bound go to phase one
+    of the program (:func:`_simplex`): the four unit columns at cost 1,
+    with the weights ``_IDENTITY`` the start basis, and the roots at cost
+    0.  The roots of its final basis are the candidate members, their
+    weights solved on them; a simplex that fails declines.
     """
     D = np.array(dirs)
     c = np.conj(D[:, 0] * D[:, 1].conj())
@@ -229,7 +232,7 @@ def _zero_decomposition(dirs: np.ndarray):
                   c.real, c.imag])
     try:
         inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:  # fewer than four roots, or a repeated one
+    except np.linalg.LinAlgError:  # fewer than four roots, or a singular A
         u = None
     else:
         u = inv @ _IDENTITY
@@ -277,10 +280,11 @@ _POWERS = np.arange(5)
 # d-th derivative, d = 0, 1, 2
 _TAYLOR = np.stack((np.eye(5), np.eye(5, k=1) * _POWERS,
                     np.eye(5, k=2) * _POWERS * (_POWERS - 1)))
-# Bloch-sphere grid (theta, phi) of the range, one step apart in both angles
+# Bloch-sphere grid (theta, phi) of the range, one step apart in both angles;
+# of the 120 points of each pole row, which are one point, one is kept
 _BLOCH_STEP = np.pi / 60
 _BLOCH_GRID = np.stack(np.meshgrid(np.arange(61) * _BLOCH_STEP, np.arange(120) * _BLOCH_STEP,
-                                   indexing="ij"), axis=-1).reshape(-1, 2)
+                                   indexing="ij"), axis=-1).reshape(-1, 2)[119:-119]
 _BLOCH_C, _BLOCH_Y = _bloch(_BLOCH_GRID)
 _BLOCH_BASIS = _basis(_BLOCH_C, _BLOCH_Y)
 # value minus certified lower bound up to which a decomposition counts as
@@ -360,12 +364,12 @@ class _Range:
 
     A unit v in C^2 stands for the range state v0 e0 + v1 e1 (orthonormal
     eigenvectors e_k = B_k / sqrt(lambda_k), eigenvalues lambda_k); every
-    decomposition of rho is a mixture of such states.  The roots of q, the
-    tangle-free states, are read from the rows d of U that
-    :func:`quartic.zero_directions` solved for: v is d_k sqrt(lambda_k),
-    normalized.  Its objective is f(v) = 2 sqrt|q(v)|
-    (sqrt-tau) or 4 |q(v)| (tau), with q the hyperdeterminant restricted to
-    the range.  A Hermitian X gives the affine function
+    decomposition of rho is a mixture of such states.  The rows E, the
+    quartic q on them and its roots, the tangle-free states as unit rows v,
+    are those of the one solve :func:`quartic.range_roots`.  Its objective
+    is f(v) = 2 sqrt|q(v)| (sqrt-tau) or 4 |q(v)| (tau), with q the
+    hyperdeterminant restricted to the range.  A Hermitian X gives the
+    affine function
     l(v) = v^H X v = _basis(v) @ (X_00, X_11, Re X_01, -Im X_01).  If
     f >= l - delta on the whole sphere, every decomposition of rho has a
     value of at least lambda_0 X_00 + lambda_1 X_11 - delta (Osterloh,
@@ -384,13 +388,11 @@ class _Range:
     (K, a, b) = (2, 1/2, 1) for sqrt-tau and (4, 1, 2) for tau.
     """
 
-    def __init__(self, B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
-        self.lam = (B.real ** 2 + B.imag ** 2).sum(-1)
-        self.E = B / np.sqrt(self.lam)[:, None]
-        self.q = pair_quartic(self.E[0], self.E[1])
-        self.use_sqrt = use_sqrt
-        roots = dirs * np.sqrt(self.lam)
-        self.roots = roots / np.sqrt(_abs2(roots).sum(-1))[:, None]
+    def __init__(self, B: np.ndarray, use_sqrt: bool, E: np.ndarray, q: np.ndarray,
+                 roots: np.ndarray):
+        self.lam = _abs2(B).sum(-1)
+        self.b = np.array([self.lam[0], self.lam[1], 0.0, 0.0])
+        self.E, self.q, self.roots, self.use_sqrt = E, q, roots, use_sqrt
         # per chart (z = y / c, then z = c / y) the rows of Q, Q' and Q'' on
         # (1, z, .., z^4)
         self.taylor = np.einsum("djk,ck->cdj", _TAYLOR, np.stack((self.q[::-1], self.q)))
@@ -398,16 +400,21 @@ class _Range:
     def columns(self):
         """The linear program's first columns, the grid and the roots of q:
         their unit vectors (c, y), costs and constraint rows, and the
-        right-hand side.  For sqrt-tau a root below ``_ROUNDED_ROOT`` costs
-        0."""
+        right-hand side b = (lambda_0, lambda_1, 0, 0).  A root that
+        :meth:`on_root` reads as one costs 0."""
         root_c, root_y = _phase_off(self.roots)
-        root_f = self.f(root_c, root_y)
-        if self.use_sqrt:
-            root_f = np.where(root_f < _ROUNDED_ROOT, 0.0, root_f)
+        root_f = np.where(self.on_root(root_c, root_y), 0.0, self.f(root_c, root_y))
         c, y = np.concatenate((_BLOCH_C, root_c)), np.concatenate((_BLOCH_Y, root_y))
         cost = np.concatenate((self.f(_BLOCH_C, _BLOCH_Y), root_f))
         rows = np.concatenate((_BLOCH_BASIS, _basis(root_c, root_y)))
-        return c, y, cost, rows, np.array([self.lam[0], self.lam[1], 0.0, 0.0])
+        return c, y, cost, rows, self.b
+
+    def on_root(self, c, y):
+        """Whether the unit range vectors (c, y) are roots of q up to
+        rounding: sqrt-tau below ``_ROUNDED_ROOT`` reads as tangle-free.  A
+        root is tangle-free whatever the functional, so tau reads the same
+        test."""
+        return self._abs_q(c, y) < (_ROUNDED_ROOT / 2.0) ** 2
 
     def f(self, c, y):
         """Objective of the unit range vectors (c, y)."""
@@ -479,8 +486,7 @@ class _Range:
         step long in the chart.  It is taken only where f - l falls, and
         halved where it would not."""
         z, flip = self.chart(c, y)
-        # sqrt-tau below _ROUNDED_ROOT reads as tangle-free: on a root
-        cusp = self._abs_q(c, y) < (_ROUNDED_ROOT / 2.0) ** 2
+        cusp = self.on_root(c, y)
         # f rises off a root equally in every direction, so f - l falls
         # fastest along the gradient of l, 2 conj(l_z)
         l_z = _affine(z[cusp], *self.coefficients(X, flip[cusp])[1:])[1]
@@ -526,12 +532,12 @@ class _Range:
         the index of the support point it moved from.
 
         The unknowns are X, w and the chart points z_k of the support points
-        off the roots of q; a point on a root (the cusp test of
-        :meth:`lowest`) holds still.  With b = (lambda_0, lambda_1, 0, 0) and
-        a(v) = _basis(v), the rows are the mixing sum_k w_k a(v_k) = b, the
-        complementarity f(v_k) - a(v_k) @ X = 0 at every support point (a
-        point that holds still keeps its column's cost) and the
-        stationarity of f - l in each moving point's chart.  Each step
+        off the roots of q; a point on a root (:meth:`on_root`) holds still.
+        With b = (lambda_0, lambda_1, 0, 0) and a(v) = _basis(v), the rows
+        are the mixing sum_k w_k a(v_k) = b, the complementarity
+        f(v_k) - a(v_k) @ X = 0 at every support point (a point that holds
+        still keeps its column's cost) and the stationarity of f - l in
+        each moving point's chart.  Each step
         solves the linearization by least squares, so where the system is
         singular (an affine face of the roof, where the optimum is not
         unique, or two support points that meet) the step is the least-norm
@@ -539,10 +545,9 @@ class _Range:
         residual is within ``_KKT_TOL``, and a point that is not finite is
         dropped."""
         z, flip = self.chart(c, y)
-        move = self._abs_q(c, y) >= (_ROUNDED_ROOT / 2.0) ** 2
+        move = ~self.on_root(c, y)
         z, flip, taylor = z[move], flip[move], self.taylor[flip[move].astype(int)]
         k, m = len(w), len(z)
-        b = np.array([self.lam[0], self.lam[1], 0.0, 0.0])
         A = _basis(c, y)
         support = A.copy()
         # the unknowns (J's columns) and the residuals F (its rows) come in
@@ -559,7 +564,7 @@ class _Range:
             g, g_z, g_zc, g_zz = self.excess(z, taylor, *self.coefficients(X, flip)[1:])
             slack = cost - A @ X
             slack[move] = g
-            F = np.concatenate((A.T @ w - b, slack, 2.0 * g_z.real, -2.0 * g_z.imag))
+            F = np.concatenate((A.T @ w - self.b, slack, 2.0 * g_z.real, -2.0 * g_z.imag))
             if not np.isfinite(F).all() or np.abs(F).max() <= _KKT_TOL:
                 break
             J[:4, 4:4 + k], J[4:4 + k, :4] = A.T, -A
@@ -591,9 +596,10 @@ _LP_ROUNDS = 20
 # the program's own gap at which rounds stop: half of _CERT_GAP leaves the
 # other half for the rounding of the decomposition's members
 _LP_GAP = _CERT_GAP / 2
-# the grid columns of e0, e1, (e0 + e1)/sqrt 2 and (e0 + i e1)/sqrt 2: the
-# weights (lambda_0, lambda_1, 0, 0) on them are a feasible basic solution
-_LP_BASIS = np.array([0, 60 * 120, 30 * 120, 30 * 120 + 30])
+# the grid columns of e0, e1, (e0 + e1)/sqrt 2 and (e0 + i e1)/sqrt 2: their
+# indices in the 61 x 120 mesh, less the 119 pole points dropped before them.
+# The weights (lambda_0, lambda_1, 0, 0) on them are a feasible basic solution
+_LP_BASIS = np.array([119, 60 * 120, 30 * 120, 30 * 120 + 30]) - 119
 _LP_PIVOTS = 200     # pivots per round
 _LP_TOL = 1e-12      # least negative reduced cost, and least ratio-test pivot
 _LP_COND = 1e6       # largest condition number of a start basis from the refinement
@@ -642,23 +648,25 @@ def _feasible(A, b) -> bool:
     return bool(s[-1] * _LP_COND > s[0] and np.linalg.solve(A.T, b).min() >= 0.0)
 
 
-def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
-    """The roof of a rank-2 rho = B^T conj(B) as a linear program, given the
-    roots ``dirs`` of :func:`quartic.zero_directions`.
+def _lp_roof(sphere: _Range):
+    """The roof of a rank-2 rho = B^T conj(B) as a linear program over its
+    range ``sphere``, which holds the quartic and the roots of its one
+    solve (:func:`quartic.range_roots`).
 
     Columns are unit range vectors v with cost f(v) (see :class:`_Range`);
     weights w >= 0 with sum_k w_k v_k v_k^H = diag(lambda), four real
     equality rows, give a decomposition, so the program's value is an upper
     bound on the roof and its dual X gives the affine lower bound.
-    :func:`_simplex` solves over the 61 x 120 grid and the roots of q
-    (:meth:`_Range.columns`).  Each round then moves the basic solution's
-    support by Newton steps on the program's KKT system
-    (:meth:`_Range._refine`), appends the points they reach as columns and
-    solves again from the last basis; prices that solution's dual X by
-    Newton steps on f - l from the support (beside it, where it is a root
-    of q) and the lowest grid points (:meth:`_Range.lowest`); and appends
-    the points those reached, until the program's value is within
-    ``_LP_GAP`` of the bound or after ``_LP_ROUNDS``.  The bound is priced
+    :func:`_simplex` solves over the Bloch grid, 7082 points one step apart
+    in both angles, and the roots of q (:meth:`_Range.columns`).  Each
+    round then moves the basic solution's support by Newton steps on the
+    program's KKT system (:meth:`_Range._refine`), appends the points they
+    reach as columns and solves again from the last basis; prices that
+    solution's dual X by Newton steps on f - l from the support (beside
+    it, where it is a root of q) and the lowest grid points
+    (:meth:`_Range.lowest`); and appends the points those reached, until
+    the program's value is within ``_LP_GAP`` of the bound or after
+    ``_LP_ROUNDS``.  The bound is priced
     at the simplex's own dual alone, so it holds, and the decomposition
     mixes back, whether or not the refinement converged.
 
@@ -668,7 +676,6 @@ def _lp_roof(B: np.ndarray, use_sqrt: bool, dirs: np.ndarray):
     to working precision (its offset is a numerical minimum), not as a
     proof.
     """
-    sphere = _Range(B, use_sqrt, dirs)
     c, y, cost, rows, b = sphere.columns()
     basis = _LP_BASIS.copy()
 
@@ -922,9 +929,10 @@ def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_inde
 def _certificates(B: np.ndarray, use_sqrt: bool):
     """The certificates of a rank-2 rho = B^T conj(B), cheapest first: for
     each that runs, its decomposition as its member rows W, at most 4, and
-    its lower bound on the roof.  The range quartic is solved once, and the
-    zero fit, the orbit and the linear program all read its roots."""
-    dirs = zero_directions(B)
+    its lower bound on the roof.  The range quartic is evaluated and solved
+    once: the zero fit and the orbit read its roots as rows of U, and the
+    linear program reads the quartic and its roots on the unit rows E."""
+    E, q, roots, dirs = range_roots(B)
     exact = _zero_decomposition(dirs)
     if exact is not None:
         yield exact @ B, 0.0
@@ -932,7 +940,7 @@ def _certificates(B: np.ndarray, use_sqrt: bool):
     orbit = range_orbit(B, dirs) if use_sqrt else None
     if orbit is not None:
         yield orbit.rows(), orbit.analysis.rtangle
-    lp = _lp_roof(B, use_sqrt, dirs)
+    lp = _lp_roof(_Range(B, use_sqrt, E, q, roots))
     if lp is not None:
         yield lp
 

@@ -190,7 +190,7 @@ def test_degenerate_w_parameters():
         assert abs(ana.rtangle - 2.0 * abs(mix.a * mix.b) * p) < 1e-12
         rho = rt.ensemble_to_density(rt.optimal_ensemble(mix))
         assert np.abs(rho.matrix - mix.density().matrix).max() < 1e-12
-        if 0.0 < p < 1.0:  # at p = 0.6 a fourfold root at infinity, listed four times
+        if 0.0 < p < 1.0:  # at p = 0.6 a fourfold root at infinity, listed once
             assert abs(rt.orbit_analysis(rho).analysis.rtangle - ana.rtangle) < 1e-14
         # the closed form still matches the invariants route in the limit
         for fp, phi in ((0.3, 0.0), (0.7, 1.0)):

@@ -7,7 +7,7 @@ from scipy.optimize import linprog, nnls
 import rtangle as rt
 from rtangle import kernels
 from rtangle import roof
-from rtangle.quartic import eigen_factor, pair_quartic, zero_directions
+from rtangle.quartic import eigen_factor, pair_quartic, range_roots
 from freeze import (SQRT_TAU_GENERIC_R3, TAU_RHO, TAU_RHO0, TR_STD_P08, biseparable,
                     generic_base, ghz_state, random_mixture, random_pure, random_unitary2,
                     std_mixture)
@@ -17,6 +17,17 @@ FAST = rt.RoofOptions(restarts=6)
 
 def _pure_density(psi):
     return rt.ensemble_to_density(rt.WeightedEnsemble(((1.0, psi),)))
+
+
+def _dirs(rho):
+    """The roots of rho's range quartic as rows of U, as the zero fit and the
+    orbit read them."""
+    return range_roots(eigen_factor(rho))[3]
+
+
+def _range(B, use_sqrt):
+    """The range of rho = B^T conj(B), as the linear program reads it."""
+    return roof._Range(B, use_sqrt, *range_roots(B)[:3])
 
 
 def _without_orbit(monkeypatch):
@@ -29,7 +40,7 @@ def _without_lp(monkeypatch):
     """Switch the orbit closed form and the rank-2 linear program off, so the
     search runs alone."""
     _without_orbit(monkeypatch)
-    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt, dirs: None)
+    monkeypatch.setattr(roof, "_lp_roof", lambda sphere: None)
 
 
 def test_rank1_is_exact():
@@ -519,7 +530,7 @@ def test_decomposition_larger_than_the_ensemble_is_not_truncated(size):
     their decompositions do not fit."""
     for p in (0.1, 0.3, 0.6):
         rho = std_mixture(p).density()
-        assert len(roof._zero_decomposition(zero_directions(eigen_factor(rho)))) > size
+        assert len(roof._zero_decomposition(_dirs(rho))) > size
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(ensemble_size=size, restarts=2))
         assert res.restarts_used == 2 and len(res.ensemble) <= size
         assert _mixes_back(res, rho)
@@ -557,19 +568,22 @@ def _zero_fit_corpus():
     s2, s3 = 2 ** -0.5, 3 ** -0.5
     states += [rt.GhzWMixture(a=s2, b=s2, c=1.0, d=0.0, f=0.0, p=0.6).density(),
                rt.GhzWMixture(a=0.0, b=1.0, c=s3, d=s3, f=s3, p=0.6).density()]
-    return [zero_directions(eigen_factor(rho)) for rho in states]
+    return [_dirs(rho) for rho in states]
 
 
 @pytest.mark.parametrize("size", [3, 4])
 def test_zero_fit_matches_the_scipy_reference(monkeypatch, size):
     """Same decision as the fit on scipy's NNLS, and the same U within
     1e-12; both decisions occur, and the repeated roots reach phase one of
-    the simplex."""
+    the simplex.  The degenerate-W fourfold root at infinity and the
+    degenerate-GHZ triple root at 0 are each listed once."""
     calls = []
     simplex = roof._simplex
     monkeypatch.setattr(roof, "_simplex", lambda *args: calls.append(1) or simplex(*args))
     decisions = set()
-    for dirs in _zero_fit_corpus():
+    corpus = _zero_fit_corpus()
+    assert len(corpus[-2]) == 1 and len(corpus[-1]) == 2
+    for dirs in corpus:
         U, ref = roof._zero_decomposition(dirs), _zero_fit_reference(dirs, size)
         if U is not None and len(U) > size:  # roof_minimize's size rule
             U = None
@@ -593,7 +607,7 @@ def test_zero_fit_near_the_branch_point(monkeypatch):
         for t, accepted, phase_one in ((-1e-9, True, False), (1e-13, True, False),
                                        (1e-11, True, True), (1e-9, False, False)):
             mix_t = rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f, p=p0 * (1 + t))
-            dirs = zero_directions(eigen_factor(mix_t.density()))
+            dirs = _dirs(mix_t.density())
             calls.clear()
             U, ref = roof._zero_decomposition(dirs), _zero_fit_reference(dirs, 4)
             assert (U is not None) == (ref is not None) == accepted
@@ -609,7 +623,7 @@ def test_zero_fit_declines_when_phase_one_fails(monkeypatch):
     mixes back: the orbit closed form's for sqrt-tau, the search's for tau
     (the program fails too)."""
     rho = rt.GhzWMixture(a=0.0, b=1.0, c=3 ** -0.5, d=3 ** -0.5, f=3 ** -0.5, p=0.6).density()
-    dirs = zero_directions(eigen_factor(rho))
+    dirs = _dirs(rho)
     assert len(roof._zero_decomposition(dirs)) == 2
     monkeypatch.setattr(roof, "_LP_PIVOTS", 0)
     assert roof._zero_decomposition(dirs) is None
@@ -622,17 +636,17 @@ def test_zero_directions_on_near_rank1_states():
     """The roots of the range quartic are solved on unit eigenvectors: on
     (1 - w) |a><a| + w |b><b| down to w = 1e-10, where the quartic of the
     rows sqrt(lambda_k) e_k has a leading coefficient below rounding, every
-    root is a tangle-free range state."""
+    root is a tangle-free range state, as a row of U and as a unit row on
+    the eigenvectors."""
     for w in (1e-4, 1e-6, 1e-8, 1e-10):
         rng = np.random.default_rng(5)
         for _ in range(10):
             a, b = random_pure(rng).amp, random_pure(rng).amp
             rho = rt.DensityMatrix((1 - w) * np.outer(a, a.conj()) + w * np.outer(b, b.conj()))
             B = eigen_factor(rho)
-            dirs = zero_directions(B)
-            assert len(dirs) == 4
-            for d in dirs:
-                psi = d @ B
+            E, _, roots, dirs = range_roots(B)
+            assert len(dirs) == len(roots) == 4
+            for psi in np.concatenate((dirs @ B, roots @ E)):
                 assert rt.invariants(rt.PureState(psi / np.linalg.norm(psi))).tau <= 1e-12
 
 
@@ -682,14 +696,17 @@ def test_lp_brackets_the_roof_on_slocc_orbits(monkeypatch):
 
 def test_lp_certified_solve_solves_the_quartic_once(monkeypatch):
     """The zero fit and the linear program read one list of roots: an
-    LP-certified tau solve solves the range quartic once."""
-    calls = []
-    zero_directions_ = roof.zero_directions
-    monkeypatch.setattr(roof, "zero_directions", lambda B: calls.append(B) or zero_directions_(B))
+    LP-certified tau solve solves the range quartic once, and evaluates it
+    once (one ``hyperdet_rows`` call)."""
+    calls, evaluations = [], []
+    solve, hyperdet_rows = roof.range_roots, kernels.hyperdet_rows
+    monkeypatch.setattr(roof, "range_roots", lambda B: calls.append(B) or solve(B))
+    monkeypatch.setattr(kernels, "hyperdet_rows",
+                        lambda W: evaluations.append(W.shape) or hyperdet_rows(W))
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
     res = rt.roof_minimize(rho, "tau", FAST)
     assert res.restarts_used == 0 and res.converged and res.lower_bound > 0.0
-    assert len(calls) == 1
+    assert len(calls) == 1 and evaluations == [(5, 8)]
 
 
 def test_lp_brackets_the_counterexample_tau_constants():
@@ -714,7 +731,7 @@ def test_affine_bound_never_exceeds_the_closed_form():
         rho = mix.density()
         closed = rt.analyze(mix).rtangle
         B = eigen_factor(rho)
-        W, bound = roof._lp_roof(B, True, zero_directions(B))
+        W, bound = roof._lp_roof(_range(B, True))
         assert bound <= closed + 1e-9
         rows = [W]
         rows += [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0] @ B
@@ -787,7 +804,7 @@ def _lower_orbit_bound(monkeypatch):
         return replace(orbit, analysis=replace(orbit.analysis, rtangle=orbit.analysis.rtangle - 1e-3))
 
     monkeypatch.setattr(roof, "range_orbit", loose)
-    monkeypatch.setattr(roof, "_lp_roof", lambda B, use_sqrt, dirs: None)
+    monkeypatch.setattr(roof, "_lp_roof", lambda sphere: None)
     return std_mixture(0.8).density(), "sqrt_tau"
 
 
@@ -795,8 +812,7 @@ def _raise_lp_bound(monkeypatch):
     """The counterexample rho, tau, with the program's bound forced to 1.0,
     above its own decomposition: pricing missed a point."""
     lp_roof = roof._lp_roof
-    monkeypatch.setattr(roof, "_lp_roof",
-                        lambda B, use_sqrt, dirs: (lp_roof(B, use_sqrt, dirs)[0], 1.0))
+    monkeypatch.setattr(roof, "_lp_roof", lambda sphere: (lp_roof(sphere)[0], 1.0))
     return rt.ensemble_to_density(rt.counterexample_fixture().ensemble), "tau"
 
 
@@ -838,7 +854,7 @@ def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch, draw, seed):
     states = [draw(rng) for _ in range(200 if draw is biseparable else 30)]
     results = {}
     for k, rho in enumerate(states):
-        frame = np.array_equal(zero_directions(eigen_factor(rho)), np.eye(2))
+        frame = np.array_equal(_dirs(rho), np.eye(2))
         assert frame == (draw is biseparable)
         for functional in roof.FUNCTIONALS:
             res = rt.roof_minimize(rho, functional)
@@ -861,7 +877,7 @@ def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch, draw, seed):
 
 def _lp_columns(B, use_sqrt):
     """The simplex's first costs, constraint rows and right-hand side."""
-    return roof._Range(B, use_sqrt, zero_directions(B)).columns()[2:]
+    return _range(B, use_sqrt).columns()[2:]
 
 
 def test_simplex_matches_highs_on_the_same_columns():
@@ -885,7 +901,7 @@ def test_simplex_matches_highs_on_the_same_columns():
         assert reduced.min() >= -roof._LP_TOL
 
 
-@pytest.mark.parametrize("patch", [("_LP_BASIS", np.arange(4)), ("_LP_PIVOTS", 0)],
+@pytest.mark.parametrize("patch", [("_LP_BASIS", np.zeros(4, dtype=int)), ("_LP_PIVOTS", 0)],
                          ids=["singular-basis", "pivot-cap"])
 def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     """Four copies of e0 make a singular start basis, and no pivot at all
@@ -894,7 +910,7 @@ def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     monkeypatch.setattr(roof, *patch)
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
     B = eigen_factor(rho)
-    assert roof._lp_roof(B, False, zero_directions(B)) is None
+    assert roof._lp_roof(_range(B, False)) is None
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
     assert res.restarts_used == 2 and res.lower_bound is None and res.converged is False
@@ -905,9 +921,14 @@ def test_refined_start_basis_must_be_feasible_and_well_conditioned():
     """The refined points replace the support in the simplex's start basis
     only where that basis solves b with non-negative weights and is not
     near-singular: on random rank-2 programs, feasible such bases reach
-    condition numbers of 4e7."""
+    condition numbers of 4e7.  The first start basis is e0, e1,
+    (e0 + e1)/sqrt 2 and (e0 + i e1)/sqrt 2, from a grid that holds each
+    point once."""
     angles = np.array([[0.0, 0.0], [np.pi, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]])
     A = roof._basis(*roof._bloch(angles))
+    assert np.abs(roof._BLOCH_BASIS[roof._LP_BASIS] - A).max() <= 1e-15
+    grid = np.round(roof._BLOCH_BASIS, 12) + 0.0  # + 0.0 makes -0.0 equal 0.0
+    assert len(np.unique(grid, axis=0)) == len(grid) == 7082
     assert roof._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
     assert not roof._feasible(A, A.T @ [0.5, 0.5, 0.3, -0.3])
     near = angles.copy()
@@ -939,7 +960,7 @@ def _first_round(rho, use_sqrt):
     """The range, the dual X, the grid's reduced costs and the support of
     the program's first round, as :func:`roof._lp_roof` prices them."""
     B = eigen_factor(rho)
-    sphere = roof._Range(B, use_sqrt, zero_directions(B))
+    sphere = _range(B, use_sqrt)
     c, y, cost, rows, b = sphere.columns()
     basis = roof._LP_BASIS.copy()
     w, X, reduced = roof._simplex(cost, rows, b, basis)
@@ -974,7 +995,7 @@ def test_pricing_derivatives_match_central_differences():
     for rho in [_random_rank2(rng) for _ in range(3)] + [_random_rank2_gram(rng) for _ in range(3)]:
         for use_sqrt in (True, False):
             B = eigen_factor(rho)
-            sphere = roof._Range(B, use_sqrt, zero_directions(B))
+            sphere = _range(B, use_sqrt)
             X = rng.standard_normal(4)
             theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
             c, y = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
@@ -1035,13 +1056,13 @@ def test_refinement_closes_the_counterexample_in_one_pricing_pass(monkeypatch):
     for state, want in _counterexample_pair():
         B = eigen_factor(state)
         passes.clear()
-        _, bound = roof._lp_roof(B, False, zero_directions(B))
+        _, bound = roof._lp_roof(_range(B, False))
         assert len(passes) == 1
         assert abs(bound - want) <= 1e-7
     monkeypatch.setattr(roof._Range, "_refine",
                         lambda self, X, w, c, y, cost: ((c[:0], y[:0]), np.arange(0)))
     passes.clear()
-    _, bound = roof._lp_roof(B, False, zero_directions(B))  # rho0
+    _, bound = roof._lp_roof(_range(B, False))  # rho0
     assert 1 < len(passes) < roof._LP_ROUNDS
     assert abs(bound - TAU_RHO0) <= 1e-7
 
@@ -1074,7 +1095,7 @@ def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
     rounding, and b @ X is the frozen roof."""
     monkeypatch.setattr(roof, "_KKT_STEPS", 8)
     B = eigen_factor(_counterexample_pair()[1][0])
-    sphere = roof._Range(B, False, zero_directions(B))
+    sphere = _range(B, False)
     c, y, cost, rows, b = sphere.columns()
     basis = roof._LP_BASIS.copy()
     w, X, _ = roof._simplex(cost, rows, b, basis)
