@@ -35,10 +35,10 @@ one list of tangle-free directions inside the range of rho: the distinct
 roots of a quartic (the hyperdeterminant restricted to the range),
 evaluated and solved once per input on the unit eigenvectors
 (:func:`quartic.range_roots`), which gives each root both as a row of U,
-for the zero fit and the orbit, and as a unit range vector, for the
-program.  A quartic that is 0 up to rounding, on a biseparable range,
-gives the unit frame instead, and the zero fit certifies the spectral
-decomposition.
+for the zero fit and the orbit, and as a unit range vector, which the
+program reads as a chart point.  A quartic that is 0 up to rounding, on a
+biseparable range, gives the unit frame instead, and the zero fit
+certifies the spectral decomposition.
 
 * zero, bound 0: a non-negative fit of the identity over the root
   projectors gives a decomposition that mixes back to rho, where one
@@ -58,8 +58,11 @@ decomposition.
   orbit, so it has no such path.
 * linear program (both functionals), bound the dual's: the roof as a
   linear program over the range's Bloch sphere, solved by a revised
-  simplex.  Its basic solution is a decomposition of at most 4 members,
-  and its dual is the best affine bound (Osterloh, Siewert &
+  simplex.  Each column is a point of the sphere held in one coordinate,
+  its chart point: the range vector with its larger coordinate set to 1
+  (:class:`_Range`), priced by the chart's quartic and constrained by the
+  coordinates of v v^H.  Its basic solution is a decomposition of at most
+  4 members, and its dual is the best affine bound (Osterloh, Siewert &
   Uhlmann, PRA 77, 032310 (2008)), so the two bracket the roof.  It
   certifies the tau roof of the GHZ/W mixtures and their SLOCC images,
   and the sqrt-tau roof of those the closed form does not take.
@@ -257,22 +260,42 @@ def _zero_decomposition(dirs: np.ndarray):
     return np.sqrt(u[support])[:, None] * D[support]
 
 
-def _bloch(angles: np.ndarray):
-    """The unit vectors (c, y) = (cos(theta/2), e^(i phi) sin(theta/2)) of
-    (..., 2) angles: c real, y complex."""
-    half = angles[..., 0] / 2.0
-    return np.cos(half), np.exp(1j * angles[..., 1]) * np.sin(half)
+def _abs2(z):
+    return z.real ** 2 + z.imag ** 2
 
 
-def _phase_off(V: np.ndarray):
-    """(c, y) of unit vectors V, (n, 2), with the phase of V[:, 0] taken off."""
-    return np.abs(V[:, 0]), V[:, 1] * np.exp(-1j * np.angle(V[:, 0]))
+def _chart(V: np.ndarray):
+    """Chart points (z, flip) of the range vectors V, (n, 2), their larger
+    coordinate set to 1: z = V1 / V0 (flip False) where |V0| >= |V1|, else
+    z = V0 / V1 (flip True), so |z| <= 1 and the phase of V is gone."""
+    flip = np.abs(V[:, 1]) > np.abs(V[:, 0])
+    return np.where(flip, V[:, 0], V[:, 1]) / np.where(flip, V[:, 1], V[:, 0]), flip
 
 
-def _basis(c, y) -> np.ndarray:
-    """The rows (c^2, |y|^2, 2 c Re y, 2 c Im y) of v v^H at unit (c, y)."""
-    return np.stack((c * c, y.real ** 2 + y.imag ** 2, 2.0 * c * y.real, 2.0 * c * y.imag),
-                    axis=-1)
+def _unchart(z, flip):
+    """The unit range vectors of chart points, (n, 2): (1, z) / sqrt(n) in
+    the chart z = v1 / v0 and (z, 1) / sqrt(n) in the chart z = v0 / v1,
+    with n = 1 + |z|^2 (see :func:`_chart`)."""
+    v = np.stack((np.where(flip, z, 1.0), np.where(flip, 1.0, z)), axis=-1)
+    return v / np.sqrt(1.0 + _abs2(z))[:, None]
+
+
+def _chart_basis(z, flip):
+    """The constraint rows a = (|v0|^2, |v1|^2, 2 Re(v0* v1), 2 Im(v0* v1))
+    of the unit vectors v = _unchart(z, flip), the coordinates of v v^H, and
+    their derivatives in Re z and Im z, as one (3, len(z), 4) array.  With
+    n = 1 + |z|^2 and z* the conjugate, a = (1, |z|^2, 2 Re z, 2 Im z) / n in
+    the chart z = v1 / v0 and (|z|^2, 1, 2 Re z*, 2 Im z*) / n in the chart
+    z = v0 / v1."""
+    s, t = z.real, z.imag
+    n = 1.0 + s * s + t * t
+    u = 2.0 * np.where(flip, np.conj(z), z) / n
+    a0 = np.where(flip, n - 1.0, 1.0) / n
+    d0 = np.where(flip, 2.0, -2.0) / (n * n)  # a0 has the gradient d0 (Re z, Im z)
+    u_s, u_t = (2.0 - 2.0 * s * u) / n, (np.where(flip, -2j, 2j) - 2.0 * t * u) / n
+    a = np.stack((a0, 1.0 - a0, u.real, u.imag, d0 * s, -d0 * s, u_s.real, u_s.imag,
+                  d0 * t, -d0 * t, u_t.real, u_t.imag), axis=-1)
+    return a.reshape(-1, 3, 4).swapaxes(0, 1)
 
 
 _POWERS = np.arange(5)
@@ -285,8 +308,13 @@ _TAYLOR = np.stack((np.eye(5), np.eye(5, k=1) * _POWERS,
 _BLOCH_STEP = np.pi / 60
 _BLOCH_GRID = np.stack(np.meshgrid(np.arange(61) * _BLOCH_STEP, np.arange(120) * _BLOCH_STEP,
                                    indexing="ij"), axis=-1).reshape(-1, 2)[119:-119]
-_BLOCH_C, _BLOCH_Y = _bloch(_BLOCH_GRID)
-_BLOCH_BASIS = _basis(_BLOCH_C, _BLOCH_Y)
+# the grid as the chart points of its unit vectors, (cos(theta/2),
+# e^(i phi) sin(theta/2)), and their constraint rows (a copy: the view would
+# keep the derivatives alive too)
+_BLOCH_Z, _BLOCH_FLIP = _chart(np.stack(
+    (np.cos(_BLOCH_GRID[:, 0] / 2.0), np.exp(1j * _BLOCH_GRID[:, 1]) * np.sin(_BLOCH_GRID[:, 0] / 2.0)),
+    axis=-1))
+_BLOCH_ROWS = _chart_basis(_BLOCH_Z, _BLOCH_FLIP)[0].copy()
 # value minus certified lower bound up to which a decomposition counts as
 # optimal: 2 sqrt|D| magnifies the rounding of a tangle-free member to ~1e-8
 _CERT_GAP = 1e-7
@@ -323,10 +351,6 @@ _KKT_SEP = 1e-6
 _CUSP_RADII = _BLOCH_STEP / 3.0 ** np.arange(1, 4)
 
 
-def _abs2(z):
-    return z.real ** 2 + z.imag ** 2
-
-
 def _affine(z, x0, x1, xi):
     """l = (x0 + x1 |z|^2 + 2 Re(xi z)) / (1 + |z|^2) at chart points z,
     and its Wirtinger derivative l_z."""
@@ -334,29 +358,6 @@ def _affine(z, x0, x1, xi):
     n = 1.0 + zz
     l = (x0 + x1 * zz + 2.0 * (xi * z).real) / n
     return l, ((x1 - l) * np.conj(z) + xi) / n
-
-
-def _unchart(z, flip):
-    """The unit vectors (c, y) of chart points z (see :meth:`_Range.chart`)."""
-    n = np.sqrt(1.0 + _abs2(z))
-    return np.where(flip, np.abs(z), 1.0) / n, np.where(flip, np.exp(-1j * np.angle(z)), z) / n
-
-
-def _chart_basis(z, flip):
-    """The columns a = _basis(c, y) at chart points z (see :meth:`_Range.chart`)
-    and their derivatives in Re z and Im z, as one (3, len(z), 4) array.  With
-    n = 1 + |z|^2 and z* the conjugate, a = (1, |z|^2, 2 Re z, 2 Im z) / n in
-    the chart z = y / c and (|z|^2, 1, 2 Re z*, 2 Im z*) / n in the chart
-    z = c / y."""
-    s, t = z.real, z.imag
-    n = 1.0 + s * s + t * t
-    u = 2.0 * np.where(flip, np.conj(z), z) / n
-    a0 = np.where(flip, n - 1.0, 1.0) / n
-    d0 = np.where(flip, 2.0, -2.0) / (n * n)  # a0 has the gradient d0 (Re z, Im z)
-    u_s, u_t = (2.0 - 2.0 * s * u) / n, (np.where(flip, -2j, 2j) - 2.0 * t * u) / n
-    a = np.stack((a0, 1.0 - a0, u.real, u.imag, d0 * s, -d0 * s, u_s.real, u_s.imag,
-                  d0 * t, -d0 * t, u_t.real, u_t.imag), axis=-1)
-    return a.reshape(-1, 3, 4).swapaxes(0, 1)
 
 
 class _Range:
@@ -369,19 +370,23 @@ class _Range:
     are those of the one solve :func:`quartic.range_roots`.  Its objective
     is f(v) = 2 sqrt|q(v)| (sqrt-tau) or 4 |q(v)| (tau), with q the
     hyperdeterminant restricted to the range.  A Hermitian X gives the
-    affine function
-    l(v) = v^H X v = _basis(v) @ (X_00, X_11, Re X_01, -Im X_01).  If
+    affine function l(v) = v^H X v = a @ (X_00, X_11, Re X_01, -Im X_01),
+    with a the constraint row of v (:func:`_chart_basis`).  If
     f >= l - delta on the whole sphere, every decomposition of rho has a
     value of at least lambda_0 X_00 + lambda_1 X_11 - delta (Osterloh,
     Siewert & Uhlmann, PRA 77, 032310 (2008)).
 
-    Pricing minimizes f - l by Newton steps, the local reduction of
-    semi-infinite programming (Hettich & Kortanek, SIAM Rev. 35, 380
-    (1993)), in two charts of the sphere: z = y / c where c >= |y|, and
-    z = c / y elsewhere (the point (z, 1): q read backwards, X_00 and
-    X_11 swapped, X_01 conjugated), so a grid or support point has
-    |z| <= 1 and no chart meets its singular pole.  With n = 1 + |z|^2 and Q the chart's quartic
-    polynomial in z,
+    A point of the sphere is held as its chart point (z, flip), nowhere as
+    a unit vector: v is (1, z) up to scale in the chart z = v1 / v0 (flip
+    False) and (z, 1) in the chart z = v0 / v1 (flip True: q read
+    backwards, X_00 and X_11 swapped, X_01 conjugated).  The roots come in
+    through :func:`_chart`, which sets the larger coordinate to 1, so a grid
+    point or a root has |z| <= 1 and no chart meets its singular pole; a
+    point that a step moves stays in its chart, and the members go out
+    through :func:`_unchart`.  Pricing minimizes f - l by
+    Newton steps in the charts, the local reduction of semi-infinite
+    programming (Hettich & Kortanek, SIAM Rev. 35, 380 (1993)).  With
+    n = 1 + |z|^2 and Q the chart's quartic polynomial in z,
 
         f - l = K |Q(z)|^a / n^b - (x0 + x1 |z|^2 + 2 Re(xi z)) / n,
 
@@ -399,32 +404,35 @@ class _Range:
 
     def columns(self):
         """The linear program's first columns, the grid and the roots of q:
-        their unit vectors (c, y), costs and constraint rows, and the
+        their chart points (z, flip), costs and constraint rows, and the
         right-hand side b = (lambda_0, lambda_1, 0, 0).  A root that
         :meth:`on_root` reads as one costs 0."""
-        root_c, root_y = _phase_off(self.roots)
-        root_f = np.where(self.on_root(root_c, root_y), 0.0, self.f(root_c, root_y))
-        c, y = np.concatenate((_BLOCH_C, root_c)), np.concatenate((_BLOCH_Y, root_y))
-        cost = np.concatenate((self.f(_BLOCH_C, _BLOCH_Y), root_f))
-        rows = np.concatenate((_BLOCH_BASIS, _basis(root_c, root_y)))
-        return c, y, cost, rows, self.b
+        root_z, root_flip = _chart(self.roots)
+        root_f = np.where(self.on_root(root_z, root_flip), 0.0, self.f(root_z, root_flip))
+        z, flip = np.concatenate((_BLOCH_Z, root_z)), np.concatenate((_BLOCH_FLIP, root_flip))
+        cost = np.concatenate((self.f(_BLOCH_Z, _BLOCH_FLIP), root_f))
+        rows = np.concatenate((_BLOCH_ROWS, _chart_basis(root_z, root_flip)[0]))
+        return z, flip, cost, rows, self.b
 
-    def on_root(self, c, y):
-        """Whether the unit range vectors (c, y) are roots of q up to
-        rounding: sqrt-tau below ``_ROUNDED_ROOT`` reads as tangle-free.  A
-        root is tangle-free whatever the functional, so tau reads the same
-        test."""
-        return self._abs_q(c, y) < (_ROUNDED_ROOT / 2.0) ** 2
+    def on_root(self, z, flip):
+        """Whether the chart points (z, flip) are roots of q up to rounding:
+        sqrt-tau below ``_ROUNDED_ROOT`` reads as tangle-free.  A root is
+        tangle-free whatever the functional, so tau reads the same test."""
+        return self._abs_q(z, flip) < (_ROUNDED_ROOT / 2.0) ** 2
 
-    def f(self, c, y):
-        """Objective of the unit range vectors (c, y)."""
-        return self._of_q(self._abs_q(c, y))
+    def f(self, z, flip):
+        """Objective at the chart points (z, flip)."""
+        return self._of_q(self._abs_q(z, flip))
 
-    def _abs_q(self, c, y):
-        """|q| at the unit range vectors (c, y), by homogeneous Horner."""
-        q, y2 = self.q, y * y
-        h = ((q[4] * c + q[3] * y) * c + q[2] * y2) * c + q[1] * (y2 * y)
-        return np.abs(h * c + q[0] * (y2 * y2))
+    def _abs_q(self, z, flip):
+        """|q| at the unit vectors of the chart points (z, flip): |Q(z)| / n^2,
+        n = 1 + |z|^2, with Q the chart's quartic, its row of ``taylor``,
+        evaluated by Horner."""
+        a = np.where(flip, self.taylor[1, 0, :, None], self.taylor[0, 0, :, None])
+        Q = a[4]
+        for k in range(3, -1, -1):
+            Q = Q * z + a[k]
+        return np.abs(Q) / (1.0 + _abs2(z)) ** 2
 
     def _of_q(self, a):
         """The objective at |q| = a."""
@@ -433,13 +441,6 @@ class _Range:
     def bound(self, X, lowest: float) -> float:
         """The lower bound of X, given the lowest f - l found on the sphere."""
         return self.lam[0] * X[0] + self.lam[1] * X[1] - max(0.0, -lowest)
-
-    @staticmethod
-    def chart(c, y):
-        """Chart points z of the unit vectors (c, y) and their charts (True
-        for z = c / y)."""
-        flip = np.abs(y) > c
-        return np.where(flip, c / np.where(flip, y, 1.0), y / np.where(flip, 1.0, c)), flip
 
     def coefficients(self, X, flip):
         """The coefficients of f - l in the charts ``flip``: per point the
@@ -471,11 +472,11 @@ class _Range:
             g_zc = f * (_abs2(phi_z) - b / n ** 2) - (x1 - l - 2.0 * (z * l_z).real) / n
         return f - l, g_z, g_zc, f_zz + 2.0 * zc * l_z / n
 
-    def lowest(self, X, on_grid: np.ndarray, c, y):
+    def lowest(self, X, on_grid: np.ndarray, z, flip):
         """Lowest f - l over the grid (``on_grid``, its values there), the
-        points (c, y) and Newton steps from these and the 8 lowest grid
-        points; and, as (c, y), every point a step moved to: the next
-        round's columns.  A point (c, y) on a root of q, where f has a cusp,
+        chart points (z, flip) and Newton steps from these and the 8 lowest
+        grid points; and, as chart points, every point a step moved to: the
+        next round's columns.  A point on a root of q, where f has a cusp,
         is not a start itself: the points ``_CUSP_RADII`` from it along the
         gradient of l are, since f - l can fall off the cusp (for tau, f
         rises only linearly from a root), and the root's own column prices
@@ -485,21 +486,20 @@ class _Range:
         definite and a steepest-descent step elsewhere, at most one grid
         step long in the chart.  It is taken only where f - l falls, and
         halved where it would not."""
-        z, flip = self.chart(c, y)
-        cusp = self.on_root(c, y)
+        cusp = self.on_root(z, flip)
         # f rises off a root equally in every direction, so f - l falls
         # fastest along the gradient of l, 2 conj(l_z)
         l_z = _affine(z[cusp], *self.coefficients(X, flip[cusp])[1:])[1]
         off = z[cusp, None] + np.exp(-1j * np.angle(l_z))[:, None] * _CUSP_RADII
         start = np.argpartition(on_grid, 8)[:8]
-        grid_z, grid_flip = self.chart(_BLOCH_C[start], _BLOCH_Y[start])
-        z = np.concatenate((z[~cusp], off.ravel(), grid_z))
-        flip = np.concatenate((flip[~cusp], np.repeat(flip[cusp], _CUSP_RADII.size), grid_flip))
+        z = np.concatenate((z[~cusp], off.ravel(), _BLOCH_Z[start]))
+        flip = np.concatenate((flip[~cusp], np.repeat(flip[cusp], _CUSP_RADII.size),
+                               _BLOCH_FLIP[start]))
         coef = self.coefficients(X, flip)
         g, g_z, g_zc, g_zz = self.excess(z, *coef)
         # the root, basic, has f - l = 0: a start beside it that is no lower
         # would only step back to its cusp, and does not start
-        beside = np.repeat([False, True, False], (np.count_nonzero(~cusp), off.size, len(grid_z)))
+        beside = np.repeat([False, True, False], (np.count_nonzero(~cusp), off.size, start.size))
         scale = np.where(beside & (g >= 0.0), 0.0, 1.0)
         columns = [(z[:0], flip[:0])]  # a round may take no step
         for _ in range(_NEWTON_STEPS):
@@ -521,19 +521,20 @@ class _Range:
                                      for u, v in zip((z, g, g_z, g_zc, g_zz), (trial,) + new))
             scale = np.where(better, 1.0, 0.5 * scale)
             columns.append((z[better], flip[better]))
-        z, flip = (np.concatenate(v) for v in zip(*columns))
-        return min(on_grid.min(), g.min()), _unchart(z, flip)
+        return min(on_grid.min(), g.min()), tuple(np.concatenate(v) for v in zip(*columns))
 
-    def _refine(self, X, w, c, y, cost):
-        """Newton steps on the program's KKT system from its support (c, y),
-        with their weights w, their costs and the dual X; returns, as (c, y),
-        each point the steps reach followed by its ``_KKT_OFFSET`` points
-        (columns for the program, not a solution), and for each such point
-        the index of the support point it moved from.
+    def _refine(self, X, w, z, flip, cost):
+        """Newton steps on the program's KKT system from its support, the
+        chart points (z, flip), with their weights w, their costs and the
+        dual X; returns, as chart points, each point the steps reach followed
+        by its ``_KKT_OFFSET`` points (columns for the program, not a
+        solution), and for each such point the index of the support point it
+        moved from.
 
         The unknowns are X, w and the chart points z_k of the support points
-        off the roots of q; a point on a root (:meth:`on_root`) holds still.
-        With b = (lambda_0, lambda_1, 0, 0) and a(v) = _basis(v), the rows
+        off the roots of q, each in its own chart; a point on a root
+        (:meth:`on_root`) holds still.  With b = (lambda_0, lambda_1, 0, 0)
+        and a(v) the constraint row (:func:`_chart_basis`), the rows
         are the mixing sum_k w_k a(v_k) = b, the complementarity
         f(v_k) - a(v_k) @ X = 0 at every support point (a point that holds
         still keeps its column's cost) and the stationarity of f - l in
@@ -544,12 +545,11 @@ class _Range:
         one.  At most ``_KKT_STEPS`` steps are taken, none once every
         residual is within ``_KKT_TOL``, and a point that is not finite is
         dropped."""
-        z, flip = self.chart(c, y)
-        move = ~self.on_root(c, y)
+        move = ~self.on_root(z, flip)
+        A = _chart_basis(z, flip)[0]
+        support = A.copy()
         z, flip, taylor = z[move], flip[move], self.taylor[flip[move].astype(int)]
         k, m = len(w), len(z)
-        A = _basis(c, y)
-        support = A.copy()
         # the unknowns (J's columns) and the residuals F (its rows) come in
         # one order: X and the mixing, w and the complementarity, then Re z
         # (i) and Im z (j) of the moving points and their stationarity; ``at``
@@ -585,8 +585,8 @@ class _Range:
         a = _chart_basis(z, flip)[0]
         near = ((a[:, None] - np.concatenate((support, a))) ** 2).sum(-1) <= _KKT_SEP ** 2
         fresh = ~np.tril(near, k - 1).any(axis=1)
-        return _unchart((z[fresh, None] + _KKT_OFFSET).ravel(),
-                        np.repeat(flip[fresh], _KKT_OFFSET.size)), origin[fresh]
+        return ((z[fresh, None] + _KKT_OFFSET).ravel(),
+                np.repeat(flip[fresh], _KKT_OFFSET.size)), origin[fresh]
 
 
 # --------------------------------------------------------------------------
@@ -632,7 +632,7 @@ def _simplex(cost, rows, b, basis):
             return b @ inv, X, reduced
         w, d = b @ inv, rows[j] @ inv
         # every cost is >= 0, so no direction is unbounded: d has a positive
-        # entry.  In the program every column has trace c^2 + |y|^2 = 1, so d
+        # entry.  In the program every column has trace |v|^2 = 1, so d
         # sums to 1; phase one's two off-diagonal unit columns have trace 0
         ratio = np.where(d > _LP_TOL, np.maximum(w, 0.0), np.inf) / np.maximum(d, _LP_TOL)
         ties = np.flatnonzero(ratio == ratio.min())
@@ -653,10 +653,12 @@ def _lp_roof(sphere: _Range):
     range ``sphere``, which holds the quartic and the roots of its one
     solve (:func:`quartic.range_roots`).
 
-    Columns are unit range vectors v with cost f(v) (see :class:`_Range`);
-    weights w >= 0 with sum_k w_k v_k v_k^H = diag(lambda), four real
-    equality rows, give a decomposition, so the program's value is an upper
-    bound on the roof and its dual X gives the affine lower bound.
+    Columns are range vectors v, held as chart points (z, flip), with cost
+    f(v) and constraint row a(v), the coordinates of v v^H (see
+    :class:`_Range`); weights w >= 0 with sum_k w_k a(v_k) = b, the four
+    real rows of sum_k w_k v_k v_k^H = diag(lambda), give a decomposition,
+    so the program's value is an upper bound on the roof and its dual X
+    gives the affine lower bound.
     :func:`_simplex` solves over the Bloch grid, 7082 points one step apart
     in both angles, and the roots of q (:meth:`_Range.columns`).  Each
     round then moves the basic solution's support by Newton steps on the
@@ -674,43 +676,44 @@ def _lp_roof(sphere: _Range):
     most 4 sub-normalized members of the basic solution, (k, 8), their
     weights solved on the support; ``bound`` is the lower bound, which holds
     to working precision (its offset is a numerical minimum), not as a
-    proof.
+    proof.  The members are the support's chart points read back as unit
+    vectors (:func:`_unchart`).
     """
-    c, y, cost, rows, b = sphere.columns()
+    z, flip, cost, rows, b = sphere.columns()
     basis = _LP_BASIS.copy()
 
-    def grown(new_c, new_y):
-        return (np.concatenate((c, new_c)), np.concatenate((y, new_y)),
-                np.concatenate((cost, sphere.f(new_c, new_y))),
-                np.concatenate((rows, _basis(new_c, new_y))))
+    def grown(new_z, new_flip):
+        return (np.concatenate((z, new_z)), np.concatenate((flip, new_flip)),
+                np.concatenate((cost, sphere.f(new_z, new_flip))),
+                np.concatenate((rows, _chart_basis(new_z, new_flip)[0])))
 
     for _ in range(_LP_ROUNDS):
         try:
             w, X, reduced = _simplex(cost, rows, b, basis)
             at = np.flatnonzero(w > 0.0)
             support = basis[at]
-            (new_c, new_y), origin = sphere._refine(X, w[at], c[support], y[support],
-                                                    cost[support])
-            if len(new_c):
+            (new_z, new_flip), origin = sphere._refine(X, w[at], z[support], flip[support],
+                                                       cost[support])
+            if len(new_z):
                 # the refined points take the places of the points they moved
                 # from, where that basis is feasible and well-conditioned
                 trial = basis.copy()
                 trial[at[origin]] = len(cost) + _KKT_OFFSET.size * np.arange(len(origin))
-                c, y, cost, rows = grown(new_c, new_y)
+                z, flip, cost, rows = grown(new_z, new_flip)
                 if _feasible(rows[trial], b):
                     basis[:] = trial
                 w, X, reduced = _simplex(cost, rows, b, basis)
         except np.linalg.LinAlgError:
             return None
         support = basis[w > 0.0]
-        lowest, visited = sphere.lowest(X, reduced[:len(_BLOCH_C)], c[support], y[support])
+        lowest, visited = sphere.lowest(X, reduced[:len(_BLOCH_Z)], z[support], flip[support])
         bound = sphere.bound(X, min(lowest, reduced.min()))
         if cost[basis] @ w - bound <= _LP_GAP:
             break
-        c, y, cost, rows = grown(*visited)
+        z, flip, cost, rows = grown(*visited)
     # the basic solution's weights, solved on its support to rounding
     w = np.linalg.lstsq(rows[support].T, b, rcond=None)[0]
-    V = np.stack((c[support] + 0j, y[support]), axis=-1)
+    V = _unchart(z[support], flip[support])
     return (np.sqrt(np.maximum(w, 0.0))[:, None] * V) @ sphere.E, float(bound)
 
 

@@ -1,5 +1,6 @@
 """The runtime needs numpy alone: importing the package loads no scipy."""
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,3 +46,19 @@ def test_sources_import_no_scipy():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if _is_scipy(name)]
     assert not found
+
+
+def test_code_lines_counts_tokens_outside_docstrings_and_comments(tmp_path):
+    """The code-line rule of ``tools/code_lines.py``: a line counts when it
+    holds a token other than a comment outside the module, class and
+    function docstrings; a multi-line string that is not a docstring counts
+    every line it spans."""
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", PACKAGE.parents[1] / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = tmp_path / "sample.py"
+    source.write_text('"""Module\n\ndocstring."""\n# a comment\nimport os  # counted\n\n\n'
+                      'class A:\n    """One line."""\n\n    def f(self):\n'
+                      '        """Two\n        lines."""\n        return """a\nb"""\n')
+    assert tool.code_lines(source) == 5

@@ -30,6 +30,26 @@ def _range(B, use_sqrt):
     return roof._Range(B, use_sqrt, *range_roots(B)[:3])
 
 
+def _bloch(angles):
+    """The unit vectors (c, y) = (cos(theta/2), e^(i phi) sin(theta/2)) of
+    (..., 2) angles (theta, phi): c real, y complex.  The reference for the
+    program's grid."""
+    half = angles[..., 0] / 2.0
+    return np.cos(half), np.exp(1j * angles[..., 1]) * np.sin(half)
+
+
+def _phase_off(V):
+    """(c, y) of the unit rows V, (n, 2), with the phase of V[:, 0] taken off."""
+    return np.abs(V[:, 0]), V[:, 1] * np.exp(-1j * np.angle(V[:, 0]))
+
+
+def _basis(c, y):
+    """The rows (c^2, |y|^2, 2 c Re y, 2 c Im y) of v v^H at unit (c, y), c
+    real: the reference for the program's constraint rows."""
+    return np.stack((c * c, y.real ** 2 + y.imag ** 2, 2.0 * c * y.real, 2.0 * c * y.imag),
+                    axis=-1)
+
+
 def _without_orbit(monkeypatch):
     """Switch the closed form of recognized GHZ/W images off, so the linear
     program runs on them."""
@@ -925,15 +945,16 @@ def test_refined_start_basis_must_be_feasible_and_well_conditioned():
     (e0 + e1)/sqrt 2 and (e0 + i e1)/sqrt 2, from a grid that holds each
     point once."""
     angles = np.array([[0.0, 0.0], [np.pi, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]])
-    A = roof._basis(*roof._bloch(angles))
-    assert np.abs(roof._BLOCH_BASIS[roof._LP_BASIS] - A).max() <= 1e-15
-    grid = np.round(roof._BLOCH_BASIS, 12) + 0.0  # + 0.0 makes -0.0 equal 0.0
+    A = _basis(*_bloch(angles))
+    assert np.abs(roof._BLOCH_ROWS[roof._LP_BASIS] - A).max() <= 1e-15
+    assert np.abs(roof._BLOCH_ROWS - _basis(*_bloch(roof._BLOCH_GRID))).max() <= 1e-15
+    grid = np.round(roof._BLOCH_ROWS, 12) + 0.0  # + 0.0 makes -0.0 equal 0.0
     assert len(np.unique(grid, axis=0)) == len(grid) == 7082
     assert roof._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
     assert not roof._feasible(A, A.T @ [0.5, 0.5, 0.3, -0.3])
     near = angles.copy()
     near[3] = near[2] + [1e-8, 0.0]
-    A = roof._basis(*roof._bloch(near))
+    A = _basis(*_bloch(near))
     assert not roof._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
 
 
@@ -961,30 +982,34 @@ def _first_round(rho, use_sqrt):
     the program's first round, as :func:`roof._lp_roof` prices them."""
     B = eigen_factor(rho)
     sphere = _range(B, use_sqrt)
-    c, y, cost, rows, b = sphere.columns()
+    z, flip, cost, rows, b = sphere.columns()
     basis = roof._LP_BASIS.copy()
     w, X, reduced = roof._simplex(cost, rows, b, basis)
     support = basis[w > 0.0]
-    return sphere, X, reduced[:len(roof._BLOCH_C)], c[support], y[support]
+    return sphere, X, reduced[:len(roof._BLOCH_Z)], z[support], flip[support]
 
 
 def test_pricing_reaches_the_fine_grid_minimum():
     """Newton pricing from the support and the 8 lowest grid points finds
     f - l at or below its minimum over a grid four times finer in both
     angles (241 x 480), on 40 random rank-2 states and both functionals,
-    with the dual X of the first simplex round."""
-    theta, phi = np.meshgrid(np.arange(241) * np.pi / 240, np.arange(480) * np.pi / 240,
-                             indexing="ij")
-    fine_c, fine_y = np.cos(theta / 2).ravel(), (np.exp(1j * phi) * np.sin(theta / 2)).ravel()
+    with the dual X of the first simplex round; the points it returns read
+    back as unit vectors."""
+    angles = np.stack(np.meshgrid(np.arange(241) * np.pi / 240, np.arange(480) * np.pi / 240,
+                                  indexing="ij"), axis=-1).reshape(-1, 2)
+    fine_c, fine_y = _bloch(angles)
+    fine_rows = _basis(fine_c, fine_y)
+    fine_z, fine_flip = roof._chart(np.stack((fine_c + 0j, fine_y), axis=-1))
     rng = np.random.default_rng(61)
     states = [_random_rank2(rng) for _ in range(20)] + [_random_rank2_gram(rng) for _ in range(20)]
     for rho in states:
         for use_sqrt in (True, False):
-            sphere, X, on_grid, c, y = _first_round(rho, use_sqrt)
-            lowest, (new_c, new_y) = sphere.lowest(X, on_grid, c, y)
-            fine = (sphere.f(fine_c, fine_y) - roof._basis(fine_c, fine_y) @ X).min()
+            sphere, X, on_grid, z, flip = _first_round(rho, use_sqrt)
+            lowest, (new_z, new_flip) = sphere.lowest(X, on_grid, z, flip)
+            fine = (sphere.f(fine_z, fine_flip) - fine_rows @ X).min()
             assert lowest <= fine + 1e-12
-            assert np.allclose(new_c ** 2 + np.abs(new_y) ** 2, 1.0) and new_c.min() >= 0.0
+            V = roof._unchart(new_z, new_flip)
+            assert np.isfinite(V).all() and np.allclose((np.abs(V) ** 2).sum(-1), 1.0)
 
 
 def test_pricing_derivatives_match_central_differences():
@@ -998,11 +1023,11 @@ def test_pricing_derivatives_match_central_differences():
             sphere = _range(B, use_sqrt)
             X = rng.standard_normal(4)
             theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
-            c, y = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
-            overlap = np.abs(np.stack((c, y), axis=-1) @ sphere.roots.conj().T)
+            V = np.stack(_bloch(np.stack((theta, phi), axis=-1)), axis=-1)
+            overlap = np.abs(V @ sphere.roots.conj().T)
             away = (overlap < 0.95).all(axis=1)
             assert away.sum() >= 10
-            z, flip = sphere.chart(c[away], y[away])
+            z, flip = roof._chart(V[away])
             assert flip.any() and not flip.all()
             coef = sphere.coefficients(X, flip)
             g, g_z, g_zc, g_zz = sphere.excess(z, *coef)
@@ -1060,7 +1085,7 @@ def test_refinement_closes_the_counterexample_in_one_pricing_pass(monkeypatch):
         assert len(passes) == 1
         assert abs(bound - want) <= 1e-7
     monkeypatch.setattr(roof._Range, "_refine",
-                        lambda self, X, w, c, y, cost: ((c[:0], y[:0]), np.arange(0)))
+                        lambda self, X, w, z, flip, cost: ((z[:0], flip[:0]), np.arange(0)))
     passes.clear()
     _, bound = roof._lp_roof(_range(B, False))  # rho0
     assert 1 < len(passes) < roof._LP_ROUNDS
@@ -1068,22 +1093,50 @@ def test_refinement_closes_the_counterexample_in_one_pricing_pass(monkeypatch):
 
 
 def test_chart_columns_and_derivatives_match_central_differences():
-    """The columns a(z) of chart points, in both charts, are _basis of their
-    unit vectors, and their derivatives in Re z and Im z agree with central
-    differences; a point with |z| < 1 reads back in its own chart."""
+    """The columns a(z) of chart points, in both charts, are the reference
+    rows of their unit vectors with the phase of the first entry taken off,
+    and their derivatives in Re z and Im z agree with central differences;
+    a point with |z| < 1 reads back in its own chart."""
     rng = np.random.default_rng(63)
     h = 1e-6
     z = rng.uniform(0.0, 1.0, 40) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
     for flip in (np.zeros(40, dtype=bool), np.ones(40, dtype=bool)):
         def column(z):
-            return roof._basis(*roof._unchart(z, flip))
+            return _basis(*_phase_off(roof._unchart(z, flip)))
 
         a, a_s, a_t = roof._chart_basis(z, flip)
         assert np.abs(a - column(z)).max() <= 1e-15
         assert np.abs((column(z + h) - column(z - h)) / (2.0 * h) - a_s).max() <= 1e-8
         assert np.abs((column(z + 1j * h) - column(z - 1j * h)) / (2.0 * h) - a_t).max() <= 1e-8
-        back, chart = roof._Range.chart(*roof._unchart(z, flip))
+        back, chart = roof._chart(roof._unchart(z, flip))
         assert np.array_equal(chart, flip) and np.abs(back - z).max() <= 1e-15
+
+
+def test_column_costs_are_the_functionals_of_their_range_states():
+    """A column's cost is the functional of the range state it stands for:
+    at every 20th grid point, 50 random points in each chart (|z| up to
+    1.5, past the unit disc where pricing steps leave points) and the roots
+    of q, f(z, flip) is sqrt-tau or tau of the unit state
+    _unchart(z, flip) @ E, on 20 random rank-2 states; every root reads as
+    one.  At a root sqrt-tau is the square root of rounding, about 1e-8 in
+    either form, so it is compared off the roots, and tau everywhere."""
+    rng = np.random.default_rng(64)
+    states = [_random_rank2(rng) for _ in range(10)] + [_random_rank2_gram(rng) for _ in range(10)]
+    for rho in states:
+        B = eigen_factor(rho)
+        sphere = _range(B, True)
+        root_z, root_flip = roof._chart(sphere.roots)
+        disc = rng.uniform(0.0, 1.5, 100) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 100))
+        z = np.concatenate((roof._BLOCH_Z[::20], disc, root_z))
+        flip = np.concatenate((roof._BLOCH_FLIP[::20], np.arange(100) >= 50, root_flip))
+        invs = [rt.invariants(rt.PureState(u / np.linalg.norm(u)))
+                for u in roof._unchart(z, flip) @ sphere.E]
+        for use_sqrt in (True, False):
+            sphere = _range(B, use_sqrt)
+            want = np.array([inv.sqrt_tau if use_sqrt else inv.tau for inv in invs])
+            compared = len(z) - len(root_z) if use_sqrt else len(z)
+            assert np.abs(sphere.f(z, flip) - want)[:compared].max() <= 1e-12
+            assert sphere.on_root(root_z, root_flip).all()
 
 
 def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
@@ -1096,14 +1149,14 @@ def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
     monkeypatch.setattr(roof, "_KKT_STEPS", 8)
     B = eigen_factor(_counterexample_pair()[1][0])
     sphere = _range(B, False)
-    c, y, cost, rows, b = sphere.columns()
+    z, flip, cost, rows, b = sphere.columns()
     basis = roof._LP_BASIS.copy()
     w, X, _ = roof._simplex(cost, rows, b, basis)
     support = basis[w > 0.0]
     assert len(support) == 4
-    (new_c, new_y), _ = sphere._refine(X, w[w > 0.0], c[support], y[support], cost[support])
-    assert len(new_c) == 3 * roof._KKT_OFFSET.size
-    z, flip = sphere.chart(new_c[::roof._KKT_OFFSET.size], new_y[::roof._KKT_OFFSET.size])
+    (z, flip), _ = sphere._refine(X, w[w > 0.0], z[support], flip[support], cost[support])
+    assert len(z) == 3 * roof._KKT_OFFSET.size
+    z, flip = z[::roof._KKT_OFFSET.size], flip[::roof._KKT_OFFSET.size]
     a, a_s, a_t = roof._chart_basis(z, flip)
     weights = np.linalg.lstsq(a.T, b, rcond=None)[0]
     assert weights.min() > 0.0 and np.abs(a.T @ weights - b).max() <= 1e-13
