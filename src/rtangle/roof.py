@@ -383,10 +383,10 @@ class _Range:
     through :func:`_chart`, which sets the larger coordinate to 1, so a grid
     point or a root has |z| <= 1 and no chart meets its singular pole; a
     point that a step moves stays in its chart, and the members go out
-    through :func:`_unchart`.  Pricing minimizes f - l by
-    Newton steps in the charts, the local reduction of semi-infinite
-    programming (Hettich & Kortanek, SIAM Rev. 35, 380 (1993)).  With
-    n = 1 + |z|^2 and Q the chart's quartic polynomial in z,
+    through :func:`_unchart`.  Pricing minimizes f - l by Newton steps in
+    the charts, the local reduction of semi-infinite programming (Hettich
+    & Kortanek, SIAM Rev. 35, 380 (1993)).  With n = 1 + |z|^2 and Q the
+    chart's quartic polynomial in z,
 
         f - l = K |Q(z)|^a / n^b - (x0 + x1 |z|^2 + 2 Re(xi z)) / n,
 
@@ -398,7 +398,7 @@ class _Range:
         self.lam = _abs2(B).sum(-1)
         self.b = np.array([self.lam[0], self.lam[1], 0.0, 0.0])
         self.E, self.q, self.roots, self.use_sqrt = E, q, roots, use_sqrt
-        # per chart (z = y / c, then z = c / y) the rows of Q, Q' and Q'' on
+        # per chart (z = v1 / v0, then z = v0 / v1) the rows of Q, Q' and Q'' on
         # (1, z, .., z^4)
         self.taylor = np.einsum("djk,ck->cdj", _TAYLOR, np.stack((self.q[::-1], self.q)))
 
