@@ -60,10 +60,11 @@ certifies the spectral decomposition.
   linear program over the range's Bloch sphere, solved by a revised
   simplex.  Each column is a point of the sphere held in one coordinate,
   its chart point: the range vector with its larger coordinate set to 1
-  (:class:`_Range`), priced by the chart's quartic and constrained by the
-  coordinates of v v^H.  Its basic solution is a decomposition of at most
-  4 members, and its dual is the best affine bound (Osterloh, Siewert &
-  Uhlmann, PRA 77, 032310 (2008)), so the two bracket the roof.  It
+  (:class:`_Range`), costed by the chart's quartic (on the grid, by
+  tables of the quartic's monomials built at import) and constrained by
+  the coordinates of v v^H.  Its basic solution is a decomposition of at
+  most 4 members, and its dual is the best affine bound (Osterloh,
+  Siewert & Uhlmann, PRA 77, 032310 (2008)), so the two bracket the roof.  It
   certifies the tau roof of the GHZ/W mixtures and their SLOCC images,
   and the sqrt-tau roof of those the closed form does not take.
 
@@ -71,9 +72,10 @@ The dual bound's offset is found numerically (grid, roots of the quartic,
 Newton steps from the lowest points), so the program certifies to working
 precision; it is not a proof.  The closed form is exact for the recognized
 frame, which holds to ``ghzw._ORBIT_TOL``.  A zero-branch or an orbit
-solve takes about half a millisecond, a linear program two to four: Newton
+solve takes about half a millisecond, a linear program two to three: Newton
 steps on its optimality conditions move the support before it is priced,
-and most programs close at their first pricing pass.
+the second solve of a round starts from the moved support, and most
+programs close at their first pricing pass.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.  Unless a bracket closed at once, the
@@ -246,7 +248,7 @@ def _zero_decomposition(dirs: np.ndarray):
     if u is None:  # phase one: is the identity in the cone of the root projectors?
         basis = np.arange(4)
         try:
-            _simplex(np.repeat((1.0, 0.0), (4, len(D))), np.concatenate((np.eye(4), A.T)),
+            _simplex(np.repeat((1.0, 0.0), (4, len(D))), np.concatenate((np.eye(4), A), axis=1),
                      _IDENTITY, basis)
         except np.linalg.LinAlgError:
             return None
@@ -303,18 +305,38 @@ _POWERS = np.arange(5)
 # d-th derivative, d = 0, 1, 2
 _TAYLOR = np.stack((np.eye(5), np.eye(5, k=1) * _POWERS,
                     np.eye(5, k=2) * _POWERS * (_POWERS - 1)))
-# Bloch-sphere grid (theta, phi) of the range, one step apart in both angles;
-# of the 120 points of each pole row, which are one point, one is kept
+
+
+def _monomials(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The monomials c^k s^(4-k), k = 0 .. 4, of the pairs (c, s), as an
+    (n, 5) array built in place by products."""
+    M = np.ones((len(c), 5), dtype=np.result_type(c, s))
+    for k in range(1, 5):
+        M[:, :5 - k] *= s[:, None]
+        M[:, k:] *= c[:, None]
+    return M
+
+
+# Bloch-sphere grid (theta, phi) of the range, one step apart in both angles:
+# the 61 x 120 mesh, of whose 120 points in each pole row, which are one
+# point, one is kept
 _BLOCH_STEP = np.pi / 60
-_BLOCH_GRID = np.stack(np.meshgrid(np.arange(61) * _BLOCH_STEP, np.arange(120) * _BLOCH_STEP,
-                                   indexing="ij"), axis=-1).reshape(-1, 2)[119:-119]
+_BLOCH_THETA, _BLOCH_PHI = np.arange(61) * _BLOCH_STEP, np.arange(120) * _BLOCH_STEP
+_BLOCH_KEPT = slice(119, -119)
+_BLOCH_GRID = np.stack(np.meshgrid(_BLOCH_THETA, _BLOCH_PHI, indexing="ij"),
+                       axis=-1).reshape(-1, 2)[_BLOCH_KEPT]
 # the grid as the chart points of its unit vectors, (cos(theta/2),
-# e^(i phi) sin(theta/2)), and their constraint rows (a copy: the view would
-# keep the derivatives alive too)
+# e^(i phi) sin(theta/2)), and their constraint rows, held as the rows view of
+# a (4, 7082) array, the layout the program's columns take
 _BLOCH_Z, _BLOCH_FLIP = _chart(np.stack(
     (np.cos(_BLOCH_GRID[:, 0] / 2.0), np.exp(1j * _BLOCH_GRID[:, 1]) * np.sin(_BLOCH_GRID[:, 0] / 2.0)),
     axis=-1))
-_BLOCH_ROWS = _chart_basis(_BLOCH_Z, _BLOCH_FLIP)[0].copy()
+_BLOCH_ROWS = _chart_basis(_BLOCH_Z, _BLOCH_FLIP)[0].T.copy().T
+# q at those unit vectors is sum_k q_k cos^k(theta/2) sin^(4-k)(theta/2)
+# e^(i (4-k) phi), so on the mesh it is (_BLOCH_POLAR * q) @ _BLOCH_AZIMUTH.T,
+# from the monomials of the 61 polar and the 120 azimuthal angles
+_BLOCH_POLAR = _monomials(np.cos(_BLOCH_THETA / 2.0), np.sin(_BLOCH_THETA / 2.0))
+_BLOCH_AZIMUTH = _monomials(np.ones(120), np.exp(1j * _BLOCH_PHI))
 # value minus certified lower bound up to which a decomposition counts as
 # optimal: 2 sqrt|D| magnifies the rounding of a tangle-free member to ~1e-8
 _CERT_GAP = 1e-7
@@ -403,22 +425,25 @@ class _Range:
         self.taylor = np.einsum("djk,ck->cdj", _TAYLOR, np.stack((self.q[::-1], self.q)))
 
     def columns(self):
-        """The linear program's first columns, the grid and the roots of q:
-        their chart points (z, flip), costs and constraint rows, and the
-        right-hand side b = (lambda_0, lambda_1, 0, 0).  A root that
-        :meth:`on_root` reads as one costs 0."""
+        """The linear program's first columns (:class:`_Columns`), the grid
+        and the roots of q.  The grid's costs are read from the monomial
+        tables of its angles, and a root that :meth:`on_root` reads as one
+        costs 0."""
         root_z, root_flip = _chart(self.roots)
-        root_f = np.where(self.on_root(root_z, root_flip), 0.0, self.f(root_z, root_flip))
-        z, flip = np.concatenate((_BLOCH_Z, root_z)), np.concatenate((_BLOCH_FLIP, root_flip))
-        cost = np.concatenate((self.f(_BLOCH_Z, _BLOCH_FLIP), root_f))
-        rows = np.concatenate((_BLOCH_ROWS, _chart_basis(root_z, root_flip)[0]))
-        return z, flip, cost, rows, self.b
+        root_f = self.f(root_z, root_flip)
+        root_f[self.on_root(root_f)] = 0.0
+        held = _Columns(2 * len(_BLOCH_Z))
+        mesh = (_BLOCH_POLAR * self.q) @ _BLOCH_AZIMUTH.T
+        held.add(_BLOCH_Z, _BLOCH_FLIP, self._of_q(np.abs(mesh.ravel()[_BLOCH_KEPT])), _BLOCH_ROWS)
+        held.add(root_z, root_flip, root_f, _chart_basis(root_z, root_flip)[0])
+        return held
 
-    def on_root(self, z, flip):
-        """Whether the chart points (z, flip) are roots of q up to rounding:
-        sqrt-tau below ``_ROUNDED_ROOT`` reads as tangle-free.  A root is
-        tangle-free whatever the functional, so tau reads the same test."""
-        return self._abs_q(z, flip) < (_ROUNDED_ROOT / 2.0) ** 2
+    def on_root(self, f):
+        """Whether objective values f are those of roots of q up to rounding:
+        |q| below (``_ROUNDED_ROOT`` / 2)^2, so sqrt-tau below
+        ``_ROUNDED_ROOT``, reads as tangle-free.  A root is tangle-free
+        whatever the functional, so tau reads the same test."""
+        return f < self._of_q((_ROUNDED_ROOT / 2.0) ** 2)
 
     def f(self, z, flip):
         """Objective at the chart points (z, flip)."""
@@ -427,7 +452,8 @@ class _Range:
     def _abs_q(self, z, flip):
         """|q| at the unit vectors of the chart points (z, flip): |Q(z)| / n^2,
         n = 1 + |z|^2, with Q the chart's quartic, its row of ``taylor``,
-        evaluated by Horner."""
+        evaluated by Horner: the one form off the grid, whose costs
+        :meth:`columns` reads from the monomial tables of its angles."""
         a = np.where(flip, self.taylor[1, 0, :, None], self.taylor[0, 0, :, None])
         Q = a[4]
         for k in range(3, -1, -1):
@@ -472,21 +498,21 @@ class _Range:
             g_zc = f * (_abs2(phi_z) - b / n ** 2) - (x1 - l - 2.0 * (z * l_z).real) / n
         return f - l, g_z, g_zc, f_zz + 2.0 * zc * l_z / n
 
-    def lowest(self, X, on_grid: np.ndarray, z, flip):
+    def lowest(self, X, on_grid: np.ndarray, z, flip, cost):
         """Lowest f - l over the grid (``on_grid``, its values there), the
-        chart points (z, flip) and Newton steps from these and the 8 lowest
-        grid points; and, as chart points, every point a step moved to: the
-        next round's columns.  A point on a root of q, where f has a cusp,
-        is not a start itself: the points ``_CUSP_RADII`` from it along the
-        gradient of l are, since f - l can fall off the cusp (for tau, f
-        rises only linearly from a root), and the root's own column prices
-        the cusp.
+        support's chart points (z, flip) and Newton steps from these and the
+        8 lowest grid points; and, as chart points, every point a step moved
+        to: the next round's columns.  A support point whose cost reads as a
+        root of q (:meth:`on_root`), where f has a cusp, is not a start
+        itself: the points ``_CUSP_RADII`` from it along the gradient of l
+        are, since f - l can fall off the cusp (for tau, f rises only
+        linearly from a root), and the root's own column prices the cusp.
 
         Each step is the Newton step where the Hessian of f - l is positive
         definite and a steepest-descent step elsewhere, at most one grid
         step long in the chart.  It is taken only where f - l falls, and
         halved where it would not."""
-        cusp = self.on_root(z, flip)
+        cusp = self.on_root(cost)
         # f rises off a root equally in every direction, so f - l falls
         # fastest along the gradient of l, 2 conj(l_z)
         l_z = _affine(z[cusp], *self.coefficients(X, flip[cusp])[1:])[1]
@@ -523,31 +549,33 @@ class _Range:
             columns.append((z[better], flip[better]))
         return min(on_grid.min(), g.min()), tuple(np.concatenate(v) for v in zip(*columns))
 
-    def _refine(self, X, w, z, flip, cost):
+    def _refine(self, X, w, z, flip, a, cost):
         """Newton steps on the program's KKT system from its support, the
-        chart points (z, flip), with their weights w, their costs and the
-        dual X; returns, as chart points, each point the steps reach followed
-        by its ``_KKT_OFFSET`` points (columns for the program, not a
-        solution), and for each such point the index of the support point it
-        moved from.
+        chart points (z, flip), with their weights w, their constraint rows
+        a and costs, both as the program holds them, and the dual X; returns,
+        as chart points with their constraint rows, each point the steps
+        reach followed by its ``_KKT_OFFSET`` points (columns for the
+        program, not a solution), and for each such point the index of the
+        support point it moved from.
 
         The unknowns are X, w and the chart points z_k of the support points
-        off the roots of q, each in its own chart; a point on a root
-        (:meth:`on_root`) holds still.  With b = (lambda_0, lambda_1, 0, 0)
-        and a(v) the constraint row (:func:`_chart_basis`), the rows
-        are the mixing sum_k w_k a(v_k) = b, the complementarity
-        f(v_k) - a(v_k) @ X = 0 at every support point (a point that holds
-        still keeps its column's cost) and the stationarity of f - l in
-        each moving point's chart.  Each step
-        solves the linearization by least squares, so where the system is
-        singular (an affine face of the roof, where the optimum is not
-        unique, or two support points that meet) the step is the least-norm
-        one.  At most ``_KKT_STEPS`` steps are taken, none once every
-        residual is within ``_KKT_TOL``, and a point that is not finite is
-        dropped."""
-        move = ~self.on_root(z, flip)
-        A = _chart_basis(z, flip)[0]
-        support = A.copy()
+        off the roots of q, each in its own chart; a point whose cost reads
+        as a root (:meth:`on_root`) holds still.  With
+        b = (lambda_0, lambda_1, 0, 0) and a(v) the constraint row
+        (:func:`_chart_basis`), the rows are the mixing
+        sum_k w_k a(v_k) = b, the complementarity f(v_k) - a(v_k) @ X = 0 at
+        every support point (a point that holds still keeps its row and its
+        cost) and the stationarity of f - l in each moving point's chart.
+        Each step solves the linearization by least squares, so where the
+        system is singular (an affine face of the roof, where the optimum is
+        not unique, or two support points that meet) the step is the
+        least-norm one.  At most ``_KKT_STEPS`` steps are taken, each with
+        one evaluation of the moving points' rows and of f - l, none once
+        every residual is within ``_KKT_TOL``; a point that is not finite is
+        dropped.  The rows of the points reached and of their offsets are
+        evaluated once, for the separation test and the columns alike."""
+        move = ~self.on_root(cost)
+        support, A = a, a.copy()
         z, flip, taylor = z[move], flip[move], self.taylor[flip[move].astype(int)]
         k, m = len(w), len(z)
         # the unknowns (J's columns) and the residuals F (its rows) come in
@@ -579,14 +607,16 @@ class _Range:
             X, w, z = X + step[:4], w + step[4:4 + k], z + step[i] + 1j * step[j]
             moved = True
         kept = np.isfinite(z) & moved
-        z, flip, origin = z[kept], flip[kept], np.flatnonzero(move)[kept]
+        origin = np.flatnonzero(move)[kept]
+        n = _KKT_OFFSET.size
+        z, flip = (z[kept, None] + _KKT_OFFSET).ravel(), np.repeat(flip[kept], n)
+        a = _chart_basis(z, flip)[0]
         # a point near a support point or an earlier point goes with its
         # offsets: they are near that point's
-        a = _chart_basis(z, flip)[0]
-        near = ((a[:, None] - np.concatenate((support, a))) ** 2).sum(-1) <= _KKT_SEP ** 2
+        near = ((a[::n, None] - np.concatenate((support, a[::n]))) ** 2).sum(-1) <= _KKT_SEP ** 2
         fresh = ~np.tril(near, k - 1).any(axis=1)
-        return ((z[fresh, None] + _KKT_OFFSET).ravel(),
-                np.repeat(flip[fresh], _KKT_OFFSET.size)), origin[fresh]
+        keep = np.repeat(fresh, n)
+        return (z[keep], flip[keep], a[keep]), origin[fresh]
 
 
 # --------------------------------------------------------------------------
@@ -608,19 +638,19 @@ _LP_COND = 1e6       # largest condition number of a start basis from the refine
 _BOUND_SLACK = 1e-9
 
 
-def _simplex(cost, rows, b, basis):
-    """Revised simplex for min cost @ w, rows^T w = b, w >= 0, from the
-    feasible ``basis`` (4 column indices, updated in place): the most
-    negative reduced cost enters, and the ratio test's ties go to the lowest
-    index.  Each pivot inverts the 4 x 4 basis once and reads the dual X,
-    the basic weights and the entering direction from that inverse.
+def _simplex(cost, columns, b, basis):
+    """Revised simplex for min cost @ w, columns @ w = b, w >= 0, from the
+    feasible ``basis`` (4 column indices, updated in place), with
+    ``columns`` the constraint rows as the columns of a (4, n) array: the
+    most negative reduced cost enters, and the ratio test's ties go to the
+    lowest index.  Each pivot inverts the 4 x 4 basis once and reads the
+    dual X, the basic weights and the entering direction from that inverse.
     Returns the basic weights, the dual X and the reduced costs; raises
     LinAlgError on a singular basis or after ``_LP_PIVOTS``.  The rank-2
     program calls it, and so does the zero fit's phase one
     (:func:`_zero_decomposition`)."""
-    columns = np.ascontiguousarray(rows.T)  # X @ columns prices faster than rows @ X
     for _ in range(_LP_PIVOTS + 1):
-        A, c = rows[basis], cost[basis]
+        A, c = columns[:, basis].T, cost[basis]
         inv = np.linalg.inv(A)
         # a refinement step takes the dual to rounding, as a solve would: from
         # the inverse alone a basic column's reduced cost can pass -_LP_TOL
@@ -630,13 +660,14 @@ def _simplex(cost, rows, b, basis):
         j = int(reduced.argmin())
         if reduced[j] >= -_LP_TOL:
             return b @ inv, X, reduced
-        w, d = b @ inv, rows[j] @ inv
+        w, d = b @ inv, columns[:, j] @ inv
         # every cost is >= 0, so no direction is unbounded: d has a positive
         # entry.  In the program every column has trace |v|^2 = 1, so d
-        # sums to 1; phase one's two off-diagonal unit columns have trace 0
-        ratio = np.where(d > _LP_TOL, np.maximum(w, 0.0), np.inf) / np.maximum(d, _LP_TOL)
-        ties = np.flatnonzero(ratio == ratio.min())
-        basis[ties[np.argmin(basis[ties])]] = j
+        # sums to 1; phase one's two off-diagonal unit columns have trace 0.
+        # The test runs on four Python floats, and a tie leaves the lowest index
+        ratio = [max(wk, 0.0) / dk if dk > _LP_TOL else np.inf
+                 for wk, dk in zip(w.tolist(), d.tolist())]
+        basis[min(zip(ratio, basis.tolist(), range(4)))[2]] = j
     raise np.linalg.LinAlgError(f"no optimal basis in {_LP_PIVOTS} pivots")
 
 
@@ -646,6 +677,73 @@ def _feasible(A, b) -> bool:
     weights, A^T w = b, are non-negative."""
     s = np.linalg.svd(A, compute_uv=False)
     return bool(s[-1] * _LP_COND > s[0] and np.linalg.solve(A.T, b).min() >= 0.0)
+
+
+class _Columns:
+    """The program's columns, held once and appended in place: their chart
+    points, costs and constraint rows, the rows as the columns of a (4, n)
+    array, the layout :func:`_simplex` prices from.  It starts with room for
+    ``room`` columns, and the room doubles whenever an append needs more."""
+
+    def __init__(self, room: int):
+        self.n = 0
+        self._z, self._flip, self._cost, self._A = (np.empty(room, complex), np.empty(room, bool),
+                                                    np.empty(room), np.empty((4, room)))
+
+    def add(self, z, flip, cost, rows):
+        """Append columns: chart points, costs and their rows, (k, 4)."""
+        n, k = self.n, len(z)
+        if n + k > len(self._z):  # no room: move to twice the room needed
+            z0, flip0, cost0, A0 = self.held()
+            self.__init__(2 * (n + k))
+            self.add(z0, flip0, cost0, A0.T)
+        self._z[n:n + k], self._flip[n:n + k], self._cost[n:n + k] = z, flip, cost
+        self._A[:, n:n + k] = rows.T
+        self.n = n + k
+
+    def held(self):
+        """The chart points, flips, costs and (4, n) rows of the columns."""
+        n = self.n
+        return self._z[:n], self._flip[:n], self._cost[:n], self._A[:, :n]
+
+
+def _warm_start(cost, A, b, basis, places, first) -> None:
+    """Put the refined points in the simplex's start basis, each in the
+    place of the support point it moved from (``places``); their columns are
+    ``first``, ``first`` + 5, .., each followed by its four offset columns.
+    Where that trial leaves a weight negative (a support point that did not
+    move, such as a point the grid split in two, whose other half the
+    refinement dropped), one ratio test on the trial's inverse finds the
+    offset columns that can take the most negative weight's place with every
+    weight non-negative, and of these the one that lowers the cost most
+    enters.  The basis chosen replaces ``basis``, in place, where it is
+    feasible and well-conditioned (:func:`_feasible`, the one conditioning
+    test); otherwise ``basis`` stays."""
+    trial = basis.copy()
+    points = first + _KKT_OFFSET.size * np.arange(len(places))
+    trial[places] = points
+    try:
+        inv = np.linalg.inv(A[:, trial])
+    except np.linalg.LinAlgError:
+        return
+    w = inv @ b
+    p = int(w.argmin())
+    if w[p] < 0.0:
+        offsets = (points[:, None] + np.arange(1, _KKT_OFFSET.size)).ravel()
+        d = inv @ A[:, offsets]
+        # entering at p's place with weight t = w_p / d_p leaves w - t d
+        # elsewhere: feasible where d_p < 0 and no weight turns negative
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = w[p] / d[p]
+            after = w[:, None] - t * d
+            after[p] = t
+            value = cost[trial] @ after + (cost[offsets] - cost[trial[p]]) * t
+        ok = (d[p] < 0.0) & (after >= 0.0).all(axis=0)
+        if not ok.any():
+            return
+        trial[p] = offsets[ok][value[ok].argmin()]
+    if _feasible(A[:, trial].T, b):
+        basis[:] = trial
 
 
 def _lp_roof(sphere: _Range):
@@ -663,56 +761,60 @@ def _lp_roof(sphere: _Range):
     in both angles, and the roots of q (:meth:`_Range.columns`).  Each
     round then moves the basic solution's support by Newton steps on the
     program's KKT system (:meth:`_Range._refine`), appends the points they
-    reach as columns and solves again from the last basis; prices that
-    solution's dual X by Newton steps on f - l from the support (beside
-    it, where it is a root of q) and the lowest grid points
+    reach as columns and solves again, from the basis with the refined
+    points in the places of the support points they moved from where that
+    start is feasible, after at most one ratio test over their offset
+    columns, and from the last basis otherwise (:func:`_warm_start`);
+    prices that solution's dual X by Newton steps on f - l from the support
+    (beside it, where it is a root of q) and the lowest grid points
     (:meth:`_Range.lowest`); and appends the points those reached, until
     the program's value is within ``_LP_GAP`` of the bound or after
-    ``_LP_ROUNDS``.  The bound is priced
-    at the simplex's own dual alone, so it holds, and the decomposition
-    mixes back, whether or not the refinement converged.
+    ``_LP_ROUNDS``.  The columns are held once (:class:`_Columns`), and
+    each point's cost and row are evaluated once, when it becomes a
+    column.  The bound is priced at the simplex's own dual alone, so it
+    holds, and the decomposition mixes back, whether or not the refinement
+    converged.
 
-    Returns (W, bound), or None when the simplex fails: ``W`` holds the at
-    most 4 sub-normalized members of the basic solution, (k, 8), their
-    weights solved on the support; ``bound`` is the lower bound, which holds
+    Returns (W, bound), or None when the simplex fails or the weights,
+    solved on the final support, miss b by ``_FIT_TOL`` or more or have one
+    below -``_SUPPORT``: ``W`` holds the at most 4 sub-normalized members of
+    the basic solution, (k, 8); ``bound`` is the lower bound, which holds
     to working precision (its offset is a numerical minimum), not as a
     proof.  The members are the support's chart points read back as unit
     vectors (:func:`_unchart`).
     """
-    z, flip, cost, rows, b = sphere.columns()
-    basis = _LP_BASIS.copy()
-
-    def grown(new_z, new_flip):
-        return (np.concatenate((z, new_z)), np.concatenate((flip, new_flip)),
-                np.concatenate((cost, sphere.f(new_z, new_flip))),
-                np.concatenate((rows, _chart_basis(new_z, new_flip)[0])))
-
+    held = sphere.columns()
+    z, flip, cost, A = held.held()
+    basis, b = _LP_BASIS.copy(), sphere.b
     for _ in range(_LP_ROUNDS):
         try:
-            w, X, reduced = _simplex(cost, rows, b, basis)
+            w, X, reduced = _simplex(cost, A, b, basis)
             at = np.flatnonzero(w > 0.0)
             support = basis[at]
-            (new_z, new_flip), origin = sphere._refine(X, w[at], z[support], flip[support],
-                                                       cost[support])
+            (new_z, new_flip, rows), origin = sphere._refine(
+                X, w[at], z[support], flip[support], A[:, support].T, cost[support])
             if len(new_z):
-                # the refined points take the places of the points they moved
-                # from, where that basis is feasible and well-conditioned
-                trial = basis.copy()
-                trial[at[origin]] = len(cost) + _KKT_OFFSET.size * np.arange(len(origin))
-                z, flip, cost, rows = grown(new_z, new_flip)
-                if _feasible(rows[trial], b):
-                    basis[:] = trial
-                w, X, reduced = _simplex(cost, rows, b, basis)
+                first = held.n
+                held.add(new_z, new_flip, sphere.f(new_z, new_flip), rows)
+                z, flip, cost, A = held.held()
+                _warm_start(cost, A, b, basis, at[origin], first)
+                w, X, reduced = _simplex(cost, A, b, basis)
         except np.linalg.LinAlgError:
             return None
         support = basis[w > 0.0]
-        lowest, visited = sphere.lowest(X, reduced[:len(_BLOCH_Z)], z[support], flip[support])
+        lowest, visited = sphere.lowest(X, reduced[:len(_BLOCH_Z)], z[support], flip[support],
+                                        cost[support])
         bound = sphere.bound(X, min(lowest, reduced.min()))
         if cost[basis] @ w - bound <= _LP_GAP:
             break
-        z, flip, cost, rows = grown(*visited)
-    # the basic solution's weights, solved on its support to rounding
-    w = np.linalg.lstsq(rows[support].T, b, rcond=None)[0]
+        held.add(*visited, sphere.f(*visited), _chart_basis(*visited)[0])
+        z, flip, cost, A = held.held()
+    # the basic solution's weights, solved on its support to rounding; weights
+    # that miss b, or are negative beyond rounding, decline
+    A = A[:, support]
+    w = np.linalg.lstsq(A, b, rcond=None)[0]
+    if w.min() < -_SUPPORT or np.linalg.norm(A @ w - b) >= _FIT_TOL:
+        return None
     V = _unchart(z[support], flip[support])
     return (np.sqrt(np.maximum(w, 0.0))[:, None] * V) @ sphere.E, float(bound)
 

@@ -896,8 +896,10 @@ def test_lp_corpus_is_bracketed_and_beats_the_search(monkeypatch, draw, seed):
 
 
 def _lp_columns(B, use_sqrt):
-    """The simplex's first costs, constraint rows and right-hand side."""
-    return _range(B, use_sqrt).columns()[2:]
+    """The simplex's first costs, constraint rows (as the columns of a
+    (4, n) array) and right-hand side."""
+    sphere = _range(B, use_sqrt)
+    return (*sphere.columns().held()[2:], sphere.b)
 
 
 def test_simplex_matches_highs_on_the_same_columns():
@@ -908,16 +910,16 @@ def test_simplex_matches_highs_on_the_same_columns():
              (_random_rank2(rng), True), (_random_rank2(rng), True)]
     for rho, use_sqrt in cases:
         B = eigen_factor(rho)
-        cost, rows, b = _lp_columns(B, use_sqrt)
+        cost, A, b = _lp_columns(B, use_sqrt)
         basis = roof._LP_BASIS.copy()
-        w, X, reduced = roof._simplex(cost, rows, b, basis)
-        highs = linprog(cost, A_eq=rows.T, b_eq=b, bounds=(0.0, None), method="highs",
+        w, X, reduced = roof._simplex(cost, A, b, basis)
+        highs = linprog(cost, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs",
                         options={"primal_feasibility_tolerance": 1e-10,
                                  "dual_feasibility_tolerance": 1e-10})
         assert highs.status == 0
         assert abs(cost[basis] @ w - highs.fun) <= 1e-9
         assert abs(b @ X - highs.fun) <= 1e-9
-        assert w.min() >= -1e-12 and np.abs(rows[basis].T @ w - b).max() <= 1e-12
+        assert w.min() >= -1e-12 and np.abs(A[:, basis] @ w - b).max() <= 1e-12
         assert reduced.min() >= -roof._LP_TOL
 
 
@@ -933,6 +935,55 @@ def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     assert roof._lp_roof(_range(B, False)) is None
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
+    assert res.restarts_used == 2 and res.lower_bound is None and res.converged is False
+    assert _mixes_back(res, rho)
+
+
+def test_second_solve_starts_from_the_refined_support(monkeypatch):
+    """Rho0, tau: the refinement drops the support point that the grid split
+    off one of the three optimal points, so the trial basis of the three
+    refined points leaves a weight of about -7e-6 in that point's place.
+    One ratio test puts an offset column of a refined point there: the
+    second simplex solve starts from a feasible basis that holds the three
+    refined points and makes at most two basis inverses, where from the
+    last basis it made eleven."""
+    simplex, inv, solves = roof._simplex, np.linalg.inv, []
+
+    def counted(cost, A, b, basis):
+        inverses, start = [], basis.copy()
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inverses.append(1) or inv(M))
+        try:
+            return simplex(cost, A, b, basis)
+        finally:
+            monkeypatch.setattr(np.linalg, "inv", inv)
+            solves.append((len(cost), start, len(inverses), A[:, start].T, b))
+
+    monkeypatch.setattr(roof, "_simplex", counted)
+    B = eigen_factor(_counterexample_pair()[1][0])
+    _, bound = roof._lp_roof(_range(B, False))
+    assert abs(bound - TAU_RHO0) <= 1e-7
+    (n, _, _, _, _), (_, start, inverses, A, b) = solves[:2]
+    new = start[start >= n] - n
+    assert len(new) == 4 and np.count_nonzero(new % roof._KKT_OFFSET.size == 0) == 3
+    assert roof._feasible(A, b)
+    assert inverses <= 2
+
+
+def test_lp_declines_weights_that_miss_b(monkeypatch):
+    """The decomposition's weights are solved on the program's final
+    support; weights that miss b (here moved by 1e-6) make the program
+    decline, so the search runs, rather than an invalid ensemble raising
+    out of the solve.  The counterexample rho, tau."""
+    lstsq = np.linalg.lstsq
+
+    def off(A, y, rcond):  # the final solve is the one least-squares call with rcond None
+        x, *rest = lstsq(A, y, rcond=rcond)
+        return (x + 1e-6 if rcond is None else x, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", off)
+    rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
+    assert roof._lp_roof(_range(eigen_factor(rho), False)) is None
+    res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=2, max_iterations=300))
     assert res.restarts_used == 2 and res.lower_bound is None and res.converged is False
     assert _mixes_back(res, rho)
 
@@ -982,11 +1033,11 @@ def _first_round(rho, use_sqrt):
     the program's first round, as :func:`roof._lp_roof` prices them."""
     B = eigen_factor(rho)
     sphere = _range(B, use_sqrt)
-    z, flip, cost, rows, b = sphere.columns()
+    z, flip, cost, A = sphere.columns().held()
     basis = roof._LP_BASIS.copy()
-    w, X, reduced = roof._simplex(cost, rows, b, basis)
+    w, X, reduced = roof._simplex(cost, A, sphere.b, basis)
     support = basis[w > 0.0]
-    return sphere, X, reduced[:len(roof._BLOCH_Z)], z[support], flip[support]
+    return sphere, X, reduced[:len(roof._BLOCH_Z)], z[support], flip[support], cost[support]
 
 
 def test_pricing_reaches_the_fine_grid_minimum():
@@ -1004,8 +1055,8 @@ def test_pricing_reaches_the_fine_grid_minimum():
     states = [_random_rank2(rng) for _ in range(20)] + [_random_rank2_gram(rng) for _ in range(20)]
     for rho in states:
         for use_sqrt in (True, False):
-            sphere, X, on_grid, z, flip = _first_round(rho, use_sqrt)
-            lowest, (new_z, new_flip) = sphere.lowest(X, on_grid, z, flip)
+            sphere, X, on_grid, z, flip, cost = _first_round(rho, use_sqrt)
+            lowest, (new_z, new_flip) = sphere.lowest(X, on_grid, z, flip, cost)
             fine = (sphere.f(fine_z, fine_flip) - fine_rows @ X).min()
             assert lowest <= fine + 1e-12
             V = roof._unchart(new_z, new_flip)
@@ -1055,9 +1106,9 @@ def test_simplex_dual_prices_its_basis_at_zero():
     for rho in states:
         for use_sqrt in (True, False):
             B = eigen_factor(rho)
-            cost, rows, b = _lp_columns(B, use_sqrt)
+            cost, A, b = _lp_columns(B, use_sqrt)
             basis = roof._LP_BASIS.copy()
-            _, _, reduced = roof._simplex(cost, rows, b, basis)
+            _, _, reduced = roof._simplex(cost, A, b, basis)
             assert np.abs(reduced[basis]).max() <= 8 * np.finfo(float).eps * np.abs(cost).max()
 
 
@@ -1084,8 +1135,8 @@ def test_refinement_closes_the_counterexample_in_one_pricing_pass(monkeypatch):
         _, bound = roof._lp_roof(_range(B, False))
         assert len(passes) == 1
         assert abs(bound - want) <= 1e-7
-    monkeypatch.setattr(roof._Range, "_refine",
-                        lambda self, X, w, z, flip, cost: ((z[:0], flip[:0]), np.arange(0)))
+    monkeypatch.setattr(roof._Range, "_refine", lambda self, X, w, z, flip, a, cost:
+                        ((z[:0], flip[:0], a[:0]), np.arange(0)))
     passes.clear()
     _, bound = roof._lp_roof(_range(B, False))  # rho0
     assert 1 < len(passes) < roof._LP_ROUNDS
@@ -1119,7 +1170,10 @@ def test_column_costs_are_the_functionals_of_their_range_states():
     of q, f(z, flip) is sqrt-tau or tau of the unit state
     _unchart(z, flip) @ E, on 20 random rank-2 states; every root reads as
     one.  At a root sqrt-tau is the square root of rounding, about 1e-8 in
-    either form, so it is compared off the roots, and tau everywhere."""
+    either form, so it is compared off the roots, and tau everywhere.  On
+    every grid point the costs of the program's first columns, read from the
+    monomial tables of the grid's angles, equal f(z, flip) to 1e-14 of the
+    largest."""
     rng = np.random.default_rng(64)
     states = [_random_rank2(rng) for _ in range(10)] + [_random_rank2_gram(rng) for _ in range(10)]
     for rho in states:
@@ -1136,7 +1190,10 @@ def test_column_costs_are_the_functionals_of_their_range_states():
             want = np.array([inv.sqrt_tau if use_sqrt else inv.tau for inv in invs])
             compared = len(z) - len(root_z) if use_sqrt else len(z)
             assert np.abs(sphere.f(z, flip) - want)[:compared].max() <= 1e-12
-            assert sphere.on_root(root_z, root_flip).all()
+            assert sphere.on_root(sphere.f(root_z, root_flip)).all()
+            grid = sphere.f(roof._BLOCH_Z, roof._BLOCH_FLIP)
+            cost = sphere.columns().held()[2][:len(grid)]
+            assert np.abs(cost - grid).max() <= 1e-14 * grid.max()
 
 
 def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
@@ -1149,12 +1206,14 @@ def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
     monkeypatch.setattr(roof, "_KKT_STEPS", 8)
     B = eigen_factor(_counterexample_pair()[1][0])
     sphere = _range(B, False)
-    z, flip, cost, rows, b = sphere.columns()
+    z, flip, cost, A = sphere.columns().held()
+    b = sphere.b
     basis = roof._LP_BASIS.copy()
-    w, X, _ = roof._simplex(cost, rows, b, basis)
+    w, X, _ = roof._simplex(cost, A, b, basis)
     support = basis[w > 0.0]
     assert len(support) == 4
-    (z, flip), _ = sphere._refine(X, w[w > 0.0], z[support], flip[support], cost[support])
+    (z, flip, _), _ = sphere._refine(X, w[w > 0.0], z[support], flip[support],
+                                     A[:, support].T, cost[support])
     assert len(z) == 3 * roof._KKT_OFFSET.size
     z, flip = z[::roof._KKT_OFFSET.size], flip[::roof._KKT_OFFSET.size]
     a, a_s, a_t = roof._chart_basis(z, flip)
