@@ -12,15 +12,16 @@ explicitly:
 
 Both functionals are non-smooth exactly where members become tangle-free,
 which is where minimizers live, so the search anneals a smoothing
-parameter toward zero.  The local search is Riemannian conjugate-gradient
+parameter toward zero.  The local search is Riemannian quasi-Newton
 descent on the column-orthonormal manifold, from the projected Wirtinger
-gradient: Polak-Ribiere+ directions, with the last direction carried over
-by tangent projection and a restart at the steepest descent where that is
-not a descent direction, then polar retraction and backtracking.  The
-random restarts of a solve advance in lock step as one stacked
-``(S, m, r)`` batch, one batched kernel call per trial step; they share
-one smoothing ladder, each keeps its own step size, and each ends bit for
-bit where it would if run alone.
+gradient: BFGS directions from a dense inverse Hessian per start, over the
+real coordinates of its block and built afresh at each smoothing level,
+with a restart at the steepest descent where that is not a descent
+direction, then polar retraction and backtracking.  The random restarts
+of a solve advance in lock step as one stacked ``(S, m, r)`` batch, one
+batched kernel call per trial step; they share one smoothing ladder, each
+keeps its own step size and inverse Hessian, and each ends bit for bit
+where it would if run alone.
 
 A rank-2 input meets three certificates, cheapest first.  Each gives a
 decomposition and a lower bound on the roof, and one rule holds for all
@@ -826,6 +827,7 @@ _ETA0, _ETA_MAX, _ETA_MIN = 0.2, 2.0, 1e-15
 _ARMIJO = 1e-4
 _STALL_TOL = 1e-9  # an accepted step that gains less ends its smoothing level
 _GRAD_FLOOR = 1e-26
+_CHUNK = 2 ** 15  # entries of H updated and multiplied at once, 256 KB: a piece stays in cache
 
 
 def _herm(A: np.ndarray) -> np.ndarray:
@@ -864,39 +866,76 @@ def _sub(idx, mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask) if isinstance(idx, slice) else idx[mask]
 
 
+def _real(X: np.ndarray) -> np.ndarray:
+    """The real view (k, 2mr) of each start's (m, r) block, C-contiguous X."""
+    return X.view(np.float64).reshape(len(X), -1)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y per row of two (k, n) real views."""
+    return (x * y).sum(-1)
+
+
+def _bfgs(H: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> None:
+    """BFGS update of the inverse Hessians H (k, n, n), in place, from the
+    steps s and gradient changes y (k, n), with sy = s . y > 0:
+
+        H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T,  rho = 1 / sy,
+
+    added as the rank-2 product [s, v] [v; s] with v = c/2 s - rho H y and
+    c = rho (1 + rho y^T H y), so that H y = s after it.  Where ``fresh``
+    (the start holds no H yet), H is first seeded as (sy / y . y) I."""
+    if fresh.any():
+        H[fresh] = (sy[fresh] / _dot(y[fresh], y[fresh]))[:, None, None] * np.eye(H.shape[-1])
+    Hy = (H @ y[..., None])[..., 0]
+    rho = 1.0 / sy
+    v = (0.5 * rho * (1.0 + rho * _dot(y, Hy)))[:, None] * s - rho[:, None] * Hy
+    H += np.stack((s, v), axis=-1) @ np.stack((v, s), axis=-2)
+
+
+def _quasi_newton(H: np.ndarray, U: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The quasi-Newton direction -T_U(H g) of each start, g the real view
+    of its Riemannian gradient G."""
+    Hg = H @ _real(G)[..., None]
+    return -_tangent(U, Hg.reshape(G.shape[0], G.shape[1], -1).view(np.complex128))
+
+
 class _LockStep:
-    """Annealed conjugate-gradient descent of S starts, advanced together.
+    """Annealed quasi-Newton descent of S starts, advanced together.
 
     Every start anneals down the one smoothing ladder ``_SCHEDULE``.  At
     each level it takes backtracking steps on the column-orthonormal
     manifold along a direction D: -G when the level opens, then the
-    Riemannian Polak-Ribiere+ direction (Absil, Mahony & Sepulchre,
-    *Optimization Algorithms on Matrix Manifolds*, 2008, sec. 8.3)
-
-        D = -G + beta T_U(D_prev),  beta = max(0, (|G|^2 - Re<G, G_prev>) / |G_prev|^2),
-
-    with the transport T_U(X) = X - U sym(U^H X), the tangent projection
-    (as G is tangent at U, <G, T_U(G_prev)> = <G, G_prev>).  Where
-    Re<G, D> is not negative, NaN included, D is -G again.  The trial is
-    the polar retraction of U + eta D; step size ``eta`` from 0.2, Armijo
-    test f_trial < f + 1e-4 eta Re<G, D>, ``eta`` x1.4 on acceptance (at
-    most 2) and /2 on rejection or a failed retraction.  A level ends on a
-    tiny or non-finite gradient, an accepted step that gains less than
-    ``_STALL_TOL``, an exhausted line search or a spent step budget.  The
-    best exact (eps = 0) objective seen at any level boundary is kept, so a
-    smoothing level can never lose an already-good iterate.
+    Riemannian BFGS direction (Huang, Gallivan & Absil, SIAM J. Optim. 25,
+    1660 (2015)) D = -T_U(H g), with T_U(X) = X - U sym(U^H X) the tangent
+    projection and H a dense inverse Hessian over the real view g of G, 2mr
+    wide.  After each accepted step, the pair s = eta D (the step taken)
+    and y = G - G_prev (the two gradients as held, with no transport)
+    updates H by :func:`_bfgs` where s . y > 0, and leaves it where not; the
+    first such pair of a level seeds H as (s . y / y . y) I.  Where
+    Re<G, D> is not negative, NaN included, D is -G again and H is dropped.
+    The trial is the polar retraction of U + eta D.  Step size: a level
+    opens at ``eta`` 0.2, a quasi-Newton direction tries 1, and a gradient
+    direction after an accepted step tries 1.4 times the last (at most 2);
+    it halves on a rejection or a failed retraction.  Armijo test
+    f_trial < f + 1e-4 eta Re<G, D>.  A level ends on a tiny or non-finite
+    gradient, an accepted step that gains less than ``_STALL_TOL``, an
+    exhausted line search or a spent step budget.  The best exact (eps = 0)
+    objective seen at any level boundary is kept, so a smoothing level can
+    never lose an already-good iterate.
 
     One tick makes one trial step for every start in a line search: one
     batched retraction and one batched ``roof_value_grad``.  The accepted
     trials go straight on to the gradient projection, and a tick whose
     retractions all succeed or whose trials all pass masks nothing.
-    Starts share no arithmetic, and every per-start reduction (|G|^2,
-    beta, the slope) sums one start's block in one form, so each start
-    ends exactly where it would alone.
+    Starts share no arithmetic, and every per-start reduction (|G|^2, s . y,
+    the slope) sums one start's block in one form, so each start ends
+    exactly where it would alone.  H takes S (2mr)^2 floats: 40 KB for 5
+    starts at m = r = 4, 6.5 MB for 50 at m = r = 8.
     """
 
     def __init__(self, U0: np.ndarray, B: np.ndarray, use_sqrt: bool, opts: RoofOptions):
-        S = len(U0)
+        S, m, r = U0.shape
         self.B, self.use_sqrt = B, use_sqrt
         # E = 2 conj(P B^T) = conj(P) @ B2: conjugation and doubling are exact
         self.B2 = 2.0 * np.conj(B.T)
@@ -910,10 +949,11 @@ class _LockStep:
         self.eta = np.full(S, _ETA0)
         self.f = np.zeros(S)
         self.G = np.zeros_like(self.U)
-        self.gn2 = np.zeros(S)
         self.D = np.zeros_like(self.U)            # search direction
         self.slope = np.zeros(S)                  # Re<G, D>, negative
         self.searching = np.zeros(S, dtype=bool)  # in a line search
+        self.H = np.zeros((S, 2 * m * r, 2 * m * r))  # inverse Hessian, where held
+        self.held = np.zeros(S, dtype=bool)       # H is held
 
     def run(self):
         """Returns per start (best W, best exact value)."""
@@ -923,43 +963,79 @@ class _LockStep:
         return self.best_W, self.best_value
 
     def _begin(self, idx):
-        """Open the current smoothing level: fresh step size and gradient."""
+        """Open the current smoothing level: fresh step size and gradient, no H."""
         if idx.size == 0:
             return
         self.eta[idx] = _ETA0
         self.steps[idx] = 0
+        self.held[idx] = False
         U = self.U[idx]
         self.f[idx], P = kernels.roof_value_grad(U @ self.B, self.use_sqrt, self.eps[idx])
-        self._project(idx, U, P, fresh=True)
+        self._project(idx, U, P)
 
-    def _project(self, idx, U, P, fresh=False):
+    def _project(self, idx, U, P, eta=None):
         """Riemannian gradient G at the starts' U from their Wirtinger
-        derivative P, and the next search direction D: -G when ``fresh`` (a
-        level opens), else the Polak-Ribiere+ direction, falling back to -G
-        where that is not a descent direction.  A vanishing or non-finite
-        gradient ends the level.  ``idx`` is an index array or, for every
-        start, ``slice(None)``."""
+        derivative P, and the next search direction D and step size.  A level
+        opens (``eta`` None) on D = -G.  After an accepted step of size
+        ``eta`` along the held D, the pair (s, y) updates H where s . y > 0,
+        and a start that holds H goes along its quasi-Newton direction from
+        step size 1, falling back to -G, with H dropped, where that does not
+        descend.  A vanishing or non-finite gradient ends the level.  ``idx``
+        is an index array or, for every start, ``slice(None)``."""
         if len(U) == 0:
             return
         E = np.conj(P) @ self.B2
         G = _tangent(U, E)
         gn2 = _inner(G, G)
         D, slope = -G, -gn2
-        if not fresh:
-            # <G, T_U(G_prev)> = <G, G_prev>, as G is tangent at U
-            beta = np.maximum(0.0, (gn2 - _inner(G, self.G[idx])) / self.gn2[idx])
-            D_cg = D + beta[:, None, None] * _tangent(U, self.D[idx])
-            slope_cg = _inner(G, D_cg)
-            cg = slope_cg < 0.0                   # False on NaN
-            D = np.where(cg[:, None, None], D_cg, D)
-            slope = np.where(cg, slope_cg, slope)
-        self.G[idx], self.gn2[idx], self.D[idx], self.slope[idx] = G, gn2, D, slope
+        if eta is not None:
+            s = _real(eta[:, None, None] * self.D[idx])
+            y = _real(G - self.G[idx])
+            sy = _dot(s, y)
+            self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
+            pair = sy > 0.0                       # False on NaN
+            was = self.held[idx]
+            held = was | pair                     # the starts that hold H after the update
+            if held.any():
+                at = idx if held.all() else _sub(idx, held)
+                D_qn = self._directions(at, U[held], G[held], s[held], y[held], sy[held],
+                                        pair[held], ~was[held])
+                slope_qn = _inner(G[held], D_qn)
+                qn = held.copy()
+                qn[held] = slope_qn < 0.0         # False on NaN
+                D[qn], slope[qn] = D_qn[qn[held]], slope_qn[qn[held]]
+                self.eta[_sub(idx, qn)] = 1.0
+                self.held[idx] = qn               # H is dropped where it did not descend
+        self.G[idx], self.D[idx], self.slope[idx] = G, D, slope
         flat = ~np.isfinite(gn2) | (gn2 < _GRAD_FLOOR)
         if not flat.any():
             self.searching[idx] = True
             return
         self.searching[_sub(idx, ~flat)] = True
         self._end(_sub(idx, flat))
+
+    def _directions(self, at, U, G, s, y, sy, pair, fresh):
+        """The quasi-Newton directions of the starts ``at`` that hold H after
+        this step, an index array or ``slice(None)``, with H first updated
+        by the pair where ``pair`` holds (seeded where ``fresh``).  The starts
+        are taken a few at a time, ``_CHUNK`` entries of H, so that each
+        piece of H is read, updated and multiplied while it is in cache."""
+        D = np.empty_like(G)
+        step = max(1, _CHUNK // self.H.shape[-1] ** 2)
+        for a in range(0, len(G), step):
+            part = slice(a, a + step)
+            rows = part if isinstance(at, slice) else at[part]
+            H = self.H[rows]                      # a view under a slice
+            up = pair[part]
+            if up.any():
+                Hu = H if up.all() else H[up]
+                _bfgs(Hu, s[part][up], y[part][up], sy[part][up], fresh[part][up])
+                if Hu is not H:
+                    H[up] = Hu
+                if not isinstance(rows, slice):
+                    self.H[rows] = H
+            D[part] = _quasi_newton(H, U[part], G[part])
+        return D
 
     def _end(self, idx):
         """Close the level: keep a better exact value, then open the next
@@ -1001,13 +1077,13 @@ class _LockStep:
 
         done = f0 - f < _STALL_TOL  # before f0, a view under a slice, is overwritten
         self.U[idx], self.f[idx] = trial, f
-        self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
         self.steps[idx] += 1
         done |= self.steps[idx] >= self.budget
         if done.any():
             self._end(_sub(idx, done))
-            idx, trial, P = _sub(idx, ~done), trial[~done], P[~done]
-        self._project(idx, trial, P)
+            idx, trial, P, eta = _sub(idx, ~done), trial[~done], P[~done], eta[~done]
+        # eta, a view under a slice, is read before _project overwrites it
+        self._project(idx, trial, P, eta)
 
 
 # --------------------------------------------------------------------------
