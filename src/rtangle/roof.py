@@ -18,10 +18,11 @@ gradient: BFGS directions from a dense inverse Hessian per start, over the
 real coordinates of its block and built afresh at each smoothing level,
 with a restart at the steepest descent where that is not a descent
 direction, then polar retraction and backtracking.  The random restarts
-of a solve advance in lock step as one stacked ``(S, m, r)`` batch, one
-batched kernel call per trial step; they share one smoothing ladder, each
-keeps its own step size and inverse Hessian, and each ends bit for bit
-where it would if run alone.
+of a solve advance in lock step as a stacked ``(S, m, r)`` batch, one
+batched kernel call per trial step, in as few batches as keep their inverse
+Hessians within 8 MB; they share one smoothing ladder, each keeps its own
+step size and inverse Hessian, and each ends bit for bit where it would if
+run alone.
 
 A rank-2 input meets three certificates, cheapest first.  Each gives a
 decomposition and a lower bound on the roof, and one rule holds for all
@@ -827,7 +828,7 @@ _ETA0, _ETA_MAX, _ETA_MIN = 0.2, 2.0, 1e-15
 _ARMIJO = 1e-4
 _STALL_TOL = 1e-9  # an accepted step that gains less ends its smoothing level
 _GRAD_FLOOR = 1e-26
-_CHUNK = 2 ** 15  # entries of H updated and multiplied at once, 256 KB: a piece stays in cache
+_H_BYTES = 2 ** 23  # the inverse Hessians of one lock-step batch: 8 MB, 64 starts at m = r = 8
 
 
 def _herm(A: np.ndarray) -> np.ndarray:
@@ -931,7 +932,8 @@ class _LockStep:
     Starts share no arithmetic, and every per-start reduction (|G|^2, s . y,
     the slope) sums one start's block in one form, so each start ends
     exactly where it would alone.  H takes S (2mr)^2 floats: 40 KB for 5
-    starts at m = r = 4, 6.5 MB for 50 at m = r = 8.
+    starts at m = r = 4, 6.5 MB for 50 at m = r = 8; :func:`roof_minimize`
+    runs its starts in batches of at most ``_H_BYTES`` of H.
     """
 
     def __init__(self, U0: np.ndarray, B: np.ndarray, use_sqrt: bool, opts: RoofOptions):
@@ -998,8 +1000,16 @@ class _LockStep:
             held = was | pair                     # the starts that hold H after the update
             if held.any():
                 at = idx if held.all() else _sub(idx, held)
-                D_qn = self._directions(at, U[held], G[held], s[held], y[held], sy[held],
-                                        pair[held], ~was[held])
+                H = self.H[at]                    # a view under a slice
+                up = pair[held]
+                if up.any():
+                    Hu = H if up.all() else H[up]
+                    _bfgs(Hu, s[pair], y[pair], sy[pair], ~was[pair])
+                    if Hu is not H:
+                        H[up] = Hu
+                    if not isinstance(at, slice):
+                        self.H[at] = H
+                D_qn = _quasi_newton(H, U[held], G[held])
                 slope_qn = _inner(G[held], D_qn)
                 qn = held.copy()
                 qn[held] = slope_qn < 0.0         # False on NaN
@@ -1013,29 +1023,6 @@ class _LockStep:
             return
         self.searching[_sub(idx, ~flat)] = True
         self._end(_sub(idx, flat))
-
-    def _directions(self, at, U, G, s, y, sy, pair, fresh):
-        """The quasi-Newton directions of the starts ``at`` that hold H after
-        this step, an index array or ``slice(None)``, with H first updated
-        by the pair where ``pair`` holds (seeded where ``fresh``).  The starts
-        are taken a few at a time, ``_CHUNK`` entries of H, so that each
-        piece of H is read, updated and multiplied while it is in cache."""
-        D = np.empty_like(G)
-        step = max(1, _CHUNK // self.H.shape[-1] ** 2)
-        for a in range(0, len(G), step):
-            part = slice(a, a + step)
-            rows = part if isinstance(at, slice) else at[part]
-            H = self.H[rows]                      # a view under a slice
-            up = pair[part]
-            if up.any():
-                Hu = H if up.all() else H[up]
-                _bfgs(Hu, s[part][up], y[part][up], sy[part][up], fresh[part][up])
-                if Hu is not H:
-                    H[up] = Hu
-                if not isinstance(rows, slice):
-                    self.H[rows] = H
-            D[part] = _quasi_newton(H, U[part], G[part])
-        return D
 
     def _end(self, idx):
         """Close the level: keep a better exact value, then open the next
@@ -1161,7 +1148,12 @@ def roof_minimize(rho: DensityMatrix, functional: str = "sqrt_tau",
     rngs = [np.random.default_rng([opts.seed, k]) for k in range(opts.restarts)]
     restarts = [np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
                 for rng in rngs]
-    W, values = _LockStep(np.array(restarts), B, use_sqrt, opts).run()
+    # the starts advance in batches whose inverse Hessians fit in _H_BYTES;
+    # each ends where it would alone, so the batching changes no result
+    per = max(1, _H_BYTES // (8 * (2 * m * r) ** 2))
+    runs = [_LockStep(np.array(restarts[a:a + per]), B, use_sqrt, opts).run()
+            for a in range(0, len(restarts), per)]
+    W, values = (np.concatenate(part) for part in zip(*runs))
     best = int(np.argmin(values))
     return _result(W[best], use_sqrt, opts.restarts, best, bounds)
 

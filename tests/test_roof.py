@@ -8,9 +8,9 @@ import rtangle as rt
 from rtangle import kernels
 from rtangle import roof
 from rtangle.quartic import eigen_factor, pair_quartic, range_roots
-from freeze import (SQRT_TAU_GENERIC_R3, SQRT_TAU_GENERIC_R4, TAU_RHO, TAU_RHO0, TR_STD_P08,
-                    biseparable, generic_base, ghz_state, random_mixture, random_pure,
-                    random_unitary2, std_mixture)
+from freeze import (SQRT_TAU_GENERIC_R3, SQRT_TAU_GENERIC_R4, TAU_GENERIC_R3, TAU_GENERIC_R4,
+                    TAU_RHO, TAU_RHO0, TR_STD_P08, biseparable, generic_base, ghz_state,
+                    local_frames, random_mixture, random_pure, std_mixture)
 
 FAST = rt.RoofOptions(restarts=6)
 
@@ -208,19 +208,11 @@ def test_general_measurement_covariance_at_oracle_level():
         assert abs(roof_out - out.alpha * roof_in) <= 1e-2
 
 
-def _local_frames(rho, n, seed=31):
-    """rho posed in n random local-unitary frames of the given rng."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        V = np.kron(np.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
-        yield rt.DensityMatrix(V @ rho @ V.conj().T)
-
-
 def test_generic_rank3_lands_near_the_best_known_roof():
     """A default-budget 5-restart solve of a generic rank-3 state, posed in
     three random local-unitary frames, lands within 1e-4 of the best value
     long searches found; with no lower bound it is not converged."""
-    for rho in _local_frames(generic_base(3).matrix, 3):
+    for rho in local_frames(generic_base(3), 3):
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=5))
         assert abs(res.value - SQRT_TAU_GENERIC_R3) <= 1e-4
         assert res.converged is False and res.lower_bound is None
@@ -230,9 +222,18 @@ def test_generic_rank4_lands_near_the_best_known_roof():
     """The same at rank 4, within 1e-3: sqrt-tau at rank 4 is where a
     search that stops short of the roof shows most, by up to 2e-2 in these
     frames."""
-    for rho in _local_frames(generic_base(4).matrix, 3):
+    for rho in local_frames(generic_base(4), 3):
         res = rt.roof_minimize(rho, "sqrt_tau", rt.RoofOptions(restarts=5))
         assert abs(res.value - SQRT_TAU_GENERIC_R4) <= 1e-3
+        assert res.converged is False and res.lower_bound is None
+
+
+@pytest.mark.parametrize("rank, best", [(3, TAU_GENERIC_R3), (4, TAU_GENERIC_R4)])
+def test_generic_tau_lands_near_the_best_known_roof(rank, best):
+    """The tau roofs of the same states, in the same frames, within 1e-4."""
+    for rho in local_frames(generic_base(rank), 3):
+        res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
+        assert abs(res.value - best) <= 1e-4
         assert res.converged is False and res.lower_bound is None
 
 
@@ -351,7 +352,7 @@ def test_lock_step_equals_one_start_at_a_time(use_sqrt):
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
 
 
-def test_start_result_independent_of_batch(monkeypatch):
+def test_start_result_independent_of_batch():
     B, U0 = _generic_starts(2, 5, seed=8)
     opts = rt.RoofOptions(max_iterations=400)
     W, values = roof._LockStep(U0, B, True, opts).run()
@@ -361,10 +362,30 @@ def test_start_result_independent_of_batch(monkeypatch):
     W2, values2 = roof._LockStep(U0[[4, 1]], B, True, opts).run()
     assert np.array_equal(W2[0], W[4]) and np.array_equal(W2[1], W[1])
     assert values2[0] == values[4] and values2[1] == values[1]
-    # the inverse Hessians taken two starts at a time, not all five at once
-    monkeypatch.setattr(roof, "_CHUNK", 2 * (2 * 4 * 2) ** 2)
-    W3, values3 = roof._LockStep(U0, B, True, opts).run()
-    assert np.array_equal(W3, W) and np.array_equal(values3, values)
+
+
+def test_search_batches_keep_h_within_the_budget(monkeypatch):
+    """roof_minimize runs its starts in batches whose inverse Hessians fit in
+    ``_H_BYTES``: with the budget cut to three starts' worth, 8 restarts run
+    as batches of 3, 3 and 2, and the solve ends bit for bit as in one batch."""
+    rho = generic_base(3)
+    opts = rt.RoofOptions(restarts=8, max_iterations=300)
+    one = rt.roof_minimize(rho, "sqrt_tau", opts)
+    sizes, LockStep = [], roof._LockStep
+
+    class Recorded(LockStep):
+        def run(self):
+            sizes.append((len(self.U), self.H.nbytes))
+            return super().run()
+
+    monkeypatch.setattr(roof, "_LockStep", Recorded)
+    monkeypatch.setattr(roof, "_H_BYTES", 3 * 8 * (2 * 4 * 3) ** 2)
+    res = rt.roof_minimize(rho, "sqrt_tau", opts)
+    assert [n for n, _ in sizes] == [3, 3, 2]
+    assert all(nbytes <= roof._H_BYTES for _, nbytes in sizes)
+    assert res.value == one.value and res.best_restart_index == one.best_restart_index
+    for (w, psi), (w1, psi1) in zip(res.ensemble.members, one.ensemble.members):
+        assert w == w1 and np.array_equal(psi.amp, psi1.amp)
 
 
 def test_direction_is_a_tangent_descent_direction():
