@@ -15,9 +15,11 @@ which is where minimizers live, so the search anneals a smoothing
 parameter toward zero.  The local search is Riemannian quasi-Newton
 descent on the column-orthonormal manifold, from the projected Wirtinger
 gradient: BFGS directions from a dense inverse Hessian per start, over the
-real coordinates of its block and built afresh at each smoothing level,
-with a restart at the steepest descent where that is not a descent
-direction, then polar retraction and backtracking.  The random restarts
+real coordinates of its block and carried down the smoothing ladder (each
+level opens on the steepest descent at the length of the last step, and
+rescales the carried inverse Hessian at its first curvature pair), with a
+restart at the steepest descent where that is not a descent direction,
+then polar retraction and backtracking.  The random restarts
 of a solve advance in lock step as a stacked ``(S, m, r)`` batch, one
 batched kernel call per trial step, in as few batches as keep their inverse
 Hessians within 8 MB; they share one smoothing ladder, each keeps its own
@@ -877,7 +879,8 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(-1)
 
 
-def _bfgs(H: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> None:
+def _bfgs(H: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray,
+          kept: np.ndarray) -> None:
     """BFGS update of the inverse Hessians H (k, n, n), in place, from the
     steps s and gradient changes y (k, n), with sy = s . y > 0:
 
@@ -885,10 +888,16 @@ def _bfgs(H: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np
 
     added as the rank-2 product [s, v] [v; s] with v = c/2 s - rho H y and
     c = rho (1 + rho y^T H y), so that H y = s after it.  Where ``fresh``
-    (the start holds no H yet), H is first seeded as (sy / y . y) I."""
+    (the start holds no H), H is first seeded as (sy / y . y) I; where
+    ``kept`` (its H was carried from the last smoothing level), H is first
+    rescaled by sy / y^T H y (Oren & Luenberger, Manage. Sci. 20, 845 (1974))."""
     if fresh.any():
         H[fresh] = (sy[fresh] / _dot(y[fresh], y[fresh]))[:, None, None] * np.eye(H.shape[-1])
     Hy = (H @ y[..., None])[..., 0]
+    if kept.any():
+        scale = sy[kept] / _dot(y[kept], Hy[kept])
+        H[kept] *= scale[:, None, None]
+        Hy[kept] *= scale[:, None]
     rho = 1.0 / sy
     v = (0.5 * rho * (1.0 + rho * _dot(y, Hy)))[:, None] * s - rho[:, None] * Hy
     H += np.stack((s, v), axis=-1) @ np.stack((v, s), axis=-2)
@@ -912,11 +921,15 @@ class _LockStep:
     projection and H a dense inverse Hessian over the real view g of G, 2mr
     wide.  After each accepted step, the pair s = eta D (the step taken)
     and y = G - G_prev (the two gradients as held, with no transport)
-    updates H by :func:`_bfgs` where s . y > 0, and leaves it where not; the
-    first such pair of a level seeds H as (s . y / y . y) I.  Where
-    Re<G, D> is not negative, NaN included, D is -G again and H is dropped.
-    The trial is the polar retraction of U + eta D.  Step size: a level
-    opens at ``eta`` 0.2, a quasi-Newton direction tries 1, and a gradient
+    updates H by :func:`_bfgs` where s . y > 0, and leaves it where not.
+    Where Re<G, D> is not negative, NaN included, D is -G again and H is
+    dropped.  A level carries H down from the last: the H a start held
+    when that level ended is kept, and its first pair with s . y > 0
+    rescales it by s . y / y^T H y before the update; a start with no H
+    seeds it there as (s . y / y . y) I.  The trial is the polar retraction
+    of U + eta D.  Step size: a level opens at ``eta`` = min(0.2,
+    |s_last| / |G|), the length of the last step s that formed a pair (0.2
+    before the first), a quasi-Newton direction tries 1, and a gradient
     direction after an accepted step tries 1.4 times the last (at most 2);
     it halves on a rejection or a failed retraction.  Armijo test
     f_trial < f + 1e-4 eta Re<G, D>.  A level ends on a tiny or non-finite
@@ -954,8 +967,10 @@ class _LockStep:
         self.D = np.zeros_like(self.U)            # search direction
         self.slope = np.zeros(S)                  # Re<G, D>, negative
         self.searching = np.zeros(S, dtype=bool)  # in a line search
-        self.H = np.zeros((S, 2 * m * r, 2 * m * r))  # inverse Hessian, where held
+        self.H = np.zeros((S, 2 * m * r, 2 * m * r))  # inverse Hessian, where held or kept
         self.held = np.zeros(S, dtype=bool)       # H is held
+        self.kept = np.zeros(S, dtype=bool)       # H is carried from the last level, not yet rescaled
+        self.s2 = np.full(S, np.inf)              # s . s of the last step that formed a pair
 
     def run(self):
         """Returns per start (best W, best exact value)."""
@@ -965,11 +980,12 @@ class _LockStep:
         return self.best_W, self.best_value
 
     def _begin(self, idx):
-        """Open the current smoothing level: fresh step size and gradient, no H."""
+        """Open the current smoothing level: a fresh gradient, and the held H
+        kept for the level's first positive pair."""
         if idx.size == 0:
             return
-        self.eta[idx] = _ETA0
         self.steps[idx] = 0
+        self.kept[idx] = self.held[idx]
         self.held[idx] = False
         U = self.U[idx]
         self.f[idx], P = kernels.roof_value_grad(U @ self.B, self.use_sqrt, self.eps[idx])
@@ -978,22 +994,29 @@ class _LockStep:
     def _project(self, idx, U, P, eta=None):
         """Riemannian gradient G at the starts' U from their Wirtinger
         derivative P, and the next search direction D and step size.  A level
-        opens (``eta`` None) on D = -G.  After an accepted step of size
-        ``eta`` along the held D, the pair (s, y) updates H where s . y > 0,
-        and a start that holds H goes along its quasi-Newton direction from
-        step size 1, falling back to -G, with H dropped, where that does not
-        descend.  A vanishing or non-finite gradient ends the level.  ``idx``
-        is an index array or, for every start, ``slice(None)``."""
+        opens (``eta`` None) on D = -G, at the length of the start's last
+        step s (at most ``_ETA0``, which is also the size before the first).
+        After an accepted step of size ``eta`` along the held D, the pair
+        (s, y) updates H where s . y > 0, and a start that holds H goes along
+        its quasi-Newton direction from step size 1, falling back to -G,
+        with H dropped, where that does not descend.  A vanishing or
+        non-finite gradient ends the level.  ``idx`` is an index array or,
+        for every start, ``slice(None)``."""
         if len(U) == 0:
             return
         E = np.conj(P) @ self.B2
         G = _tangent(U, E)
         gn2 = _inner(G, G)
         D, slope = -G, -gn2
-        if eta is not None:
+        if eta is None:
+            # |s_last| / |G|: inf before the first step, NaN on a NaN gradient
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self.eta[idx] = np.fmin(_ETA0, np.sqrt(self.s2[idx] / gn2))
+        else:
             s = _real(eta[:, None, None] * self.D[idx])
             y = _real(G - self.G[idx])
             sy = _dot(s, y)
+            self.s2[idx] = _dot(s, s)
             self.eta[idx] = np.minimum(eta * 1.4, _ETA_MAX)
             pair = sy > 0.0                       # False on NaN
             was = self.held[idx]
@@ -1004,7 +1027,9 @@ class _LockStep:
                 up = pair[held]
                 if up.any():
                     Hu = H if up.all() else H[up]
-                    _bfgs(Hu, s[pair], y[pair], sy[pair], ~was[pair])
+                    kept = self.kept[idx][pair]
+                    _bfgs(Hu, s[pair], y[pair], sy[pair], ~(was[pair] | kept), kept)
+                    self.kept[idx] &= ~pair
                     if Hu is not H:
                         H[up] = Hu
                     if not isinstance(at, slice):

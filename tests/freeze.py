@@ -30,20 +30,22 @@ P0_OUT0 = 0.56895015001064502
 
 # best-known sqrt-tau roofs of generic_base(3) and generic_base(4) at the
 # default ensemble size 4: the lowest values of the quasi-Newton search
-# with 200 restarts (8 local-unitary frames, random_unitary2 of rng 7) and
-# 1000 restarts (4 frames, rng 9), 20000 iterations each.  Each is the
+# (carrying its inverse Hessian down the smoothing ladder) with 200 restarts
+# (8 local-unitary frames, random_unitary2 of rng 7) and 1000 restarts (4
+# frames, rng 9), 20000 iterations each.  Each is the lowest with 1000
+# restarts, frame 2 (rank 3) and frame 1 (rank 4) of rng 9, and the
 # objective_at value of its decomposition, which mixes back to its frame's
-# rho within 1.2e-16 (rank 3, 200 restarts, frame 5) and 2.1e-16 (rank 4,
-# 1000 restarts, frame 1).  The other frames end within 1.4e-8 (rank 3) and
-# 1.9e-7 (rank 4) above them
-SQRT_TAU_GENERIC_R3 = 0.3092363239800952
-SQRT_TAU_GENERIC_R4 = 0.13408761011293932
+# rho within 2.5e-16 (rank 3) and 2.4e-16 (rank 4).  The other frames end
+# within 3.2e-8 (rank 3) and 1.1e-7 (rank 4) above them
+SQRT_TAU_GENERIC_R3 = 0.3092359627613775
+SQRT_TAU_GENERIC_R4 = 0.13408516226927727
 # the best-known tau roofs of the same states, found the same way: each is
-# the lowest with 1000 restarts (frame 3 of rng 9), whose decomposition
-# mixes back within 2.8e-16 (rank 3) and 1.1e-16 (rank 4) and has that
-# objective_at value; the other frames end within 1.2e-9 and 7.7e-9 above
-TAU_GENERIC_R3 = 0.22967081419934193
-TAU_GENERIC_R4 = 0.06809861661918348
+# the lowest with 1000 restarts (frame 0 of rng 9 at rank 3, frame 3 at
+# rank 4), whose decomposition mixes back within 2.8e-16 (rank 3) and
+# 1.0e-16 (rank 4) and has that objective_at value; the other 11 frames end
+# within 1.1e-10 and 1.7e-9 above
+TAU_GENERIC_R3 = 0.22967081410954865
+TAU_GENERIC_R4 = 0.06809859058586512
 
 SQRT2 = 1.0 / np.sqrt(2.0)
 SQRT3 = 1.0 / np.sqrt(3.0)

@@ -228,9 +228,10 @@ def test_generic_rank4_lands_near_the_best_known_roof():
         assert res.converged is False and res.lower_bound is None
 
 
-@pytest.mark.parametrize("rank, best", [(3, TAU_GENERIC_R3), (4, TAU_GENERIC_R4)])
-def test_generic_tau_lands_near_the_best_known_roof(rank, best):
+@pytest.mark.parametrize("rank", [3, 4])
+def test_generic_tau_lands_near_the_best_known_roof(rank):
     """The tau roofs of the same states, in the same frames, within 1e-4."""
+    best = {3: TAU_GENERIC_R3, 4: TAU_GENERIC_R4}[rank]
     for rho in local_frames(generic_base(rank), 3):
         res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=5))
         assert abs(res.value - best) <= 1e-4
@@ -269,26 +270,32 @@ def _inner(X, Y):
     return float(np.sum(X.real * Y.real + X.imag * Y.imag))
 
 
-def _stage_reference(U, B, use_sqrt, eps, max_steps):
+def _stage_reference(U, B, use_sqrt, eps, max_steps, carried):
     """One smoothing level of the search, one start at a time: BFGS
     directions, by the search's own update and direction helpers called on a
     batch of one, as the search calls them, and -G where they do not descend.
-    Returns where the level ends."""
-    eta, steps = 0.2, 0
+    ``carried`` holds what the start brings from the last level: its H,
+    whether that H was held when the level ended, and s . s of its last step
+    that formed a pair.  Returns where the level ends, and updates
+    ``carried``."""
+    steps, H, s2 = 0, carried["H"], carried["s2"]
+    held, kept = False, carried["held"]
     f, P = kernels.roof_value_grad(U @ B, use_sqrt, eps)
-    H, held, step = np.zeros((1, 2 * U.size, 2 * U.size)), False, None
+    step = None
     while steps < max_steps:
         G = _tangent(U, 2.0 * np.conj(P @ B.T))
         gn2 = float(np.sum(G.real ** 2 + G.imag ** 2))
-        if not np.isfinite(gn2) or gn2 < 1e-26:
-            return U
         D, slope = -G, -gn2
-        if step is not None:  # after an accepted step: the pair (s, y) updates H
+        if step is None:  # the level opens at the length of the last step
+            with np.errstate(divide="ignore", invalid="ignore"):
+                eta = float(np.fmin(0.2, np.sqrt(s2 / gn2)))
+        else:  # after an accepted step: the pair (s, y) updates H
             s, y = roof._real(step[None]), roof._real((G - G_prev)[None])
             sy = roof._dot(s, y)
+            s2 = float(roof._dot(s, s)[0])
             if sy[0] > 0.0:
-                roof._bfgs(H, s, y, sy, np.array([not held]))
-                held = True
+                roof._bfgs(H, s, y, sy, np.array([not (held or kept)]), np.array([kept]))
+                held, kept = True, False
             if held:
                 D_qn = roof._quasi_newton(H, U[None], G[None])[0]
                 slope_qn = _inner(G, D_qn)
@@ -296,6 +303,8 @@ def _stage_reference(U, B, use_sqrt, eps, max_steps):
                     D, slope, eta = D_qn, slope_qn, 1.0
                 else:
                     held = False
+        if not np.isfinite(gn2) or gn2 < 1e-26:
+            break
         G_prev = G
         while eta > 1e-15:
             try:
@@ -309,12 +318,13 @@ def _stage_reference(U, B, use_sqrt, eps, max_steps):
                 U, f, P, step = U2, f2, P2, eta * D
                 eta = min(eta * 1.4, 2.0)
                 steps += 1
-                if improvement < roof._STALL_TOL:
-                    return U
                 break
             eta *= 0.5
         else:
-            return U
+            break
+        if improvement < roof._STALL_TOL:
+            break
+    carried.update(held=held, s2=s2)
     return U
 
 
@@ -323,8 +333,9 @@ def _search_reference(U0, B, use_sqrt, opts):
     per_stage = max(opts.max_iterations // len(roof._SCHEDULE), 10)
     U, best_W = U0, U0 @ B
     best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
+    carried = {"H": np.zeros((1, 2 * U.size, 2 * U.size)), "held": False, "s2": np.inf}
     for eps in roof._SCHEDULE:
-        U = _stage_reference(U, B, use_sqrt, eps, per_stage)
+        U = _stage_reference(U, B, use_sqrt, eps, per_stage, carried)
         value = kernels.roof_value(U @ B, use_sqrt, 0.0)
         if value < best_value:
             best_value, best_W = value, U @ B
@@ -446,18 +457,22 @@ def _bfgs_reference(H, s, y):
 def test_bfgs_update_is_positive_definite_and_secant():
     """After a pair with s.y > 0 each H is symmetric and positive definite,
     equals the product form of the update, and maps y to s; a fresh start is
-    seeded as (s.y / y.y) I first."""
+    seeded as (s.y / y.y) I first, and a kept H is first rescaled by
+    s.y / y^T H y."""
     rng = np.random.default_rng(41)
-    k, n = 4, 24
+    k, n = 5, 24
     A = rng.standard_normal((k, n, n))
     H = A @ A.transpose(0, 2, 1) / n + 0.1 * np.eye(n)
     s, y = rng.standard_normal((k, n)), rng.standard_normal((k, n))
     y[np.einsum("kn,kn->k", s, y) <= 0.0] *= -1.0
     sy = np.einsum("kn,kn->k", s, y)
-    fresh = np.array([True, False, False, True])
+    fresh = np.array([True, False, False, True, False])
+    kept = np.array([False, False, True, False, True])
     start = np.where(fresh[:, None, None], (sy / np.einsum("kn,kn->k", y, y))[:, None, None]
                      * np.eye(n), H)
-    roof._bfgs(H, s, y, sy, fresh)
+    yHy = np.einsum("kn,knm,km->k", y, H, y)
+    start = np.where(kept[:, None, None], (sy / yHy)[:, None, None] * H, start)
+    roof._bfgs(H, s, y, sy, fresh, kept)
     for i in range(k):
         scale = np.abs(H[i]).max()
         assert np.abs(H[i] - H[i].T).max() <= 1e-14 * scale
@@ -468,11 +483,12 @@ def test_bfgs_update_is_positive_definite_and_secant():
 
 def test_search_updates_h_only_on_a_positive_pair():
     """In the search a pair with s.y > 0 seeds and updates H, so that H y = s;
-    a pair with s.y <= 0 leaves H as it is; opening a level clears H."""
+    a pair with s.y <= 0 leaves H as it is.  Opening a level keeps the held H,
+    not held: it is rescaled at the level's first positive pair."""
     B, U0 = _generic_starts(3, 3)
     batch = roof._LockStep(U0, B, True, rt.RoofOptions())
     batch._begin(np.arange(3))
-    assert not batch.held.any()
+    assert not batch.held.any() and not batch.kept.any()
     U, G, D = batch.U.copy(), batch.G.copy(), batch.D.copy()
     _, P = kernels.roof_value_grad(U @ B, True, batch.eps)
     # the gradient recomputed at the same U and P is G, so y = G - G_prev is
@@ -491,8 +507,53 @@ def test_search_updates_h_only_on_a_positive_pair():
     batch.G[0] = G[0] + D0[0]
     batch._project(np.array([0]), U[:1], P[:1], eta[:1])
     assert batch.held[0] and np.array_equal(batch.H[0], held_H)
+    # a new level keeps start 0's H, not held, and opens on -G
     batch._begin(np.arange(3))
-    assert not batch.held.any()
+    assert not batch.held.any() and batch.kept.tolist() == [True, False, False]
+    assert np.array_equal(batch.H[0], held_H) and np.array_equal(batch.D, -batch.G)
+    # its first positive pair rescales the kept H, then updates it
+    U, G, D = batch.U.copy(), batch.G.copy(), batch.D.copy()
+    _, P = kernels.roof_value_grad(U @ B, True, batch.eps)
+    batch.G[0] = G[0] - D[0]
+    s, y = roof._real(0.3 * D[:1]), roof._real(G[:1] - batch.G[:1])
+    sy = float(s[0] @ y[0])
+    rescaled = sy / (y[0] @ held_H @ y[0]) * held_H
+    batch._project(np.arange(3), U, P, eta)
+    assert batch.held.tolist() == [True, False, False] and not batch.kept.any()
+    scale = np.abs(batch.H[0]).max()
+    assert np.abs(batch.H[0] - _bfgs_reference(rescaled, s[0], y[0])).max() <= 1e-13 * scale
+    assert np.linalg.norm(batch.H[0] @ y[0] - s[0]) <= 1e-12 * np.linalg.norm(s[0])
+
+
+def test_level_opens_at_the_last_step_length():
+    """A level opens at eta = min(0.2, |s_last| / |G|), s_last the start's
+    last accepted step, and at 0.2 before any step was accepted."""
+    B, U0 = _generic_starts(3, 3)
+    batch = roof._LockStep(U0, B, True, rt.RoofOptions(max_iterations=300))
+    begin, opened = batch._begin, []
+
+    def recorded(idx):
+        if idx.size == 0:
+            return
+        s2 = batch.s2[idx].copy()
+        begin(idx)
+        opened.append((s2, roof._inner(batch.G[idx], batch.G[idx]), batch.eta[idx].copy()))
+
+    batch._begin = recorded
+    batch.run()
+    s2, gn2, eta = (np.concatenate(part) for part in zip(*opened))
+    assert len(eta) == 3 * len(roof._SCHEDULE)
+    assert np.array_equal(eta[:3], [0.2, 0.2, 0.2]) and np.isinf(s2[:3]).all()
+    assert np.isfinite(s2[3:]).all()
+    assert np.array_equal(eta, np.fmin(0.2, np.sqrt(s2 / gn2)))
+    assert (eta < 1e-3).any()  # the fine levels open far below 0.2
+    # s2 is s . s of the step taken, eta D, as _project forms it
+    D, eta0 = batch.D.copy(), np.full(3, 0.1)
+    trial = kernels.polar_retract(batch.U + eta0[:, None, None] * D)
+    _, P = kernels.roof_value_grad(trial @ B, True, batch.eps)
+    batch._project(np.arange(3), trial, P, eta0)
+    s = roof._real(eta0[:, None, None] * D)
+    assert np.array_equal(batch.s2, roof._dot(s, s))
 
 
 def test_retract_flags_a_failed_start_only():

@@ -12,7 +12,7 @@ far the highest ends above the case's best-known roof.
 The roof is invariant under local unitaries, so every frame poses the one
 problem whose best-known value ``tests/freeze.py`` freezes (the lowest of
 long searches, ``SQRT_TAU_GENERIC_R3`` and the like).  Exits 1 if any solve
-ends more than ``TOL`` (1e-4) above it.
+ends more than ``TOL`` (1e-5) above it.
 
     python tools/search_gate.py
 """
@@ -34,7 +34,7 @@ BEST = {(3, "sqrt_tau"): SQRT_TAU_GENERIC_R3, (3, "tau"): TAU_GENERIC_R3,
         (4, "sqrt_tau"): SQRT_TAU_GENERIC_R4, (4, "tau"): TAU_GENERIC_R4}
 FRAMES = 8
 RESTARTS = 5
-TOL = 1e-4
+TOL = 1e-5
 
 
 def run():
