@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quartic import eigen_factor, pair_quartic, range_roots
+from .quartic import eigen_factor, frame_quartic, range_roots
 from .states import (
     NORM_TOL,
     DensityMatrix,
@@ -343,9 +343,11 @@ class OrbitAnalysis:
                          for wt, pv, phi in _members(self.p, self.analysis)])
 
 
-def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
-    """:func:`orbit_analysis` of the rank-2 rho = B^T conj(B), given the
-    distinct roots ``dirs`` of :func:`quartic.range_roots`, unit rows of U.
+def range_orbit(B: np.ndarray, E: np.ndarray, q: np.ndarray,
+                dirs: np.ndarray) -> OrbitAnalysis | None:
+    """:func:`orbit_analysis` of the rank-2 rho = B^T conj(B), given the unit
+    rows E of B, the range quartic ``q`` on them and the distinct roots
+    ``dirs``, unit rows of U, of :func:`quartic.range_roots`.
 
     A root d is a tangle-free range state w = d B.  With d' orthogonal to d
     in C^2 and g = d' B, rho = g g^H + w w^H, and Det(x g + y w) =
@@ -353,9 +355,10 @@ def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
     whose quartic has no x^2 y^2 term are g + t w with t = -q_2 / (3 q_1),
     and rho is diagonal in such a frame only at t = 0.  So rho is a GHZ/W
     image in the frame of d exactly when q_0, q_2 and q_3 vanish, which is
-    tested to ``_ORBIT_TOL`` of the largest q_k; every root's quartic is
-    read in one call.  At most one root can pass; if none or more than one
-    does, this returns None.
+    tested to ``_ORBIT_TOL`` of the largest q_k.  Every root's quartic is
+    read from the range quartic by substituting the coordinates of g and w
+    on E (:func:`quartic.frame_quartic`).  At most one
+    root can pass; if none or more than one does, this returns None.
 
     The frame's A and D are read off the unit g and w, where D/A is the
     mixture's, and D is taken as 0 where |D| <= ``_D_ROUNDING`` |A|.  On the
@@ -363,9 +366,11 @@ def range_orbit(B: np.ndarray, dirs: np.ndarray) -> OrbitAnalysis | None:
     of q_1 against the largest q_k would read every |D/A| below about 3e-3
     as 0 at a W weight |w|^2 of 1e-5.
     """
-    G = np.stack((-np.conj(dirs[:, 1]), np.conj(dirs[:, 0])), axis=-1) @ B
-    W = dirs @ B
-    q = pair_quartic(G, W)
+    dual = dirs[:, ::-1].conj()
+    dual[:, 0] *= -1.0  # d' = (-conj(d_1), conj(d_0))
+    rows = np.concatenate((dual, dirs)) @ B
+    G, W = rows.reshape(2, -1, 8)
+    q = frame_quartic(q, (rows @ E.conj().T).reshape(2, -1, 2).transpose(1, 0, 2))
     scale = np.abs(q).max(-1)
     found = np.flatnonzero((scale > 0.0) & (np.abs(q[:, [0, 2, 3]]).max(-1) <= _ORBIT_TOL * scale))
     if len(found) != 1:
@@ -394,7 +399,10 @@ def orbit_analysis(rho: DensityMatrix) -> OrbitAnalysis | None:
     recognized.
     """
     B = eigen_factor(rho)
-    return range_orbit(B, range_roots(B)[3]) if len(B) == 2 else None
+    if len(B) != 2:
+        return None
+    E, q, _, dirs = range_roots(B)
+    return range_orbit(B, E, q, dirs)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,31 @@
 """Hot kernels of the convex-roof search, in numpy.
 
-Every kernel takes member rows as an ``(m, 8)`` complex array, or a stack
-``(S, m, 8)`` of them, one decomposition per start.  For m >= 2 a stacked
+Every kernel takes member rows as an ``(m, n)`` complex array, or a stack
+``(S, m, n)`` of them, one decomposition per start.  For m >= 2 a stacked
 call computes each start exactly as the 2-D call on that start alone
 would, bit for bit, so a start's search does not depend on which other
-starts share its batch.  A one-member stack ``(S, 1, 8)`` rounds
-differently from ``(1, 8)`` calls in most of the last bits; the roof search
+starts share its batch.  A one-member stack ``(S, 1, n)`` rounds
+differently from ``(1, n)`` calls in most of the last bits; the roof search
 never stacks m = 1, because a rank-1 input needs no search.  2-D calls
 return a float objective; stacked calls return one value per start and
 accept one smoothing ``eps`` per start.
 
-The hyperdeterminant D of a row is one gather of its 12 monomials' four
-factors and one contraction with their coefficients.  Its derivative
-dD/dpsi is one gather of a (6, 8, 3) table: for each amplitude, the six
-monomial terms holding it, each as the triple of its other factors.  The
-six terms are scaled by their coefficient and added in monomial order, so
-the result equals a loop over the monomials bit for bit.  The derivative
-``P`` that ``roof_value_grad`` returns is C-contiguous, shaped as W.
+The hyperdeterminant D of an amplitude row (n = 8) is one gather of its 12
+monomials' four factors and one contraction with their coefficients
+(:func:`hyperdet_rows`).  The value-and-gradient kernel
+:func:`roof_value_grad` reads D instead from a frame: rows u in C^r are
+coordinates on r orthogonal rows B_k, the member is u B, and D(u B) =
+T(u, u, u, u) for the symmetric r x r x r x r tensor T of the frame
+(:func:`quartic.range_tensor`).  Three small contractions give T(u, u, u, .),
+which is dD/du / 4, and its product with u, which is D.  The roof search
+passes the frame of the range of rho, so its rows are the m x r factor U
+itself; with no frame given the rows are amplitudes, in the identity frame,
+whose tensor is built at the first such call.  The derivative ``P`` that
+``roof_value_grad`` returns is C-contiguous, shaped as its rows.
 """
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -39,48 +46,19 @@ _COEF = np.array([1, 1, 1, 1, -2, -2, -2, -2, -2, -2, 4, 4], dtype=np.float64)
 _COEF_C = _COEF.astype(complex)
 
 
-def _grad_table():
-    """Leave-one-out factor triples of dD/dpsi_a, (6, 8, 3), and their
-    coefficients, (6, 8).
-
-    Entry (k, a) is the k-th (monomial, position) holding amplitude a, in
-    monomial order: the indices of the monomial's other three factors, in
-    their order, and the monomial's coefficient.
-    """
-    held = _IDX.T.ravel()
-    triples = np.empty((6, 8, 3), dtype=np.int64)
-    coef = np.empty((6, 8))
-    for a in range(8):
-        for k, n in enumerate(np.flatnonzero(held == a)):
-            j, pos = divmod(n, 4)
-            triples[k, a] = np.delete(_IDX[:, j], pos)
-            coef[k, a] = _COEF[j]
-    return triples, coef
-
-
-_TRIPLES, _TRIPLE_COEF = _grad_table()
-
 _NORM_FLOOR = 1e-30
 
 
-def _factors(W: np.ndarray) -> np.ndarray:
-    """The four factors of every monomial, (..., m, 12, 4).
-
-    The gather leaves each start's (m, 12) monomials column-major, as
-    ``W[:, idx]`` does for one start; the BLAS contraction in
-    :func:`_hyperdet` rounds differently on a row-major copy.
-    """
-    return W[..., _IDX.T]
-
-
-def _hyperdet(X: np.ndarray) -> np.ndarray:
-    # contracted per start, (m, 12) @ (12,), as the 2-D call does
-    return (((X[..., 0] * X[..., 1]) * X[..., 2]) * X[..., 3]) @ _COEF_C
-
-
 def hyperdet_rows(W: np.ndarray) -> np.ndarray:
-    """Hyperdeterminant of each row of an (m, 8) or (S, m, 8) complex array."""
-    return _hyperdet(_factors(np.atleast_2d(W)))
+    """Hyperdeterminant of each row of an (m, 8) or (S, m, 8) complex array.
+
+    The gather of the monomials' four factors, (..., m, 12, 4), leaves each
+    start's (m, 12) monomials column-major, as ``W[:, idx]`` does for one
+    start; the contraction, (m, 12) @ (12,) per start as the 2-D call makes
+    it, rounds differently on a row-major copy.
+    """
+    X = np.atleast_2d(W)[..., _IDX.T]
+    return (((X[..., 0] * X[..., 1]) * X[..., 2]) * X[..., 3]) @ _COEF_C
 
 
 def _row_norms_sq(W: np.ndarray) -> np.ndarray:
@@ -118,43 +96,55 @@ def roof_value(W: np.ndarray, use_sqrt: bool, eps=0.0):
     return _total(np.where(alive, val, 0.0))
 
 
-def roof_value_grad(W: np.ndarray, use_sqrt: bool, eps=0.0):
-    """Objective value and the Wirtinger derivative P = df/dpsi, shaped as W.
+@cache
+def _identity_frame() -> np.ndarray:
+    """The hyperdeterminant's own tensor, the identity frame's, (8, 512)."""
+    from .quartic import range_tensor  # quartic reads the monomials above
 
-    The steepest-descent direction in amplitude space is ``-conj(P)``.
+    return range_tensor(np.eye(8, dtype=np.complex128)).reshape(8, -1)
+
+
+def roof_value_grad(U: np.ndarray, use_sqrt: bool, eps=0.0, T=None, lam=None):
+    """Objective value and the Wirtinger derivative P = df/dU, shaped as U.
+
+    The rows of U are coordinates in a frame of r orthogonal rows B_k with
+    squared norms ``lam`` (unit where None): the members are the rows of
+    U B, with D = T(u, u, u, u) for the frame's tensor ``T``, (r, r, r, r)
+    (:func:`quartic.range_tensor`), and squared norms sum_k lam_k |u_k|^2.
+    With no ``T`` the rows are amplitudes, r = 8.  The objective is that of
+    :func:`roof_value` on the members; the steepest-descent direction in
+    the coordinates is ``-conj(P)``.
     """
-    D = _hyperdet(_factors(W))
-    # dD/dpsi, one gather of the leave-one-out triples; the coefficients
-    # are +-1, 2, 4, so scaling by them is exact in any order
-    F = np.take(W, _TRIPLES, axis=-1)
-    terms = ((F[..., 0] * F[..., 1]) * F[..., 2]) * _TRIPLE_COEF
-    # summed one by one, as a loop over the monomials would; a numpy sum
-    # picks its order from the memory layout
-    Gd = 0.0
-    for k in range(6):
-        Gd = Gd + terms[..., k, :]
-    absD2 = (D * D.conj()).real
-    e2 = _eps_sq(eps, W)
+    r = U.shape[-1]
+    T = _identity_frame() if T is None else T.reshape(r, -1)
+    lead = U.shape[:-1]
+    # T(u, u, u, .), contracted one index at a time, each row's own product
+    X = (U @ T).reshape(*lead, r, r * r)
+    X = (U[..., None, :] @ X).reshape(*lead, r, r)
+    X = (U[..., None, :] @ X)[..., 0, :]
+    D = (X[..., None, :] @ U[..., None])[..., 0, 0]
+    Dc = D.conj()
+    absD2 = (D * Dc).real
+    e2 = _eps_sq(eps, U)
     if use_sqrt:
         s = absD2 + e2
         f = _total(2.0 * s ** 0.25)
-        # an exactly tangle-free member sits at the cusp; its subgradient is 0
-        coef = np.where(s > 0.0, 0.5 * np.maximum(s, 1e-300) ** -0.75, 0.0)
-        P = coef[..., None] * D.conj()[..., None] * Gd
-        return f, P
-    n = _row_norms_sq(W)
+        # df/du = 0.5 s^(-3/4) conj(D) dD/du, dD/du = 4 X; an exactly
+        # tangle-free member sits at the cusp, and its subgradient is 0
+        c = np.where(s > 0.0, 2.0 * np.maximum(s, 1e-300) ** -0.75, 0.0)
+        return f, (c * Dc)[..., None] * X
+    dn = U.conj() if lam is None else lam * U.conj()  # dn/du, n the squared member norm
+    n = (dn * U).real.sum(-1)
     alive = n > _NORM_FLOOR
     ns = np.where(alive, n, 1.0)
     s = absD2 + e2 * ns ** 4
     sq = np.sqrt(np.maximum(s, 1e-300))
     f = _total(np.where(alive, 4.0 * sq / ns, 0.0))
-    # d/dpsi [4 sqrt(|D|^2 + eps^2 n^4) / n]
-    #   = (2/(n sqrt(s))) (conj(D) G + 4 eps^2 n^3 conj(psi)) - 4 sqrt(s)/n^2 conj(psi)
-    t1 = (2.0 / (ns * sq))[..., None] * (D.conj()[..., None] * Gd
-                                         + (4.0 * e2 * ns ** 3)[..., None] * W.conj())
-    t2 = (4.0 * sq / ns ** 2)[..., None] * W.conj()
-    P = np.where(alive[..., None], t1 - t2, 0.0)
-    return f, P
+    # d/du [4 sqrt(s) / n], s = |D|^2 + eps^2 n^4, is
+    #   8 conj(D) X / (n sqrt(s)) + (8 eps^2 n^2 / sqrt(s) - 4 sqrt(s) / n^2) dn/du
+    a = np.where(alive, 8.0 * Dc / (ns * sq), 0.0)
+    b = np.where(alive, 8.0 * e2 * ns * ns / sq - 4.0 * sq / (ns * ns), 0.0)
+    return f, a[..., None] * X + b[..., None] * dn
 
 
 def polar_retract(A: np.ndarray) -> np.ndarray:

@@ -11,18 +11,29 @@ rank-1 range the leading one sinks into rounding.  That one solve gives
 each distinct root in both frames: as a unit row on the e_k, which the
 rank-2 linear program of :mod:`rtangle.roof` reads with the quartic, and as
 a row of U on the B_k, which the zero fit of :mod:`rtangle.roof` and the
-SLOCC-orbit recognition of :mod:`rtangle.ghzw` read.
+SLOCC-orbit recognition of :mod:`rtangle.ghzw` read.  The recognition
+reads each root frame's quartic from the same q by a linear substitution
+(:func:`frame_quartic`).
+
+At every rank, Det(x B) = T(x, x, x, x) for the symmetric tensor T of
+:func:`range_tensor`, which the roof search builds once per solve and
+reads in place of member rows.  At rank 2 the five coefficients q and the
+linear program's chart tables stay, as they are faster there.
 """
 from __future__ import annotations
+
+from itertools import permutations
 
 import numpy as np
 
 from . import kernels
 from .states import DensityMatrix, spectrum
 
-# the five sample points (x, y) of the quartic, as columns
-_QX, _QY = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j]]).T[:, :, None]
-_QVINV = np.linalg.inv(_QX ** np.arange(5) * _QY ** np.arange(4, -1, -1))
+# the five sample points (x, y) of the quartic, as rows, and as columns
+_QPOINTS = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j]])
+_QX, _QY = _QPOINTS.T[:, :, None]
+_POWERS = np.arange(5)
+_QVINV = np.linalg.inv(_QX ** _POWERS * _QY ** _POWERS[::-1])
 # max|q| on the unit eigenvectors up to which the quartic is rounding of 0:
 # 200 biseparable ranges a (x) span{phi, chi}, where it vanishes, read
 # 3.6e-20 to 7.6e-17; every entangled rank-2 range measured reads 2.3e-2 or
@@ -37,11 +48,35 @@ def eigen_factor(rho: DensityMatrix) -> np.ndarray:
     return np.ascontiguousarray((vec * np.sqrt(lam)).T.astype(np.complex128))
 
 
+def range_tensor(B: np.ndarray) -> np.ndarray:
+    """The symmetric tensor T of the hyperdeterminant on the rows B_k, r x r
+    x r x r: Det(x B) = T(x, x, x, x) for every x in C^r, and dDet(x B)/dx =
+    4 T(x, x, x, .).  Each monomial c w_a w_b w_c w_d of
+    ``kernels._IDX`` and ``kernels._COEF`` gives c B_a (x) B_b (x) B_c (x) B_d
+    over the columns of B; the sum is averaged over the 24 orders of its
+    four indices, and every entry is read from its sorted indices, so T is
+    symmetric bit for bit."""
+    F = B[:, kernels._IDX]
+    T = np.einsum("n,in,jn,kn,ln->ijkl", kernels._COEF, *F.transpose(1, 0, 2))
+    T = sum(T.transpose(order) for order in permutations(range(4))) / 24.0
+    return T[tuple(np.sort(np.indices(T.shape), axis=0))]
+
+
 def pair_quartic(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Coefficients q_k of Det(x w1 + y w2) = sum_k q_k x^k y^(4-k), (5,);
     for stacked rows (..., 8) one quartic per pair, (..., 5)."""
     W = _QX * w1[..., None, :] + _QY * w2[..., None, :]
     return (_QVINV @ kernels.hyperdet_rows(W)[..., None])[..., 0]
+
+
+def frame_quartic(q: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The quartic q of Det(x e_0 + y e_1) read in other frames of the same
+    pair, by linear substitution: for each 2 x 2 ``F`` of a stack (..., 2, 2),
+    the coefficients of Det(x w_0 + y w_1), w_j = F_j0 e_0 + F_j1 e_1,
+    (..., 5).  q is evaluated at the sample points of :func:`pair_quartic`
+    and interpolated, with no hyperdeterminant call."""
+    V = _QPOINTS @ F  # the sample points' coordinates on the e_k
+    return ((V[..., :1] ** _POWERS * V[..., 1:] ** _POWERS[::-1]) @ q) @ _QVINV.T
 
 
 def _norms(V: np.ndarray) -> np.ndarray:

@@ -24,7 +24,9 @@ of a solve advance in lock step as a stacked ``(S, m, r)`` batch, one
 batched kernel call per trial step, in as few batches as keep their inverse
 Hessians within 8 MB; they share one smoothing ladder, each keeps its own
 step size and inverse Hessian, and each ends bit for bit where it would if
-run alone.
+run alone.  The kernel reads the rows u of U through the range tensor T,
+Det(u B) = T(u, u, u, u) (:func:`quartic.range_tensor`), and returns df/dU;
+the members U B are formed only where a level ends.
 
 A rank-2 input meets three certificates, cheapest first.  Each gives a
 decomposition and a lower bound on the roof, and one rule holds for all
@@ -96,7 +98,7 @@ import numpy as np
 from . import kernels
 from .ghzw import range_orbit
 from .invariants import invariants
-from .quartic import eigen_factor, range_roots
+from .quartic import eigen_factor, range_roots, range_tensor
 from .states import (
     DensityMatrix,
     PureState,
@@ -167,6 +169,11 @@ class RoofResult:
     image, the linear program's dual bound), among those not above
     ``value`` by more than rounding.  It is None at every other rank, and
     at rank 2 when no certificate gave a bound.
+
+    For sqrt-tau, working precision has a floor of about 1e-8, the rounding
+    of 2 sqrt|Det| near a product state: on near-product inputs (images
+    under local operators of condition number 1e3 or more) a bound may lie
+    up to about 1e-8 above the true roof, and is then dropped.
 
     ``converged`` means certified: the input has rank 1, or
     ``value - lower_bound`` is at most ``_CERT_GAP`` (1e-7).  At any other
@@ -939,7 +946,8 @@ class _LockStep:
     never lose an already-good iterate.
 
     One tick makes one trial step for every start in a line search: one
-    batched retraction and one batched ``roof_value_grad``.  The accepted
+    batched retraction and one batched ``roof_value_grad`` on the trial U.
+    The accepted
     trials go straight on to the gradient projection, and a tick whose
     retractions all succeed or whose trials all pass masks nothing.
     Starts share no arithmetic, and every per-start reduction (|G|^2, s . y,
@@ -952,8 +960,8 @@ class _LockStep:
     def __init__(self, U0: np.ndarray, B: np.ndarray, use_sqrt: bool, opts: RoofOptions):
         S, m, r = U0.shape
         self.B, self.use_sqrt = B, use_sqrt
-        # E = 2 conj(P B^T) = conj(P) @ B2: conjugation and doubling are exact
-        self.B2 = 2.0 * np.conj(B.T)
+        # Det(u B) = T(u, u, u, u) and |u B|^2 = sum_k lam_k |u_k|^2
+        self.T, self.lam = range_tensor(B), (B.real * B.real + B.imag * B.imag).sum(-1)
         self.budget = max(opts.max_iterations // len(_SCHEDULE), 10)
         self.U = np.array(U0, dtype=np.complex128)
         self.best_W = self.U @ B
@@ -988,7 +996,7 @@ class _LockStep:
         self.kept[idx] = self.held[idx]
         self.held[idx] = False
         U = self.U[idx]
-        self.f[idx], P = kernels.roof_value_grad(U @ self.B, self.use_sqrt, self.eps[idx])
+        self.f[idx], P = kernels.roof_value_grad(U, self.use_sqrt, self.eps[idx], self.T, self.lam)
         self._project(idx, U, P)
 
     def _project(self, idx, U, P, eta=None):
@@ -1004,8 +1012,8 @@ class _LockStep:
         for every start, ``slice(None)``."""
         if len(U) == 0:
             return
-        E = np.conj(P) @ self.B2
-        G = _tangent(U, E)
+        # E = 2 conj(P): conjugation and doubling are exact
+        G = _tangent(U, 2.0 * np.conj(P))
         gn2 = _inner(G, G)
         D, slope = -G, -gn2
         if eta is None:
@@ -1075,7 +1083,7 @@ class _LockStep:
         if not ok.all():
             back.append(_sub(idx, ~ok))
             idx, eta, trial = _sub(idx, ok), eta[ok], trial[ok]
-        f, P = kernels.roof_value_grad(trial @ self.B, self.use_sqrt, self.eps[idx])
+        f, P = kernels.roof_value_grad(trial, self.use_sqrt, self.eps[idx], self.T, self.lam)
         f0 = self.f[idx]
         accept = f < f0 + _ARMIJO * eta * self.slope[idx]
         if not accept.all():
@@ -1130,7 +1138,7 @@ def _certificates(B: np.ndarray, use_sqrt: bool):
     if exact is not None:
         yield exact @ B, 0.0
     # the closed form holds for t_r alone: tau is not covariant on the orbit
-    orbit = range_orbit(B, dirs) if use_sqrt else None
+    orbit = range_orbit(B, E, q, dirs) if use_sqrt else None
     if orbit is not None:
         yield orbit.rows(), orbit.analysis.rtangle
     lp = _lp_roof(_Range(B, use_sqrt, E, q, roots))

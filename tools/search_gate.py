@@ -4,15 +4,20 @@
 fixed local-unitary frames (``freeze.local_frames``, rng 31, whose first
 three the tests also solve), are solved by ``roof_minimize`` for both
 functionals with 5 restarts, the budget of the benchmark's roof workloads.
-Prints per solve its value, its ``kernels.roof_value_grad`` calls (one per
-trial step of the search, plus one per opened smoothing level) and its
+Prints per solve its value, its ``kernels.roof_value_grad`` calls and its
 seconds, then per case the lowest value, the spread across frames and how
-far the highest ends above the case's best-known roof.
+far the highest ends above the case's best-known roof.  The search makes
+one batched kernel call per trial step, on the rows of U in the frame of
+the range, plus one per opened smoothing level; it finds the kernel through
+the ``kernels`` module at call time, so the count is taken by wrapping
+``kernels.roof_value_grad``, as the benchmark's tracer does.
 
 The roof is invariant under local unitaries, so every frame poses the one
 problem whose best-known value ``tests/freeze.py`` freezes (the lowest of
 long searches, ``SQRT_TAU_GENERIC_R3`` and the like).  Exits 1 if any solve
-ends more than ``TOL`` (1e-5) above it.
+ends more than ``TOL`` (1e-5) above it, or counts no kernel call: a search
+that bypassed ``kernels.roof_value_grad`` would escape the count and the
+benchmark's per-layer metrics alike.
 
     python tools/search_gate.py
 """
@@ -75,8 +80,10 @@ def main() -> int:
         print(f"{name:<16}{'':>6}lowest {min(values):.10f}, spread {max(values) - min(values):.3g}, "
               f"highest {above:+.3g} from best-known {BEST[rank, functional]:.10f}, "
               f"{sum(c for _, c, _ in solves)} grad calls, {sum(s for _, _, s in solves):.3f} s")
-    print(f"highest above its best-known roof {worst:+.3g} (gate {TOL:g})")
-    return 0 if worst <= TOL else 1
+    uncounted = sum(calls == 0 for solves in cases.values() for _, calls, _ in solves)
+    print(f"highest above its best-known roof {worst:+.3g} (gate {TOL:g}); "
+          f"{uncounted} solves with no kernel call counted")
+    return 0 if worst <= TOL and uncounted == 0 else 1
 
 
 if __name__ == "__main__":
