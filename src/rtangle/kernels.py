@@ -1,4 +1,4 @@
-"""Hot kernels of the convex-roof search, in numpy.
+"""Hot kernels of the convex-roof search (:mod:`rtangle.search`), in numpy.
 
 Every kernel takes member rows as an ``(m, n)`` complex array, or a stack
 ``(S, m, n)`` of them, one decomposition per start.  For m >= 2 a stacked
@@ -18,7 +18,7 @@ coordinates on r orthogonal rows B_k, the member is u B, and D(u B) =
 T(u, u, u, u) for the symmetric r x r x r x r tensor T of the frame
 (:func:`quartic.range_tensor`).  Three small contractions give T(u, u, u, .),
 which is dD/du / 4, and its product with u, which is D.  The roof search
-passes the frame of the range of rho, so its rows are the m x r factor U
+(:mod:`rtangle.search`) passes the frame of the range of rho, so its rows are the m x r factor U
 itself; with no frame given the rows are amplitudes, in the identity frame,
 whose tensor is built at the first such call.  The derivative ``P`` that
 ``roof_value_grad`` returns is C-contiguous, shaped as its rows.

@@ -9,16 +9,17 @@ evaluated and its roots solved once per density matrix
 coefficients scale as lambda_0^(k/2) lambda_1^((4-k)/2), and on a nearly
 rank-1 range the leading one sinks into rounding.  That one solve gives
 each distinct root in both frames: as a unit row on the e_k, which the
-rank-2 linear program of :mod:`rtangle.roof` reads with the quartic, and as
+rank-2 linear program of :mod:`rtangle.lp` reads with the quartic, and as
 a row of U on the B_k, which the zero fit of :mod:`rtangle.roof` and the
 SLOCC-orbit recognition of :mod:`rtangle.ghzw` read.  The recognition
 reads each root frame's quartic from the same q by a linear substitution
 (:func:`frame_quartic`).
 
 At every rank, Det(x B) = T(x, x, x, x) for the symmetric tensor T of
-:func:`range_tensor`, which the roof search builds once per solve and
-reads in place of member rows.  At rank 2 the five coefficients q and the
-linear program's chart tables stay, as they are faster there.
+:func:`range_tensor`, which the roof search (:mod:`rtangle.search`) builds
+once per solve and reads in place of member rows.  At rank 2 the five
+coefficients q and the linear program's chart tables stay, as they are
+faster there.
 """
 from __future__ import annotations
 

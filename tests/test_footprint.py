@@ -62,3 +62,30 @@ def test_code_lines_counts_tokens_outside_docstrings_and_comments(tmp_path):
                       'class A:\n    """One line."""\n\n    def f(self):\n'
                       '        """Two\n        lines."""\n        return """a\nb"""\n')
     assert tool.code_lines(source) == 5
+
+
+def _package_imports(path) -> set:
+    """The modules of the package that the source ``path`` imports, by
+    relative or absolute import statement, at module level or inside a
+    function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rtangle"):
+            parts = node.module.split(".")
+            found.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("rtangle."))
+    return found
+
+
+def test_program_and_search_stand_apart_from_roof():
+    """The linear program (``lp.py``) and the search (``search.py``) import
+    nothing from ``roof``, so either can be replaced or deleted as one
+    module, and only ``roof.py`` imports the search."""
+    imports = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert "roof" not in imports["lp"] | imports["search"]
+    assert {name for name, found in imports.items() if "search" in found} == {"roof"}

@@ -6,7 +6,7 @@ from scipy.optimize import linprog, nnls
 
 import rtangle as rt
 from rtangle import kernels
-from rtangle import roof
+from rtangle import lp, roof, search
 from rtangle.quartic import eigen_factor, pair_quartic, range_roots, range_tensor
 from freeze import (SQRT_TAU_GENERIC_R3, SQRT_TAU_GENERIC_R4, TAU_GENERIC_R3, TAU_GENERIC_R4,
                     TAU_RHO, TAU_RHO0, TR_STD_P08, biseparable, generic_base, ghz_state,
@@ -27,7 +27,7 @@ def _dirs(rho):
 
 def _range(B, use_sqrt):
     """The range of rho = B^T conj(B), as the linear program reads it."""
-    return roof._Range(B, use_sqrt, *range_roots(B)[:3])
+    return lp._Range(B, use_sqrt, *range_roots(B)[:3])
 
 
 def _bloch(angles):
@@ -60,7 +60,7 @@ def _without_lp(monkeypatch):
     """Switch the orbit closed form and the rank-2 linear program off, so the
     search runs alone."""
     _without_orbit(monkeypatch)
-    monkeypatch.setattr(roof, "_lp_roof", lambda sphere: None)
+    monkeypatch.setattr(lp, "_lp_roof", lambda sphere: None)
 
 
 def test_rank1_is_exact():
@@ -296,14 +296,14 @@ def _stage_reference(U, frame, use_sqrt, eps, max_steps, carried):
             with np.errstate(divide="ignore", invalid="ignore"):
                 eta = float(np.fmin(0.2, np.sqrt(s2 / gn2)))
         else:  # after an accepted step: the pair (s, y) updates H
-            s, y = roof._real(step[None]), roof._real((G - G_prev)[None])
-            sy = roof._dot(s, y)
-            s2 = float(roof._dot(s, s)[0])
+            s, y = search._real(step[None]), search._real((G - G_prev)[None])
+            sy = search._dot(s, y)
+            s2 = float(search._dot(s, s)[0])
             if sy[0] > 0.0:
-                roof._bfgs(H, s, y, sy, np.array([not (held or kept)]), np.array([kept]))
+                search._bfgs(H, s, y, sy, np.array([not (held or kept)]), np.array([kept]))
                 held, kept = True, False
             if held:
-                D_qn = roof._quasi_newton(H, U[None], G[None])[0]
+                D_qn = search._quasi_newton(H, U[None], G[None])[0]
                 slope_qn = _inner(G, D_qn)
                 if slope_qn < 0.0:
                     D, slope, eta = D_qn, slope_qn, 1.0
@@ -328,7 +328,7 @@ def _stage_reference(U, frame, use_sqrt, eps, max_steps, carried):
             eta *= 0.5
         else:
             break
-        if improvement < roof._STALL_TOL:
+        if improvement < search._STALL_TOL:
             break
     carried.update(held=held, s2=s2)
     return U
@@ -336,12 +336,12 @@ def _stage_reference(U, frame, use_sqrt, eps, max_steps, carried):
 
 def _search_reference(U0, B, use_sqrt, opts):
     """The annealed search of one start, alone: (best W, best value)."""
-    per_stage = max(opts.max_iterations // len(roof._SCHEDULE), 10)
+    per_stage = max(opts.max_iterations // len(search._SCHEDULE), 10)
     U, best_W = U0, U0 @ B
     best_value = kernels.roof_value(best_W, use_sqrt, 0.0)
     carried = {"H": np.zeros((1, 2 * U.size, 2 * U.size)), "held": False, "s2": np.inf}
     frame = _frame(B)
-    for eps in roof._SCHEDULE:
+    for eps in search._SCHEDULE:
         U = _stage_reference(U, frame, use_sqrt, eps, per_stage, carried)
         value = kernels.roof_value(U @ B, use_sqrt, 0.0)
         if value < best_value:
@@ -364,7 +364,7 @@ def test_lock_step_equals_one_start_at_a_time(use_sqrt):
     alone ends."""
     B, U0 = _generic_starts(3, 4)
     opts = rt.RoofOptions(max_iterations=300)
-    W, values = roof._LockStep(U0, B, use_sqrt, opts).run()
+    W, values = search._LockStep(U0, B, use_sqrt, opts).run()
     for s in range(len(U0)):
         W_ref, value_ref = _search_reference(U0[s], B, use_sqrt, opts)
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
@@ -373,11 +373,11 @@ def test_lock_step_equals_one_start_at_a_time(use_sqrt):
 def test_start_result_independent_of_batch():
     B, U0 = _generic_starts(2, 5, seed=8)
     opts = rt.RoofOptions(max_iterations=400)
-    W, values = roof._LockStep(U0, B, True, opts).run()
+    W, values = search._LockStep(U0, B, True, opts).run()
     for s in (0, 3):
-        W1, value1 = roof._LockStep(U0[s:s + 1], B, True, opts).run()
+        W1, value1 = search._LockStep(U0[s:s + 1], B, True, opts).run()
         assert np.array_equal(W1[0], W[s]) and value1[0] == values[s]
-    W2, values2 = roof._LockStep(U0[[4, 1]], B, True, opts).run()
+    W2, values2 = search._LockStep(U0[[4, 1]], B, True, opts).run()
     assert np.array_equal(W2[0], W[4]) and np.array_equal(W2[1], W[1])
     assert values2[0] == values[4] and values2[1] == values[1]
 
@@ -389,18 +389,18 @@ def test_search_batches_keep_h_within_the_budget(monkeypatch):
     rho = generic_base(3)
     opts = rt.RoofOptions(restarts=8, max_iterations=300)
     one = rt.roof_minimize(rho, "sqrt_tau", opts)
-    sizes, LockStep = [], roof._LockStep
+    sizes, LockStep = [], search._LockStep
 
     class Recorded(LockStep):
         def run(self):
             sizes.append((len(self.U), self.H.nbytes))
             return super().run()
 
-    monkeypatch.setattr(roof, "_LockStep", Recorded)
-    monkeypatch.setattr(roof, "_H_BYTES", 3 * 8 * (2 * 4 * 3) ** 2)
+    monkeypatch.setattr(search, "_LockStep", Recorded)
+    monkeypatch.setattr(search, "_H_BYTES", 3 * 8 * (2 * 4 * 3) ** 2)
     res = rt.roof_minimize(rho, "sqrt_tau", opts)
     assert [n for n, _ in sizes] == [3, 3, 2]
-    assert all(nbytes <= roof._H_BYTES for _, nbytes in sizes)
+    assert all(nbytes <= search._H_BYTES for _, nbytes in sizes)
     assert res.value == one.value and res.best_restart_index == one.best_restart_index
     for (w, psi), (w1, psi1) in zip(res.ensemble.members, one.ensemble.members):
         assert w == w1 and np.array_equal(psi.amp, psi1.amp)
@@ -410,10 +410,10 @@ def test_direction_is_a_tangent_descent_direction():
     """A level opens on D = -G; after every tick each searching start's D is
     tangent at its U and descends, and some ticks take a quasi-Newton step."""
     B, U0 = _generic_starts(3, 4)
-    batch = roof._LockStep(U0, B, True, rt.RoofOptions(max_iterations=300))
+    batch = search._LockStep(U0, B, True, rt.RoofOptions(max_iterations=300))
     batch._begin(np.arange(4))
     assert np.array_equal(batch.D, -batch.G)
-    assert np.array_equal(batch.slope, -roof._inner(batch.G, batch.G))
+    assert np.array_equal(batch.slope, -search._inner(batch.G, batch.G))
     quasi_newton = 0
     while batch.searching.any():
         batch._tick()
@@ -434,7 +434,7 @@ def test_direction_falls_back_to_the_gradient():
     direction is -G and H is dropped; where it descends it is taken, from
     step size 1."""
     B, U0 = _generic_starts(3, 3)
-    batch = roof._LockStep(U0, B, True, rt.RoofOptions())
+    batch = search._LockStep(U0, B, True, rt.RoofOptions())
     batch._begin(np.arange(3))
     G, n = batch.G.copy(), batch.H.shape[-1]
     batch.H[0] = np.nan                      # NaN slope
@@ -447,7 +447,7 @@ def test_direction_falls_back_to_the_gradient():
     assert np.array_equal(batch.G, G)
     assert batch.held.tolist() == [False, False, True]
     for s in (0, 1):
-        assert np.array_equal(batch.D[s], -G[s]) and batch.slope[s] == -roof._inner(G, G)[s]
+        assert np.array_equal(batch.D[s], -G[s]) and batch.slope[s] == -search._inner(G, G)[s]
         assert batch.eta[s] == 0.1 * 1.4
     assert np.array_equal(batch.H[2], 0.5 * np.eye(n))
     assert np.allclose(batch.D[2], -0.5 * G[2], rtol=0.0, atol=1e-12 * np.abs(G[2]).max())
@@ -479,7 +479,7 @@ def test_bfgs_update_is_positive_definite_and_secant():
                      * np.eye(n), H)
     yHy = np.einsum("kn,knm,km->k", y, H, y)
     start = np.where(kept[:, None, None], (sy / yHy)[:, None, None] * H, start)
-    roof._bfgs(H, s, y, sy, fresh, kept)
+    search._bfgs(H, s, y, sy, fresh, kept)
     for i in range(k):
         scale = np.abs(H[i]).max()
         assert np.abs(H[i] - H[i].T).max() <= 1e-14 * scale
@@ -493,7 +493,7 @@ def test_search_updates_h_only_on_a_positive_pair():
     a pair with s.y <= 0 leaves H as it is.  Opening a level keeps the held H,
     not held: it is rescaled at the level's first positive pair."""
     B, U0 = _generic_starts(3, 3)
-    batch = roof._LockStep(U0, B, True, rt.RoofOptions())
+    batch = search._LockStep(U0, B, True, rt.RoofOptions())
     batch._begin(np.arange(3))
     assert not batch.held.any() and not batch.kept.any()
     U, G, D = batch.U.copy(), batch.G.copy(), batch.D.copy()
@@ -506,7 +506,7 @@ def test_search_updates_h_only_on_a_positive_pair():
     batch._project(np.arange(3), U, P, eta)
     assert batch.held.tolist() == [True, False, False]
     assert np.array_equal(batch.H[1:], H[1:])
-    s, y = roof._real(0.3 * D[:1]), roof._real(G[:1] - prev[:1])
+    s, y = search._real(0.3 * D[:1]), search._real(G[:1] - prev[:1])
     assert np.linalg.norm(batch.H[0] @ y[0] - s[0]) <= 1e-12 * np.linalg.norm(s[0])
     assert np.linalg.eigvalsh(batch.H[0]).min() > 0.0
     # a held H meets a pair with s.y < 0: unchanged, and still held
@@ -522,7 +522,7 @@ def test_search_updates_h_only_on_a_positive_pair():
     U, G, D = batch.U.copy(), batch.G.copy(), batch.D.copy()
     _, P = kernels.roof_value_grad(U, True, batch.eps, *_frame(B))
     batch.G[0] = G[0] - D[0]
-    s, y = roof._real(0.3 * D[:1]), roof._real(G[:1] - batch.G[:1])
+    s, y = search._real(0.3 * D[:1]), search._real(G[:1] - batch.G[:1])
     sy = float(s[0] @ y[0])
     rescaled = sy / (y[0] @ held_H @ y[0]) * held_H
     batch._project(np.arange(3), U, P, eta)
@@ -536,7 +536,7 @@ def test_level_opens_at_the_last_step_length():
     """A level opens at eta = min(0.2, |s_last| / |G|), s_last the start's
     last accepted step, and at 0.2 before any step was accepted."""
     B, U0 = _generic_starts(3, 3)
-    batch = roof._LockStep(U0, B, True, rt.RoofOptions(max_iterations=300))
+    batch = search._LockStep(U0, B, True, rt.RoofOptions(max_iterations=300))
     begin, opened = batch._begin, []
 
     def recorded(idx):
@@ -544,12 +544,12 @@ def test_level_opens_at_the_last_step_length():
             return
         s2 = batch.s2[idx].copy()
         begin(idx)
-        opened.append((s2, roof._inner(batch.G[idx], batch.G[idx]), batch.eta[idx].copy()))
+        opened.append((s2, search._inner(batch.G[idx], batch.G[idx]), batch.eta[idx].copy()))
 
     batch._begin = recorded
     batch.run()
     s2, gn2, eta = (np.concatenate(part) for part in zip(*opened))
-    assert len(eta) == 3 * len(roof._SCHEDULE)
+    assert len(eta) == 3 * len(search._SCHEDULE)
     assert np.array_equal(eta[:3], [0.2, 0.2, 0.2]) and np.isinf(s2[:3]).all()
     assert np.isfinite(s2[3:]).all()
     assert np.array_equal(eta, np.fmin(0.2, np.sqrt(s2 / gn2)))
@@ -559,15 +559,15 @@ def test_level_opens_at_the_last_step_length():
     trial = kernels.polar_retract(batch.U + eta0[:, None, None] * D)
     _, P = kernels.roof_value_grad(trial, True, batch.eps, *_frame(B))
     batch._project(np.arange(3), trial, P, eta0)
-    s = roof._real(eta0[:, None, None] * D)
-    assert np.array_equal(batch.s2, roof._dot(s, s))
+    s = search._real(eta0[:, None, None] * D)
+    assert np.array_equal(batch.s2, search._dot(s, s))
 
 
 def test_retract_flags_a_failed_start_only():
     rng = np.random.default_rng(13)
     Y = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
     Y[1, 0, 0] = np.nan  # LAPACK does not converge on this start
-    trial, ok = roof._retract(Y)
+    trial, ok = search._retract(Y)
     assert ok.tolist() == [True, False, True]
     for s in (0, 2):
         assert np.array_equal(trial[s], kernels.polar_retract(Y[s]))
@@ -591,7 +591,7 @@ def test_failed_retraction_does_not_abort_the_batch(monkeypatch):
 
     monkeypatch.setattr(kernels, "polar_retract", fails_when_ill_conditioned)
     opts = rt.RoofOptions(max_iterations=300)
-    W, values = roof._LockStep(U0, B, True, opts).run()
+    W, values = search._LockStep(U0, B, True, opts).run()
     for s in range(3):
         W_ref, value_ref = _search_reference(U0[s], B, True, opts)
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
@@ -611,7 +611,7 @@ def test_non_finite_gradient_ends_the_level(monkeypatch):
     monkeypatch.setattr(kernels, "roof_value_grad", nan_at_eps0)
     B, U0 = _generic_starts(3, 2, seed=6)
     opts = rt.RoofOptions(max_iterations=300)
-    W, values = roof._LockStep(U0, B, True, opts).run()
+    W, values = search._LockStep(U0, B, True, opts).run()
     for s in range(2):
         W_ref, value_ref = _search_reference(U0[s], B, True, opts)
         assert np.array_equal(W[s], W_ref) and values[s] == value_ref
@@ -778,8 +778,8 @@ def test_zero_fit_matches_the_scipy_reference(monkeypatch, size):
     the simplex.  The degenerate-W fourfold root at infinity and the
     degenerate-GHZ triple root at 0 are each listed once."""
     calls = []
-    simplex = roof._simplex
-    monkeypatch.setattr(roof, "_simplex", lambda *args: calls.append(1) or simplex(*args))
+    simplex = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: calls.append(1) or simplex(*args))
     decisions = set()
     corpus = _zero_fit_corpus()
     assert len(corpus[-2]) == 1 and len(corpus[-1]) == 2
@@ -800,8 +800,8 @@ def test_zero_fit_near_the_branch_point(monkeypatch):
     one of the simplex decides; beyond it the one solve declines.  Both
     sides of p0 match the scipy reference."""
     calls = []
-    simplex = roof._simplex
-    monkeypatch.setattr(roof, "_simplex", lambda *args: calls.append(1) or simplex(*args))
+    simplex = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: calls.append(1) or simplex(*args))
     for mix in (std_mixture(0.5), random_mixture(np.random.default_rng(67))):
         p0 = rt.analyze(mix).p0
         for t, accepted, phase_one in ((-1e-9, True, False), (1e-13, True, False),
@@ -825,7 +825,7 @@ def test_zero_fit_declines_when_phase_one_fails(monkeypatch):
     rho = rt.GhzWMixture(a=0.0, b=1.0, c=3 ** -0.5, d=3 ** -0.5, f=3 ** -0.5, p=0.6).density()
     dirs = _dirs(rho)
     assert len(roof._zero_decomposition(dirs)) == 2
-    monkeypatch.setattr(roof, "_LP_PIVOTS", 0)
+    monkeypatch.setattr(lp, "_LP_PIVOTS", 0)
     assert roof._zero_decomposition(dirs) is None
     for functional, restarts_used in (("sqrt_tau", 0), ("tau", 2)):
         res = rt.roof_minimize(rho, functional, rt.RoofOptions(restarts=2, max_iterations=300))
@@ -933,7 +933,7 @@ def test_lp_brackets_the_counterexample_tau_constants():
         res = rt.roof_minimize(state, "tau", FAST)
         assert res.restarts_used == 0 and res.converged
         assert res.lower_bound - 1e-9 <= want <= res.value + 1e-9
-        assert res.value - res.lower_bound <= roof._CERT_GAP
+        assert res.value - res.lower_bound <= lp._CERT_GAP
         again = rt.roof_minimize(state, "tau", FAST)
         assert again.value == res.value and again.lower_bound == res.lower_bound
 
@@ -947,7 +947,7 @@ def test_affine_bound_never_exceeds_the_closed_form():
         rho = mix.density()
         closed = rt.analyze(mix).rtangle
         B = eigen_factor(rho)
-        W, bound = roof._lp_roof(_range(B, True))
+        W, bound = lp._lp_roof(_range(B, True))
         assert bound <= closed + 1e-9
         rows = [W]
         rows += [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0] @ B
@@ -957,7 +957,7 @@ def test_affine_bound_never_exceeds_the_closed_form():
         res = rt.roof_minimize(rho, "sqrt_tau", FAST)
         assert res.restarts_used == 0 and res.converged
         assert res.lower_bound <= closed + 1e-9
-        assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
+        assert closed - 1e-9 <= res.value <= closed + lp._CERT_GAP
 
 
 def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
@@ -972,7 +972,7 @@ def test_lp_brackets_the_closed_form_on_both_branches(monkeypatch):
         res = rt.roof_minimize(mix.density(), "sqrt_tau", FAST)
         assert res.restarts_used == 0 and res.converged
         assert res.lower_bound <= closed + 1e-9
-        assert closed - 1e-9 <= res.value <= closed + roof._CERT_GAP
+        assert closed - 1e-9 <= res.value <= closed + lp._CERT_GAP
         assert _mixes_back(res, mix.density())
 
 
@@ -984,7 +984,7 @@ def test_lower_bound_only_at_rank_2():
     for p in (0.3, 0.8):  # the zero certificate and the orbit closed form
         res = rt.roof_minimize(std_mixture(p).density(), "sqrt_tau", FAST)
         assert isinstance(res.lower_bound, float)
-        assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
+        assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= lp._CERT_GAP
 
 
 def _random_rank2(rng):
@@ -1064,7 +1064,7 @@ def test_sqrt_tau_is_covariant_on_generic_rank2_images(kappa):
 def _cap_lp_rounds(monkeypatch):
     """State 12 of `_random_rank2` rng 12, tau: stopped after two rounds, the
     program's bracket is still open by about 1e-5, with a sound bound."""
-    monkeypatch.setattr(roof, "_LP_ROUNDS", 2)
+    monkeypatch.setattr(lp, "_LP_ROUNDS", 2)
     rng = np.random.default_rng(12)
     return [_random_rank2(rng) for _ in range(13)][12], "tau"
 
@@ -1079,15 +1079,15 @@ def _lower_orbit_bound(monkeypatch):
         return replace(orbit, analysis=replace(orbit.analysis, rtangle=orbit.analysis.rtangle - 1e-3))
 
     monkeypatch.setattr(roof, "range_orbit", loose)
-    monkeypatch.setattr(roof, "_lp_roof", lambda sphere: None)
+    monkeypatch.setattr(lp, "_lp_roof", lambda sphere: None)
     return std_mixture(0.8).density(), "sqrt_tau"
 
 
 def _raise_lp_bound(monkeypatch):
     """The counterexample rho, tau, with the program's bound forced to 1.0,
     above its own decomposition: pricing missed a point."""
-    lp_roof = roof._lp_roof
-    monkeypatch.setattr(roof, "_lp_roof", lambda sphere: (lp_roof(sphere)[0], 1.0))
+    lp_roof = lp._lp_roof
+    monkeypatch.setattr(lp, "_lp_roof", lambda sphere: (lp_roof(sphere)[0], 1.0))
     return rt.ensemble_to_density(rt.counterexample_fixture().ensemble), "tau"
 
 
@@ -1166,8 +1166,8 @@ def test_simplex_matches_highs_on_the_same_columns():
     for rho, use_sqrt in cases:
         B = eigen_factor(rho)
         cost, A, b = _lp_columns(B, use_sqrt)
-        basis = roof._LP_BASIS.copy()
-        w, X, reduced = roof._simplex(cost, A, b, basis)
+        basis = lp._LP_BASIS.copy()
+        w, X, reduced = lp._simplex(cost, A, b, basis)
         highs = linprog(cost, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs",
                         options={"primal_feasibility_tolerance": 1e-10,
                                  "dual_feasibility_tolerance": 1e-10})
@@ -1175,7 +1175,47 @@ def test_simplex_matches_highs_on_the_same_columns():
         assert abs(cost[basis] @ w - highs.fun) <= 1e-9
         assert abs(b @ X - highs.fun) <= 1e-9
         assert w.min() >= -1e-12 and np.abs(A[:, basis] @ w - b).max() <= 1e-12
-        assert reduced.min() >= -roof._LP_TOL
+        assert reduced.min() >= -lp._LP_TOL
+
+
+def _hermitian_rows(V):
+    """The r^2 real coordinates of v v^H for the rows v of V, (n, r): the
+    diagonal, then 2 Re and 2 Im of v_i* v_j over the upper triangle, i < j.
+    At r = 2 these are the program's rows."""
+    i, j = np.triu_indices(V.shape[1], 1)
+    off = 2.0 * V[:, i].conj() * V[:, j]
+    return np.concatenate((np.abs(V) ** 2, np.stack((off.real, off.imag), -1).reshape(len(V), -1)),
+                          axis=1)
+
+
+def test_simplex_takes_nine_rows():
+    """The simplex reads its row count from its basis: on a 9-row program,
+    a random rank-3 range, it reaches HiGHS's optimum with every reduced
+    cost at least -_LP_TOL.  The columns are unit v in C^3, costed
+    2 sqrt|Det(v E)| on the unit eigenrows E, with the rows of v v^H, and b
+    those of diag(lambda); the start basis holds e_i at weight lambda_i and
+    the six (e_i + e_j)/sqrt 2 and (e_i + i e_j)/sqrt 2 at weight 0."""
+    rng = np.random.default_rng(9)
+    w = rng.dirichlet(np.ones(3))
+    rows = [random_pure(rng).amp for _ in range(3)]
+    B = eigen_factor(rt.DensityMatrix(sum(wk * np.outer(v, v.conj()) for wk, v in zip(w, rows))))
+    lam = (np.abs(B) ** 2).sum(-1)
+    T = range_tensor(B / np.sqrt(lam)[:, None])
+    e, (i, j) = np.eye(3), np.triu_indices(3, 1)
+    V = rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3))
+    V = np.concatenate((e, (e[i] + e[j]) / np.sqrt(2), (e[i] + 1j * e[j]) / np.sqrt(2),
+                        V / np.linalg.norm(V, axis=1)[:, None]))
+    cost = 2.0 * np.sqrt(np.abs(np.einsum("ijkl,ni,nj,nk,nl->n", T, V, V, V, V)))
+    A, b = _hermitian_rows(V).T, np.concatenate((lam, np.zeros(6)))
+    basis = np.arange(9)
+    w, X, reduced = lp._simplex(cost, A, b, basis)
+    highs = linprog(cost, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs",
+                    options={"primal_feasibility_tolerance": 1e-10,
+                             "dual_feasibility_tolerance": 1e-10})
+    assert highs.status == 0
+    assert abs(cost[basis] @ w - highs.fun) <= 1e-10
+    assert w.min() >= -1e-12 and np.abs(A[:, basis] @ w - b).max() <= 1e-12
+    assert reduced.min() >= -lp._LP_TOL
 
 
 @pytest.mark.parametrize("patch", [("_LP_BASIS", np.zeros(4, dtype=int)), ("_LP_PIVOTS", 0)],
@@ -1184,10 +1224,10 @@ def test_failed_simplex_falls_back_to_the_search(monkeypatch, patch):
     """Four copies of e0 make a singular start basis, and no pivot at all
     leaves the start basis unsolved: the program returns None and the
     search runs, with no bound and so not converged."""
-    monkeypatch.setattr(roof, *patch)
+    monkeypatch.setattr(lp, *patch)
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
     B = eigen_factor(rho)
-    assert roof._lp_roof(_range(B, False)) is None
+    assert lp._lp_roof(_range(B, False)) is None
     opts = rt.RoofOptions(restarts=2, max_iterations=300)
     res = rt.roof_minimize(rho, "tau", opts)
     assert res.restarts_used == 2 and res.lower_bound is None and res.converged is False
@@ -1202,7 +1242,7 @@ def test_second_solve_starts_from_the_refined_support(monkeypatch):
     second simplex solve starts from a feasible basis that holds the three
     refined points and makes at most two basis inverses, where from the
     last basis it made eleven."""
-    simplex, inv, solves = roof._simplex, np.linalg.inv, []
+    simplex, inv, solves = lp._simplex, np.linalg.inv, []
 
     def counted(cost, A, b, basis):
         inverses, start = [], basis.copy()
@@ -1213,14 +1253,14 @@ def test_second_solve_starts_from_the_refined_support(monkeypatch):
             monkeypatch.setattr(np.linalg, "inv", inv)
             solves.append((len(cost), start, len(inverses), A[:, start].T, b))
 
-    monkeypatch.setattr(roof, "_simplex", counted)
+    monkeypatch.setattr(lp, "_simplex", counted)
     B = eigen_factor(_counterexample_pair()[1][0])
-    _, bound = roof._lp_roof(_range(B, False))
+    _, bound = lp._lp_roof(_range(B, False))
     assert abs(bound - TAU_RHO0) <= 1e-7
     (n, _, _, _, _), (_, start, inverses, A, b) = solves[:2]
     new = start[start >= n] - n
-    assert len(new) == 4 and np.count_nonzero(new % roof._KKT_OFFSET.size == 0) == 3
-    assert roof._feasible(A, b)
+    assert len(new) == 4 and np.count_nonzero(new % lp._KKT_OFFSET.size == 0) == 3
+    assert lp._feasible(A, b)
     assert inverses <= 2
 
 
@@ -1237,10 +1277,20 @@ def test_lp_declines_weights_that_miss_b(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", off)
     rho = rt.ensemble_to_density(rt.counterexample_fixture().ensemble)
-    assert roof._lp_roof(_range(eigen_factor(rho), False)) is None
+    assert lp._lp_roof(_range(eigen_factor(rho), False)) is None
     res = rt.roof_minimize(rho, "tau", rt.RoofOptions(restarts=2, max_iterations=300))
     assert res.restarts_used == 2 and res.lower_bound is None and res.converged is False
     assert _mixes_back(res, rho)
+
+
+def test_bloch_rows_are_the_chart_basis_rows():
+    """The grid's constraint rows, built with no derivative rows, are the
+    first of :func:`lp._chart_basis` bit for bit, and held as the rows view
+    of a (4, n) array, the layout of the program's columns."""
+    ref = lp._chart_basis(lp._BLOCH_Z, lp._BLOCH_FLIP)[0]
+    assert lp._BLOCH_ROWS.shape == ref.shape == (7082, 4)
+    assert np.ascontiguousarray(lp._BLOCH_ROWS).tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert lp._BLOCH_ROWS.T.flags.c_contiguous
 
 
 def test_refined_start_basis_must_be_feasible_and_well_conditioned():
@@ -1252,16 +1302,16 @@ def test_refined_start_basis_must_be_feasible_and_well_conditioned():
     point once."""
     angles = np.array([[0.0, 0.0], [np.pi, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]])
     A = _basis(*_bloch(angles))
-    assert np.abs(roof._BLOCH_ROWS[roof._LP_BASIS] - A).max() <= 1e-15
-    assert np.abs(roof._BLOCH_ROWS - _basis(*_bloch(roof._BLOCH_GRID))).max() <= 1e-15
-    grid = np.round(roof._BLOCH_ROWS, 12) + 0.0  # + 0.0 makes -0.0 equal 0.0
+    assert np.abs(lp._BLOCH_ROWS[lp._LP_BASIS] - A).max() <= 1e-15
+    assert np.abs(lp._BLOCH_ROWS - _basis(*_bloch(lp._BLOCH_GRID))).max() <= 1e-15
+    grid = np.round(lp._BLOCH_ROWS, 12) + 0.0  # + 0.0 makes -0.0 equal 0.0
     assert len(np.unique(grid, axis=0)) == len(grid) == 7082
-    assert roof._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
-    assert not roof._feasible(A, A.T @ [0.5, 0.5, 0.3, -0.3])
+    assert lp._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
+    assert not lp._feasible(A, A.T @ [0.5, 0.5, 0.3, -0.3])
     near = angles.copy()
     near[3] = near[2] + [1e-8, 0.0]
     A = _basis(*_bloch(near))
-    assert not roof._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
+    assert not lp._feasible(A, A.T @ [0.1, 0.2, 0.3, 0.4])
 
 
 def test_lp_closes_the_bracket_where_pricing_tails_off(monkeypatch):
@@ -1273,26 +1323,26 @@ def test_lp_closes_the_bracket_where_pricing_tails_off(monkeypatch):
     rng = np.random.default_rng(7)
     rho = [_random_rank2(rng) for _ in range(28)][27]
     passes = []
-    lowest = roof._Range.lowest
-    monkeypatch.setattr(roof._Range, "lowest",
+    lowest = lp._Range.lowest
+    monkeypatch.setattr(lp._Range, "lowest",
                         lambda self, *args: passes.append(1) or lowest(self, *args))
     res = rt.roof_minimize(rho, "sqrt_tau", FAST)
     assert len(passes) == 1
     assert res.restarts_used == 0 and res.converged
-    assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= roof._CERT_GAP
+    assert res.lower_bound <= res.value + 1e-9 and res.value - res.lower_bound <= lp._CERT_GAP
     assert _mixes_back(res, rho)
 
 
 def _first_round(rho, use_sqrt):
     """The range, the dual X, the grid's reduced costs and the support of
-    the program's first round, as :func:`roof._lp_roof` prices them."""
+    the program's first round, as :func:`lp._lp_roof` prices them."""
     B = eigen_factor(rho)
     sphere = _range(B, use_sqrt)
     z, flip, cost, A = sphere.columns().held()
-    basis = roof._LP_BASIS.copy()
-    w, X, reduced = roof._simplex(cost, A, sphere.b, basis)
+    basis = lp._LP_BASIS.copy()
+    w, X, reduced = lp._simplex(cost, A, sphere.b, basis)
     support = basis[w > 0.0]
-    return sphere, X, reduced[:len(roof._BLOCH_Z)], z[support], flip[support], cost[support]
+    return sphere, X, reduced[:len(lp._BLOCH_Z)], z[support], flip[support], cost[support]
 
 
 def test_pricing_reaches_the_fine_grid_minimum():
@@ -1305,7 +1355,7 @@ def test_pricing_reaches_the_fine_grid_minimum():
                                   indexing="ij"), axis=-1).reshape(-1, 2)
     fine_c, fine_y = _bloch(angles)
     fine_rows = _basis(fine_c, fine_y)
-    fine_z, fine_flip = roof._chart(np.stack((fine_c + 0j, fine_y), axis=-1))
+    fine_z, fine_flip = lp._chart(np.stack((fine_c + 0j, fine_y), axis=-1))
     rng = np.random.default_rng(61)
     states = [_random_rank2(rng) for _ in range(20)] + [_random_rank2_gram(rng) for _ in range(20)]
     for rho in states:
@@ -1314,7 +1364,7 @@ def test_pricing_reaches_the_fine_grid_minimum():
             lowest, (new_z, new_flip) = sphere.lowest(X, on_grid, z, flip, cost)
             fine = (sphere.f(fine_z, fine_flip) - fine_rows @ X).min()
             assert lowest <= fine + 1e-12
-            V = roof._unchart(new_z, new_flip)
+            V = lp._unchart(new_z, new_flip)
             assert np.isfinite(V).all() and np.allclose((np.abs(V) ** 2).sum(-1), 1.0)
 
 
@@ -1333,7 +1383,7 @@ def test_pricing_derivatives_match_central_differences():
             overlap = np.abs(V @ sphere.roots.conj().T)
             away = (overlap < 0.95).all(axis=1)
             assert away.sum() >= 10
-            z, flip = roof._chart(V[away])
+            z, flip = lp._chart(V[away])
             assert flip.any() and not flip.all()
             coef = sphere.coefficients(X, flip)
             g, g_z, g_zc, g_zz = sphere.excess(z, *coef)
@@ -1362,8 +1412,8 @@ def test_simplex_dual_prices_its_basis_at_zero():
         for use_sqrt in (True, False):
             B = eigen_factor(rho)
             cost, A, b = _lp_columns(B, use_sqrt)
-            basis = roof._LP_BASIS.copy()
-            _, _, reduced = roof._simplex(cost, A, b, basis)
+            basis = lp._LP_BASIS.copy()
+            _, _, reduced = lp._simplex(cost, A, b, basis)
             assert np.abs(reduced[basis]).max() <= 8 * np.finfo(float).eps * np.abs(cost).max()
 
 
@@ -1381,20 +1431,20 @@ def test_refinement_closes_the_counterexample_in_one_pricing_pass(monkeypatch):
     columns around the support, rho two); with refinement proposing
     nothing, rho0 takes more."""
     passes = []
-    lowest = roof._Range.lowest
-    monkeypatch.setattr(roof._Range, "lowest",
+    lowest = lp._Range.lowest
+    monkeypatch.setattr(lp._Range, "lowest",
                         lambda self, *args: passes.append(1) or lowest(self, *args))
     for state, want in _counterexample_pair():
         B = eigen_factor(state)
         passes.clear()
-        _, bound = roof._lp_roof(_range(B, False))
+        _, bound = lp._lp_roof(_range(B, False))
         assert len(passes) == 1
         assert abs(bound - want) <= 1e-7
-    monkeypatch.setattr(roof._Range, "_refine", lambda self, X, w, z, flip, a, cost:
+    monkeypatch.setattr(lp._Range, "_refine", lambda self, X, w, z, flip, a, cost:
                         ((z[:0], flip[:0], a[:0]), np.arange(0)))
     passes.clear()
-    _, bound = roof._lp_roof(_range(B, False))  # rho0
-    assert 1 < len(passes) < roof._LP_ROUNDS
+    _, bound = lp._lp_roof(_range(B, False))  # rho0
+    assert 1 < len(passes) < lp._LP_ROUNDS
     assert abs(bound - TAU_RHO0) <= 1e-7
 
 
@@ -1408,13 +1458,13 @@ def test_chart_columns_and_derivatives_match_central_differences():
     z = rng.uniform(0.0, 1.0, 40) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
     for flip in (np.zeros(40, dtype=bool), np.ones(40, dtype=bool)):
         def column(z):
-            return _basis(*_phase_off(roof._unchart(z, flip)))
+            return _basis(*_phase_off(lp._unchart(z, flip)))
 
-        a, a_s, a_t = roof._chart_basis(z, flip)
+        a, a_s, a_t = lp._chart_basis(z, flip)
         assert np.abs(a - column(z)).max() <= 1e-15
         assert np.abs((column(z + h) - column(z - h)) / (2.0 * h) - a_s).max() <= 1e-8
         assert np.abs((column(z + 1j * h) - column(z - 1j * h)) / (2.0 * h) - a_t).max() <= 1e-8
-        back, chart = roof._chart(roof._unchart(z, flip))
+        back, chart = lp._chart(lp._unchart(z, flip))
         assert np.array_equal(chart, flip) and np.abs(back - z).max() <= 1e-15
 
 
@@ -1434,19 +1484,19 @@ def test_column_costs_are_the_functionals_of_their_range_states():
     for rho in states:
         B = eigen_factor(rho)
         sphere = _range(B, True)
-        root_z, root_flip = roof._chart(sphere.roots)
+        root_z, root_flip = lp._chart(sphere.roots)
         disc = rng.uniform(0.0, 1.5, 100) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 100))
-        z = np.concatenate((roof._BLOCH_Z[::20], disc, root_z))
-        flip = np.concatenate((roof._BLOCH_FLIP[::20], np.arange(100) >= 50, root_flip))
+        z = np.concatenate((lp._BLOCH_Z[::20], disc, root_z))
+        flip = np.concatenate((lp._BLOCH_FLIP[::20], np.arange(100) >= 50, root_flip))
         invs = [rt.invariants(rt.PureState(u / np.linalg.norm(u)))
-                for u in roof._unchart(z, flip) @ sphere.E]
+                for u in lp._unchart(z, flip) @ sphere.E]
         for use_sqrt in (True, False):
             sphere = _range(B, use_sqrt)
             want = np.array([inv.sqrt_tau if use_sqrt else inv.tau for inv in invs])
             compared = len(z) - len(root_z) if use_sqrt else len(z)
             assert np.abs(sphere.f(z, flip) - want)[:compared].max() <= 1e-12
             assert sphere.on_root(sphere.f(root_z, root_flip)).all()
-            grid = sphere.f(roof._BLOCH_Z, roof._BLOCH_FLIP)
+            grid = sphere.f(lp._BLOCH_Z, lp._BLOCH_FLIP)
             cost = sphere.columns().held()[2][:len(grid)]
             assert np.abs(cost - grid).max() <= 1e-14 * grid.max()
 
@@ -1458,20 +1508,20 @@ def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
     off one of them, meets it and is dropped.  Weights solved on the three
     mix back to b, one X makes f - l and its gradient vanish at all three to
     rounding, and b @ X is the frozen roof."""
-    monkeypatch.setattr(roof, "_KKT_STEPS", 8)
+    monkeypatch.setattr(lp, "_KKT_STEPS", 8)
     B = eigen_factor(_counterexample_pair()[1][0])
     sphere = _range(B, False)
     z, flip, cost, A = sphere.columns().held()
     b = sphere.b
-    basis = roof._LP_BASIS.copy()
-    w, X, _ = roof._simplex(cost, A, b, basis)
+    basis = lp._LP_BASIS.copy()
+    w, X, _ = lp._simplex(cost, A, b, basis)
     support = basis[w > 0.0]
     assert len(support) == 4
     (z, flip, _), _ = sphere._refine(X, w[w > 0.0], z[support], flip[support],
                                      A[:, support].T, cost[support])
-    assert len(z) == 3 * roof._KKT_OFFSET.size
-    z, flip = z[::roof._KKT_OFFSET.size], flip[::roof._KKT_OFFSET.size]
-    a, a_s, a_t = roof._chart_basis(z, flip)
+    assert len(z) == 3 * lp._KKT_OFFSET.size
+    z, flip = z[::lp._KKT_OFFSET.size], flip[::lp._KKT_OFFSET.size]
+    a, a_s, a_t = lp._chart_basis(z, flip)
     weights = np.linalg.lstsq(a.T, b, rcond=None)[0]
     assert weights.min() > 0.0 and np.abs(a.T @ weights - b).max() <= 1e-13
     # f - l and its gradient are linear in X: (f, f_s, f_t) - (a, a_s, a_t) @ X
@@ -1530,7 +1580,7 @@ def test_orbit_closed_form_on_slocc_images(monkeypatch):
     for image, want, _ in cases:
         res = rt.roof_minimize(image, "sqrt_tau", FAST)
         assert res.restarts_used == 0 and res.converged
-        assert abs(res.value - want) <= roof._CERT_GAP
+        assert abs(res.value - want) <= lp._CERT_GAP
         assert abs(res.lower_bound - want) <= 1e-12
         assert _mixes_back(res, image)
     _without_orbit(monkeypatch)
@@ -1625,7 +1675,7 @@ def test_orbit_recognizes_general_measurement_outcomes():
             assert rt.orbit_analysis(out.post_density) is not None
             res = rt.roof_minimize(out.post_density, "sqrt_tau", FAST)
             assert res.restarts_used == 0 and res.converged
-            assert abs(res.value - out.alpha * roof_in) <= roof._CERT_GAP
+            assert abs(res.value - out.alpha * roof_in) <= lp._CERT_GAP
             assert abs(res.lower_bound - out.alpha * roof_in) <= 1e-12
 
 

@@ -41,7 +41,7 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 import rtangle as rt  # noqa: E402
-from rtangle import roof  # noqa: E402
+from rtangle import lp, roof  # noqa: E402
 from freeze import biseparable  # noqa: E402
 from test_roof import _random_rank2, _random_rank2_gram  # noqa: E402
 
@@ -59,7 +59,7 @@ class _Probe:
     def __init__(self):
         self.rounds = None  # the rounds of the running program, or None outside one
         self.seconds = 0.0
-        lp_roof, simplex, lowest = roof._lp_roof, roof._simplex, roof._Range.lowest
+        lp_roof, simplex, lowest = lp._lp_roof, lp._simplex, lp._Range.lowest
 
         def timed_lp_roof(sphere):
             self.rounds = [[]]
@@ -85,8 +85,7 @@ class _Probe:
             self.rounds.append([])
             return lowest(sphere, *args)
 
-        roof._lp_roof, roof._simplex, roof._Range.lowest = (timed_lp_roof, counted_simplex,
-                                                           counted_lowest)
+        lp._lp_roof, lp._simplex, lp._Range.lowest = timed_lp_roof, counted_simplex, counted_lowest
 
     def take(self):
         """The rounds of the last program (None if none ran), and reset."""

@@ -19,16 +19,26 @@ ends more than ``TOL`` (1e-5) above it, or counts no kernel call: a search
 that bypassed ``kernels.roof_value_grad`` would escape the count and the
 benchmark's per-layer metrics alike.
 
-    python tools/search_gate.py
+    python tools/search_gate.py [--save FILE] [--compare FILE]
+
+``--save`` writes each solve's value, its kernel calls and a SHA-256 of its
+members' weights and amplitudes, as JSON.  ``--compare`` reads such a file,
+of another tree or run, and prints the largest difference of value, how
+many solves changed their kernel calls and how many digests differ.
 """
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import sys
 import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
+
+import numpy as np  # noqa: E402
 
 import rtangle as rt  # noqa: E402
 from rtangle import kernels  # noqa: E402
@@ -43,7 +53,8 @@ TOL = 1e-5
 
 
 def run():
-    """Solve the gate; returns {(rank, functional): [(value, grad calls, seconds)]}."""
+    """Solve the gate; returns {(rank, functional): [(value, grad calls, seconds)]}
+    and the solve records for ``--save``."""
     grad, calls = kernels.roof_value_grad, [0]
 
     def counted(*args, **kwargs):
@@ -52,22 +63,49 @@ def run():
 
     kernels.roof_value_grad = counted
     opts = rt.RoofOptions(restarts=RESTARTS)
-    cases = {}
+    cases, records = {}, []
     try:
         for rank, functional in BEST:
             solves = cases[rank, functional] = []
-            for rho in local_frames(generic_base(rank), FRAMES):
+            for frame, rho in enumerate(local_frames(generic_base(rank), FRAMES)):
                 calls[0] = 0
                 start = time.perf_counter()
                 res = rt.roof_minimize(rho, functional, opts)
                 solves.append((res.value, calls[0], time.perf_counter() - start))
+                records.append({"rank": rank, "functional": functional, "frame": frame,
+                                "value": res.value, "calls": calls[0], "digest": _digest(res)})
     finally:
         kernels.roof_value_grad = grad
-    return cases
+    return cases, records
 
 
-def main() -> int:
-    cases = run()
+def _digest(res) -> str:
+    h = hashlib.sha256()
+    for w, psi in res.ensemble.members:
+        h.update(np.float64(w).tobytes())
+        h.update(np.ascontiguousarray(psi.amp).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _compare(records, path):
+    with open(path) as fh:
+        saved = {(s["rank"], s["functional"], s["frame"]): s for s in json.load(fh)["solves"]}
+    d_value, calls, differ = 0.0, 0, 0
+    for s in records:
+        t = saved[s["rank"], s["functional"], s["frame"]]
+        d_value = max(d_value, abs(s["value"] - t["value"]))
+        calls += s["calls"] != t["calls"]
+        differ += s["digest"] != t["digest"]
+    print(f"against {path}: largest |d value| {d_value:.3g}; {calls} of {len(records)} solves "
+          f"changed their kernel calls, {differ} member digests differ")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--save", metavar="FILE", help="write each solve's value, calls and digest as JSON")
+    ap.add_argument("--compare", metavar="FILE", help="compare with a file written by --save")
+    args = ap.parse_args(argv)
+    cases, records = run()
     print(f"{'case':<16}{'frame':>6}{'value':>16}{'grad calls':>12}{'seconds':>10}")
     worst = -float("inf")
     for (rank, functional), solves in cases.items():
@@ -83,6 +121,11 @@ def main() -> int:
     uncounted = sum(calls == 0 for solves in cases.values() for _, calls, _ in solves)
     print(f"highest above its best-known roof {worst:+.3g} (gate {TOL:g}); "
           f"{uncounted} solves with no kernel call counted")
+    if args.save:
+        with open(args.save, "w") as fh:
+            json.dump({"solves": records}, fh)
+    if args.compare:
+        _compare(records, args.compare)
     return 0 if worst <= TOL and uncounted == 0 else 1
 
 
