@@ -464,9 +464,11 @@ def _feasible(A, b) -> bool:
 class _Columns:
     """The program's columns, held once and appended in place: their chart
     points, costs and ``rows`` constraint rows, the rows as the columns of
-    a (rows, n) array, the layout :func:`_simplex` prices from.  It starts
-    with room for ``room`` columns, and the room doubles whenever an append
-    needs more."""
+    a (rows, n) array, the layout :func:`_simplex` prices from.  It holds
+    room for ``room`` columns and never grows: :meth:`_Range.columns` gives
+    it twice the grid, more than a program can add (at most 4 roots, then
+    per round at most 4 refined points with their offsets and one column
+    per Newton step from each of at most 20 pricing starts)."""
 
     def __init__(self, rows: int, room: int):
         self.n = 0
@@ -477,10 +479,6 @@ class _Columns:
         """Append columns: chart points, costs and their constraint rows a,
         (k, rows)."""
         n, k = self.n, len(z)
-        if n + k > len(self._z):  # no room: move to twice the room needed
-            z0, flip0, cost0, A0 = self.held()
-            self.__init__(len(A0), 2 * (n + k))
-            self.add(z0, flip0, cost0, A0.T)
         self._z[n:n + k], self._flip[n:n + k], self._cost[n:n + k] = z, flip, cost
         self._A[:, n:n + k] = a.T
         self.n = n + k

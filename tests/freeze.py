@@ -1,4 +1,5 @@
-"""Frozen expected values and shared helpers for the test suite.
+"""Frozen expected values and the test corpus: every fixed-seed input that
+the tests and the gates in ``tools/`` read.
 
 The decimal constants were computed independently at 40-digit precision
 (direct evaluation of the closed forms / exact fractions) and frozen here;
@@ -6,6 +7,10 @@ tests compare library output against them at stated tolerances.
 
 The exceptions are the generic rank-3 and rank-4 roofs below, which have no
 closed form: each is the best value of long searches (see their comment).
+
+The generators take a numpy ``Generator`` and draw from it in a fixed
+order, so a seed names the same inputs in every test and gate that reads
+it.  This module imports numpy and rtangle only.
 """
 import numpy as np
 
@@ -36,16 +41,15 @@ P0_OUT0 = 0.56895015001064502
 # restarts, frame 2 (rank 3) and frame 1 (rank 4) of rng 9, and the
 # objective_at value of its decomposition, which mixes back to its frame's
 # rho within 2.5e-16 (rank 3) and 2.4e-16 (rank 4).  The other frames end
-# within 3.2e-8 (rank 3) and 1.1e-7 (rank 4) above them
-SQRT_TAU_GENERIC_R3 = 0.3092359627613775
-SQRT_TAU_GENERIC_R4 = 0.13408516226927727
-# the best-known tau roofs of the same states, found the same way: each is
-# the lowest with 1000 restarts (frame 0 of rng 9 at rank 3, frame 3 at
-# rank 4), whose decomposition mixes back within 2.8e-16 (rank 3) and
-# 1.0e-16 (rank 4) and has that objective_at value; the other 11 frames end
-# within 1.1e-10 and 1.7e-9 above
-TAU_GENERIC_R3 = 0.22967081410954865
-TAU_GENERIC_R4 = 0.06809859058586512
+# within 3.2e-8 (rank 3) and 1.1e-7 (rank 4) above them.  The best-known tau
+# roofs of the same states were found the same way: each is the lowest with
+# 1000 restarts (frame 0 of rng 9 at rank 3, frame 3 at rank 4), whose
+# decomposition mixes back within 2.8e-16 (rank 3) and 1.0e-16 (rank 4) and
+# has that objective_at value; the other 11 frames end within 1.1e-10 and
+# 1.7e-9 above.  Keyed (rank, functional): the one table that the tests and
+# tools/search_gate.py read
+GENERIC_ROOFS = {(3, "sqrt_tau"): 0.3092359627613775, (3, "tau"): 0.22967081410954865,
+                 (4, "sqrt_tau"): 0.13408516226927727, (4, "tau"): 0.06809859058586512}
 
 SQRT2 = 1.0 / np.sqrt(2.0)
 SQRT3 = 1.0 / np.sqrt(3.0)
@@ -135,3 +139,66 @@ def biseparable(rng) -> rt.DensityMatrix:
     V = np.kron(np.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
     rho = V @ rho @ V.conj().T
     return rt.DensityMatrix((rho + rho.conj().T) / 2.0)
+
+
+# ------------------------------------------------------------ rank-2 corpus
+
+def _random_rank2(rng) -> rt.DensityMatrix:
+    """Two random pure states mixed with Dirichlet weights."""
+    w = rng.dirichlet([1.0, 1.0])
+    rows = [random_pure(rng).amp for _ in range(2)]
+    return rt.DensityMatrix(sum(wk * np.outer(v, v.conj()) for wk, v in zip(w, rows)))
+
+
+def _random_rank2_gram(rng) -> rt.DensityMatrix:
+    """X diag(w) X^dag / tr, X a complex normal 8 x 2 matrix, w Dirichlet."""
+    X = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    w = rng.dirichlet([1.0, 1.0])
+    rho = sum(wk * np.outer(x, x.conj()) for wk, x in zip(w, X.T))
+    return rt.DensityMatrix(rho / np.trace(rho).real)
+
+
+# -------------------------------------------------------------- SLOCC images
+
+def _local_operator(rng, kappa=None) -> np.ndarray:
+    """A complex Gaussian 2 x 2 operator (kappa None), or U diag(1, 1/kappa) V
+    with U and V random_unitary2: condition number kappa."""
+    if kappa is None:
+        return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return random_unitary2(rng) @ np.diag([1.0, 1.0 / kappa]) @ random_unitary2(rng)
+
+
+def _slocc_image(rho, ops):
+    """(A x B x C) rho (A x B x C)^dag / p and alpha = |det A det B det C| / p."""
+    M = np.kron(ops[0], np.kron(ops[1], ops[2]))
+    image = M @ rho.matrix @ M.conj().T
+    p = np.trace(image).real
+    alpha = abs(np.prod([np.linalg.det(op) for op in ops])) / p
+    image = image / p
+    return rt.DensityMatrix((image + image.conj().T) / 2.0), alpha
+
+
+def _orbit_images():
+    """Forty SLOCC images (rng 5): twenty of GHZ/W mixtures with random
+    complex parameters and twenty of the standard mixture, p ~ U(0.05, 0.98),
+    under random complex local operators; (image, alpha t_r, mixture)."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for k in range(40):
+        mix = random_mixture(rng) if k < 20 else std_mixture(0.5)
+        mix = rt.GhzWMixture(a=mix.a, b=mix.b, c=mix.c, d=mix.d, f=mix.f,
+                             p=rng.uniform(0.05, 0.98))
+        image, alpha = _slocc_image(mix.density(), [_local_operator(rng) for _ in range(3)])
+        cases.append((image, alpha * rt.analyze(mix).rtangle, mix))
+    return cases
+
+
+def _std_images():
+    """The standard mixture at p = 0.8 and 0.95 under random complex local
+    operators (rng 5, drawn in that order); (image, alpha t_r, mixture)."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for mix in (std_mixture(0.8), std_mixture(0.95)):
+        image, alpha = _slocc_image(mix.density(), [_local_operator(rng) for _ in range(3)])
+        cases.append((image, alpha * rt.analyze(mix).rtangle, mix))
+    return cases

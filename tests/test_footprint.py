@@ -28,23 +28,41 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def _imports(path):
+    """(line, module) of each import in the source ``path``, at module level
+    or inside a function, by statement or by ``__import__``/
+    ``importlib.import_module`` of a constant name; relative imports are
+    left out."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            names = [node.args[0].value] if called in ("__import__", "import_module") else []
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names)
+
+
 def test_sources_import_no_scipy():
     """No module of the package imports scipy, at module level or inside a
     function, by statement or by ``__import__``/``importlib.import_module``."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module] if node.level == 0 else []
-            elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
-                func = node.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                names = [node.args[0].value] if called in ("__import__", "import_module") else []
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names if _is_scipy(name)]
+    found = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in _imports(path) if _is_scipy(name)]
+    assert not found
+
+
+def test_tools_import_no_test_module():
+    """No script in ``tools/`` imports a test module: the gates read their
+    inputs from the corpus module ``tests/freeze.py``, which loads numpy and
+    the package alone, not pytest or scipy with a test file."""
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted((PACKAGE.parents[1] / "tools").glob("*.py"))
+             for line, name in _imports(path)
+             if isinstance(name, str) and any(part.startswith("test_") for part in name.split("."))]
     assert not found
 
 

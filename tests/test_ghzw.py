@@ -9,6 +9,7 @@ from freeze import (
     SQRT2,
     SQRT3,
     TR_STD_P08,
+    ghz_state,
     random_mixture,
     std_mixture,
 )
@@ -284,3 +285,22 @@ def test_mixture_validation():
         rt.GhzWMixture(a=1.0, b=0.5, c=SQRT3, d=SQRT3, f=SQRT3, p=0.5)
     with pytest.raises(rt.ValidationError):
         rt.GhzWMixture(a=SQRT2, b=SQRT2, c=SQRT3, d=SQRT3, f=SQRT3, p=1.5)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: rt.GhzWMixture(a=np.nan, b=SQRT2, c=SQRT3, d=SQRT3, f=SQRT3, p=0.5),
+     "parameter a must be finite"),
+    (lambda: rt.GhzWMixture(a=SQRT2, b=SQRT2, c=1.0, d=SQRT3, f=SQRT3, p=0.5), r"\|c\|\^2"),
+    (lambda: rt.family_state(std_mixture(0.8), 1.5, 0.0), "family_state: p = 1.5"),
+    (lambda: rt.family_sqrt_tau(std_mixture(0.8), -0.5, 0.0), "family_sqrt_tau: p = -0.5"),
+    (lambda: rt.as_mixture(rt.WeightedEnsemble(((1.0, ghz_state()),))) is None, None),
+], ids=["non-finite", "w-norm", "family-state-p", "family-sqrt-tau-p", "no-w-member"])
+def test_mixture_inputs_are_checked(call, match):
+    """A non-finite amplitude, a gW part that is not normalized and a family
+    weight outside [0, 1] are refused; an ensemble with a gGHZ member and no
+    gW member is not read as a mixture (match None: the call returns True)."""
+    if match is None:
+        assert call()
+        return
+    with pytest.raises(rt.ValidationError, match=match):
+        call()

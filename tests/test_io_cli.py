@@ -85,6 +85,22 @@ def test_parse_errors_are_field_addressed():
         stateio.sniff_kind({"something": 1})
 
 
+@pytest.mark.parametrize("parse, doc, match", [
+    (stateio.parse_ensemble, {"members": [{"weight": 10 ** 400, "amplitudes": [[1, 0]] + [[0, 0]] * 7}]},
+     r"^members\[0\]\.weight: expected a finite number"),
+    (stateio.parse_ensemble, {"members": [{"weight": 1.0}]},
+     r"^members\[0\]: expected weight and amplitudes"),
+    (stateio.parse_density, {"amplitudes": []}, "^matrix: missing field"),
+    (stateio.parse_kraus, {"operators": []}, "^operators: expected a non-empty list"),
+], ids=["integer-beyond-float", "member-without-amplitudes", "no-matrix", "no-operators"])
+def test_parse_errors_name_the_missing_or_unreadable_field(parse, doc, match):
+    """An integer beyond the float range reads as no number, and a missing
+    member field, density matrix or operator list is named, each as a
+    StateFileError."""
+    with pytest.raises(stateio.StateFileError, match=match):
+        parse(doc)
+
+
 # ------------------------------------------------------------------ CLI: pure
 
 def _write(path, doc):
@@ -428,6 +444,30 @@ def test_cli_verify_passes(capsys):
 def test_cli_verify_loose_tolerance(capsys):
     assert main(["verify", "--restarts", "1", "--seed", "0", "--tol", "1e-1"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code, shown", [
+    (["mixture", *STD_ARGS[:4], "--c", "1", "--d", "0", "--f", "0", "--p", "0.5"], 0,
+     "limit     = degenerate_w"),
+    (["roof", "{kraus}"], 2, "error: roof expects a pure, ensemble or density file"),
+    (["slocc", "{product}", "{kraus}"], 0,
+     "outcome 1:\n  probability = 0\n  empty outcome (probability below threshold)\n"),
+    (["verify", "--restarts", "1", "--seed", "0", "--tol", "0"], 1, "[FAIL] "),
+], ids=["mixture-limit", "roof-of-kraus", "slocc-empty", "verify-fails"])
+def test_cli_rare_outputs(argv, code, shown, tmp_path, capsys):
+    """A degenerate-W mixture prints its limit case; ``roof`` of a Kraus file
+    exits 2; |000> measured by the projectors |0><0| and |1><1| on A prints
+    the second outcome as empty; ``verify`` at tolerance 0 exits 1 with FAIL
+    rows."""
+    product = rt.PureState(np.eye(8)[0])
+    projectors = rt.MeasurementSet((rt.LocalOperator(np.diag([1.0, 0.0]), "A"),
+                                    rt.LocalOperator(np.diag([0.0, 1.0]), "A")))
+    paths = {"kraus": _write(tmp_path / "kraus.json", stateio.kraus_to_doc(projectors)),
+             "product": _write(tmp_path / "product.json",
+                               stateio.ensemble_to_doc(rt.WeightedEnsemble(((1.0, product),))))}
+    assert main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert shown in captured.out + captured.err
 
 
 # ----------------------------------------------------------------- CLI: sweep

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,12 @@ def test_all_zero_outcome_marker():
     assert not outcomes[0].empty
     assert outcomes[1].empty
     assert outcomes[1].post_ensemble is None
+
+
+@pytest.mark.parametrize("tau_input", [0.0, -0.25])
+def test_noncovariance_needs_a_positive_input_tangle(tau_input):
+    """The report divides by the input's tau, so a fixture whose tau is not
+    positive is refused."""
+    fx = dataclasses.replace(rt.counterexample_fixture(), tau_input=tau_input)
+    with pytest.raises(rt.ValidationError, match="tau_input must be positive"):
+        rt.verify_tangle_noncovariance(fx)

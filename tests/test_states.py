@@ -247,3 +247,30 @@ def test_permute_qubits():
     assert swapped.amp[2] == psi.amp[4]
     with pytest.raises(rt.ValidationError):
         rt.permute_qubits(psi, (0, 0, 2))
+
+
+def _unit_is_itself():
+    psi = ghz_state()
+    return psi.unit() is psi
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: rt.PureState(np.ones(4)), "PureState: expected shape"),
+    (_unit_is_itself, None),
+    (lambda: rt.PureState(np.zeros(8), normalized=False).unit(), "annihilated"),
+    (lambda: rt.WeightedEnsemble(()), "at least one member"),
+    (lambda: rt.WeightedEnsemble(((1.0, ghz_state().amp),)), "member 0 is not a PureState"),
+    (lambda: rt.LocalOperator(np.eye(2), "D"), "target must be one of"),
+    (lambda: rt.MeasurementSet(()), "at least one operator"),
+], ids=["shape", "unit-of-unit", "annihilated", "no-member", "not-a-state", "target",
+        "no-operator"])
+def test_value_types_check_their_fields(call, match):
+    """A wrong shape, the unit of an annihilated state, an empty ensemble or
+    measurement, a member that is not a PureState and an unknown target are
+    refused; a normalized state is its own unit (match None: the call
+    returns True)."""
+    if match is None:
+        assert call()
+        return
+    with pytest.raises(rt.ValidationError, match=match):
+        call()

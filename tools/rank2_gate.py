@@ -1,9 +1,10 @@
 """The rank-2 gate: 760 certified solves and what the linear program spent.
 
 Six sets of 30 random rank-2 states (``_random_rank2`` of rngs 2026, 7, 11
-and 12 and ``_random_rank2_gram`` of rngs 2026 and 7, the generators of
-``tests/test_roof.py``) and 200 ``freeze.biseparable`` states of rng 4242,
-each solved by ``roof_minimize`` with default options for both functionals.
+and 12 and ``_random_rank2_gram`` of rngs 2026 and 7) and 200
+``biseparable`` states of rng 4242, all from the test corpus
+``tests/freeze.py``, each solved by ``roof_minimize`` with default options
+for both functionals.
 Prints per set and in total:
 
 - ``solves``, ``certified`` (``converged``) and ``searched``
@@ -42,8 +43,7 @@ import numpy as np  # noqa: E402
 
 import rtangle as rt  # noqa: E402
 from rtangle import lp, roof  # noqa: E402
-from freeze import biseparable  # noqa: E402
-from test_roof import _random_rank2, _random_rank2_gram  # noqa: E402
+from freeze import _random_rank2, _random_rank2_gram, biseparable  # noqa: E402
 
 SETS = [(_random_rank2, 2026, 30), (_random_rank2, 7, 30), (_random_rank2, 11, 30),
         (_random_rank2, 12, 30), (_random_rank2_gram, 2026, 30), (_random_rank2_gram, 7, 30),

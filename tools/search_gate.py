@@ -14,7 +14,7 @@ the ``kernels`` module at call time, so the count is taken by wrapping
 
 The roof is invariant under local unitaries, so every frame poses the one
 problem whose best-known value ``tests/freeze.py`` freezes (the lowest of
-long searches, ``SQRT_TAU_GENERIC_R3`` and the like).  Exits 1 if any solve
+long searches, in ``GENERIC_ROOFS``, the table the tests read).  Exits 1 if any solve
 ends more than ``TOL`` (1e-5) above it, or counts no kernel call: a search
 that bypassed ``kernels.roof_value_grad`` would escape the count and the
 benchmark's per-layer metrics alike.
@@ -42,11 +42,8 @@ import numpy as np  # noqa: E402
 
 import rtangle as rt  # noqa: E402
 from rtangle import kernels  # noqa: E402
-from freeze import (SQRT_TAU_GENERIC_R3, SQRT_TAU_GENERIC_R4, TAU_GENERIC_R3,  # noqa: E402
-                    TAU_GENERIC_R4, generic_base, local_frames)
+from freeze import GENERIC_ROOFS as BEST, generic_base, local_frames  # noqa: E402
 
-BEST = {(3, "sqrt_tau"): SQRT_TAU_GENERIC_R3, (3, "tau"): TAU_GENERIC_R3,
-        (4, "sqrt_tau"): SQRT_TAU_GENERIC_R4, (4, "tau"): TAU_GENERIC_R4}
 FRAMES = 8
 RESTARTS = 5
 TOL = 1e-5
