@@ -1614,6 +1614,27 @@ def test_orbit_recognizes_general_measurement_outcomes():
             assert abs(res.lower_bound - out.alpha * roof_in) <= 1e-12
 
 
+def test_general_measurement_covariance_at_oracle_level():
+    """For a non-diagonal Kraus operator the outcome leaves the GHZ/W
+    family, so the closed form no longer applies; the roof values
+    themselves must still scale with alpha."""
+    rng = np.random.default_rng(21)
+    mix = std_mixture(0.8)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    m0 = 0.6 * z / np.linalg.norm(z, 2)
+    rest = np.eye(2) - m0.conj().T @ m0
+    lam, vec = np.linalg.eigh(rest)
+    m1 = (vec * np.sqrt(np.maximum(lam, 0))) @ vec.conj().T
+    ms = rt.MeasurementSet((rt.LocalOperator(m0, "A"), rt.LocalOperator(m1, "A")))
+    roof_in = rt.roof_minimize(mix.density(), "sqrt_tau", rt.RoofOptions(restarts=8)).value
+    for out in rt.measure(mix.ensemble(), ms):
+        if out.empty:
+            continue
+        roof_out = rt.roof_minimize(out.post_density, "sqrt_tau",
+                                    rt.RoofOptions(restarts=8)).value
+        assert abs(roof_out - out.alpha * roof_in) <= 1e-2
+
+
 def test_orbit_analysis_rejects_non_orbit_states():
     """Random rank-2 states, the generic-roof rank-2 base state, a GHZ/W
     pair with an off-diagonal coherence, which keeps I = 0 but has no
