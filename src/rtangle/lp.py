@@ -16,10 +16,12 @@ each root as a chart point.
 
 The dual bound's offset is found numerically (grid, roots of the quartic,
 Newton steps from the lowest points), so the program certifies to working
-precision; it is not a proof.  A program takes two to three milliseconds:
-Newton steps on its optimality conditions move the support before it is
-priced, the second solve of a round starts from the moved support, and
-most programs close at their first pricing pass.
+precision; it is not a proof.  A program takes one and a half to two
+milliseconds (the counterexample pair, tau): Newton steps on its
+optimality conditions move the support before it is priced, the second
+solve of a round starts from the moved support, and most programs close
+at their first pricing pass.  Each Newton step evaluates its points once,
+for all of their starts at a time.
 
 The simplex and its columns (:func:`_simplex`, :func:`_feasible`,
 :class:`_Columns`, :func:`_warm_start`) and the KKT refinement
@@ -57,38 +59,37 @@ def _unchart(z, flip):
     return v / np.sqrt(1.0 + _abs2(z))[:, None]
 
 
-def _chart_terms(z, flip):
-    """At chart points (z, flip): n = 1 + |z|^2, u = 2 z / n and a0 =
-    |v0|^2 = 1 / n of the unit vector v in the chart z = v1 / v0, and
-    u = 2 z* / n and a0 = |z|^2 / n in the chart z = v0 / v1."""
-    n = 1.0 + z.real * z.real + z.imag * z.imag
-    return n, 2.0 * np.where(flip, np.conj(z), z) / n, np.where(flip, n - 1.0, 1.0) / n
+def _chart_basis(z, flip):
+    """The constraint rows a = (|v0|^2, |v1|^2, 2 Re(v0* v1), 2 Im(v0* v1))
+    of the unit vectors v = _unchart(z, flip), the coordinates of v v^H, and
+    their derivatives in Re z and Im z, as one (3, len(z), 4) array.  In the
+    chart z = v1 / v0, with r = 1 / (1 + |z|^2), w = 2 r and u = w z, a =
+    (r, 1 - r, Re u, Im u), whose derivative in x = Re z or Im z is
+    (-x w r, x w r, w (e - x u)), e = 1 or i, as a complex number in its
+    last two entries.  In the chart z = v0 / v1 the row is the same with
+    its first two entries swapped and its last negated."""
+    s, t = z.real, z.imag
+    r = 1.0 / (1.0 + s * s + t * t)
+    w = r + r
+    u, wr = w * z, w * r
+    a = np.empty((3, len(z), 4))
+    pair = a.view(complex)  # the last two entries as one complex number
+    a[0, :, 0], a[0, :, 1], pair[0, :, 1] = r, 1.0 - r, u
+    a[1, :, 1], a[2, :, 1] = s * wr, t * wr
+    a[1:, :, 0] = -a[1:, :, 1]
+    pair[1, :, 1], pair[2, :, 1] = w * (1.0 - s * u), w * (1j - t * u)
+    return np.where(flip[:, None], a @ _FLIP_ROWS, a)
 
 
 def _chart_rows(z, flip):
-    """The constraint rows a = (|v0|^2, |v1|^2, 2 Re(v0* v1), 2 Im(v0* v1))
-    of the unit vectors v = _unchart(z, flip), the coordinates of v v^H, as
-    the rows view (len(z), 4) of a (4, len(z)) array, the layout the
-    program's columns take (:class:`_Columns`).  With n = 1 + |z|^2 and z*
-    the conjugate, a = (1, |z|^2, 2 Re z, 2 Im z) / n in the chart z = v1 /
-    v0 and (|z|^2, 1, 2 Re z*, 2 Im z*) / n in the chart z = v0 / v1."""
-    _, u, a0 = _chart_terms(z, flip)
-    return np.stack((a0, 1.0 - a0, u.real, u.imag)).T
+    """The constraint rows of the unit vectors v = _unchart(z, flip), the
+    first of :func:`_chart_basis`, (len(z), 4)."""
+    return _chart_basis(z, flip)[0]
 
 
-def _chart_basis(z, flip):
-    """The constraint rows of the unit vectors v = _unchart(z, flip) (see
-    :func:`_chart_rows`, whose values they are bit for bit) and their
-    derivatives in Re z and Im z, as one (3, len(z), 4) array."""
-    s, t = z.real, z.imag
-    n, u, a0 = _chart_terms(z, flip)
-    d0 = np.where(flip, 2.0, -2.0) / (n * n)  # a0 has the gradient d0 (Re z, Im z)
-    u_s, u_t = (2.0 - 2.0 * s * u) / n, (np.where(flip, -2j, 2j) - 2.0 * t * u) / n
-    a = np.stack((a0, 1.0 - a0, u.real, u.imag, d0 * s, -d0 * s, u_s.real, u_s.imag,
-                  d0 * t, -d0 * t, u_t.real, u_t.imag), axis=-1)
-    return a.reshape(-1, 3, 4).swapaxes(0, 1)
-
-
+# a chart z = v1 / v0 row as the row of the same point in the chart z = v0 /
+# v1: its first two entries swapped and its last negated
+_FLIP_ROWS = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
 _POWERS = np.arange(5)
 # _TAYLOR[d] maps the coefficients of z^0 .. z^4 of a quartic to those of its
 # d-th derivative, d = 0, 1, 2
@@ -119,7 +120,7 @@ _BLOCH_GRID = np.stack(np.meshgrid(_BLOCH_THETA, _BLOCH_PHI, indexing="ij"),
 _BLOCH_Z, _BLOCH_FLIP = _chart(np.stack(
     (np.cos(_BLOCH_GRID[:, 0] / 2.0), np.exp(1j * _BLOCH_GRID[:, 1]) * np.sin(_BLOCH_GRID[:, 0] / 2.0)),
     axis=-1))
-_BLOCH_ROWS = _chart_rows(_BLOCH_Z, _BLOCH_FLIP)
+_BLOCH_ROWS = np.ascontiguousarray(_chart_rows(_BLOCH_Z, _BLOCH_FLIP).T).T
 # q at those unit vectors is sum_k q_k cos^k(theta/2) sin^(4-k)(theta/2)
 # e^(i (4-k) phi), so on the mesh it is (_BLOCH_POLAR * q) @ _BLOCH_AZIMUTH.T,
 # from the monomials of the 61 polar and the 120 azimuthal angles
@@ -159,15 +160,6 @@ _KKT_SEP = 1e-6
 # the distances from a root of q in the support at which pricing starts
 # beside it: 1/3, 1/9 and 1/27 of a grid step in the chart
 _CUSP_RADII = _BLOCH_STEP / 3.0 ** np.arange(1, 4)
-
-
-def _affine(z, x0, x1, xi):
-    """l = (x0 + x1 |z|^2 + 2 Re(xi z)) / (1 + |z|^2) at chart points z,
-    and its Wirtinger derivative l_z."""
-    zz = _abs2(z)
-    n = 1.0 + zz
-    l = (x0 + x1 * zz + 2.0 * (xi * z).real) / n
-    return l, ((x1 - l) * np.conj(z) + xi) / n
 
 
 class _Range:
@@ -253,35 +245,37 @@ class _Range:
         """The lower bound of X, given the lowest f - l found on the sphere."""
         return self.lam[0] * X[0] + self.lam[1] * X[1] - max(0.0, -lowest)
 
-    def coefficients(self, X, flip):
-        """The coefficients of f - l in the charts ``flip``: per point the
-        rows of Q, Q' and Q'' on (1, z, .., z^4), (n, 3, 5), then x0, x1 and
-        xi."""
-        xi = X[2] - 1j * X[3]
-        return (self.taylor[flip.astype(int)], np.where(flip, X[1], X[0]),
-                np.where(flip, X[0], X[1]), np.where(flip, np.conj(xi), xi))
-
-    def excess(self, z, taylor, x0, x1, xi):
-        """g = f - l at chart points z, given their charts' coefficients
-        (see :meth:`coefficients`), and its Wirtinger derivatives g_z, g_zz*
-        (d^2 g / dz dz*, real) and g_zz.  The gradient in (Re z, Im z) is
-        2 conj(g_z) as a complex number, and the Hessian is
-        2 [[g_zz* + Re g_zz, -Im g_zz], [-Im g_zz, g_zz* - Re g_zz]].  The
-        derivatives hold off the roots of Q, where f is not smooth."""
-        n = 1.0 + _abs2(z)
-        Q, Q1, Q2 = (taylor @ (z[:, None] ** _POWERS)[..., None])[..., 0].T
-        a, b = (0.5, 1.0) if self.use_sqrt else (1.0, 2.0)
-        f = self._of_q(np.abs(Q)) / n ** b
-        l, l_z = _affine(z, x0, x1, xi)
-        with np.errstate(divide="ignore", invalid="ignore"):  # not finite on a root
-            R = Q1 / Q
-            # f = K exp(phi), phi = a log|Q| - b log n, and log|Q| is harmonic
-            zc = np.conj(z)
-            phi_z = 0.5 * a * R - b * zc / n
-            f_zz = f * (0.5 * a * (Q2 / Q - R * R) + b * zc * zc / n ** 2 + phi_z * phi_z)
-            g_z = f * phi_z - l_z
-            g_zc = f * (_abs2(phi_z) - b / n ** 2) - (x1 - l - 2.0 * (z * l_z).real) / n
-        return f - l, g_z, g_zc, f_zz + 2.0 * zc * l_z / n
+    def excess(self, X, z, flip):
+        """One evaluation of g = f - l at the chart points (z, flip), for the
+        dual X: the stack (z, g, g_z, g_zz*, g_zz), (5, len(z)) complex, of
+        the points, g and its Wirtinger derivatives g_z, g_zz* (d^2 g / dz
+        dz*, real) and g_zz.  The gradient in (Re z, Im z) is 2 conj(g_z) as
+        a complex number, and the Hessian is 2 [[g_zz* + Re g_zz, -Im g_zz],
+        [-Im g_zz, g_zz* - Re g_zz]].  The derivatives hold off the roots of
+        Q, where f is not smooth and they are not finite: the callers
+        silence the warnings.  It all comes from r = 1 / n, n = 1 + |z|^2,
+        one evaluation of Q, Q' and Q'' in each point's chart and that
+        chart's l n = x0 + x1 |z|^2 + 2 Re(xi z): with p = l - x1, l_z =
+        (xi - p z*) / n and l_zz* = (x0 - x1 - 2 p) / n^2."""
+        chart = flip.astype(int)
+        X0, X1, X2, X3 = X.tolist()
+        d, x1, xi = np.array(((X0 - X1, X1 - X0), (X1, X0), (X2 - 1j * X3, X2 + 1j * X3)))[:, chart]
+        zc = np.conj(z)
+        r = 1.0 / (1.0 + z * zc)
+        Q = (self.taylor[chart] @ (z[:, None] ** _POWERS)[..., None])[..., 0].T
+        h, b = (0.25, 1.0) if self.use_sqrt else (0.5, 2.0)  # a / 2 and b
+        R, rr, zr = Q[1:] / Q[0], r * r, zc * r
+        f = self._of_q(np.abs(Q[0])) * (r if self.use_sqrt else rr)
+        # f = K exp(phi), phi = a log|Q| - b log n, and log|Q| is harmonic
+        phi_z = h * R[0] - b * zr
+        xz = xi * z
+        p = (d + xz + np.conj(xz)) * r
+        l_z = (xi - p * zc) * r
+        G = np.empty((5, len(z)), complex)
+        G[0], G[1], G[2] = z, f - x1 - p, f * phi_z - l_z
+        G[3] = f * (phi_z * np.conj(phi_z) - b * rr) - (d - p - p) * rr
+        G[4] = f * (h * (R[1] - R[0] * R[0]) + b * zr * zr + phi_z * phi_z) + 2.0 * zr * l_z
+        return G
 
     def lowest(self, X, on_grid: np.ndarray, z, flip, cost):
         """Lowest f - l over the grid (``on_grid``, its values there), the
@@ -296,43 +290,47 @@ class _Range:
         Each step is the Newton step where the Hessian of f - l is positive
         definite and a steepest-descent step elsewhere, at most one grid
         step long in the chart.  It is taken only where f - l falls, and
-        halved where it would not."""
+        halved where it would not.  Each start's state, its point, g and
+        g's derivatives, is a column of one stack (:meth:`excess`), so a
+        step is taken with one ``np.where``."""
         cusp = self.on_root(cost)
-        # f rises off a root equally in every direction, so f - l falls
-        # fastest along the gradient of l, 2 conj(l_z)
-        l_z = _affine(z[cusp], *self.coefficients(X, flip[cusp])[1:])[1]
-        off = z[cusp, None] + np.exp(-1j * np.angle(l_z))[:, None] * _CUSP_RADII
         start = np.argpartition(on_grid, 8)[:8]
-        z = np.concatenate((z[~cusp], off.ravel(), _BLOCH_Z[start]))
-        flip = np.concatenate((flip[~cusp], np.repeat(flip[cusp], _CUSP_RADII.size),
-                               _BLOCH_FLIP[start]))
-        coef = self.coefficients(X, flip)
-        g, g_z, g_zc, g_zz = self.excess(z, *coef)
+        roots, k = (z[cusp], flip[cusp]), np.count_nonzero(~cusp)
+        z, flip = np.concatenate((z[~cusp], _BLOCH_Z[start])), np.concatenate((flip[~cusp], _BLOCH_FLIP[start]))
+        if len(roots[0]):
+            # f rises off a root equally in every direction, so f - l falls
+            # fastest along the gradient of l, l_s + i l_t
+            l_s, l_t = _chart_basis(*roots)[1:] @ X
+            off = roots[0][:, None] + np.exp(1j * np.angle(l_s + 1j * l_t))[:, None] * _CUSP_RADII
+            z = np.insert(z, k, off.ravel())
+            flip = np.insert(flip, k, np.repeat(roots[1], _CUSP_RADII.size))
         # the root, basic, has f - l = 0: a start beside it that is no lower
         # would only step back to its cusp, and does not start
-        beside = np.repeat([False, True, False], (np.count_nonzero(~cusp), off.size, start.size))
-        scale = np.where(beside & (g >= 0.0), 0.0, 1.0)
-        columns = [(z[:0], flip[:0])]  # a round may take no step
-        for _ in range(_NEWTON_STEPS):
-            # the Newton step d solves g_zz* d + conj(g_zz) conj(d) = -conj(g_z)
-            det = g_zc * g_zc - _abs2(g_zz)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where((g_zc > 0.0) & (det > 0.0),
-                                (np.conj(g_zz) * g_z - g_zc * np.conj(g_z)) / det,
-                                -_BLOCH_STEP * np.conj(g_z) / np.abs(g_z))
+        scale, beside = np.ones(len(z)), slice(k, len(z) - 8)
+        # the points each step moved to, the next round's columns
+        moved, taken = np.empty((_NEWTON_STEPS, len(z)), complex), np.zeros((_NEWTON_STEPS, len(z)), bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            state = self.excess(X, z, flip)
+            scale[beside][state[1, beside].real >= 0.0] = 0.0
+            for n in range(_NEWTON_STEPS):
+                z, g, g_z, g_zc, g_zz = state
+                g_zc, down = g_zc.real, np.conj(g_z)
+                # the Newton step d solves g_zz* d + conj(g_zz) conj(d) = -conj(g_z)
+                det = g_zc * g_zc - (g_zz * np.conj(g_zz)).real
+                step = np.where((g_zc > 0.0) & (det > 0.0), (np.conj(g_zz * down) - g_zc * down) / det,
+                                down * (-_BLOCH_STEP / np.abs(g_z)))
                 length = np.abs(step)
                 step *= scale * np.minimum(1.0, _BLOCH_STEP / length)
-            live = (length * scale > _NEWTON_TOL) & (scale >= 0.5 ** _NEWTON_HALVINGS)
-            if not live.any():
-                break
-            trial = np.where(live, z + step, z)
-            new = self.excess(trial, *coef)
-            better = live & (new[0] < g)
-            z, g, g_z, g_zc, g_zz = (np.where(better, v, u)
-                                     for u, v in zip((z, g, g_z, g_zc, g_zz), (trial,) + new))
-            scale = np.where(better, 1.0, 0.5 * scale)
-            columns.append((z[better], flip[better]))
-        return min(on_grid.min(), g.min()), tuple(np.concatenate(v) for v in zip(*columns))
+                live = (length * scale > _NEWTON_TOL) & (scale >= 0.5 ** _NEWTON_HALVINGS)
+                if not live.any():
+                    break
+                # a start that is not live may be evaluated, but is not moved
+                new = self.excess(X, z + step, flip)
+                taken[n] = better = live & (new[1].real < g.real)
+                state = np.where(better, new, state)
+                moved[n] = state[0]
+                scale = np.where(better, 1.0, 0.5 * scale)
+        return min(on_grid.min(), state[1].real.min()), (moved[taken], np.broadcast_to(flip, taken.shape)[taken])
 
     def _refine(self, X, w, z, flip, a, cost):
         """Newton steps on the program's KKT system from its support, the
@@ -361,31 +359,36 @@ class _Range:
         evaluated once, for the separation test and the columns alike."""
         move = ~self.on_root(cost)
         support, A = a, a.copy()
-        z, flip, taylor = z[move], flip[move], self.taylor[flip[move].astype(int)]
+        z, flip = z[move], flip[move]
         d, k, m = len(X), len(w), len(z)
         # the unknowns (J's columns) and the residuals F (its rows) come in
         # one order: X and the mixing (d, the program's rows), w and the
-        # complementarity, then Re z (i) and Im z (j) of the moving points and
-        # their stationarity; ``at`` are the moving points' complementarity rows
-        i = d + k + np.arange(m)
-        j, at = i + m, d + np.flatnonzero(move)
+        # complementarity, then Re z and Im z of the moving points and their
+        # stationarity.  ``cells`` are where g's gradient and Hessian go in J:
+        # the moving points' complementarity rows (``at``), then the 2 x 2
+        # blocks of their stationarity rows (Re z at i, Im z at j)
+        at, i = d + np.flatnonzero(move), d + k + np.arange(m)
+        j = i + m
+        cells = (np.concatenate((at, at, i, j, i, j)), np.concatenate((i, j, i, j, j, i)))
         J = np.zeros((d + k + 2 * m,) * 2)
         moved = False
         for _ in range(_KKT_STEPS if m else 0):  # with no point to move, none to propose
-            a, a_s, a_t = _chart_basis(z, flip)
-            A[move] = a
-            g, g_z, g_zc, g_zz = self.excess(z, taylor, *self.coefficients(X, flip)[1:])
+            a = _chart_basis(z, flip)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _, g, g_z, g_zc, g_zz = self.excess(X, z, flip)
+            A[move] = a[0]
             slack = cost - A @ X
-            slack[move] = g
-            F = np.concatenate((A.T @ w - self.b, slack, 2.0 * g_z.real, -2.0 * g_z.imag))
+            slack[move] = g.real
+            grad = 2.0 * np.conj(g_z)  # (d/d Re z, d/d Im z) of g as one complex number
+            F = np.concatenate((A.T @ w - self.b, slack, grad.real, grad.imag))
             if not np.isfinite(F).all() or np.abs(F).max() <= _KKT_TOL:
                 break
             J[:d, d:d + k], J[d:d + k, :d] = A.T, -A
-            J[:d, i], J[:d, j] = w[move] * a_s.T, w[move] * a_t.T
-            J[at, i], J[at, j] = F[i], F[j]
-            J[i, :d], J[j, :d] = -a_s, -a_t
-            J[i, i], J[j, j] = 2.0 * (g_zc + g_zz.real), 2.0 * (g_zc - g_zz.real)
-            J[i, j] = J[j, i] = -2.0 * g_zz.imag
+            J[d + k:, :d] = -a[1:].reshape(-1, d)
+            J[:d, d + k:] = (w[move, None] * a[1:]).reshape(-1, d).T
+            g_zc, g_zz = 2.0 * g_zc.real, 2.0 * g_zz
+            J[cells] = np.concatenate((grad.real, grad.imag, g_zc + g_zz.real, g_zc - g_zz.real,
+                                       -g_zz.imag, -g_zz.imag))
             if not np.isfinite(J).all():
                 break
             step = np.linalg.lstsq(J, -F, rcond=_KKT_RCOND)[0]

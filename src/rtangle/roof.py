@@ -49,7 +49,7 @@ certifies the spectral decomposition.
 The program's bound holds to working precision, not as a proof; the
 closed form is exact for the recognized frame, which holds to
 ``ghzw._ORBIT_TOL``.  A zero-branch or an orbit solve takes about half a
-millisecond, a linear program two to three.
+millisecond, a linear program one and a half to two.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.  Unless a bracket closed at once, the

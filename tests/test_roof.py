@@ -52,6 +52,43 @@ def _basis(c, y):
                     axis=-1)
 
 
+def _chart_basis_ref(z, flip):
+    """The constraint rows of the chart points (z, flip) and their
+    derivatives in Re z and Im z, (3, n, 4), in the form the program held
+    before its evaluation was stacked: the reference for
+    :func:`lp._chart_basis`."""
+    s, t = z.real, z.imag
+    n = 1.0 + s * s + t * t
+    u, a0 = 2.0 * np.where(flip, np.conj(z), z) / n, np.where(flip, n - 1.0, 1.0) / n
+    d0 = np.where(flip, 2.0, -2.0) / (n * n)
+    u_s, u_t = (2.0 - 2.0 * s * u) / n, (np.where(flip, -2j, 2j) - 2.0 * t * u) / n
+    a = np.stack((a0, 1.0 - a0, u.real, u.imag, d0 * s, -d0 * s, u_s.real, u_s.imag,
+                  d0 * t, -d0 * t, u_t.real, u_t.imag), axis=-1)
+    return a.reshape(-1, 3, 4).swapaxes(0, 1)
+
+
+def _excess_ref(sphere, X, z, flip):
+    """g = f - l at the chart points (z, flip) and its Wirtinger derivatives
+    (g_z, g_zz*, g_zz), in the form the program held before its evaluation
+    was stacked: the reference for :meth:`lp._Range.excess`."""
+    xi = X[2] - 1j * X[3]
+    taylor = sphere.taylor[flip.astype(int)]
+    x0, x1, xi = np.where(flip, X[1], X[0]), np.where(flip, X[0], X[1]), np.where(flip, np.conj(xi), xi)
+    zz = z.real ** 2 + z.imag ** 2
+    n = 1.0 + zz
+    Q, Q1, Q2 = (taylor @ (z[:, None] ** np.arange(5))[..., None])[..., 0].T
+    a, b = (0.5, 1.0) if sphere.use_sqrt else (1.0, 2.0)
+    f = sphere._of_q(np.abs(Q)) / n ** b
+    l = (x0 + x1 * zz + 2.0 * (xi * z).real) / n
+    l_z = ((x1 - l) * np.conj(z) + xi) / n
+    R, zc = Q1 / Q, np.conj(z)
+    phi_z = 0.5 * a * R - b * zc / n
+    f_zz = f * (0.5 * a * (Q2 / Q - R * R) + b * zc * zc / n ** 2 + phi_z * phi_z)
+    g_z = f * phi_z - l_z
+    g_zc = f * (np.abs(phi_z) ** 2 - b / n ** 2) - (x1 - l - 2.0 * (z * l_z).real) / n
+    return f - l, g_z, g_zc, f_zz + 2.0 * zc * l_z / n
+
+
 def _without_orbit(monkeypatch):
     """Switch the closed form of recognized GHZ/W images off, so the linear
     program runs on them."""
@@ -1356,11 +1393,11 @@ def test_pricing_derivatives_match_central_differences():
             assert away.sum() >= 10
             z, flip = lp._chart(V[away])
             assert flip.any() and not flip.all()
-            coef = sphere.coefficients(X, flip)
-            g, g_z, g_zc, g_zz = sphere.excess(z, *coef)
+            _, g, g_z, g_zc, g_zz = sphere.excess(X, z, flip)
+            g, g_zc = g.real, g_zc.real
 
             def G(dz):
-                return sphere.excess(z + dz, *coef)[0]
+                return sphere.excess(X, z + dz, flip)[1].real
 
             grad = (G(h) - G(-h) + 1j * (G(1j * h) - G(-1j * h))) / (2.0 * h)
             hess_ss = (G(h) - 2.0 * g + G(-h)) / h ** 2
@@ -1371,6 +1408,32 @@ def test_pricing_derivatives_match_central_differences():
             assert np.abs(hess_ss - 2.0 * (g_zc + g_zz.real)).max() <= 1e-4 * scale.max()
             assert np.abs(hess_tt - 2.0 * (g_zc - g_zz.real)).max() <= 1e-4 * scale.max()
             assert np.abs(hess_st + 2.0 * g_zz.imag).max() <= 1e-4 * scale.max()
+
+
+def test_one_pass_evaluation_matches_the_reference_forms():
+    """The stacked evaluation of the program's points, `lp._chart_basis`
+    (rows and their derivatives) and `lp._Range.excess` (g and its
+    Wirtinger derivatives), matches the forms it replaced to 1e-12 of each
+    quantity's largest value, at random chart points off the roots of q in
+    both charts, on random rank-2 states and both functionals."""
+    rng = np.random.default_rng(65)
+    for rho in [_random_rank2(rng) for _ in range(3)] + [_random_rank2_gram(rng) for _ in range(3)]:
+        B = eigen_factor(rho)
+        for use_sqrt in (True, False):
+            sphere = _range(B, use_sqrt)
+            X = rng.standard_normal(4)
+            z = rng.uniform(0.0, 1.2, 40) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
+            flip = np.arange(40) >= 20
+            root_z, root_flip = lp._chart(sphere.roots)
+            away = (np.abs(z[:, None] - root_z[None]) > 0.05).all(axis=1)
+            z, flip = z[away], flip[away]
+            assert flip.any() and not flip.all()
+            rows, want = lp._chart_basis(z, flip), _chart_basis_ref(z, flip)
+            assert np.abs(rows - want).max() <= 1e-12 * np.abs(want).max()
+            G = sphere.excess(X, z, flip)
+            assert np.array_equal(G[0], z)
+            for got, ref in zip(G[1:], _excess_ref(sphere, X, z, flip)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_simplex_dual_prices_its_basis_at_zero():
@@ -1496,7 +1559,8 @@ def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
     weights = np.linalg.lstsq(a.T, b, rcond=None)[0]
     assert weights.min() > 0.0 and np.abs(a.T @ weights - b).max() <= 1e-13
     # f - l and its gradient are linear in X: (f, f_s, f_t) - (a, a_s, a_t) @ X
-    f, f_z = sphere.excess(z, *sphere.coefficients(np.zeros(4), flip))[:2]
+    f, f_z = sphere.excess(np.zeros(4), z, flip)[1:3]
+    f = f.real
     rows = np.concatenate((a, a_s, a_t))
     values = np.concatenate((f, 2.0 * f_z.real, -2.0 * f_z.imag))
     X = np.linalg.lstsq(rows, values, rcond=None)[0]

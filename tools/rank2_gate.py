@@ -15,11 +15,16 @@ Prints per set and in total:
 - ``pivots2``: the iterations of each program's second simplex solve in
   its first round, the solve that starts from the refined support: one
   basis inverse each, so a solve that starts optimal makes one;
-- ``seconds``: the wall time spent in the linear program (``_lp_roof``).
+- ``evals``: the evaluations of f - l that pricing makes, the
+  ``_Range.excess`` calls inside ``_Range.lowest``;
+- ``seconds``: the wall time spent in the linear program (``_lp_roof``),
+  the median of ``--repeat`` passes over the 760 solves in one process,
+  with their minimum (``min_s``) and the median milliseconds per program
+  (``ms_prog``).
 
 Exits 1 if any solve is uncertified or ran the search.
 
-    python tools/rank2_gate.py [--save FILE] [--compare FILE]
+    python tools/rank2_gate.py [--repeat N] [--save FILE] [--compare FILE]
 
 ``--save`` writes each solve's value and bound, whether it reached the
 program, and a SHA-256 of its members' weights and amplitudes, as JSON.
@@ -48,7 +53,7 @@ from freeze import _random_rank2, _random_rank2_gram, biseparable  # noqa: E402
 SETS = [(_random_rank2, 2026, 30), (_random_rank2, 7, 30), (_random_rank2, 11, 30),
         (_random_rank2, 12, 30), (_random_rank2_gram, 2026, 30), (_random_rank2_gram, 7, 30),
         (biseparable, 4242, 200)]
-COUNTS = ("solves", "certified", "searched", "passes", "refused", "decided", "pivots2")
+COUNTS = ("solves", "certified", "searched", "passes", "refused", "decided", "pivots2", "evals")
 
 
 class _Probe:
@@ -59,7 +64,8 @@ class _Probe:
     def __init__(self):
         self.rounds = None  # the rounds of the running program, or None outside one
         self.seconds = 0.0
-        lp_roof, simplex, lowest = lp._lp_roof, lp._simplex, lp._Range.lowest
+        self.evals, self.pricing = 0, False
+        lp_roof, simplex, lowest, excess = lp._lp_roof, lp._simplex, lp._Range.lowest, lp._Range.excess
 
         def timed_lp_roof(sphere):
             self.rounds = [[]]
@@ -83,9 +89,18 @@ class _Probe:
 
         def counted_lowest(sphere, *args):
             self.rounds.append([])
-            return lowest(sphere, *args)
+            self.pricing = True
+            try:
+                return lowest(sphere, *args)
+            finally:
+                self.pricing = False
 
-        lp._lp_roof, lp._simplex, lp._Range.lowest = timed_lp_roof, counted_simplex, counted_lowest
+        def counted_excess(sphere, *args):
+            self.evals += self.pricing
+            return excess(sphere, *args)
+
+        lp._lp_roof, lp._simplex = timed_lp_roof, counted_simplex
+        lp._Range.lowest, lp._Range.excess = counted_lowest, counted_excess
 
     def take(self):
         """The rounds of the last program (None if none ran), and reset."""
@@ -108,11 +123,12 @@ def run():
         rng = np.random.default_rng(seed)
         states = [draw(rng) for _ in range(n)]
         counts = dict.fromkeys(COUNTS, 0)
-        probe.seconds = 0.0
+        probe.seconds, probe.evals, programs = 0.0, 0, 0
         for k, rho in enumerate(states):
             for functional in roof.FUNCTIONALS:
                 res = rt.roof_minimize(rho, functional)
                 rounds = probe.take()
+                programs += rounds is not None
                 counts["solves"] += 1
                 counts["certified"] += bool(res.converged)
                 counts["searched"] += res.restarts_used > 0
@@ -129,7 +145,8 @@ def run():
                                "functional": functional, "value": res.value,
                                "bound": res.lower_bound, "program": rounds is not None,
                                "digest": _digest(res)})
-        table.append((f"{draw.__name__}-{seed}", counts, probe.seconds))
+        counts["evals"] = probe.evals
+        table.append((f"{draw.__name__}-{seed}", counts, probe.seconds, programs))
     return table, solves
 
 
@@ -154,18 +171,27 @@ def _compare(solves, path):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=1, metavar="N",
+                    help="solve the 760 N times in one process; seconds is the median pass")
     ap.add_argument("--save", metavar="FILE", help="write each solve's value and bound as JSON")
     ap.add_argument("--compare", metavar="FILE", help="compare with a file written by --save")
     args = ap.parse_args(argv)
-    table, solves = run()
-    header = f"{'set':<24}" + "".join(f"{c:>10}" for c in COUNTS) + f"{'seconds':>10}"
-    print(header)
+    passes = [run() for _ in range(max(args.repeat, 1))]
+    (table, solves), seconds = passes[0], [[t[2] for t in p[0]] for p in passes]
+    header = f"{'set':<24}" + "".join(f"{c:>10}" for c in COUNTS)
+    print(header + f"{'seconds':>10}{'min_s':>10}{'ms_prog':>10}")
     total = dict.fromkeys(COUNTS, 0)
-    for name, counts, seconds in table + [("total", total, sum(t[2] for t in table))]:
+    rows = [(name, counts, [s[k] for s in seconds], programs)
+            for k, (name, counts, _, programs) in enumerate(table)]
+    rows.append(("total", total, [sum(s) for s in seconds], sum(r[3] for r in rows)))
+    for name, counts, times, programs in rows:
         if name != "total":
             for c in COUNTS:
                 total[c] += counts[c]
-        print(f"{name:<24}" + "".join(f"{counts[c]:>10}" for c in COUNTS) + f"{seconds:>10.3f}")
+        median = float(np.median(times))
+        per = f"{1e3 * median / programs:>10.3f}" if programs else f"{'-':>10}"
+        print(f"{name:<24}" + "".join(f"{counts[c]:>10}" for c in COUNTS)
+              + f"{median:>10.3f}{min(times):>10.3f}" + per)
     if args.save:
         with open(args.save, "w") as fh:
             json.dump({"solves": solves}, fh)
