@@ -16,12 +16,13 @@ each root as a chart point.
 
 The dual bound's offset is found numerically (grid, roots of the quartic,
 Newton steps from the lowest points), so the program certifies to working
-precision; it is not a proof.  A program takes one and a half to two
-milliseconds (the counterexample pair, tau): Newton steps on its
-optimality conditions move the support before it is priced, the second
-solve of a round starts from the moved support, and most programs close
-at their first pricing pass.  Each Newton step evaluates its points once,
-for all of their starts at a time.
+precision; it is not a proof.  A program takes about one and a half
+milliseconds (the counterexample pair, tau; a third of it the two least
+squares steps and the simplex pivots): Newton steps on its optimality
+conditions move the support before it is priced, the second solve of a
+round starts from the moved support, and most programs close at their
+first pricing pass.  Each Newton step evaluates its points once, for all
+of their starts at a time.
 
 The simplex and its columns (:func:`_simplex`, :func:`_feasible`,
 :class:`_Columns`, :func:`_warm_start`) and the KKT refinement
@@ -59,37 +60,34 @@ def _unchart(z, flip):
     return v / np.sqrt(1.0 + _abs2(z))[:, None]
 
 
-def _chart_basis(z, flip):
+def _chart_basis(z, flip, blocks=3):
     """The constraint rows a = (|v0|^2, |v1|^2, 2 Re(v0* v1), 2 Im(v0* v1))
     of the unit vectors v = _unchart(z, flip), the coordinates of v v^H, and
-    their derivatives in Re z and Im z, as one (3, len(z), 4) array.  In the
-    chart z = v1 / v0, with r = 1 / (1 + |z|^2), w = 2 r and u = w z, a =
-    (r, 1 - r, Re u, Im u), whose derivative in x = Re z or Im z is
-    (-x w r, x w r, w (e - x u)), e = 1 or i, as a complex number in its
-    last two entries.  In the chart z = v0 / v1 the row is the same with
-    its first two entries swapped and its last negated."""
-    s, t = z.real, z.imag
-    r = 1.0 / (1.0 + s * s + t * t)
+    their derivatives in Re z and Im z, as one (3, len(z), 4) array, or its
+    first ``blocks``.  In the chart z = v1 / v0, with r = 1 / (1 + |z|^2),
+    w = 2 r and u = w z, a = (r, 1 - r, Re u, Im u), whose derivative in
+    x = Re z or Im z is (-x w r, x w r, w (e - x u)), e = 1 or i, as a
+    complex number in its last two entries.  In the chart z = v0 / v1 the
+    row is the same with its first two entries swapped and its last
+    negated."""
+    r = 1.0 / (1.0 + (z * z.conjugate()).real)
     w = r + r
-    u, wr = w * z, w * r
-    a = np.empty((3, len(z), 4))
+    u = w * z
+    a = np.empty((blocks, len(z), 4))
     pair = a.view(complex)  # the last two entries as one complex number
     a[0, :, 0], a[0, :, 1], pair[0, :, 1] = r, 1.0 - r, u
-    a[1, :, 1], a[2, :, 1] = s * wr, t * wr
-    a[1:, :, 0] = -a[1:, :, 1]
-    pair[1, :, 1], pair[2, :, 1] = w * (1.0 - s * u), w * (1j - t * u)
+    if blocks > 1:
+        x = np.ascontiguousarray(z).view(float).reshape(-1, 2).T  # Re z and Im z
+        a[1:, :, 1] = x * (w * r)
+        a[1:, :, 0] = -a[1:, :, 1]
+        pair[1:, :, 1] = w * (_UNITS - x * u)
     return np.where(flip[:, None], a @ _FLIP_ROWS, a)
-
-
-def _chart_rows(z, flip):
-    """The constraint rows of the unit vectors v = _unchart(z, flip), the
-    first of :func:`_chart_basis`, (len(z), 4)."""
-    return _chart_basis(z, flip)[0]
 
 
 # a chart z = v1 / v0 row as the row of the same point in the chart z = v0 /
 # v1: its first two entries swapped and its last negated
 _FLIP_ROWS = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+_UNITS = np.array([[1.0], [1j]])  # d z / d Re z and d z / d Im z
 _POWERS = np.arange(5)
 # _TAYLOR[d] maps the coefficients of z^0 .. z^4 of a quartic to those of its
 # d-th derivative, d = 0, 1, 2
@@ -120,7 +118,7 @@ _BLOCH_GRID = np.stack(np.meshgrid(_BLOCH_THETA, _BLOCH_PHI, indexing="ij"),
 _BLOCH_Z, _BLOCH_FLIP = _chart(np.stack(
     (np.cos(_BLOCH_GRID[:, 0] / 2.0), np.exp(1j * _BLOCH_GRID[:, 1]) * np.sin(_BLOCH_GRID[:, 0] / 2.0)),
     axis=-1))
-_BLOCH_ROWS = np.ascontiguousarray(_chart_rows(_BLOCH_Z, _BLOCH_FLIP).T).T
+_BLOCH_ROWS = np.ascontiguousarray(_chart_basis(_BLOCH_Z, _BLOCH_FLIP, 1)[0].T).T
 # q at those unit vectors is sum_k q_k cos^k(theta/2) sin^(4-k)(theta/2)
 # e^(i (4-k) phi), so on the mesh it is (_BLOCH_POLAR * q) @ _BLOCH_AZIMUTH.T,
 # from the monomials of the 61 polar and the 120 azimuthal angles
@@ -173,7 +171,7 @@ class _Range:
     is f(v) = 2 sqrt|q(v)| (sqrt-tau) or 4 |q(v)| (tau), with q the
     hyperdeterminant restricted to the range.  A Hermitian X gives the
     affine function l(v) = v^H X v = a @ (X_00, X_11, Re X_01, -Im X_01),
-    with a the constraint row of v (:func:`_chart_rows`).  If
+    with a the constraint row of v (:func:`_chart_basis`).  If
     f >= l - delta on the whole sphere, every decomposition of rho has a
     value of at least lambda_0 X_00 + lambda_1 X_11 - delta (Osterloh,
     Siewert & Uhlmann, PRA 77, 032310 (2008)).
@@ -215,7 +213,7 @@ class _Range:
         held = _Columns(len(self.b), 2 * len(_BLOCH_Z))
         mesh = (_BLOCH_POLAR * self.q) @ _BLOCH_AZIMUTH.T
         held.add(_BLOCH_Z, _BLOCH_FLIP, self._of_q(np.abs(mesh.ravel()[_BLOCH_KEPT])), _BLOCH_ROWS)
-        held.add(root_z, root_flip, root_f, _chart_rows(root_z, root_flip))
+        held.add(root_z, root_flip, root_f, _chart_basis(root_z, root_flip, 1)[0])
         return held
 
     def on_root(self, f):
@@ -245,37 +243,40 @@ class _Range:
         """The lower bound of X, given the lowest f - l found on the sphere."""
         return self.lam[0] * X[0] + self.lam[1] * X[1] - max(0.0, -lowest)
 
-    def excess(self, X, z, flip):
-        """One evaluation of g = f - l at the chart points (z, flip), for the
-        dual X: the stack (z, g, g_z, g_zz*, g_zz), (5, len(z)) complex, of
-        the points, g and its Wirtinger derivatives g_z, g_zz* (d^2 g / dz
-        dz*, real) and g_zz.  The gradient in (Re z, Im z) is 2 conj(g_z) as
-        a complex number, and the Hessian is 2 [[g_zz* + Re g_zz, -Im g_zz],
-        [-Im g_zz, g_zz* - Re g_zz]].  The derivatives hold off the roots of
-        Q, where f is not smooth and they are not finite: the callers
-        silence the warnings.  It all comes from r = 1 / n, n = 1 + |z|^2,
-        one evaluation of Q, Q' and Q'' in each point's chart and that
-        chart's l n = x0 + x1 |z|^2 + 2 Re(xi z): with p = l - x1, l_z =
-        (xi - p z*) / n and l_zz* = (x0 - x1 - 2 p) / n^2."""
-        chart = flip.astype(int)
+    def coefficients(self, X, flip):
+        """The coefficients of f - l in the charts ``flip``, for the dual X:
+        per point the rows of Q, Q' and Q'' on (1, z, .., z^4), (n, 3, 5),
+        then d = x0 - x1, x1 and xi of the chart's l n = x0 + x1 |z|^2 +
+        2 Re(xi z)."""
         X0, X1, X2, X3 = X.tolist()
-        d, x1, xi = np.array(((X0 - X1, X1 - X0), (X1, X0), (X2 - 1j * X3, X2 + 1j * X3)))[:, chart]
-        zc = np.conj(z)
-        r = 1.0 / (1.0 + z * zc)
-        Q = (self.taylor[chart] @ (z[:, None] ** _POWERS)[..., None])[..., 0].T
+        return (self.taylor[flip.astype(int)], np.where(flip, X1 - X0, X0 - X1),
+                np.where(flip, X0, X1), np.where(flip, complex(X2, X3), complex(X2, -X3)))
+
+    def excess(self, z, taylor, d, x1, xi):
+        """One evaluation of g = f - l at chart points z, given their
+        charts' coefficients (:meth:`coefficients`): the stack (z, g, g_z,
+        g_zz*, g_zz), (5, len(z)) complex, of the points, g and its
+        Wirtinger derivatives g_z, g_zz* (d^2 g / dz dz*, real) and g_zz.
+        The gradient in (Re z, Im z) is 2 conj(g_z) as a complex number, and
+        the Hessian is 2 [[g_zz* + Re g_zz, -Im g_zz], [-Im g_zz, g_zz* -
+        Re g_zz]].  The derivatives hold off the roots of Q, where f is not
+        smooth and they are not finite: the callers silence the warnings.
+        It all comes from r = 1 / n, n = 1 + |z|^2, one evaluation of Q, Q'
+        and Q'' and the chart's l: with p = l - x1 = (d + 2 Re(xi z)) r,
+        l_z = (xi - p z*) r and l_zz* = (d - 2 p) r^2."""
+        zc = z.conjugate()
+        r = 1.0 / (1.0 + (z * zc).real)
+        Q = (taylor @ (z[:, None] ** _POWERS)[..., None])[..., 0].T
         h, b = (0.25, 1.0) if self.use_sqrt else (0.5, 2.0)  # a / 2 and b
         R, rr, zr = Q[1:] / Q[0], r * r, zc * r
         f = self._of_q(np.abs(Q[0])) * (r if self.use_sqrt else rr)
         # f = K exp(phi), phi = a log|Q| - b log n, and log|Q| is harmonic
         phi_z = h * R[0] - b * zr
-        xz = xi * z
-        p = (d + xz + np.conj(xz)) * r
+        p = (d + 2.0 * (xi * z).real) * r
         l_z = (xi - p * zc) * r
-        G = np.empty((5, len(z)), complex)
-        G[0], G[1], G[2] = z, f - x1 - p, f * phi_z - l_z
-        G[3] = f * (phi_z * np.conj(phi_z) - b * rr) - (d - p - p) * rr
-        G[4] = f * (h * (R[1] - R[0] * R[0]) + b * zr * zr + phi_z * phi_z) + 2.0 * zr * l_z
-        return G
+        return np.array((z, f - x1 - p, f * phi_z - l_z,
+                         f * ((phi_z * phi_z.conjugate()).real - b * rr) - (d - 2.0 * p) * rr,
+                         f * (h * (R[1] - R[0] * R[0]) + b * zr * zr + phi_z * phi_z) + 2.0 * zr * l_z))
 
     def lowest(self, X, on_grid: np.ndarray, z, flip, cost):
         """Lowest f - l over the grid (``on_grid``, its values there), the
@@ -302,15 +303,15 @@ class _Range:
             # fastest along the gradient of l, l_s + i l_t
             l_s, l_t = _chart_basis(*roots)[1:] @ X
             off = roots[0][:, None] + np.exp(1j * np.angle(l_s + 1j * l_t))[:, None] * _CUSP_RADII
-            z = np.insert(z, k, off.ravel())
-            flip = np.insert(flip, k, np.repeat(roots[1], _CUSP_RADII.size))
+            z, flip = np.insert(z, k, off.ravel()), np.insert(flip, k, np.repeat(roots[1], _CUSP_RADII.size))
         # the root, basic, has f - l = 0: a start beside it that is no lower
         # would only step back to its cusp, and does not start
         scale, beside = np.ones(len(z)), slice(k, len(z) - 8)
         # the points each step moved to, the next round's columns
         moved, taken = np.empty((_NEWTON_STEPS, len(z)), complex), np.zeros((_NEWTON_STEPS, len(z)), bool)
+        coef = self.coefficients(X, flip)
         with np.errstate(divide="ignore", invalid="ignore"):
-            state = self.excess(X, z, flip)
+            state = self.excess(z, *coef)
             scale[beside][state[1, beside].real >= 0.0] = 0.0
             for n in range(_NEWTON_STEPS):
                 z, g, g_z, g_zc, g_zz = state
@@ -325,7 +326,7 @@ class _Range:
                 if not live.any():
                     break
                 # a start that is not live may be evaluated, but is not moved
-                new = self.excess(X, z + step, flip)
+                new = self.excess(z + step, *coef)
                 taken[n] = better = live & (new[1].real < g.real)
                 state = np.where(better, new, state)
                 moved[n] = state[0]
@@ -345,7 +346,7 @@ class _Range:
         off the roots of q, each in its own chart; a point whose cost reads
         as a root (:meth:`on_root`) holds still.  With
         b = (lambda_0, lambda_1, 0, 0) and a(v) the constraint row
-        (:func:`_chart_rows`), the rows are the mixing
+        (:func:`_chart_basis`), the rows are the mixing
         sum_k w_k a(v_k) = b, the complementarity f(v_k) - a(v_k) @ X = 0 at
         every support point (a point that holds still keeps its row and its
         cost) and the stationarity of f - l in each moving point's chart.
@@ -370,18 +371,17 @@ class _Range:
         at, i = d + np.flatnonzero(move), d + k + np.arange(m)
         j = i + m
         cells = (np.concatenate((at, at, i, j, i, j)), np.concatenate((i, j, i, j, j, i)))
-        J = np.zeros((d + k + 2 * m,) * 2)
-        moved = False
+        J, moved = np.zeros((d + k + 2 * m,) * 2), False
         for _ in range(_KKT_STEPS if m else 0):  # with no point to move, none to propose
             a = _chart_basis(z, flip)
             with np.errstate(divide="ignore", invalid="ignore"):
-                _, g, g_z, g_zc, g_zz = self.excess(X, z, flip)
+                _, g, g_z, g_zc, g_zz = self.excess(z, *self.coefficients(X, flip))
             A[move] = a[0]
             slack = cost - A @ X
             slack[move] = g.real
             grad = 2.0 * np.conj(g_z)  # (d/d Re z, d/d Im z) of g as one complex number
             F = np.concatenate((A.T @ w - self.b, slack, grad.real, grad.imag))
-            if not np.isfinite(F).all() or np.abs(F).max() <= _KKT_TOL:
+            if not _KKT_TOL < np.abs(F).max() < np.inf:  # converged, or not finite
                 break
             J[:d, d:d + k], J[d:d + k, :d] = A.T, -A
             J[d + k:, :d] = -a[1:].reshape(-1, d)
@@ -398,11 +398,11 @@ class _Range:
         origin = np.flatnonzero(move)[kept]
         n = _KKT_OFFSET.size
         z, flip = (z[kept, None] + _KKT_OFFSET).ravel(), np.repeat(flip[kept], n)
-        a = _chart_rows(z, flip)
+        a = _chart_basis(z, flip, 1)[0]
         # a point near a support point or an earlier point goes with its
         # offsets: they are near that point's
         near = ((a[::n, None] - np.concatenate((support, a[::n]))) ** 2).sum(-1) <= _KKT_SEP ** 2
-        fresh = ~np.tril(near, k - 1).any(axis=1)
+        fresh = ~(near & (np.arange(near.shape[1]) < np.arange(k, near.shape[1])[:, None])).any(axis=1)
         keep = np.repeat(fresh, n)
         return (z[keep], flip[keep], a[keep]), origin[fresh]
 
@@ -441,7 +441,8 @@ def _simplex(cost, columns, b, basis):
         # the inverse alone a basic column's reduced cost can pass -_LP_TOL
         X = inv @ c
         X += inv @ (c - A @ X)
-        reduced = cost - X @ columns
+        reduced = X @ columns
+        np.subtract(cost, reduced, out=reduced)  # one temporary of the columns' size, not two
         j = int(reduced.argmin())
         if reduced[j] >= -_LP_TOL:
             return b @ inv, X, reduced
@@ -579,10 +580,9 @@ def _lp_roof(sphere: _Range):
             (new_z, new_flip, rows), origin = sphere._refine(
                 X, w[at], z[support], flip[support], A[:, support].T, cost[support])
             if len(new_z):
-                first = held.n
                 held.add(new_z, new_flip, sphere.f(new_z, new_flip), rows)
                 z, flip, cost, A = held.held()
-                _warm_start(cost, A, b, basis, at[origin], first)
+                _warm_start(cost, A, b, basis, at[origin], held.n - len(new_z))
                 w, X, reduced = _simplex(cost, A, b, basis)
         except np.linalg.LinAlgError:
             return None
@@ -592,7 +592,7 @@ def _lp_roof(sphere: _Range):
         bound = sphere.bound(X, min(lowest, reduced.min()))
         if cost[basis] @ w - bound <= _LP_GAP:
             break
-        held.add(*visited, sphere.f(*visited), _chart_rows(*visited))
+        held.add(*visited, sphere.f(*visited), _chart_basis(*visited, 1)[0])
         z, flip, cost, A = held.held()
     # the basic solution's weights, solved on its support to rounding; weights
     # that miss b, or are negative beyond rounding, decline

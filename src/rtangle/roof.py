@@ -49,7 +49,7 @@ certifies the spectral decomposition.
 The program's bound holds to working precision, not as a proof; the
 closed form is exact for the recognized frame, which holds to
 ``ghzw._ORBIT_TOL``.  A zero-branch or an orbit solve takes about half a
-millisecond, a linear program one and a half to two.
+millisecond, a linear program about one and a half.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.  Unless a bracket closed at once, the
@@ -63,9 +63,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lp, search
+from . import kernels, lp, search
 from .ghzw import range_orbit
-from .invariants import invariants
 from .quartic import eigen_factor, range_roots
 from .states import (
     DensityMatrix,
@@ -163,9 +162,18 @@ def _check_functional(functional: str) -> bool:
     return functional == "sqrt_tau"
 
 
-def _member_value(psi: PureState, use_sqrt: bool) -> float:
-    inv = invariants(psi)
-    return inv.sqrt_tau if use_sqrt else inv.tau
+def _ensemble_value(members, use_sqrt: bool) -> float:
+    """The objective of a decomposition, its members' weighted sqrt-tau or
+    tau, from one gather of every member's hyperdeterminant monomials.  They
+    are summed as :func:`invariants.hyperdet_parts` sums them, and |Det| is
+    a hypot, as in :func:`invariants.invariants`: a member on a root of the
+    hyperdeterminant reads 2 sqrt|Det| of rounding, so any other order would
+    move the value by about 1e-9."""
+    X = np.array([psi.amp for _, psi in members]).reshape(-1, 8)[:, kernels._IDX]
+    m = (((X[:, 0] * X[:, 1]) * X[:, 2]) * X[:, 3]).T
+    det = np.add.accumulate(m[:4])[-1] - 2.0 * np.add.accumulate(m[4:10])[-1] + 4.0 * (m[10] + m[11])
+    tau = 4.0 * np.hypot(det.real, det.imag)
+    return float(sum((np.array([w for w, _ in members]) * (np.sqrt(tau) if use_sqrt else tau)).tolist()))
 
 
 def _ensemble_from_rows(W: np.ndarray) -> WeightedEnsemble:
@@ -248,7 +256,7 @@ def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_inde
     when that bracket is closed: the bound is at most ``lp._CERT_GAP`` below
     the value."""
     ensemble = _ensemble_from_rows(W)
-    value = float(sum(w * _member_value(psi, use_sqrt) for w, psi in ensemble.members))
+    value = _ensemble_value(ensemble.members, use_sqrt)
     bound = max((b for b in bounds if b <= value + _BOUND_SLACK), default=None)
     return RoofResult(value=value, ensemble=ensemble, restarts_used=restarts_used,
                       best_restart_index=best_restart_index, lower_bound=bound,
@@ -321,4 +329,4 @@ def objective_at(rho: DensityMatrix, e: WeightedEnsemble, functional: str = "sqr
     if dev > _MIX_TOL:
         raise ValidationError(
             f"objective_at: ensemble does not reproduce rho (max deviation {dev:.3e})")
-    return float(sum(w * _member_value(psi, use_sqrt) for w, psi in e.members))
+    return _ensemble_value(e.members, use_sqrt)

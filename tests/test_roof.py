@@ -1393,11 +1393,12 @@ def test_pricing_derivatives_match_central_differences():
             assert away.sum() >= 10
             z, flip = lp._chart(V[away])
             assert flip.any() and not flip.all()
-            _, g, g_z, g_zc, g_zz = sphere.excess(X, z, flip)
+            coef = sphere.coefficients(X, flip)
+            _, g, g_z, g_zc, g_zz = sphere.excess(z, *coef)
             g, g_zc = g.real, g_zc.real
 
             def G(dz):
-                return sphere.excess(X, z + dz, flip)[1].real
+                return sphere.excess(z + dz, *coef)[1].real
 
             grad = (G(h) - G(-h) + 1j * (G(1j * h) - G(-1j * h))) / (2.0 * h)
             hess_ss = (G(h) - 2.0 * g + G(-h)) / h ** 2
@@ -1430,10 +1431,35 @@ def test_one_pass_evaluation_matches_the_reference_forms():
             assert flip.any() and not flip.all()
             rows, want = lp._chart_basis(z, flip), _chart_basis_ref(z, flip)
             assert np.abs(rows - want).max() <= 1e-12 * np.abs(want).max()
-            G = sphere.excess(X, z, flip)
+            assert np.array_equal(lp._chart_basis(z, flip, 1), rows[:1])
+            G = sphere.excess(z, *sphere.coefficients(X, flip))
             assert np.array_equal(G[0], z)
             for got, ref in zip(G[1:], _excess_ref(sphere, X, z, flip)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_refinement_matches_the_reference_path_on_rho0(monkeypatch):
+    """`_Range._refine` from rho0's first simplex solve (tau) proposes the
+    same points, rows and origins as the same steps taken on the reference
+    forms of the rows and of f - l (`_chart_basis_ref`, `_excess_ref`), to
+    1e-12."""
+    B = eigen_factor(_counterexample_pair()[1][0])
+    sphere = _range(B, False)
+    z, flip, cost, A = sphere.columns().held()
+    basis = lp._LP_BASIS.copy()
+    w, X, _ = lp._simplex(cost, A, sphere.b, basis)
+    at = np.flatnonzero(w > 0.0)
+    support = basis[at]
+    args = (X, w[at], z[support], flip[support], A[:, support].T, cost[support])
+    (z, flip, a), origin = sphere._refine(*args)
+    assert len(z) == 3 * lp._KKT_OFFSET.size  # the fourth point meets one of them
+    monkeypatch.setattr(lp, "_chart_basis", lambda z, flip, blocks=3: _chart_basis_ref(z, flip)[:blocks])
+    monkeypatch.setattr(sphere, "coefficients", lambda X, flip: (X, flip))
+    monkeypatch.setattr(sphere, "excess",
+                        lambda z, X, flip: np.array((z, *_excess_ref(sphere, X, z, flip))))
+    (z_ref, flip_ref, a_ref), origin_ref = sphere._refine(*args)
+    assert np.array_equal(flip, flip_ref) and np.array_equal(origin, origin_ref)
+    assert np.abs(z - z_ref).max() <= 1e-12 and np.abs(a - a_ref).max() <= 1e-12
 
 
 def test_simplex_dual_prices_its_basis_at_zero():
@@ -1559,7 +1585,7 @@ def test_refinement_reaches_the_kkt_point_of_rho0(monkeypatch):
     weights = np.linalg.lstsq(a.T, b, rcond=None)[0]
     assert weights.min() > 0.0 and np.abs(a.T @ weights - b).max() <= 1e-13
     # f - l and its gradient are linear in X: (f, f_s, f_t) - (a, a_s, a_t) @ X
-    f, f_z = sphere.excess(np.zeros(4), z, flip)[1:3]
+    f, f_z = sphere.excess(z, *sphere.coefficients(np.zeros(4), flip))[1:3]
     f = f.real
     rows = np.concatenate((a, a_s, a_t))
     values = np.concatenate((f, 2.0 * f_z.real, -2.0 * f_z.imag))
