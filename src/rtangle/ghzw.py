@@ -339,8 +339,11 @@ class OrbitAnalysis:
         and their weighted sqrt-tau is ``analysis.rtangle``.
         """
         tilde_phi = self.analysis.tilde_phi
-        return np.array([np.sqrt(wt) * _superposition(self.g, self.w, pv, phi, tilde_phi)
-                         for wt, pv, phi in _members(self.p, self.analysis)])
+        # per member sqrt(wt), then :func:`_superposition`'s two coefficients
+        c = np.array([(math.sqrt(wt), math.sqrt(pv),
+                       -math.sqrt(1.0 - pv) * cmath.exp(1j * (phi - tilde_phi / 3.0)))
+                      for wt, pv, phi in _members(self.p, self.analysis)], complex)
+        return c[:, :1] * (c[:, 1:2] * self.g + c[:, 2:] * self.w)
 
 
 def range_orbit(B: np.ndarray, E: np.ndarray, q: np.ndarray,
@@ -371,8 +374,9 @@ def range_orbit(B: np.ndarray, E: np.ndarray, q: np.ndarray,
     rows = np.concatenate((dual, dirs)) @ B
     G, W = rows.reshape(2, -1, 8)
     q = frame_quartic(q, (rows @ E.conj().T).reshape(2, -1, 2).transpose(1, 0, 2))
-    scale = np.abs(q).max(-1)
-    found = np.flatnonzero((scale > 0.0) & (np.abs(q[:, [0, 2, 3]]).max(-1) <= _ORBIT_TOL * scale))
+    size = np.abs(q)
+    tops, offs = size.max(-1).tolist(), size[:, [0, 2, 3]].max(-1).tolist()
+    found = [k for k, (top, off) in enumerate(zip(tops, offs)) if top > 0.0 and off <= _ORBIT_TOL * top]
     if len(found) != 1:
         return None
     g, w, q = G[found[0]], W[found[0]], q[found[0]]

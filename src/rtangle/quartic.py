@@ -44,9 +44,11 @@ _Q_ROUNDING = 1e-15
 
 def eigen_factor(rho: DensityMatrix) -> np.ndarray:
     """Rows sqrt(lambda_k) e_k of the spectral factorization, rank x 8, for
-    the eigenvalues above ``EIG_CUTOFF`` (:func:`states.spectrum`)."""
+    the eigenvalues above ``EIG_CUTOFF`` (:func:`states.spectrum`): one
+    product into a C-contiguous complex array, the layout whose BLAS
+    rounding the search's products are fixed to."""
     lam, vec = spectrum(rho)
-    return np.ascontiguousarray((vec * np.sqrt(lam)).T.astype(np.complex128))
+    return np.multiply(vec.T, np.sqrt(lam)[:, None], order="C")
 
 
 def range_tensor(B: np.ndarray) -> np.ndarray:
@@ -85,6 +87,13 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V.real ** 2 + V.imag ** 2).sum(-1))
 
 
+def _units(V: np.ndarray) -> np.ndarray:
+    """The rows of V, (k, 2), normalized: their norms as :func:`_norms` sums
+    them, since a sum of two terms is the one addition."""
+    x = V.real ** 2 + V.imag ** 2
+    return V / np.sqrt(x[:, 0] + x[:, 1])[:, None]
+
+
 def range_roots(B: np.ndarray):
     """The range quartic of the rank-2 rho = B^T conj(B) and its roots, in
     one solve: (E, q, roots, dirs).
@@ -94,10 +103,14 @@ def range_roots(B: np.ndarray):
     twice, at most four of them: ``roots`` as unit rows v on E, the
     tangle-free range states v_0 e_0 + v_1 e_1, and ``dirs`` as unit rows d
     of U, the same states d_0 B_0 + d_1 B_1 (d is v_k / |B_k|, normalized).
-    A repeated root, at infinity or an exact one of ``np.roots``, is listed
-    once.  Where the quartic is 0 up to rounding (max|q| <= ``_Q_ROUNDING``)
-    every range state is tangle-free, and both are the unit frame: its four
-    "roots" would be those of rounding."""
+    The roots t = x / y are the eigenvalues of the companion matrix that
+    ``np.roots`` builds, trimmed as it trims: exact trailing zeros are roots
+    t = 0, listed last, and the exact leading zeros it drops are gone with
+    the near-zero ones (the largest coefficient, 1, stays).  A repeated
+    root, at infinity or an exact one, is listed once.  Where the quartic is
+    0 up to rounding (max|q| <= ``_Q_ROUNDING``) every range state is
+    tangle-free, and both are the unit frame: its four "roots" would be
+    those of rounding."""
     norms = _norms(B)
     E = B / norms[:, None]
     q = pair_quartic(E[0], E[1])
@@ -106,16 +119,19 @@ def range_roots(B: np.ndarray):
         frame = np.eye(2, dtype=complex)
         return E, q, frame, frame
     poly = q[::-1] / scale  # highest power of t = x/y first
-    at_infinity = int(np.abs(poly[0]) < 1e-12)  # a root at the pure-e_0 direction
-    poly = poly[at_infinity:]
-    while len(poly) > 1 and np.abs(poly[0]) < 1e-14:  # of a higher multiplicity
-        poly = poly[1:]
-    t = np.roots(poly).tolist()
+    c = poly.tolist()
+    at_infinity = int(abs(c[0]) < 1e-12)  # a root at the pure-e_0 direction
+    start, end = at_infinity, len(c)
+    while end - start > 1 and abs(c[start]) < 1e-14:  # of a higher multiplicity
+        start += 1
+    while c[end - 1] == 0:  # as in np.roots, an exact trailing zero is a root t = 0
+        end -= 1
+    t = [0.0] * (len(c) - end)
+    if end - start > 1:
+        companion = np.eye(end - start - 1, k=-1, dtype=complex)
+        companion[0] = -poly[start + 1:end] / poly[start]
+        t = np.linalg.eigvals(companion).tolist() + t
     t = [z for k, z in enumerate(t) if z not in t[:k]]
     # the row (1, 0) at infinity, then (t, 1) at the roots t, each once
-    V = np.ones((at_infinity + len(t), 2), complex)
-    V[:at_infinity, 1] = 0.0
-    V[at_infinity:, 0] = t
-    roots = V / _norms(V)[:, None]
-    dirs = roots / norms
-    return E, q, roots, dirs / _norms(dirs)[:, None]
+    roots = _units(np.array([(1.0, 0.0)] * at_infinity + [(z, 1.0) for z in t], complex))
+    return E, q, roots, _units(roots / norms)

@@ -162,27 +162,28 @@ def _check_functional(functional: str) -> bool:
     return functional == "sqrt_tau"
 
 
-def _ensemble_value(members, use_sqrt: bool) -> float:
+def _ensemble_value(weights: np.ndarray, U: np.ndarray, use_sqrt: bool) -> float:
     """The objective of a decomposition, its members' weighted sqrt-tau or
-    tau, from one gather of every member's hyperdeterminant monomials.  They
-    are summed as :func:`invariants.hyperdet_parts` sums them, and |Det| is
-    a hypot, as in :func:`invariants.invariants`: a member on a root of the
+    tau, from its weights and the stack U, (k, 8), of their unit amplitudes,
+    in one gather of every member's hyperdeterminant monomials.  They are
+    summed as :func:`invariants.hyperdet_parts` sums them, and |Det| is a
+    hypot, as in :func:`invariants.invariants`: a member on a root of the
     hyperdeterminant reads 2 sqrt|Det| of rounding, so any other order would
     move the value by about 1e-9."""
-    X = np.array([psi.amp for _, psi in members]).reshape(-1, 8)[:, kernels._IDX]
+    X = U[:, kernels._IDX]
     m = (((X[:, 0] * X[:, 1]) * X[:, 2]) * X[:, 3]).T
     det = np.add.accumulate(m[:4])[-1] - 2.0 * np.add.accumulate(m[4:10])[-1] + 4.0 * (m[10] + m[11])
     tau = 4.0 * np.hypot(det.real, det.imag)
-    return float(sum((np.array([w for w, _ in members]) * (np.sqrt(tau) if use_sqrt else tau)).tolist()))
+    return float(sum((weights * (np.sqrt(tau) if use_sqrt else tau)).tolist()))
 
 
-def _ensemble_from_rows(W: np.ndarray) -> WeightedEnsemble:
-    members = []
-    for row in W:
-        w = float(np.vdot(row, row).real)
-        if w > _WEIGHT_FLOOR:
-            members.append((w, PureState(row / np.sqrt(w))))
-    return WeightedEnsemble(tuple(members))
+def _unit_members(W: np.ndarray):
+    """The members of the rows W: their weights |W_k|^2, those above
+    ``_WEIGHT_FLOOR``, and the stack of their unit amplitudes, (k, 8)."""
+    weights = np.array([np.vdot(row, row).real for row in W])
+    keep = weights > _WEIGHT_FLOOR
+    weights = weights[keep]
+    return weights, W[keep] / np.sqrt(weights)[:, None]
 
 
 # --------------------------------------------------------------------------
@@ -215,18 +216,18 @@ def _zero_decomposition(dirs: np.ndarray):
     0.  The roots of its final basis are the candidate members, their
     weights solved on them; a simplex that fails declines.
     """
-    D = np.array(dirs)
-    c = np.conj(D[:, 0] * D[:, 1].conj())
-    A = np.array([(D[:, 0] * D[:, 0].conj()).real, (D[:, 1] * D[:, 1].conj()).real,
-                  c.real, c.imag])
+    D = np.asarray(dirs)
+    P = D[:, :, None] * D[:, None, :].conj()  # d_i conj(d_j) of each root
+    A = np.array([P[:, 0, 0].real, P[:, 1, 1].real, P[:, 0, 1].real, -P[:, 0, 1].imag])
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:  # fewer than four roots, or a singular A
         u = None
     else:
         u = inv @ _IDENTITY
-        if u.min() < -lp._SUPPORT:
-            if u.min() < -lp._FIT_TOL * np.linalg.norm(inv):
+        low = u.min()
+        if low < -lp._SUPPORT:
+            if low < -lp._FIT_TOL * np.linalg.norm(inv):
                 return None
             u = None
     if u is None:  # phase one: is the identity in the cone of the root projectors?
@@ -255,8 +256,9 @@ def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_inde
     (further above, pricing missed a point), and it is converged, certified,
     when that bracket is closed: the bound is at most ``lp._CERT_GAP`` below
     the value."""
-    ensemble = _ensemble_from_rows(W)
-    value = _ensemble_value(ensemble.members, use_sqrt)
+    weights, U = _unit_members(W)
+    ensemble = WeightedEnsemble(tuple(zip(weights.tolist(), map(PureState, U))))
+    value = _ensemble_value(weights, U, use_sqrt)
     bound = max((b for b in bounds if b <= value + _BOUND_SLACK), default=None)
     return RoofResult(value=value, ensemble=ensemble, restarts_used=restarts_used,
                       best_restart_index=best_restart_index, lower_bound=bound,
@@ -329,4 +331,4 @@ def objective_at(rho: DensityMatrix, e: WeightedEnsemble, functional: str = "sqr
     if dev > _MIX_TOL:
         raise ValidationError(
             f"objective_at: ensemble does not reproduce rho (max deviation {dev:.3e})")
-    return _ensemble_value(e.members, use_sqrt)
+    return _ensemble_value(e.weights(), np.array([psi.amp for psi in e.states()]), use_sqrt)

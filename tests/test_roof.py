@@ -7,7 +7,7 @@ from scipy.optimize import linprog, nnls
 
 import rtangle as rt
 from rtangle import kernels
-from rtangle import lp, roof, search
+from rtangle import ghzw, lp, quartic, roof, search
 from rtangle.quartic import eigen_factor, pair_quartic, range_roots, range_tensor
 from freeze import (GENERIC_ROOFS, TAU_RHO, TAU_RHO0, TR_STD_P08, _local_operator, _orbit_images,
                     _random_rank2, _random_rank2_gram, _slocc_image, _std_images, biseparable,
@@ -87,6 +87,62 @@ def _excess_ref(sphere, X, z, flip):
     g_z = f * phi_z - l_z
     g_zc = f * (np.abs(phi_z) ** 2 - b / n ** 2) - (x1 - l - 2.0 * (z * l_z).real) / n
     return f - l, g_z, g_zc, f_zz + 2.0 * zc * l_z / n
+
+
+def _range_roots_ref(B):
+    """The range quartic and its roots, (E, q, roots, dirs), in the form
+    :func:`quartic.range_roots` held before its companion matrix was built
+    in place: the roots of ``np.roots``, each unit row normalized by the
+    summed row norms.  The reference for the closed path's root solve."""
+    norms = np.sqrt((B.real ** 2 + B.imag ** 2).sum(-1))
+    E = B / norms[:, None]
+    q = quartic.pair_quartic(E[0], E[1])
+    scale = np.abs(q).max()
+    if scale <= quartic._Q_ROUNDING:
+        frame = np.eye(2, dtype=complex)
+        return E, q, frame, frame
+    poly = q[::-1] / scale
+    at_infinity = int(np.abs(poly[0]) < 1e-12)
+    poly = poly[at_infinity:]
+    while len(poly) > 1 and np.abs(poly[0]) < 1e-14:
+        poly = poly[1:]
+    t = np.roots(poly).tolist()
+    t = [z for k, z in enumerate(t) if z not in t[:k]]
+    V = np.ones((at_infinity + len(t), 2), complex)
+    V[:at_infinity, 1] = 0.0
+    V[at_infinity:, 0] = t
+    roots = V / np.sqrt((V.real ** 2 + V.imag ** 2).sum(-1))[:, None]
+    dirs = roots / norms
+    return E, q, roots, dirs / np.sqrt((dirs.real ** 2 + dirs.imag ** 2).sum(-1))[:, None]
+
+
+def _orbit_rows_ref(orbit):
+    """The orbit's members as rows, one :func:`ghzw._superposition` per
+    member: the reference for :meth:`OrbitAnalysis.rows`."""
+    return np.array([np.sqrt(wt) * ghzw._superposition(orbit.g, orbit.w, pv, phi,
+                                                       orbit.analysis.tilde_phi)
+                     for wt, pv, phi in ghzw._members(orbit.p, orbit.analysis)])
+
+
+def _ensemble_from_rows_ref(W):
+    """The ensemble of the rows W, one member at a time: the reference for
+    the members of :func:`roof._result`."""
+    members = []
+    for row in W:
+        w = float(np.vdot(row, row).real)
+        if w > roof._WEIGHT_FLOOR:
+            members.append((w, rt.PureState(row / np.sqrt(w))))
+    return rt.WeightedEnsemble(tuple(members))
+
+
+def _ensemble_value_ref(members, use_sqrt):
+    """The objective of ``members`` read back from their states: the
+    reference for the value of :func:`roof._result`."""
+    X = np.array([psi.amp for _, psi in members]).reshape(-1, 8)[:, kernels._IDX]
+    m = (((X[:, 0] * X[:, 1]) * X[:, 2]) * X[:, 3]).T
+    det = np.add.accumulate(m[:4])[-1] - 2.0 * np.add.accumulate(m[4:10])[-1] + 4.0 * (m[10] + m[11])
+    tau = 4.0 * np.hypot(det.real, det.imag)
+    return float(sum((np.array([w for w, _ in members]) * (np.sqrt(tau) if use_sqrt else tau)).tolist()))
 
 
 def _without_orbit(monkeypatch):
@@ -1098,7 +1154,7 @@ def test_open_bracket_returns_the_certificate_decomposition(monkeypatch, open_br
     assert len(made) == 1
     W, bound = made[0]
     assert res.restarts_used == 0 and res.best_restart_index == -1 and res.converged is False
-    assert res.value == rt.objective_at(rho, roof._ensemble_from_rows(W), functional)
+    assert res.value == rt.objective_at(rho, _ensemble_from_rows_ref(W), functional)
     assert _mixes_back(res, rho)
     assert res.lower_bound == (bound if sound else None)
 
@@ -1631,7 +1687,7 @@ def test_default_path_returns_the_orbit_closed_form(monkeypatch):
             continue
         assert res.best_restart_index == -1 and res.lower_bound == orbit.analysis.rtangle
         linear = image, orbit.analysis.rtangle
-        members = roof._ensemble_from_rows(orbit.rows()).members
+        members = _ensemble_from_rows_ref(orbit.rows()).members
         assert len(res.ensemble) == len(members) == 4
         for (w, psi), (w_ref, psi_ref) in zip(res.ensemble.members, members):
             assert w == w_ref and np.array_equal(psi.amp, psi_ref.amp)
@@ -1779,3 +1835,93 @@ def test_tau_is_not_covariant_on_the_orbit(monkeypatch):
                     tau_out.lower_bound - alpha ** 2 * tau_in.value)
         assert apart > width
     assert calls == []
+
+
+# ------------------------------------ the closed path against its reference forms
+
+def _same(a, b) -> bool:
+    """Equal bit for bit: dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _gate_slice():
+    """The first eight states of each set of the rank-2 gate."""
+    states = []
+    for draw, seed in ((_random_rank2, 2026), (_random_rank2, 7), (_random_rank2, 11),
+                       (_random_rank2, 12), (_random_rank2_gram, 2026), (_random_rank2_gram, 7),
+                       (biseparable, 4242)):
+        rng = np.random.default_rng(seed)
+        states += [draw(rng) for _ in range(8)]
+    return states
+
+
+def test_eigen_factor_is_one_c_contiguous_product():
+    """The factor is C-contiguous complex128 at every rank, and equal bit for
+    bit to the transposed product it was copied from before."""
+    for rho in (_pure_density(ghz_state()), std_mixture(0.8).density(), generic_base(3),
+                generic_base(4)):
+        B = eigen_factor(rho)
+        lam, vec = rt.states.spectrum(rho)
+        assert B.dtype == np.complex128 and B.flags.c_contiguous
+        assert _same(B, np.ascontiguousarray((vec * np.sqrt(lam)).T.astype(np.complex128)))
+
+
+def test_range_roots_match_np_roots_bit_for_bit(monkeypatch):
+    """The companion-matrix solve returns what ``np.roots`` returned, bit for
+    bit, on the 42 GHZ/W images, a slice of the gate corpus and the standard
+    mixture at p = 0.2 and 0.8; and, on quartics with exact zero
+    coefficients, trims as ``np.roots`` trims: a trailing zero is a root 0,
+    listed last, and a lone nonzero coefficient leaves only roots 0."""
+    images = [image for image, _, _ in _orbit_images() + _std_images()]
+    for rho in images + _gate_slice() + [std_mixture(p).density() for p in (0.2, 0.8)]:
+        B = eigen_factor(rho)
+        assert all(_same(a, b) for a, b in zip(range_roots(B), _range_roots_ref(B)))
+    B = eigen_factor(std_mixture(0.8).density())
+    for q in ([0.0, 0.5, 0.25j, 1.0, -0.3], [0.0, 0.0, 1.0, 0.5, 0.2], [1.0, 0.0, 0.3, 0.0, 0.0],
+              [0.2, 1.0, 0.0, 0.0, 1e-13], [0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+              [0.0, 1.0, 0.0, 0.0, 0.0]):
+        monkeypatch.setattr(quartic, "pair_quartic", lambda w1, w2, q=q: np.array(q, complex))
+        got, want = range_roots(B), _range_roots_ref(B)
+        assert all(_same(a, b) for a, b in zip(got, want))
+        if q[0] == 0.0 and q[4] != 0.0:  # t = 0 is a root, the last one
+            assert got[2][-1, 0] == 0.0
+
+
+def test_orbit_rows_match_the_per_member_superpositions():
+    """One broadcast over the member table gives the rows of one
+    ``_superposition`` per member, bit for bit, on the 42 GHZ/W images."""
+    for image, _, _ in _orbit_images() + _std_images():
+        orbit = rt.orbit_analysis(image)
+        assert orbit is not None and _same(orbit.rows(), _orbit_rows_ref(orbit))
+
+
+def test_result_reads_the_member_by_member_ensemble():
+    """``_result`` reads its weights, members and value from one stack of
+    unit rows; each is what the member-by-member ensemble and its value read
+    back gave, bit for bit: on the orbit's and the zero fit's rows of the 42
+    GHZ/W images and a slice of the gate corpus, and with a row below
+    ``_WEIGHT_FLOOR`` and a zero row left out as before."""
+    cases = []
+    for rho in [image for image, _, _ in _orbit_images() + _std_images()] + _gate_slice():
+        B = eigen_factor(rho)
+        E, q, _, dirs = range_roots(B)
+        exact = roof._zero_decomposition(dirs)
+        orbit = ghzw.range_orbit(B, E, q, dirs)
+        cases += [(rho, W) for W in (exact @ B if exact is not None else None,
+                                     orbit.rows() if orbit is not None else None) if W is not None]
+    rho, W = cases[0]
+    floor = np.sqrt(roof._WEIGHT_FLOOR) / 10.0 * W[0] / np.linalg.norm(W[0])
+    padded = np.vstack((W[:1], floor, W[1:], np.zeros(8)))
+    assert len(roof._result(padded, True, 0, -1).ensemble) == len(W)
+    cases.append((rho, padded))
+    for rho, W in cases:
+        ref = _ensemble_from_rows_ref(W)
+        for functional in roof.FUNCTIONALS:
+            res = roof._result(W, functional == "sqrt_tau", 0, -1)
+            assert len(res.ensemble) == len(ref)
+            for (w, psi), (w_ref, psi_ref) in zip(res.ensemble.members, ref.members):
+                assert w == w_ref and _same(psi.amp, psi_ref.amp)
+            assert res.value == _ensemble_value_ref(ref.members, functional == "sqrt_tau")
+            assert res.value == rt.objective_at(rho, res.ensemble, functional)
+    assert len(cases) > 60

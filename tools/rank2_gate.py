@@ -1,8 +1,10 @@
-"""The rank-2 gate: 760 certified solves and what the linear program spent.
+"""The rank-2 gate: 844 certified solves and what the linear program spent.
 
 Six sets of 30 random rank-2 states (``_random_rank2`` of rngs 2026, 7, 11
-and 12 and ``_random_rank2_gram`` of rngs 2026 and 7) and 200
-``biseparable`` states of rng 4242, all from the test corpus
+and 12 and ``_random_rank2_gram`` of rngs 2026 and 7), 200 ``biseparable``
+states of rng 4242 and the 42 SLOCC images of GHZ/W mixtures
+(``_orbit_images`` and ``_std_images``, the set ``ghzw-images``, which the
+zero fit and the orbit closed form answer), all from the test corpus
 ``tests/freeze.py``, each solved by ``roof_minimize`` with default options
 for both functionals.
 Prints per set and in total:
@@ -18,7 +20,7 @@ Prints per set and in total:
 - ``evals``: the evaluations of f - l that pricing makes, the
   ``_Range.excess`` calls inside ``_Range.lowest``;
 - ``seconds``: the wall time spent in the linear program (``_lp_roof``),
-  the median of ``--repeat`` passes over the 760 solves in one process,
+  the median of ``--repeat`` passes over the 844 solves in one process,
   with their minimum (``min_s``) and the median milliseconds per program
   (``ms_prog``).
 
@@ -48,11 +50,22 @@ import numpy as np  # noqa: E402
 
 import rtangle as rt  # noqa: E402
 from rtangle import lp, roof  # noqa: E402
-from freeze import _random_rank2, _random_rank2_gram, biseparable  # noqa: E402
+from freeze import (_orbit_images, _random_rank2, _random_rank2_gram, _std_images,  # noqa: E402
+                    biseparable)
 
 SETS = [(_random_rank2, 2026, 30), (_random_rank2, 7, 30), (_random_rank2, 11, 30),
         (_random_rank2, 12, 30), (_random_rank2_gram, 2026, 30), (_random_rank2_gram, 7, 30),
         (biseparable, 4242, 200)]
+
+
+def _sets():
+    """Each set's name and states: the drawn ``SETS``, then the GHZ/W images."""
+    for draw, seed, n in SETS:
+        rng = np.random.default_rng(seed)
+        yield f"{draw.__name__}-{seed}", [draw(rng) for _ in range(n)]
+    yield "ghzw-images", [image for image, _, _ in _orbit_images() + _std_images()]
+
+
 COUNTS = ("solves", "certified", "searched", "passes", "refused", "decided", "pivots2", "evals")
 
 
@@ -119,9 +132,7 @@ def _digest(res) -> str:
 def run():
     """Solve the gate; returns the per-set counts, seconds and solve records."""
     probe, table, solves = _Probe(), [], []
-    for draw, seed, n in SETS:
-        rng = np.random.default_rng(seed)
-        states = [draw(rng) for _ in range(n)]
+    for name, states in _sets():
         counts = dict.fromkeys(COUNTS, 0)
         probe.seconds, probe.evals, programs = 0.0, 0, 0
         for k, rho in enumerate(states):
@@ -141,12 +152,12 @@ def run():
                     counts["pivots2"] += iterations if i == 0 else 0
                 # every round but the last open one ends in a pricing pass
                 counts["passes"] += len(rounds) - 1 if rounds else 0
-                solves.append({"set": f"{draw.__name__}-{seed}", "index": k,
+                solves.append({"set": name, "index": k,
                                "functional": functional, "value": res.value,
                                "bound": res.lower_bound, "program": rounds is not None,
                                "digest": _digest(res)})
         counts["evals"] = probe.evals
-        table.append((f"{draw.__name__}-{seed}", counts, probe.seconds, programs))
+        table.append((name, counts, probe.seconds, programs))
     return table, solves
 
 
@@ -172,7 +183,7 @@ def _compare(solves, path):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=1, metavar="N",
-                    help="solve the 760 N times in one process; seconds is the median pass")
+                    help="solve the 844 N times in one process; seconds is the median pass")
     ap.add_argument("--save", metavar="FILE", help="write each solve's value and bound as JSON")
     ap.add_argument("--compare", metavar="FILE", help="compare with a file written by --save")
     args = ap.parse_args(argv)
