@@ -211,11 +211,17 @@ def analyze(mix: GhzWMixture) -> MixtureAnalysis:
     return _closed_form(ab, ratio, mix.p)
 
 
+def _coefficients(p: float, phi: float, tilde_phi: float) -> tuple[float, complex]:
+    """sqrt(p) and -sqrt(1-p) e^{i(phi - phi~/3)}, the family state's
+    coefficients of gGHZ and gW."""
+    return math.sqrt(p), -math.sqrt(1.0 - p) * cmath.exp(1j * (phi - tilde_phi / 3.0))
+
+
 def _superposition(g: np.ndarray, w: np.ndarray, p: float, phi: float,
                    tilde_phi: float) -> np.ndarray:
     """sqrt(p) g - sqrt(1-p) e^{i(phi - phi~/3)} w, the family state's amplitudes."""
-    w_coef = -np.sqrt(1.0 - p) * cmath.exp(1j * (phi - tilde_phi / 3.0))
-    return np.sqrt(p) * g + w_coef * w
+    g_coef, w_coef = _coefficients(p, phi, tilde_phi)
+    return g_coef * g + w_coef * w
 
 
 def family_state(mix: GhzWMixture, p: float, phi: float) -> PureState:
@@ -338,10 +344,7 @@ class OrbitAnalysis:
         place of (gGHZ, gW) and the weights folded in; they mix back to rho,
         and their weighted sqrt-tau is ``analysis.rtangle``.
         """
-        tilde_phi = self.analysis.tilde_phi
-        # per member sqrt(wt), then :func:`_superposition`'s two coefficients
-        c = np.array([(math.sqrt(wt), math.sqrt(pv),
-                       -math.sqrt(1.0 - pv) * cmath.exp(1j * (phi - tilde_phi / 3.0)))
+        c = np.array([(math.sqrt(wt),) + _coefficients(pv, phi, self.analysis.tilde_phi)
                       for wt, pv, phi in _members(self.p, self.analysis)], complex)
         return c[:, :1] * (c[:, 1:2] * self.g + c[:, 2:] * self.w)
 

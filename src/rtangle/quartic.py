@@ -87,13 +87,6 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V.real ** 2 + V.imag ** 2).sum(-1))
 
 
-def _units(V: np.ndarray) -> np.ndarray:
-    """The rows of V, (k, 2), normalized: their norms as :func:`_norms` sums
-    them, since a sum of two terms is the one addition."""
-    x = V.real ** 2 + V.imag ** 2
-    return V / np.sqrt(x[:, 0] + x[:, 1])[:, None]
-
-
 def range_roots(B: np.ndarray):
     """The range quartic of the rank-2 rho = B^T conj(B) and its roots, in
     one solve: (E, q, roots, dirs).
@@ -133,5 +126,7 @@ def range_roots(B: np.ndarray):
         t = np.linalg.eigvals(companion).tolist() + t
     t = [z for k, z in enumerate(t) if z not in t[:k]]
     # the row (1, 0) at infinity, then (t, 1) at the roots t, each once
-    roots = _units(np.array([(1.0, 0.0)] * at_infinity + [(z, 1.0) for z in t], complex))
-    return E, q, roots, _units(roots / norms)
+    V = np.array([(1.0, 0.0)] * at_infinity + [(z, 1.0) for z in t], complex)
+    roots = V / _norms(V)[:, None]
+    dirs = roots / norms
+    return E, q, roots, dirs / _norms(dirs)[:, None]

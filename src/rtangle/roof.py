@@ -48,8 +48,11 @@ certifies the spectral decomposition.
 
 The program's bound holds to working precision, not as a proof; the
 closed form is exact for the recognized frame, which holds to
-``ghzw._ORBIT_TOL``.  A zero-branch or an orbit solve takes about half a
-millisecond, a linear program about one and a half.
+``ghzw._ORBIT_TOL``.  On a 2-core x86-64 box (numpy 2.4.6, one pinned
+core) a zero-branch solve takes about 0.24 ms and an orbit solve about
+0.32 ms, mostly numpy call overhead on arrays of 2 to 8 rows and the
+checks of each member, not arithmetic; a linear program takes about one
+and a half.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.  Unless a bracket closed at once, the
@@ -177,15 +180,6 @@ def _ensemble_value(weights: np.ndarray, U: np.ndarray, use_sqrt: bool) -> float
     return float(sum((weights * (np.sqrt(tau) if use_sqrt else tau)).tolist()))
 
 
-def _unit_members(W: np.ndarray):
-    """The members of the rows W: their weights |W_k|^2, those above
-    ``_WEIGHT_FLOOR``, and the stack of their unit amplitudes, (k, 8)."""
-    weights = np.array([np.vdot(row, row).real for row in W])
-    keep = weights > _WEIGHT_FLOOR
-    weights = weights[keep]
-    return weights, W[keep] / np.sqrt(weights)[:, None]
-
-
 # --------------------------------------------------------------------------
 # the tangle-free decomposition of rank-2 inputs
 
@@ -255,8 +249,12 @@ def _result(W: np.ndarray, use_sqrt: bool, restarts_used: int, best_restart_inde
     ``bounds`` that is sound, above the value by no more than rounding
     (further above, pricing missed a point), and it is converged, certified,
     when that bracket is closed: the bound is at most ``lp._CERT_GAP`` below
-    the value."""
-    weights, U = _unit_members(W)
+    the value.  Its members are the rows of W of weight |W_k|^2 above
+    ``_WEIGHT_FLOOR``, read with the value from one stack of unit rows."""
+    weights = np.array([np.vdot(row, row).real for row in W])
+    keep = weights > _WEIGHT_FLOOR
+    weights = weights[keep]
+    U = W[keep] / np.sqrt(weights)[:, None]
     ensemble = WeightedEnsemble(tuple(zip(weights.tolist(), map(PureState, U))))
     value = _ensemble_value(weights, U, use_sqrt)
     bound = max((b for b in bounds if b <= value + _BOUND_SLACK), default=None)

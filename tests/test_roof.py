@@ -1,3 +1,4 @@
+import cmath
 import re
 from dataclasses import replace
 
@@ -90,10 +91,9 @@ def _excess_ref(sphere, X, z, flip):
 
 
 def _range_roots_ref(B):
-    """The range quartic and its roots, (E, q, roots, dirs), in the form
-    :func:`quartic.range_roots` held before its companion matrix was built
-    in place: the roots of ``np.roots``, each unit row normalized by the
-    summed row norms.  The reference for the closed path's root solve."""
+    """The range quartic and its roots, (E, q, roots, dirs), solved by
+    ``np.roots``: the reference for :func:`quartic.range_roots`, which
+    builds ``np.roots``' companion matrix itself."""
     norms = np.sqrt((B.real ** 2 + B.imag ** 2).sum(-1))
     E = B / norms[:, None]
     q = quartic.pair_quartic(E[0], E[1])
@@ -116,11 +116,19 @@ def _range_roots_ref(B):
     return E, q, roots, dirs / np.sqrt((dirs.real ** 2 + dirs.imag ** 2).sum(-1))[:, None]
 
 
+def _superposition_ref(g, w, p, phi, tilde_phi):
+    """sqrt(p) g - sqrt(1-p) e^{i(phi - phi~/3)} w, one family state's
+    amplitudes in numpy scalars: the reference for
+    :func:`ghzw._superposition`."""
+    w_coef = -np.sqrt(1.0 - p) * cmath.exp(1j * (phi - tilde_phi / 3.0))
+    return np.sqrt(p) * g + w_coef * w
+
+
 def _orbit_rows_ref(orbit):
-    """The orbit's members as rows, one :func:`ghzw._superposition` per
-    member: the reference for :meth:`OrbitAnalysis.rows`."""
-    return np.array([np.sqrt(wt) * ghzw._superposition(orbit.g, orbit.w, pv, phi,
-                                                       orbit.analysis.tilde_phi)
+    """The orbit's members as rows, one superposition per member: the
+    reference for :meth:`OrbitAnalysis.rows`."""
+    return np.array([np.sqrt(wt) * _superposition_ref(orbit.g, orbit.w, pv, phi,
+                                                      orbit.analysis.tilde_phi)
                      for wt, pv, phi in ghzw._members(orbit.p, orbit.analysis)])
 
 
@@ -1858,7 +1866,8 @@ def _gate_slice():
 
 def test_eigen_factor_is_one_c_contiguous_product():
     """The factor is C-contiguous complex128 at every rank, and equal bit for
-    bit to the transposed product it was copied from before."""
+    bit to the reference form: the product, transposed, cast and copied to
+    C order."""
     for rho in (_pure_density(ghz_state()), std_mixture(0.8).density(), generic_base(3),
                 generic_base(4)):
         B = eigen_factor(rho)
@@ -1890,10 +1899,14 @@ def test_range_roots_match_np_roots_bit_for_bit(monkeypatch):
 
 def test_orbit_rows_match_the_per_member_superpositions():
     """One broadcast over the member table gives the rows of one
-    ``_superposition`` per member, bit for bit, on the 42 GHZ/W images."""
+    superposition per member, bit for bit, on the 42 GHZ/W images, and
+    ``_superposition`` the reference's amplitudes at the members' (p, phi)."""
     for image, _, _ in _orbit_images() + _std_images():
         orbit = rt.orbit_analysis(image)
         assert orbit is not None and _same(orbit.rows(), _orbit_rows_ref(orbit))
+        for _, pv, phi in ghzw._members(orbit.p, orbit.analysis):
+            args = orbit.g, orbit.w, pv, phi, orbit.analysis.tilde_phi
+            assert _same(ghzw._superposition(*args), _superposition_ref(*args))
 
 
 def test_result_reads_the_member_by_member_ensemble():
