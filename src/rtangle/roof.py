@@ -49,10 +49,9 @@ certifies the spectral decomposition.
 The program's bound holds to working precision, not as a proof; the
 closed form is exact for the recognized frame, which holds to
 ``ghzw._ORBIT_TOL``.  On a 2-core x86-64 box (numpy 2.4.6, one pinned
-core) a zero-branch solve takes about 0.24 ms and an orbit solve about
-0.32 ms, mostly numpy call overhead on arrays of 2 to 8 rows and the
-checks of each member, not arithmetic; a linear program takes about one
-and a half.
+core) a zero-branch solve takes 0.22-0.25 ms and an orbit solve 0.28-0.32
+ms, mostly numpy call overhead on arrays of 2 to 8 rows and the checks of
+each member, not arithmetic; a linear program takes about 1.5 ms.
 
 The returned value is an upper bound on the true convex roof by
 construction, certified or not.  Unless a bracket closed at once, the
